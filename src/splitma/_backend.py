@@ -28,9 +28,12 @@ def ifftn(a):
     return _sfft.ifftn(a, workers=_workers)
 
 
-def rfftn(a):
-    return _sfft.rfftn(a, workers=_workers)
+def rfftn(a, axes):
+    return _sfft.rfftn(a, axes=axes, workers=_workers)
 
 
-def irfftn(a, shape):
-    return _sfft.irfftn(a, s=shape, workers=_workers)
+def irfftn(a, shape, axes):
+    """Inverse of rfftn; shape gives the output sizes along axes.  The
+    input spectrum is consumed: every caller passes a fresh array."""
+    return _sfft.irfftn(a, s=shape, axes=axes, overwrite_x=True,
+                        workers=_workers)

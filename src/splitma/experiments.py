@@ -27,12 +27,7 @@ from .flow import (
     run,
     shift_min_zero,
 )
-from .geometry import (
-    BETA_MIN,
-    Background,
-    curvature,
-    make_background,
-)
+from .geometry import BETA_MIN, curvature, make_background
 from .grid_field import RealField, deriv_data, write_field
 from .identities import random_test_field, verify_A, verify_B, verify_C, ManifoldSlice
 from .monitors import (
@@ -42,7 +37,7 @@ from .monitors import (
     c0_series,
     corrupt_trajectory,
     evaluate,
-    mixed_norm,
+    mixed_norm_sups,
 )
 from .oracle2d import run_factor_flow
 
@@ -84,9 +79,8 @@ def _enabled_checks(cfg: ExperimentConfig):
     return names
 
 
-def _write_timeseries(path, traj: Trajectory, bg: Background,
-                      results: dict[str, CheckResult]) -> None:
-    beta = traj.beta
+def _write_timeseries(path, traj: Trajectory, results: dict[str, CheckResult],
+                      sups: list[float]) -> None:
     series_c0, _ = c0_series(traj)
     names = list(results)
     margin_maps = []
@@ -105,7 +99,6 @@ def _write_timeseries(path, traj: Trajectory, bg: Background,
     lines = [",".join(cols)]
     for i, s in enumerate(traj.snapshots):
         osc = float(s.u.data.max() - s.u.data.min())
-        mix = float(np.max(mixed_norm(s, bg, beta).data))
         if traj.params.steady_criterion == "osc":
             steady_res = float(s.du_dt.data.max() - s.du_dt.data.min())
         else:
@@ -120,7 +113,7 @@ def _write_timeseries(path, traj: Trajectory, bg: Background,
             f"{float(s.eta.data.min()):.17g}",
             f"{float(s.eta.data.max()):.17g}",
             f"{series_c0[i]:.17g}",
-            f"{mix:.17g}",
+            f"{sups[i]:.17g}",
             f"{steady_res:.17g}",
         ]
         for name, m in zip(names, margin_maps):
@@ -230,8 +223,10 @@ def cmd_flow_run(cfg: ExperimentConfig, out_dir, seed=None,
     enabled = _enabled_checks(cfg)
     if negative_control is not None and negative_control not in enabled:
         enabled.append(negative_control)
-    results = evaluate(traj, bg, enabled=enabled, safety=cfg.monitors_safety)
-    _write_timeseries(out / "timeseries.csv", traj, bg, results)
+    sups = mixed_norm_sups(traj, bg)
+    results = evaluate(traj, bg, enabled=enabled, safety=cfg.monitors_safety,
+                       sups=sups)
+    _write_timeseries(out / "timeseries.csv", traj, results, sups)
     report = _summary(traj, results)
     report["reduction"] = info
     (out / "summary.json").write_text(json.dumps(report, indent=2))

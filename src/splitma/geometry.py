@@ -28,6 +28,7 @@ from .grid_field import (
     RealField,
     TorusGrid,
     deriv_data,
+    factor_laplacian,
     read_field,
     sup_norm,
     write_field,
@@ -175,7 +176,7 @@ def verify_pluriclosed(bg: Background, lam: np.ndarray | None = None,
         gf, hf = bg.g.data, bg.h.data
     else:
         gf, hf = bg.g.data * lam, bg.h.data * eta
-    r = deriv_data(grid, gf, "w wb") + deriv_data(grid, hf, "z zb")
+    r = factor_laplacian(grid, gf, "w") + factor_laplacian(grid, hf, "z")
     return float(np.max(np.abs(r)))
 
 
@@ -262,13 +263,13 @@ def curvature(bg: Background, tol: float = 1e-10) -> CurvatureReport:
     lg = np.log(bg.g.data)
     lh = np.log(bg.h.data)
     fields = {}
-    for name, src, op in (
-        ("log_g_zzb", lg, "z zb"),
-        ("log_g_wwb", lg, "w wb"),
-        ("log_h_zzb", lh, "z zb"),
-        ("log_h_wwb", lh, "w wb"),
+    for name, src, factor in (
+        ("log_g_zzb", lg, "z"),
+        ("log_g_wwb", lg, "w"),
+        ("log_h_zzb", lh, "z"),
+        ("log_h_wwb", lh, "w"),
     ):
-        fields[name] = RealField(grid, deriv_data(grid, src, op).real.copy())
+        fields[name] = RealField(grid, factor_laplacian(grid, src, factor))
     scale = 1.0 + max(sup_norm(fields["log_h_zzb"]), sup_norm(fields["log_g_wwb"]))
     ok = (
         float(fields["log_h_zzb"].data.min()) >= -tol * scale
@@ -385,6 +386,7 @@ def constants(
     c0: float,
     safety: float = 1.0,
     require_upper: bool = False,
+    curv: CurvatureReport | None = None,
 ) -> ConstantsReport:
     """Assemble the named bound constants for one background and beta.
 
@@ -392,6 +394,7 @@ def constants(
     the run being monitored.  The upper-bound constants (b_phi, a_phi,
     c12..c14, epsilon, delta) exist only for beta above the universal
     threshold; pass require_upper=True to make their absence an error.
+    curv is the background's curvature report, computed here if omitted.
 
     On Kahler products the torsion vanishes identically and the constants
     collapse to their exact product values (c3 = c7 = c8 = 0, c6 = 2,
@@ -406,7 +409,7 @@ def constants(
     kahler = bg.kind == KAHLER_PRODUCT
     notes = {"safety": f"grid maxima scaled by {safety}"}
 
-    cur = curvature(bg)
+    cur = curv if curv is not None else curvature(bg)
     lg_zzb = cur.log_g_zzb.data
     lg_wwb = cur.log_g_wwb.data
     lh_zzb = cur.log_h_zzb.data

@@ -1,5 +1,6 @@
-"""Uniform periodic 4D grid, spectral complex derivatives, factor Poisson
-inversion, field statistics, and field file I/O.
+"""Uniform periodic 4D grid, spectral complex derivatives, factor
+Laplacians and their Poisson inversion, field statistics, and field file
+I/O.
 
 The grid carries two complex coordinates built from the four real
 directions, z = x1 + i*x2 on the first factor and w = x3 + i*x4 on the
@@ -12,9 +13,16 @@ so that u_{z zb} = (d1^2 + d2^2) u / 4 and u_{w wb} = (d3^2 + d4^2) u / 4.
 
 Differentiation is purely spectral (Fourier multipliers); the Nyquist mode
 of each first-derivative multiplier is zeroed (symmetric convention, keeps
-derivatives of real fields real).  Composite operators are products of
-first-order multipliers, so every identity between operator compositions
-holds exactly on the band-limited subspace.
+derivatives of real fields real).  General operators (deriv_data) are
+products of first-order multipliers applied to the full complex 4D
+spectrum, so every identity between operator compositions holds exactly on
+the band-limited subspace.
+
+The factor Laplacians u_{z zb}, u_{w wb} and their pseudo-inverses act on
+one factor only.  They take real data through a real transform over just
+that factor's two axes, (x1, x2) or (x3, x4), multiply the half spectrum
+by one real multiplier per factor (same Nyquist convention) and transform
+back; the other factor's axes are never transformed.
 
 Storage order is x4-fastest (C order on arrays of shape (n1,n2,n3,n4));
 the field file format fixes this order bit-exactly.
@@ -35,6 +43,7 @@ from .errors import ConfigurationError, FieldFormatError, PoissonDataError
 _Z_TOKENS = ("z", "zb")
 _W_TOKENS = ("w", "wb")
 _ALL_TOKENS = _Z_TOKENS + _W_TOKENS
+_FACTOR_AXES = {"z": (0, 1), "w": (2, 3)}
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -93,12 +102,9 @@ class TorusGrid:
         """Broadcastable multiplier for one first-order complex derivative."""
         key = ("tok", token)
         if key not in self._cache:
-            if token in _Z_TOKENS:
-                a, b = 0, 1
-            elif token in _W_TOKENS:
-                a, b = 2, 3
-            else:
+            if token not in _ALL_TOKENS:
                 raise ConfigurationError(f"unknown derivative token {token!r}")
+            a, b = _FACTOR_AXES[token[0]]
             ka = self.wavenumbers(a)
             kb = self.wavenumbers(b)
             shp_a = [1, 1, 1, 1]
@@ -234,17 +240,6 @@ def deriv_data(grid: TorusGrid, data: np.ndarray, op: str) -> np.ndarray:
     return fft.ifftn(hat)
 
 
-def deriv_hat(grid: TorusGrid, hat: np.ndarray, op: str) -> np.ndarray:
-    """Same as deriv_data but starting from a cached full spectrum."""
-    zp, wp = grid.multiplier_parts(op)
-    out = hat
-    if zp is not None:
-        out = out * zp
-    if wp is not None:
-        out = out * wp
-    return fft.ifftn(out)
-
-
 def derivative(f: Field, op: str) -> ComplexField:
     """Spectral derivative of the band-limited interpolant of f."""
     return ComplexField(f.grid, deriv_data(f.grid, f.data, op))
@@ -262,59 +257,50 @@ def real_part(f: ComplexField, tol: float = 1e-12) -> RealField:
     return RealField(f.grid, np.ascontiguousarray(f.data.real))
 
 
-def _factor_laplace_multiplier(grid: TorusGrid, factor: str) -> np.ndarray:
-    """Real multiplier of the quarter-Laplacian on one factor
-    (composition of the two first-order factor derivatives)."""
-    key = ("lap", factor)
+def _factor_axes(factor: str) -> tuple[int, int]:
+    if factor not in _FACTOR_AXES:
+        raise ConfigurationError(f"factor must be 'z' or 'w', got {factor!r}")
+    return _FACTOR_AXES[factor]
+
+
+def _factor_multiplier(grid: TorusGrid, factor: str, inverse: bool) -> np.ndarray:
+    """Real multiplier of the quarter-Laplacian on one factor (or its
+    pseudo-inverse, zero on the kernel), shaped for the half spectrum of
+    a real transform over that factor's two axes."""
+    key = ("factor_lap", factor, inverse)
     if key not in grid._cache:
-        if factor == "z":
-            a, b = 0, 1
-        elif factor == "w":
-            a, b = 2, 3
-        else:
-            raise ConfigurationError(f"factor must be 'z' or 'w', got {factor!r}")
-        ka = grid.wavenumbers(a)
-        kb = grid.wavenumbers(b)
-        shp_a = [1, 1, 1, 1]
-        shp_a[a] = grid.shape[a]
-        shp_b = [1, 1, 1, 1]
-        shp_b[b] = grid.shape[b]
-        m = -0.25 * (ka.reshape(shp_a) ** 2 + kb.reshape(shp_b) ** 2)
-        grid._cache[key] = m
+        a, b = _factor_axes(factor)
+        nb = grid.shape[b] // 2 + 1
+        # the first nb zeroed-Nyquist wavenumbers are the rfft half spectrum
+        ka = grid.wavenumbers(a)[:, None]
+        kb = grid.wavenumbers(b)[None, :nb]
+        m = -0.25 * (ka**2 + kb**2)
+        if inverse:
+            m = np.divide(1.0, m, out=np.zeros_like(m), where=m != 0.0)
+        shp = [1, 1, 1, 1]
+        shp[a], shp[b] = grid.shape[a], nb
+        grid._cache[key] = m.reshape(shp)
     return grid._cache[key]
 
 
-def _rfft_last_size(n4: int) -> int:
-    return n4 // 2 + 1
+def _apply_factor(grid: TorusGrid, data: np.ndarray, factor: str,
+                  inverse: bool = False) -> np.ndarray:
+    a, b = _factor_axes(factor)
+    hat = fft.rfftn(data, (a, b))
+    hat *= _factor_multiplier(grid, factor, inverse)
+    return fft.irfftn(hat, (grid.shape[a], grid.shape[b]), (a, b))
+
+
+def factor_laplacian(grid: TorusGrid, data: np.ndarray, factor: str) -> np.ndarray:
+    """u_zzb (factor "z") or u_wwb (factor "w") of real data, transforming
+    only that factor's two axes; equals deriv_data(..., "z zb" / "w wb")
+    to rounding."""
+    return _apply_factor(grid, data, factor)
 
 
 def factor_laplacians(grid: TorusGrid, data: np.ndarray):
-    """(u_zzb, u_wwb) for real data via one forward transform.
-
-    Hot path of the flow integrator: real transforms, real multipliers.
-    """
-    key = ("rlap",)
-    if key not in grid._cache:
-        n1, n2, n3, n4 = grid.shape
-        k1 = grid.wavenumbers(0)
-        k2 = grid.wavenumbers(1)
-        k3 = grid.wavenumbers(2)
-        k4 = 2.0 * np.pi * np.fft.rfftfreq(n4, d=grid.periods[3] / n4)
-        k4 = k4.copy()
-        k4[-1] = 0.0  # Nyquist, matches the full-transform convention
-        mz = -0.25 * (
-            k1.reshape(n1, 1, 1, 1) ** 2 + k2.reshape(1, n2, 1, 1) ** 2
-        )
-        mw = -0.25 * (
-            k3.reshape(1, 1, n3, 1) ** 2
-            + k4.reshape(1, 1, 1, _rfft_last_size(n4)) ** 2
-        )
-        grid._cache[key] = (mz, mw)
-    mz, mw = grid._cache[key]
-    hat = fft.rfftn(data)
-    u_zzb = fft.irfftn(hat * mz, grid.shape)
-    u_wwb = fft.irfftn(hat * mw, grid.shape)
-    return u_zzb, u_wwb
+    """(u_zzb, u_wwb) for real data; hot path of the flow integrator."""
+    return factor_laplacian(grid, data, "z"), factor_laplacian(grid, data, "w")
 
 
 def exponential_filter(grid: TorusGrid, data: np.ndarray,
@@ -354,30 +340,15 @@ def poisson_solve_factor(
     exactly on its range, so composing with the matching derivative is the
     identity on zero-slice-mean band-limited fields.
     """
-    grid = rhs.grid
-    axes = (0, 1) if factor == "z" else (2, 3)
     sup = float(np.max(np.abs(rhs.data)))
-    if sup > 0.0:
-        slice_means = rhs.data.mean(axis=axes)
-        worst = float(np.max(np.abs(slice_means)))
-        if worst > mean_tol * sup:
-            raise PoissonDataError(
-                "incompatible Poisson data: slice mean "
-                f"{worst:.3e} exceeds {mean_tol:.1e} * sup {sup:.3e}"
-            )
-    else:
-        return RealField.zeros(grid)
-    m = _factor_laplace_multiplier(grid, factor)
-    key = ("poisson_inv", factor)
-    if key not in grid._cache:
-        inv = np.zeros_like(m)
-        nz = m != 0.0
-        inv[nz] = 1.0 / m[nz]
-        grid._cache[key] = inv
-    inv = grid._cache[key]
-    hat = fft.fftn(rhs.data)
-    u = fft.ifftn(hat * inv)
-    return RealField(grid, np.ascontiguousarray(u.real))
+    worst = float(np.max(np.abs(rhs.data.mean(axis=_factor_axes(factor)))))
+    if worst > mean_tol * sup:
+        raise PoissonDataError(
+            "incompatible Poisson data: slice mean "
+            f"{worst:.3e} exceeds {mean_tol:.1e} * sup {sup:.3e}"
+        )
+    u = _apply_factor(rhs.grid, rhs.data, factor, inverse=True)
+    return RealField(rhs.grid, u)
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +434,8 @@ def read_field(path: str | os.PathLike, grid: TorusGrid | None = None) -> Field:
     else:
         g = make_grid(dims, periods)
     data = np.frombuffer(payload, dtype=dtype).reshape(dims)
+    if not np.all(np.isfinite(data)):
+        raise FieldFormatError("payload contains non-finite entries")
     if dtype == "<f8":
         return RealField(g, data.astype(np.float64))
     return ComplexField(g, data.astype(np.complex128))

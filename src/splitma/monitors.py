@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _backend as fft
 from .errors import ConfigurationError
-from .geometry import BETA_MIN, Background, ConstantsReport, constants, curvature
-from .grid_field import RealField, deriv_data
+from .geometry import (BETA_MIN, Background, ConstantsReport, CurvatureReport,
+                       constants, curvature)
+from .grid_field import RealField, deriv_data, factor_laplacians
 from .flow import FlowState, Trajectory
 
 MONO_SLACK = 1e-8           # relative slack for monotone scalar series
@@ -74,6 +74,12 @@ def mixed_norm(state: FlowState, bg: Background, beta: float) -> RealField:
     return RealField(state.u.grid, val)
 
 
+def mixed_norm_sups(traj: Trajectory, bg: Background) -> list[float]:
+    """Per-snapshot sup of the adjusted-metric mixed norm."""
+    return [float(np.max(mixed_norm(s, bg, traj.beta).data))
+            for s in traj.snapshots]
+
+
 @dataclass
 class LegendreW:
     """Hermitian 2x2 transform matrix per grid point, in the local
@@ -118,8 +124,7 @@ def det_w_residual(state: FlowState, bg: Background) -> float:
     w = legendre_w(state, bg)
     g0 = float(bg.g.data.flat[0])
     h0 = float(bg.h.data.flat[0])
-    u_zzb = deriv_data(state.u.grid, state.u.data, "z zb").real
-    u_wwb = deriv_data(state.u.grid, state.u.data, "w wb").real
+    u_zzb, u_wwb = factor_laplacians(state.u.grid, state.u.data)
     target = (g0 + u_zzb) / (h0 - u_wwb)
     scale = max(1.0, float(np.max(np.abs(target))))
     return float(np.max(np.abs(w.det() - target))) / scale
@@ -277,10 +282,13 @@ def check_trace_lower_bound(
     return _finish("trace_lower_bound", entries)
 
 
-def check_trace_floor(traj: Trajectory, bg: Background) -> CheckResult:
+def check_trace_floor(traj: Trajectory, bg: Background,
+                      curv: CurvatureReport | None = None) -> CheckResult:
     """min lambda never drops below its initial value, valid when the
     cross-factor curvature components are nonnegative."""
-    if not curvature(bg).mixed_curvature_nonneg:
+    if curv is None:
+        curv = curvature(bg)
+    if not curv.mixed_curvature_nonneg:
         return CheckResult.skip(
             "trace_floor", "background curvature sign condition fails"
         )
@@ -296,19 +304,19 @@ def check_trace_floor(traj: Trajectory, bg: Background) -> CheckResult:
 
 
 def check_mixed_growth(
-    traj: Trajectory, bg: Background, cr: ConstantsReport
+    traj: Trajectory, bg: Background, cr: ConstantsReport, sups=None
 ) -> CheckResult:
     """Sup of the adjusted-metric mixed norm grows at most like
-    max(1 + c0 a_psi, (sup_0 + c0 a_psi) exp(c11 t))."""
-    beta = traj.beta
-    snaps = traj.snapshots
+    max(1 + c0 a_psi, (sup_0 + c0 a_psi) exp(c11 t)).  sups are the
+    per-snapshot sups (mixed_norm_sups), computed here if omitted."""
+    if sups is None:
+        sups = mixed_norm_sups(traj, bg)
     shift = cr.c0 * cr.a_psi
-    sup0 = float(np.max(mixed_norm(snaps[0], bg, beta).data))
+    sup0 = sups[0]
     entries = []
-    for s in snaps:
+    for s, obs in zip(traj.snapshots, sups):
         expo = min(cr.c11 * s.t, 700.0)
         bound = max(1.0 + shift, (sup0 + shift) * math.exp(expo))
-        obs = float(np.max(mixed_norm(s, bg, beta).data))
         tol = 1e-8 * (1.0 + bound)
         margin = bound + tol - obs
         entries.append(MonitorEntry(s.t, bound, obs, margin, margin >= 0.0))
@@ -316,10 +324,11 @@ def check_mixed_growth(
 
 
 def check_trace_growth(
-    traj: Trajectory, bg: Background, cr: ConstantsReport
+    traj: Trajectory, bg: Background, cr: ConstantsReport, sups=None
 ) -> CheckResult:
     """max lambda grows at most doubly exponentially:
-    log max lam(t) <= log max lam(0) + (b sup_0 + a c0) exp(c14 t)."""
+    log max lam(t) <= log max lam(0) + (b sup_0 + a c0) exp(c14 t).
+    sup_0 is taken from sups (mixed_norm_sups) when given."""
     beta = traj.beta
     if beta <= BETA_MIN:
         return CheckResult.skip(
@@ -328,7 +337,10 @@ def check_trace_growth(
     if cr.c14 is None:
         return CheckResult.skip("trace_growth", "upper-bound constants unavailable")
     snaps = traj.snapshots
-    sup0 = float(np.max(mixed_norm(snaps[0], bg, beta).data))
+    if sups is not None:
+        sup0 = sups[0]
+    else:
+        sup0 = float(np.max(mixed_norm(snaps[0], bg, beta).data))
     log_lam0 = math.log(float(snaps[0].lam.data.max()))
     coef = cr.b_phi * sup0 + cr.a_phi * cr.c0
     entries = []
@@ -367,12 +379,7 @@ def _centered_dt(fm, f0, fp, hm, hp):
 
 
 def _apply_linearized(field_arr, state: FlowState, bg: Background, beta: float):
-    grid = state.u.grid
-    hat = fft.fftn(field_arr)
-    zp, _ = grid.multiplier_parts("z zb")
-    _, wp = grid.multiplier_parts("w wb")
-    d_z = fft.ifftn(hat * zp).real
-    d_w = fft.ifftn(hat * wp).real
+    d_z, d_w = factor_laplacians(state.u.grid, field_arr)
     return (beta / (bg.g.data * state.lam.data)) * d_z + (
         1.0 / (bg.h.data * state.eta.data)
     ) * d_w
@@ -505,19 +512,29 @@ def evaluate(
     enabled=None,
     constants_report: ConstantsReport | None = None,
     safety: float = 1.0,
+    sups: list[float] | None = None,
 ) -> dict[str, CheckResult]:
     """Run the requested checks over a trajectory.
 
     The constants report is assembled from the trajectory's own observed
-    trace bound sup(1/lambda + 1/eta) unless one is supplied.
+    trace bound sup(1/lambda + 1/eta) unless one is supplied.  sups are
+    the per-snapshot mixed-norm sups of this trajectory (mixed_norm_sups);
+    they and the background curvature are computed at most once here.
     """
     enabled = list(enabled) if enabled is not None else list(DEFAULT_CHECKS)
+    curv = None
+    if constants_report is None or "trace_floor" in enabled:
+        curv = curvature(bg)
+    if sups is None and {"mixed_growth", "trace_growth"} & set(enabled):
+        sups = mixed_norm_sups(traj, bg)
+    elif sups is not None and len(sups) != len(traj.snapshots):
+        raise ConfigurationError("sups needs one value per snapshot")
     if constants_report is None:
         _, running = c0_series(traj)
         c0 = running[-1]
         constants_report = constants(
             bg, traj.beta, c0=c0, safety=safety,
-            require_upper=False,
+            require_upper=False, curv=curv,
         )
     cr = constants_report
     out: dict[str, CheckResult] = {}
@@ -531,11 +548,11 @@ def evaluate(
         elif name == "trace_lower_bound":
             out[name] = check_trace_lower_bound(traj, bg, cr)
         elif name == "trace_floor":
-            out[name] = check_trace_floor(traj, bg)
+            out[name] = check_trace_floor(traj, bg, curv)
         elif name == "mixed_growth":
-            out[name] = check_mixed_growth(traj, bg, cr)
+            out[name] = check_mixed_growth(traj, bg, cr, sups)
         elif name == "trace_growth":
-            out[name] = check_trace_growth(traj, bg, cr)
+            out[name] = check_trace_growth(traj, bg, cr, sups)
         elif name == "split_preserved":
             out[name] = check_split_preserved(traj, bg)
         elif name == "legendre_subsolution":

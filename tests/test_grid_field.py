@@ -159,6 +159,51 @@ class TestPoisson:
         assert np.max(np.abs(back.data - v_zeroed)) < 1e-12
 
 
+class TestAnisotropicFactorKernel:
+    """Distinct sizes and periods per axis, so a swapped axis or a wrong
+    half-spectrum axis in the factor-local transforms shows."""
+
+    @pytest.fixture(scope="class")
+    def agrid(self):
+        return make_grid((8, 16, 32, 8), (1, 2, 0.5, 1.5))
+
+    def test_laplacians_match_general_path(self, agrid):
+        u = RealField(agrid, np.random.default_rng(23).normal(size=agrid.shape))
+        lz, lw = factor_laplacians(agrid, u.data)
+        for out, op in ((lz, "z zb"), (lw, "w wb")):
+            ref = derivative(u, op).data
+            assert out.shape == agrid.shape and out.dtype == np.float64
+            assert np.max(np.abs(out - ref.real)) < 1e-12 * np.max(np.abs(ref))
+
+    def test_laplacian_of_mode(self, agrid):
+        # u = cos(2 pi x2 / L2) sin(2 pi 3 x3 / L3): u_zzb = -(pi/L2)^2 u,
+        # u_wwb = -(3 pi/L3)^2 u
+        _, x2, x3, _ = agrid.mesh()
+        L = agrid.periods
+        u = np.cos(TWO_PI * x2 / L[1]) * np.sin(3 * TWO_PI * x3 / L[2])
+        u = np.broadcast_to(u, agrid.shape)
+        lz, lw = factor_laplacians(agrid, u)
+        assert np.max(np.abs(lz + (np.pi / L[1]) ** 2 * u)) < 1e-12
+        assert np.max(np.abs(lw + (3 * np.pi / L[2]) ** 2 * u)) < 1e-10
+
+    def test_poisson_roundtrip_w_factor(self, agrid):
+        rng = np.random.default_rng(29)
+        hat = np.zeros(agrid.shape, dtype=complex)
+        for k in ((1, 0, 2, 0), (2, 1, 0, 1), (1, 3, 5, 1), (0, 2, 1, 3)):
+            hat[k] = rng.normal() + 1j * rng.normal()
+        v = np.fft.ifftn(hat).real
+        v = v / np.max(np.abs(v))
+        rhs = derivative(RealField(agrid, v), "w wb")
+        back = poisson_solve_factor(real_part(rhs, tol=1e-10), "w")
+        v_zeroed = v - v.mean(axis=(2, 3), keepdims=True)
+        assert np.max(np.abs(back.data - v_zeroed)) < 1e-12
+
+    def test_unknown_factor_rejected(self, agrid):
+        rhs = RealField.zeros(agrid)
+        with pytest.raises(ConfigurationError):
+            poisson_solve_factor(rhs, "x")
+
+
 class TestStats:
     def test_constant(self, grid):
         s = stats(RealField.create(grid, np.full(grid.shape, 2.5)))
@@ -236,6 +281,20 @@ class TestFieldIO:
         p = tmp_path / "bad.field"
         p.write_bytes(b"not json\n" + b"\x00" * 64)
         with pytest.raises(FieldFormatError, match="corrupt header"):
+            read_field(p)
+
+    @pytest.mark.parametrize("dtype", ["<f8", "<c16"])
+    def test_non_finite_payload_rejected(self, grid, tmp_path, dtype):
+        u = RealField.zeros(grid) if dtype == "<f8" else ComplexField(
+            grid, np.zeros(grid.shape, dtype=complex))
+        p = tmp_path / "u.field"
+        write_field(u, p)
+        raw = bytearray(p.read_bytes())
+        itemsize = np.dtype(dtype).itemsize
+        bad = np.array([np.nan, np.inf], dtype=dtype).tobytes()
+        raw[len(raw) - 2 * itemsize:] = bad
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FieldFormatError, match="non-finite"):
             read_field(p)
 
     def test_mismatched_grid(self, grid, tmp_path):

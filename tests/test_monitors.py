@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from splitma import make_grid
+from splitma import ConfigurationError, make_grid
 from splitma.flow import FlowParams, make_state, run
 from splitma.geometry import constants, flat_background, pluriclosed_background
 from splitma.grid_field import RealField
@@ -18,6 +18,7 @@ from splitma.monitors import (
     evaluate,
     legendre_w,
     mixed_norm,
+    mixed_norm_sups,
     trace_lower_bound_value,
 )
 
@@ -245,3 +246,14 @@ class TestDeterminism:
             assert len(e1) == len(e2)
             for a, b in zip(e1, e2):
                 assert a.margin == b.margin and a.observed == b.observed
+
+    def test_supplied_sups_match_computed(self, split_traj, bg):
+        sups = mixed_norm_sups(split_traj, bg)
+        assert len(sups) == len(split_traj.snapshots)
+        r1 = evaluate(split_traj, bg)
+        r2 = evaluate(split_traj, bg, sups=sups)
+        for name in ("mixed_growth", "trace_growth"):
+            assert [e.margin for e in r1[name].entries] == [
+                e.margin for e in r2[name].entries]
+        with pytest.raises(ConfigurationError):
+            evaluate(split_traj, bg, sups=sups[:-1])
