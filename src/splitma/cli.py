@@ -28,20 +28,47 @@ from .experiments import (
     cmd_oracle_2d,
 )
 
+_SEED = ("--seed", dict(type=int, default=None, help="seed override"))
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", required=True, help="experiment config file")
-    p.add_argument("--out", default=None, help="output directory override")
-    p.add_argument("--seed", type=int, default=None, help="seed override")
-    p.add_argument(
-        "--deterministic", action="store_true",
-        help="single-worker transforms (the default; kept for scripts)",
-    )
-    p.add_argument(
-        "--parallel", type=int, default=0, metavar="N",
-        help="dispatch transforms over N workers (results agree with "
-             "deterministic mode to rounding)",
-    )
+# command -> (help, extra arguments, handler(cfg, out_dir, args)).  The
+# handlers look the recipes up by name at call time, so rebinding a recipe
+# in this module (e.g. to trace it) takes effect.
+COMMANDS = {
+    "run": (
+        "monitored flow run",
+        [_SEED,
+         ("--negative-control", dict(
+             default=None, metavar="CHECK",
+             help="corrupt the trajectory so the named check must fail "
+                  "(any check registered in splitma.monitors.CHECKS)"))],
+        lambda cfg, out, a: cmd_flow_run(
+            cfg, out, seed=a.seed, negative_control=a.negative_control),
+    ),
+    "kahler-converge": (
+        "steady-state convergence on a product background",
+        [_SEED],
+        lambda cfg, out, a: cmd_kahler_converge(cfg, out, seed=a.seed),
+    ),
+    "beta-sweep": (
+        "exponent-ratio sweep",
+        [_SEED,
+         ("--betas", dict(required=True,
+                          help="comma-separated ratios, e.g. 0.9,0.95,0.99"))],
+        lambda cfg, out, a: cmd_beta_sweep(
+            cfg, a.betas.replace(",", " ").split(), out, seed=a.seed),
+    ),
+    "oracle-2d": (
+        "decoupled factor-flow cross-check",
+        [_SEED],
+        lambda cfg, out, a: cmd_oracle_2d(cfg, out, seed=a.seed),
+    ),
+    "check-identities": (
+        "slice identity suite",
+        [("--tamper", dict(action="store_true",
+                           help=argparse.SUPPRESS))],  # negative control
+        lambda cfg, out, a: cmd_check_identities(cfg, out, tamper=a.tamper),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,31 +78,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "parabolic split-type flow on product tori",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("run", help="monitored flow run")
-    _add_common(p)
-    p.add_argument(
-        "--negative-control", default=None, metavar="CHECK",
-        help="corrupt the trajectory so the named check must fail",
-    )
-
-    p = sub.add_parser("kahler-converge",
-                       help="steady-state convergence on a product background")
-    _add_common(p)
-
-    p = sub.add_parser("beta-sweep", help="exponent-ratio sweep")
-    _add_common(p)
-    p.add_argument("--betas", required=True,
-                   help="comma-separated ratios, e.g. 0.9,0.95,0.99")
-
-    p = sub.add_parser("oracle-2d", help="decoupled factor-flow cross-check")
-    _add_common(p)
-
-    p = sub.add_parser("check-identities", help="slice identity suite")
-    _add_common(p)
-    p.add_argument("--tamper", action="store_true",
-                   help=argparse.SUPPRESS)  # negative-control build flag
-
+    for name, (help_text, extra, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", required=True, help="experiment config file")
+        p.add_argument("--out", default=None, help="output directory override")
+        p.add_argument(
+            "--parallel", type=int, default=0, metavar="N",
+            help="dispatch transforms over N workers (results agree with "
+                 "the single-worker default to rounding)",
+        )
+        for flag, kwargs in extra:
+            p.add_argument(flag, **kwargs)
     return ap
 
 
@@ -83,27 +96,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.parallel:
         _backend.set_workers(args.parallel)
-    if args.deterministic:
-        _backend.set_workers(1)
     try:
         cfg = parse_config(args.config)
-        out = args.out or cfg.out_dir
-        if args.command == "run":
-            code, report = cmd_flow_run(
-                cfg, out, seed=args.seed,
-                negative_control=args.negative_control,
-            )
-        elif args.command == "kahler-converge":
-            code, report = cmd_kahler_converge(cfg, out, seed=args.seed)
-        elif args.command == "beta-sweep":
-            betas = [float(b) for b in args.betas.replace(",", " ").split()]
-            code, report = cmd_beta_sweep(cfg, betas, out, seed=args.seed)
-        elif args.command == "oracle-2d":
-            code, report = cmd_oracle_2d(cfg, out, seed=args.seed)
-        elif args.command == "check-identities":
-            code, report = cmd_check_identities(cfg, out, tamper=args.tamper)
-        else:  # pragma: no cover
-            raise ConfigurationError(f"unknown command {args.command!r}")
+        handler = COMMANDS[args.command][2]
+        code, report = handler(cfg, args.out or cfg.out_dir, args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -241,6 +241,13 @@ def _validate(cfg: ExperimentConfig) -> None:
 # builders
 
 
+def _existing_path(params: dict, what: str) -> str:
+    path = params.get("path")
+    if path is None or not Path(path).exists():
+        raise ConfigurationError(f"{what} needs an existing path, got {path!r}")
+    return path
+
+
 def build_grid(cfg: ExperimentConfig) -> TorusGrid:
     return make_grid(cfg.dims, cfg.periods)
 
@@ -269,7 +276,7 @@ def build_background(cfg: ExperimentConfig, grid: TorusGrid) -> Background:
             grid, p.get("c_g", 1.0), p.get("c_h", 1.0), p.get("modes", [])
         )
     if cfg.bg_kind == "files":
-        return load_background(p["path"])
+        return load_background(_existing_path(p, "[background] kind = files"))
     raise ConfigurationError(f"unknown background kind {cfg.bg_kind!r}")
 
 
@@ -298,7 +305,7 @@ def build_initial(cfg: ExperimentConfig, grid: TorusGrid,
             + b_amp * np.sin(2 * np.pi * b_m * x3 / L3),
         )
     if cfg.initial_kind == "file":
-        f = read_field(p["path"], grid=grid)
+        f = read_field(_existing_path(p, "[initial] kind = file"), grid=grid)
         if not isinstance(f, RealField):
             raise ConfigurationError("initial data file must hold a real field")
         return f

@@ -27,12 +27,13 @@ from .flow import (
     run,
     shift_min_zero,
 )
-from .geometry import BETA_MIN, curvature, make_background
-from .grid_field import RealField, deriv_data, write_field
+from .geometry import (BETA_MIN, constants, curvature, make_background,
+                       pluriclosed_background)
+from .grid_field import RealField, deriv_data, make_grid, write_field
 from .identities import random_test_field, verify_A, verify_B, verify_C, ManifoldSlice
 from .monitors import (
+    CHECKS,
     DEFAULT_CHECKS,
-    OPTIONAL_CHECKS,
     CheckResult,
     c0_series,
     corrupt_trajectory,
@@ -49,18 +50,35 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _flow_params(cfg: ExperimentConfig, beta: float, stride=None) -> FlowParams:
-    return FlowParams(
+# Checkpoint runs (sweep, oracle) never stop early and snapshot only at
+# their checkpoints and at t_end.
+_CHECKPOINT_RUN = dict(steady_tol=1e-30, snapshot_stride=10**9,
+                       spectral_filter=False)
+
+
+def _flow_params(cfg: ExperimentConfig, beta: float, **overrides) -> FlowParams:
+    """The one builder of FlowParams: the config's [flow] values with
+    t_end scaled by alpha, then overrides; validated once, on the result."""
+    fields = dict(
         beta=beta,
         t_end=cfg.t_end * cfg.alpha,
         cfl=cfg.cfl,
         dt_max=cfg.dt_max,
         steady_tol=cfg.steady_tol,
         admissibility_floor=cfg.admissibility_floor,
-        snapshot_stride=stride if stride is not None else cfg.snapshot_stride,
+        snapshot_stride=cfg.snapshot_stride,
         steady_criterion=cfg.steady_criterion,
         spectral_filter=cfg.spectral_filter,
     )
+    return FlowParams(**{**fields, **overrides})
+
+
+def _at_checkpoint(times, items, t):
+    """The item at the time nearest t, which must lie within 1e-9 of it."""
+    i = min(range(len(times)), key=lambda k: abs(times[k] - t))
+    if abs(times[i] - t) > 1e-9:
+        raise NumericalFailure(f"missed checkpoint {t}")
+    return items[i]
 
 
 def _enabled_checks(cfg: ExperimentConfig):
@@ -68,13 +86,12 @@ def _enabled_checks(cfg: ExperimentConfig):
     if sel == "default":
         return list(DEFAULT_CHECKS)
     if sel == "all":
-        return list(DEFAULT_CHECKS) + list(OPTIONAL_CHECKS)
+        return list(CHECKS)
     if sel == "none":
         return []
     names = sel.replace(",", " ").split()
-    pool = set(DEFAULT_CHECKS) | set(OPTIONAL_CHECKS)
     for n in names:
-        if n not in pool:
+        if n not in CHECKS:
             raise ConfigurationError(f"unknown monitor {n!r}")
     return names
 
@@ -289,9 +306,7 @@ def cmd_kahler_converge(cfg: ExperimentConfig, out_dir, seed=None):
     mu_minus = gauge.h_new
     u0 = build_initial(cfg, grid, bg, seed_override=seed)
     forcing = RealField(grid, fp.data + fm.data)
-    params = _flow_params(cfg, beta)
-    if params.steady_criterion != "norm":
-        params.steady_criterion = "norm"
+    params = _flow_params(cfg, beta, steady_criterion="norm")
     traj = run(bg, u0, params, forcing=forcing)
 
     times, residuals, split_res = [], [], []
@@ -327,7 +342,10 @@ def cmd_beta_sweep(cfg: ExperimentConfig, beta_list, out_dir, seed=None,
     against the unit-ratio reference at matched times."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    betas = sorted(set(float(b) for b in beta_list))
+    try:
+        betas = sorted(set(float(b) for b in beta_list))
+    except ValueError as exc:
+        raise ConfigurationError(f"invalid sweep ratio: {exc}") from exc
     for b in betas:
         if not (BETA_MIN < b <= 1.0):
             raise ConfigurationError(
@@ -343,19 +361,8 @@ def cmd_beta_sweep(cfg: ExperimentConfig, beta_list, out_dir, seed=None,
     cps = [t_end * (i + 1) / n_checkpoints for i in range(n_checkpoints)]
     runs = {}
     for b in betas:
-        params = FlowParams(
-            beta=b, t_end=t_end, cfl=cfg.cfl, dt_max=cfg.dt_max,
-            steady_tol=1e-30, admissibility_floor=cfg.admissibility_floor,
-            snapshot_stride=10**9, steady_criterion=cfg.steady_criterion,
-        )
+        params = _flow_params(cfg, b, t_end=t_end, **_CHECKPOINT_RUN)
         runs[b] = run(bg, u0, params, checkpoint_times=cps)
-
-    def state_at(traj, t):
-        i = min(range(len(traj.snapshots)),
-                key=lambda k: abs(traj.snapshots[k].t - t))
-        if abs(traj.snapshots[i].t - t) > 1e-9:
-            raise NumericalFailure(f"missed checkpoint {t}")
-        return traj.snapshots[i]
 
     ref = runs[1.0]
     per_beta = {}
@@ -363,8 +370,9 @@ def cmd_beta_sweep(cfg: ExperimentConfig, beta_list, out_dir, seed=None,
     for b in betas:
         series, running = c0_series(runs[b])
         dists = [
-            float(np.max(np.abs(state_at(runs[b], t).u.data
-                                - state_at(ref, t).u.data)))
+            float(np.max(np.abs(
+                _at_checkpoint(runs[b].times, runs[b].snapshots, t).u.data
+                - _at_checkpoint(ref.times, ref.snapshots, t).u.data)))
             for t in cps
         ]
         per_beta[b] = {
@@ -414,11 +422,9 @@ def cmd_oracle_2d(cfg: ExperimentConfig, out_dir, seed=None,
     beta = cfg.beta / cfg.alpha
     t_end = cfg.t_end
     cps = [t_end * (i + 1) / n_checkpoints for i in range(n_checkpoints)]
-    params = FlowParams(
-        beta=beta, t_end=t_end, cfl=cfg.cfl, dt_max=cfg.dt_max,
-        steady_tol=1e-30, admissibility_floor=cfg.admissibility_floor,
-        snapshot_stride=10**9,
-    )
+    # oracle2d has no spectral filter and judges steadiness by oscillation
+    params = _flow_params(cfg, beta, t_end=t_end, steady_criterion="osc",
+                          **_CHECKPOINT_RUN)
     traj = run(bg, u0, params, checkpoint_times=cps)
 
     a0 = u0.data.mean(axis=(2, 3))
@@ -430,21 +436,14 @@ def cmd_oracle_2d(cfg: ExperimentConfig, out_dir, seed=None,
     fa = run_factor_flow(a0, g2d, pz, beta, "plus", t_end, cps, cfl=cfg.cfl)
     fb = run_factor_flow(b0, h2d, pw, 1.0, "minus", t_end, cps, cfl=cfg.cfl)
 
-    def nearest(times, t):
-        i = min(range(len(times)), key=lambda k: abs(times[k] - t))
-        if abs(times[i] - t) > 1e-9:
-            raise NumericalFailure(f"factor flow missed checkpoint {t}")
-        return i
-
     errors = []
     for t in cps:
-        i4 = nearest([s.t for s in traj.snapshots], t)
-        ia = nearest(fa.times, t)
-        ib = nearest(fb.times, t)
         combo = (
-            fa.states[ia][:, :, None, None] + fb.states[ib][None, None, :, :]
+            _at_checkpoint(fa.times, fa.states, t)[:, :, None, None]
+            + _at_checkpoint(fb.times, fb.states, t)[None, None, :, :]
         )
-        errors.append(float(np.max(np.abs(traj.snapshots[i4].u.data - combo))))
+        u4 = _at_checkpoint(traj.times, traj.snapshots, t).u.data
+        errors.append(float(np.max(np.abs(u4 - combo))))
     ok = max(errors) <= tol
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -479,17 +478,13 @@ def cmd_check_identities(cfg: ExperimentConfig, out_dir,
     for beta in cfg.id_betas:
         per_grid = {}
         for dims in (coarse_dims, fine_dims):
-            grid = build_grid(
-                ExperimentConfig(dims=dims, periods=cfg.periods)
-            )
+            grid = make_grid(dims, cfg.periods)
             bgp = _identity_background(cfg, grid)
             u = random_test_field(grid, cfg.id_seed, cfg.id_amplitude,
                                   cfg.id_band, bg=bgp, beta=beta)
             ws = ManifoldSlice(u, bgp, beta)
-            from .geometry import constants as mk_constants
-
             c0 = float(np.max(1.0 / ws.lam + 1.0 / ws.eta))
-            cr = mk_constants(bgp, beta, c0=c0)
+            cr = constants(bgp, beta, c0=c0)
             res = verify_A(u, bgp, beta, tol=tol, ws=ws)
             res += verify_B(u, bgp, beta, tol=tol, constants_report=cr, ws=ws)
             x1, _, x3, _ = grid.mesh()
@@ -545,8 +540,6 @@ def cmd_check_identities(cfg: ExperimentConfig, out_dir,
 
 
 def _identity_background(cfg: ExperimentConfig, grid):
-    from .geometry import pluriclosed_background
-
     modes = cfg.bg_params.get("modes") or [(1, 1, 1.0)]
     return pluriclosed_background(
         grid, cfg.bg_params.get("c_g", 1.0), cfg.bg_params.get("c_h", 1.0), modes

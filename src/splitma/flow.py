@@ -144,14 +144,6 @@ def flow_speed(
     return s
 
 
-def rhs(state: FlowState, bg: Background, beta: float,
-        forcing: RealField | None = None) -> RealField:
-    f = None if forcing is None else forcing.data
-    return RealField(
-        state.u.grid, flow_speed(state.lam.data, state.eta.data, beta, f)
-    )
-
-
 def make_state(
     u: RealField, bg: Background, beta: float, t: float,
     floor: float = 1e-10, forcing: RealField | None = None,
@@ -178,14 +170,20 @@ def spectral_radius_bounds(grid: TorusGrid) -> tuple[float, float]:
 def dt_adaptive(
     state: FlowState, bg: Background, beta: float, cfl: float, dt_max: float
 ) -> float:
-    """Stability-limited step: cfl / rho with rho the sup of the linearised
-    operator's coefficient times the factor Laplacian spectral radius."""
+    """Stability-limited step cfl / rho, rho from _stability_radius."""
     kz, kw = spectral_radius_bounds(state.u.grid)
-    rho = (
-        float(np.max(beta / (bg.g.data * state.lam.data))) * kz
-        + float(np.max(1.0 / (bg.h.data * state.eta.data))) * kw
-    )
+    rho = _stability_radius(state.lam.data, state.eta.data, bg, beta, kz, kw)
     return min(dt_max, cfl / rho)
+
+
+def _stability_radius(lam, eta, bg: Background, beta: float,
+                      kz: float, kw: float) -> float:
+    """Sup of the linearised operator's coefficients, each times its
+    factor Laplacian spectral radius (kz, kw from spectral_radius_bounds)."""
+    return (
+        float(np.max(beta / (bg.g.data * lam))) * kz
+        + float(np.max(1.0 / (bg.h.data * eta))) * kw
+    )
 
 
 def _speed_of(u_data, bg, beta, floor, forcing, t):
@@ -293,10 +291,7 @@ def run(
     cp_idx = 0
     eps = 1e-12
     while t < params.t_end - eps:
-        rho = (
-            float(np.max(beta / (bg.g.data * lam))) * kz
-            + float(np.max(1.0 / (bg.h.data * eta))) * kw
-        )
+        rho = _stability_radius(lam, eta, bg, beta, kz, kw)
         dt = min(params.dt_max, params.cfl / rho, params.t_end - t)
         hit_cp = False
         if cp_idx < len(cps):

@@ -143,6 +143,15 @@ class TorusGrid:
             self._cache[key] = (zpart, wpart)
         return self._cache[key]
 
+    def apply_multiplier(self, hat: np.ndarray, op: str) -> np.ndarray:
+        """A full 4D spectrum times the multiplier of op, as a new array."""
+        zp, wp = self.multiplier_parts(op)
+        if zp is not None:
+            hat = hat * zp
+        if wp is not None:
+            hat = hat * wp
+        return hat
+
 
 class FieldStats(NamedTuple):
     min: float
@@ -231,13 +240,7 @@ def make_grid(dims, periods) -> TorusGrid:
 def deriv_data(grid: TorusGrid, data: np.ndarray, op: str) -> np.ndarray:
     """Spectral derivative of a raw array; op is a space-separated token
     string over {z, zb, w, wb}, e.g. "z zb" or "z w wb"."""
-    zp, wp = grid.multiplier_parts(op)
-    hat = fft.fftn(data)
-    if zp is not None:
-        hat = hat * zp
-    if wp is not None:
-        hat = hat * wp
-    return fft.ifftn(hat)
+    return fft.ifftn(grid.apply_multiplier(fft.fftn(data), op))
 
 
 def derivative(f: Field, op: str) -> ComplexField:

@@ -25,7 +25,7 @@ import numpy as np
 from . import _backend as fft
 from .errors import AdmissibilityLost, ConfigurationError
 from .geometry import Background
-from .grid_field import RealField, TorusGrid
+from .grid_field import RealField, TorusGrid, deriv_data
 
 # ---------------------------------------------------------------------------
 # evaluation workspaces
@@ -57,24 +57,9 @@ class _SliceBase:
         """Cached spectral derivative of a registered base field."""
         ck = (key, op)
         if ck not in self._derivs:
-            zp, wp = self.grid.multiplier_parts(op)
-            hat = self._hat(key)
-            if zp is not None:
-                hat = hat * zp
-            if wp is not None:
-                hat = hat * wp
+            hat = self.grid.apply_multiplier(self._hat(key), op)
             self._derivs[ck] = fft.ifftn(hat)
         return self._derivs[ck]
-
-    def deriv(self, arr: np.ndarray, op: str) -> np.ndarray:
-        """Uncached spectral derivative of an arbitrary array."""
-        zp, wp = self.grid.multiplier_parts(op)
-        hat = fft.fftn(arr)
-        if zp is not None:
-            hat = hat * zp
-        if wp is not None:
-            hat = hat * wp
-        return fft.ifftn(hat)
 
     def L(self, arr: np.ndarray) -> np.ndarray:
         """Linearised spatial operator applied spectrally."""
@@ -459,7 +444,8 @@ def verify_A(u: RealField, bg: Background, beta: float,
     out.append(_result("A2", lhs, rhs, tol, beta, ws.grid))
 
     # A3: the flowed form stays pluriclosed
-    lhs = ws.deriv(g * lam, "w wb") + ws.deriv(h * eta, "z zb")
+    lhs = (deriv_data(ws.grid, g * lam, "w wb")
+           + deriv_data(ws.grid, h * eta, "z zb"))
     out.append(_result("A3", lhs, np.zeros_like(lhs), tol, beta, ws.grid,
                        note="(g lam)_wwb + (h eta)_zzb = 0"))
 
@@ -603,11 +589,11 @@ def verify_B(u: RealField, bg: Background, beta: float, tol: float = 1e-8,
     # adjusted metric coefficients
     res = 0.0
     for op in ("z", "w"):
-        r1 = (ws.d("g", op) / g + ws.lam_d(op) / lam) - ws.deriv(
-            np.log(g * lam), op
+        r1 = (ws.d("g", op) / g + ws.lam_d(op) / lam) - deriv_data(
+            ws.grid, np.log(g * lam), op
         )
-        r2 = (ws.d("h", op) / h + ws.eta_d(op) / eta) - ws.deriv(
-            np.log(h * eta), op
+        r2 = (ws.d("h", op) / h + ws.eta_d(op) / eta) - deriv_data(
+            ws.grid, np.log(h * eta), op
         )
         res = max(res, float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
     out.append(

@@ -2,10 +2,11 @@
 trajectories.
 
 Each check is a pure function of trajectory data and a constants report:
-re-running a check on the same trajectory gives identical results.  Every
-check has a negative-control corruption (see corrupt_trajectory) that
-makes it fail, so a passing suite is evidence the checks can actually
-bite.
+re-running a check on the same trajectory gives identical results.  The
+registry CHECKS is the one list of checks: for each it holds how evaluate
+runs it, whether it runs by default, and the negative-control corruption
+(applied by corrupt_trajectory) that makes it fail, so a passing suite is
+evidence the checks can actually bite.
 
 Bound tolerances absorb time discretisation: monotonicity comparisons use
 a fixed relative slack, pointwise comparisons scale with the square of
@@ -16,7 +17,10 @@ from __future__ import annotations
 
 import copy
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import iadd, imul
 
 import numpy as np
 
@@ -489,21 +493,95 @@ def check_phi_subsolution(
 
 
 # ---------------------------------------------------------------------------
-# suite evaluation
+# per-call inputs, negative-control helpers and the check registry
 
 
-DEFAULT_CHECKS = (
-    "speed_consistency",
-    "speed_range",
-    "potential_bounds",
-    "trace_lower_bound",
-    "trace_floor",
-    "mixed_growth",
-    "trace_growth",
-    "split_preserved",
-)
+class _Inputs:
+    """Curvature, constants report and mixed-norm sups of one evaluate
+    call, each computed on first use; never stored on the trajectory, which
+    corrupt_trajectory deep-copies."""
 
-OPTIONAL_CHECKS = ("legendre_subsolution", "det_w", "phi_subsolution")
+    def __init__(self, traj: Trajectory, bg: Background, safety: float):
+        self.traj, self.bg, self.safety = traj, bg, safety
+
+    @cached_property
+    def curv(self) -> CurvatureReport:
+        return curvature(self.bg)
+
+    @cached_property
+    def cr(self) -> ConstantsReport:
+        _, running = c0_series(self.traj)
+        return constants(self.bg, self.traj.beta, c0=running[-1],
+                         safety=self.safety, require_upper=False,
+                         curv=self.curv)
+
+    @cached_property
+    def sups(self) -> list[float]:
+        return mixed_norm_sups(self.traj, self.bg)
+
+
+def _nonsplit(grid) -> np.ndarray:
+    x1, _, x3, _ = grid.mesh()
+    return 0.2 * np.sin(2 * np.pi * x1 / grid.periods[0]) * np.sin(
+        2 * np.pi * x3 / grid.periods[2]
+    ) * np.ones(grid.shape)
+
+
+def _stretch_last(snaps: list[FlowState], mid: int) -> None:
+    snaps[-1].u.data *= 3.0
+    snaps[-1].lam.data = 1.0 + 2.0 * (snaps[-1].lam.data - 1.0)
+
+
+# The one list of checks, read by evaluate, corrupt_trajectory,
+# DEFAULT_CHECKS, OPTIONAL_CHECKS and the recipes' monitor selection.
+# run(traj, bg, inputs) looks check_<name> up at call time, so a rebound
+# (e.g. traced) name is the one called; corrupt(snaps, mid) injects the
+# negative control's violation in place.
+Check = namedtuple("Check", "run default_on corrupt")
+CHECKS: dict[str, Check] = {
+    "speed_consistency": Check(
+        lambda tr, bg, x: check_speed_consistency(tr, bg), True,
+        lambda s, m: iadd(s[m].du_dt.data, 1.0)),
+    "speed_range": Check(
+        lambda tr, bg, x: check_speed_range(tr, bg), True,
+        lambda s, m: iadd(s[m].du_dt.data,
+                          1.0 + float(np.max(np.abs(s[0].du_dt.data))))),
+    "potential_bounds": Check(
+        lambda tr, bg, x: check_potential_bounds(tr, bg), True,
+        lambda s, m: iadd(s[m].u.data, float(s[0].u.data.max()) + 1.0)),
+    "trace_lower_bound": Check(
+        lambda tr, bg, x: check_trace_lower_bound(tr, bg, x.cr), True,
+        lambda s, m: imul(s[m].lam.data, 1e-4)),
+    "trace_floor": Check(
+        lambda tr, bg, x: check_trace_floor(tr, bg, x.curv), True,
+        lambda s, m: imul(s[m].lam.data, 0.5)),
+    # early injection: the growth envelope is still near its t = 0 level
+    "mixed_growth": Check(
+        lambda tr, bg, x: check_mixed_growth(tr, bg, x.cr, x.sups), True,
+        lambda s, m: iadd(s[1].u.data, _nonsplit(s[1].u.grid))),
+    "trace_growth": Check(
+        lambda tr, bg, x: check_trace_growth(tr, bg, x.cr, x.sups), True,
+        lambda s, m: imul(s[1].lam.data, 10.0)),
+    "split_preserved": Check(
+        lambda tr, bg, x: check_split_preserved(tr, bg), True,
+        lambda s, m: iadd(s[m].u.data, _nonsplit(s[m].u.grid))),
+    "legendre_subsolution": Check(
+        lambda tr, bg, x: check_legendre_subsolution(tr, bg), False,
+        _stretch_last),
+    "det_w": Check(
+        lambda tr, bg, x: check_det_w(tr, bg), False,
+        lambda s, m: imul(s[m].lam.data, 1.3)),
+    "phi_subsolution": Check(
+        lambda tr, bg, x: check_phi_subsolution(tr, bg, x.cr), False,
+        lambda s, m: imul(s[-1].lam.data, 100.0)),
+}
+
+DEFAULT_CHECKS = tuple(n for n, c in CHECKS.items() if c.default_on)
+OPTIONAL_CHECKS = tuple(n for n, c in CHECKS.items() if not c.default_on)
+
+
+# ---------------------------------------------------------------------------
+# suite evaluation and negative controls
 
 
 def evaluate(
@@ -522,52 +600,19 @@ def evaluate(
     they and the background curvature are computed at most once here.
     """
     enabled = list(enabled) if enabled is not None else list(DEFAULT_CHECKS)
-    curv = None
-    if constants_report is None or "trace_floor" in enabled:
-        curv = curvature(bg)
-    if sups is None and {"mixed_growth", "trace_growth"} & set(enabled):
-        sups = mixed_norm_sups(traj, bg)
-    elif sups is not None and len(sups) != len(traj.snapshots):
+    if sups is not None and len(sups) != len(traj.snapshots):
         raise ConfigurationError("sups needs one value per snapshot")
-    if constants_report is None:
-        _, running = c0_series(traj)
-        c0 = running[-1]
-        constants_report = constants(
-            bg, traj.beta, c0=c0, safety=safety,
-            require_upper=False, curv=curv,
-        )
-    cr = constants_report
+    inputs = _Inputs(traj, bg, safety)
+    if constants_report is not None:
+        inputs.cr = constants_report
+    if sups is not None:
+        inputs.sups = sups
     out: dict[str, CheckResult] = {}
     for name in enabled:
-        if name == "speed_consistency":
-            out[name] = check_speed_consistency(traj, bg)
-        elif name == "speed_range":
-            out[name] = check_speed_range(traj, bg)
-        elif name == "potential_bounds":
-            out[name] = check_potential_bounds(traj, bg)
-        elif name == "trace_lower_bound":
-            out[name] = check_trace_lower_bound(traj, bg, cr)
-        elif name == "trace_floor":
-            out[name] = check_trace_floor(traj, bg, curv)
-        elif name == "mixed_growth":
-            out[name] = check_mixed_growth(traj, bg, cr, sups)
-        elif name == "trace_growth":
-            out[name] = check_trace_growth(traj, bg, cr, sups)
-        elif name == "split_preserved":
-            out[name] = check_split_preserved(traj, bg)
-        elif name == "legendre_subsolution":
-            out[name] = check_legendre_subsolution(traj, bg)
-        elif name == "det_w":
-            out[name] = check_det_w(traj, bg)
-        elif name == "phi_subsolution":
-            out[name] = check_phi_subsolution(traj, bg, cr)
-        else:
+        if name not in CHECKS:
             raise ConfigurationError(f"unknown check {name!r}")
+        out[name] = CHECKS[name].run(traj, bg, inputs)
     return out
-
-
-# ---------------------------------------------------------------------------
-# negative controls
 
 
 def corrupt_trajectory(traj: Trajectory, check: str) -> Trajectory:
@@ -576,36 +621,7 @@ def corrupt_trajectory(traj: Trajectory, check: str) -> Trajectory:
     snaps = t.snapshots
     if len(snaps) < 3:
         raise ConfigurationError("corruption fixtures need >= 3 snapshots")
-    grid = t.grid
-    x1, _, x3, _ = grid.mesh()
-    nonsplit = 0.2 * np.sin(2 * np.pi * x1 / grid.periods[0]) * np.sin(
-        2 * np.pi * x3 / grid.periods[2]
-    ) * np.ones(grid.shape)
-    mid = len(snaps) // 2
-    if check == "speed_consistency":
-        snaps[mid].du_dt.data += 1.0
-    elif check == "speed_range":
-        snaps[mid].du_dt.data += 1.0 + float(np.max(np.abs(snaps[0].du_dt.data)))
-    elif check == "potential_bounds":
-        snaps[mid].u.data += float(snaps[0].u.data.max()) + 1.0
-    elif check == "trace_lower_bound":
-        snaps[mid].lam.data *= 1e-4
-    elif check == "trace_floor":
-        snaps[mid].lam.data *= 0.5
-    elif check == "mixed_growth":
-        # early injection: the growth envelope is still near its t = 0 level
-        snaps[1].u.data += nonsplit
-    elif check == "trace_growth":
-        snaps[1].lam.data *= 10.0
-    elif check == "split_preserved":
-        snaps[mid].u.data += nonsplit
-    elif check == "legendre_subsolution":
-        snaps[-1].u.data *= 3.0
-        snaps[-1].lam.data = 1.0 + 2.0 * (snaps[-1].lam.data - 1.0)
-    elif check == "det_w":
-        snaps[mid].lam.data *= 1.3
-    elif check == "phi_subsolution":
-        snaps[-1].lam.data *= 100.0
-    else:
+    if check not in CHECKS:
         raise ConfigurationError(f"no corruption fixture for check {check!r}")
+    CHECKS[check].corrupt(snaps, len(snaps) // 2)
     return t

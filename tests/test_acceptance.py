@@ -31,6 +31,7 @@ from splitma.geometry import (
 from splitma.grid_field import RealField
 from splitma.identities import random_test_field
 from splitma.monitors import (
+    CHECKS,
     check_det_w,
     check_legendre_subsolution,
     check_mixed_growth,
@@ -318,33 +319,24 @@ def test_negative_controls(tmp_path):
     assert cli_main(["run", "--config", str(dense_cfg),
                      "--out", str(tmp_path / "clean_d")]) == 0
 
+    # every registered check: default-on ones on the split fixture, the
+    # optional finite-difference ones on the dense fixture
     failures = []
-    split_checks = (
-        "speed_consistency", "speed_range", "potential_bounds",
-        "trace_lower_bound", "trace_floor", "mixed_growth",
-        "trace_growth", "split_preserved",
-    )
-    for check in split_checks:
+    for name, check in CHECKS.items():
+        cfg = split_cfg if check.default_on else dense_cfg
         code = cli_main([
-            "run", "--config", str(split_cfg),
-            "--out", str(tmp_path / f"nc_{check}"),
-            "--negative-control", check,
+            "run", "--config", str(cfg),
+            "--out", str(tmp_path / f"nc_{name}"),
+            "--negative-control", name,
         ])
         if code != 1:
-            failures.append((check, code))
-    for check in ("legendre_subsolution", "phi_subsolution", "det_w"):
-        code = cli_main([
-            "run", "--config", str(dense_cfg),
-            "--out", str(tmp_path / f"nc_{check}"),
-            "--negative-control", check,
-        ])
-        if code != 1:
-            failures.append((check, code))
+            failures.append((name, code))
     _report(
         "negative controls: every monitor fails (exit 1) on its corrupted "
         "fixture",
         not failures,
-        f"violations: {failures}" if failures else "11 controls verified",
+        f"violations: {failures}" if failures
+        else f"{len(CHECKS)} controls verified",
     )
 
 

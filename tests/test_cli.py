@@ -114,6 +114,38 @@ class TestExitCodes:
         ])
         assert code == 2
 
+    def test_sweep_bad_ratio_exits_two(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SPLIT_RUN)
+        code = main([
+            "beta-sweep", "--config", str(cfg), "--betas", "0.9,abc",
+            "--out", str(tmp_path / "s"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_missing_initial_file_exits_two(self, tmp_path, capsys):
+        text = SPLIT_RUN.replace("kind = split_sine", "kind = file").replace(
+            "a_amp = 0.05", f"path = {tmp_path / 'absent.field'}").replace(
+            "b_amp = 0.05", "")
+        cfg = write_cfg(tmp_path, text)
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert "absent.field" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_seed_rejected_where_not_honoured(self, tmp_path, capsys):
+        """check-identities takes its seed from [identities] seed, so the
+        parser refuses --seed instead of ignoring it."""
+        cfg = write_cfg(tmp_path, MINIMAL)
+        with pytest.raises(SystemExit) as exc:
+            main(["check-identities", "--config", str(cfg), "--seed", "7"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_oracle_requires_split_data(self, tmp_path, capsys):
         text = SPLIT_RUN.replace("kind = split_sine", "kind = random").replace(
             "a_amp = 0.05", "amplitude = 0.01\nseed = 1\nband = 1"

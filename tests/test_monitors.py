@@ -7,8 +7,10 @@ from splitma import ConfigurationError, make_grid
 from splitma.flow import FlowParams, make_state, run
 from splitma.geometry import constants, flat_background, pluriclosed_background
 from splitma.grid_field import RealField
+import splitma.monitors as monitors
 from splitma.monitors import (
     DEFAULT_CHECKS,
+    OPTIONAL_CHECKS,
     c0_series,
     check_det_w,
     check_legendre_subsolution,
@@ -202,28 +204,18 @@ class TestChecksPassOnCleanRuns:
 
 
 class TestNegativeControls:
-    @pytest.mark.parametrize(
-        "check",
-        [
-            "speed_consistency",
-            "speed_range",
-            "potential_bounds",
-            "trace_lower_bound",
-            "trace_floor",
-            "mixed_growth",
-            "trace_growth",
-            "split_preserved",
-        ],
-    )
+    """Driven by the registry: every default-on check must fail on its
+    corruption of the split run, every optional (finite-difference) check
+    on its corruption of the dense run."""
+
+    @pytest.mark.parametrize("check", DEFAULT_CHECKS)
     def test_default_checks_fail_on_corruption(self, split_traj, bg, check):
         bad = corrupt_trajectory(split_traj, check)
         res = evaluate(bad, bg, enabled=[check])[check]
         assert res.skipped is None
         assert not res.passed, check
 
-    @pytest.mark.parametrize(
-        "check", ["legendre_subsolution", "phi_subsolution", "det_w"]
-    )
+    @pytest.mark.parametrize("check", OPTIONAL_CHECKS)
     def test_time_difference_checks_fail_on_corruption(self, dense16, check):
         traj, b16 = dense16
         bad = corrupt_trajectory(traj, check)
@@ -235,6 +227,34 @@ class TestNegativeControls:
         before = split_traj.snapshots[1].u.data.copy()
         corrupt_trajectory(split_traj, "potential_bounds")
         assert np.array_equal(split_traj.snapshots[1].u.data, before)
+
+    def test_unknown_check_rejected(self, split_traj, bg):
+        with pytest.raises(ConfigurationError):
+            corrupt_trajectory(split_traj, "no_such_check")
+        with pytest.raises(ConfigurationError):
+            evaluate(split_traj, bg, enabled=["no_such_check"])
+
+
+class TestRegistry:
+    def test_evaluate_calls_the_rebound_check(self, split_traj, bg,
+                                              monkeypatch):
+        """evaluate looks check_<name> up at call time, so a function
+        rebound on the module (as a tracer does) is the one called."""
+        calls = []
+        original = monitors.check_det_w
+
+        def spy(traj, bg_, *args, **kwargs):
+            calls.append(traj)
+            return original(traj, bg_, *args, **kwargs)
+
+        monkeypatch.setattr(monitors, "check_det_w", spy)
+        res = evaluate(split_traj, bg, enabled=["det_w"])
+        assert calls == [split_traj]
+        assert res["det_w"].passed
+
+    def test_default_and_optional_partition_the_registry(self):
+        assert set(DEFAULT_CHECKS).isdisjoint(OPTIONAL_CHECKS)
+        assert list(monitors.CHECKS) == [*DEFAULT_CHECKS, *OPTIONAL_CHECKS]
 
 
 class TestDeterminism:
