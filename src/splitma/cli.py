@@ -94,6 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    workers = _backend.get_workers()
     if args.parallel:
         _backend.set_workers(args.parallel)
     try:
@@ -109,6 +110,8 @@ def main(argv=None) -> int:
     except SplitmaError as exc:  # pragma: no cover
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    finally:
+        _backend.set_workers(workers)  # --parallel lasts one call only
     summary = {k: v for k, v in report.items()
                if not isinstance(v, (list, dict))}
     print(json.dumps(summary, indent=2))

@@ -52,8 +52,7 @@ EXIT_NUMERICAL = 3
 
 # Checkpoint runs (sweep, oracle) never stop early and snapshot only at
 # their checkpoints and at t_end.
-_CHECKPOINT_RUN = dict(steady_tol=1e-30, snapshot_stride=10**9,
-                       spectral_filter=False)
+_CHECKPOINT_RUN = dict(steady_tol=1e-30, snapshot_stride=10**9)
 
 
 def _flow_params(cfg: ExperimentConfig, beta: float, **overrides) -> FlowParams:
@@ -220,6 +219,9 @@ def _prepare_problem(cfg: ExperimentConfig, seed=None):
 
 def cmd_flow_run(cfg: ExperimentConfig, out_dir, seed=None,
                  negative_control: str | None = None):
+    if negative_control is not None and negative_control not in CHECKS:
+        raise ConfigurationError(
+            f"no corruption fixture for check {negative_control!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     grid, bg, u0, forcing, info = _prepare_problem(cfg, seed=seed)
@@ -424,7 +426,7 @@ def cmd_oracle_2d(cfg: ExperimentConfig, out_dir, seed=None,
     cps = [t_end * (i + 1) / n_checkpoints for i in range(n_checkpoints)]
     # oracle2d has no spectral filter and judges steadiness by oscillation
     params = _flow_params(cfg, beta, t_end=t_end, steady_criterion="osc",
-                          **_CHECKPOINT_RUN)
+                          spectral_filter=False, **_CHECKPOINT_RUN)
     traj = run(bg, u0, params, checkpoint_times=cps)
 
     a0 = u0.data.mean(axis=(2, 3))
@@ -487,6 +489,7 @@ def cmd_check_identities(cfg: ExperimentConfig, out_dir,
             cr = constants(bgp, beta, c0=c0)
             res = verify_A(u, bgp, beta, tol=tol, ws=ws)
             res += verify_B(u, bgp, beta, tol=tol, constants_report=cr, ws=ws)
+            del ws  # its cached spectra are not needed by verify_C
             x1, _, x3, _ = grid.mesh()
             phi = RealField(
                 grid,

@@ -23,11 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _backend as fft
 from .errors import BelowBetaThreshold, ConfigurationError
 from .grid_field import (
     RealField,
     TorusGrid,
-    deriv_data,
     factor_laplacian,
     read_field,
     sup_norm,
@@ -206,34 +206,39 @@ def torsion(bg: Background) -> TorsionReport:
     """
     grid = bg.grid
     g, h = bg.g.data, bg.h.data
-    g_w = deriv_data(grid, g, "w")
-    h_z = deriv_data(grid, h, "z")
+    g_hat, h_hat = fft.fftn(g), fft.fftn(h)
+
+    def d(hat, op):
+        return fft.ifftn(grid.apply_multiplier(hat, op))
+
+    g_z, g_w = d(g_hat, "z"), d(g_hat, "w")
+    h_z, h_w = d(h_hat, "z"), d(h_hat, "w")
     nsq = (np.abs(g_w / g) ** 2) / h + (np.abs(h_z / h) ** 2) / g
-    g_z = deriv_data(grid, g, "z")
-    h_w = deriv_data(grid, h, "w")
 
     a = -g_w
     b = h_z
     cz = g_z / g + h_z / h          # holomorphic z-connection on a and b
     cw = g_w / g + h_w / h          # holomorphic w-connection on a and b
-    # component a carries indices (z, w, zb); component b carries (z, w, wb)
+    # component a carries indices (z, w, zb); component b carries (z, w, wb).
+    # Their derivatives are composite derivatives of g and h, taken from
+    # the two spectra above.
     da = {
-        "z": deriv_data(grid, a, "z") - cz * a,
-        "w": deriv_data(grid, a, "w") - cw * a,
-        "zb": deriv_data(grid, a, "zb") - np.conj(g_z / g) * a,
-        "wb": deriv_data(grid, a, "wb") - np.conj(g_w / g) * a,
+        "z": -d(g_hat, "w z") - cz * a,
+        "w": -d(g_hat, "w w") - cw * a,
+        "zb": -d(g_hat, "w zb") - np.conj(g_z / g) * a,
+        "wb": -d(g_hat, "w wb") - np.conj(g_w / g) * a,
     }
     db = {
-        "z": deriv_data(grid, b, "z") - cz * b,
-        "w": deriv_data(grid, b, "w") - cw * b,
-        "zb": deriv_data(grid, b, "zb") - np.conj(h_z / h) * b,
-        "wb": deriv_data(grid, b, "wb") - np.conj(h_w / h) * b,
+        "z": d(h_hat, "z z") - cz * b,
+        "w": d(h_hat, "z w") - cw * b,
+        "zb": d(h_hat, "z zb") - np.conj(h_z / h) * b,
+        "wb": d(h_hat, "z wb") - np.conj(h_w / h) * b,
     }
     inv_dir = {"z": 1.0 / g, "zb": 1.0 / g, "w": 1.0 / h, "wb": 1.0 / h}
     grad_sq = np.zeros(grid.shape)
-    for d in ("z", "zb", "w", "wb"):
-        grad_sq = grad_sq + inv_dir[d] * np.abs(da[d]) ** 2 / (g * g * h)
-        grad_sq = grad_sq + inv_dir[d] * np.abs(db[d]) ** 2 / (g * h * h)
+    for t in ("z", "zb", "w", "wb"):
+        grad_sq = grad_sq + inv_dir[t] * np.abs(da[t]) ** 2 / (g * g * h)
+        grad_sq = grad_sq + inv_dir[t] * np.abs(db[t]) ** 2 / (g * h * h)
     nsq_real = np.ascontiguousarray(nsq.real)
     return TorsionReport(
         norm_sq=RealField(grid, nsq_real),

@@ -24,6 +24,18 @@ that factor's two axes, (x1, x2) or (x3, x4), multiply the half spectrum
 by one real multiplier per factor (same Nyquist convention) and transform
 back; the other factor's axes are never transformed.
 
+Which path a caller takes:
+
+* full complex 4D transforms: deriv_data (mixed and odd-order operators,
+  e.g. "z w", "z wb"), the geometry's torsion (two spectra, g and h), and
+  the identity slices' cached spectra, including every derivative of the
+  slice potential;
+* the factor kernel: the flow's lambda and eta, the gauge and Poisson
+  solves, curvature and pluriclosedness checks, and the identity slices'
+  linearised operator L together with the factor Laplacians of their
+  derived fields;
+* a real transform over all four axes: exponential_filter.
+
 Storage order is x4-fastest (C order on arrays of shape (n1,n2,n3,n4));
 the field file format fixes this order bit-exactly.
 """
@@ -44,6 +56,7 @@ _Z_TOKENS = ("z", "zb")
 _W_TOKENS = ("w", "wb")
 _ALL_TOKENS = _Z_TOKENS + _W_TOKENS
 _FACTOR_AXES = {"z": (0, 1), "w": (2, 3)}
+_ALL_AXES = (0, 1, 2, 3)
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -144,13 +157,15 @@ class TorusGrid:
         return self._cache[key]
 
     def apply_multiplier(self, hat: np.ndarray, op: str) -> np.ndarray:
-        """A full 4D spectrum times the multiplier of op, as a new array."""
+        """A full 4D spectrum times the multiplier of op, as a new array;
+        hat itself is left untouched."""
         zp, wp = self.multiplier_parts(op)
-        if zp is not None:
-            hat = hat * zp
+        if zp is None:
+            return hat * wp
+        out = hat * zp
         if wp is not None:
-            hat = hat * wp
-        return hat
+            out *= wp
+        return out
 
 
 class FieldStats(NamedTuple):
@@ -318,14 +333,17 @@ def exponential_filter(grid: TorusGrid, data: np.ndarray,
         sig = 1.0
         for ax in range(4):
             n = grid.shape[ax]
-            k = np.abs(np.fft.fftfreq(n) * n) / (n // 2)
+            # the last axis carries the half spectrum of the real transform
+            freq = np.fft.rfftfreq(n) if ax == 3 else np.fft.fftfreq(n)
+            k = np.abs(freq * n) / (n // 2)
             s = np.exp(-alpha * k**order)
             shp = [1, 1, 1, 1]
-            shp[ax] = n
+            shp[ax] = s.size
             sig = sig * s.reshape(shp)
         grid._cache[key] = sig
-    hat = fft.fftn(data) * grid._cache[key]
-    return fft.ifftn(hat).real
+    hat = fft.rfftn(data, _ALL_AXES)
+    hat *= grid._cache[key]
+    return fft.irfftn(hat, grid.shape, _ALL_AXES)
 
 
 # ---------------------------------------------------------------------------

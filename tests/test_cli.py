@@ -106,6 +106,35 @@ class TestExitCodes:
         ])
         assert code == 1
 
+    def test_unknown_negative_control_exits_before_the_flow(
+            self, tmp_path, capsys, monkeypatch):
+        import splitma.experiments as exp
+        import splitma.flow as flow
+
+        def never(*a, **k):
+            raise AssertionError("flow integrated before the name was checked")
+
+        monkeypatch.setattr(flow, "run", never)
+        monkeypatch.setattr(exp, "run", never)
+        cfg = write_cfg(tmp_path, SPLIT_RUN)
+        code = main([
+            "run", "--config", str(cfg), "--out", str(tmp_path / "bad"),
+            "--negative-control", "bogus",
+        ])
+        assert code == 2
+        assert "bogus" in capsys.readouterr().err
+
+    def test_parallel_lasts_one_call(self, tmp_path, capsys):
+        from splitma import _backend
+
+        cfg = write_cfg(tmp_path, MINIMAL)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "p"),
+                     "--parallel", "2"]) == 0
+        assert _backend.get_workers() == 1
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "s")]) == 0
+        assert _backend.get_workers() == 1
+
     def test_sweep_rejects_threshold_violation(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SPLIT_RUN)
         code = main([
@@ -177,6 +206,27 @@ class TestArtifacts:
             assert col in header
         assert "speed_range_pass" in header
         assert "speed_range_margin" in header
+
+    def test_filtered_run_reruns_byte_identically(self, tmp_path):
+        text = SPLIT_RUN.replace("cfl = 0.9", "cfl = 0.9\nspectral_filter = true")
+        cfg = parse_config(write_cfg(tmp_path, text))
+        assert cfg.spectral_filter
+        for d in ("a", "b"):
+            assert cmd_flow_run(cfg, tmp_path / d)[0] == 0
+        for name in ("timeseries.csv", "summary.json"):
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes())
+
+    def test_sweep_honours_spectral_filter(self, tmp_path):
+        out = {}
+        for flag in ("false", "true"):
+            text = SPLIT_RUN.replace(
+                "cfl = 0.9", f"cfl = 0.9\nspectral_filter = {flag}")
+            cfg = write_cfg(tmp_path, text, name=f"{flag}.cfg")
+            assert main(["beta-sweep", "--config", str(cfg), "--betas", "0.9",
+                         "--out", str(tmp_path / flag)]) == 0
+            out[flag] = (tmp_path / flag / "beta_sweep.json").read_bytes()
+        assert out["true"] != out["false"]
 
     def test_oracle_recipe_passes(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, SPLIT_RUN))

@@ -253,6 +253,22 @@ class TestSpectralFilter:
         # second application only re-damps already-damped top modes
         assert np.max(np.abs(twice - once)) <= np.max(np.abs(once - u))
 
+    def test_real_transform_matches_full_complex_formula(self):
+        from splitma.grid_field import exponential_filter
+
+        gr = make_grid((8, 16, 32, 8), (1, 2, 0.5, 1.5))
+        u = np.random.default_rng(3).normal(size=gr.shape)
+        sig = 1.0
+        for ax, n in enumerate(gr.shape):
+            k = np.abs(np.fft.fftfreq(n) * n) / (n // 2)
+            shp = [1, 1, 1, 1]
+            shp[ax] = n
+            sig = sig * np.exp(-36.0 * k**16).reshape(shp)
+        ref = np.fft.ifftn(np.fft.fftn(u) * sig).real
+        out = exponential_filter(gr, u)
+        assert out.shape == gr.shape and out.dtype == np.float64
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
     def test_filtered_run_stays_close_on_smooth_data(self, grid, bg):
         u0 = split_sine(grid, 0.03, 0.03)
         base = run(bg, u0, FlowParams(beta=0.5, t_end=0.02, cfl=0.9,

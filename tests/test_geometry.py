@@ -20,6 +20,8 @@ from splitma.geometry import (
     torsion,
     verify_pluriclosed,
 )
+from splitma.grid_field import deriv_data
+from splitma.identities import random_test_field
 TWO_PI = 2.0 * np.pi
 
 
@@ -108,6 +110,38 @@ class TestTorsion:
         rep = torsion(flat_background(grid))
         assert rep.max_norm_sq == 0.0
         assert rep.max_grad == 0.0
+
+    def test_shared_spectra_match_per_field_derivatives(self):
+        """torsion takes the derivatives of a = -g_w and b = h_z from the
+        spectra of g and h; transforming a and b themselves must give the
+        same norms to rounding."""
+        gr = make_grid((8, 16, 32, 8), (1, 2, 0.5, 1.5))
+        # random phases in all four directions: no symmetry of the grid
+        # can hide a swapped or dropped derivative op
+        g = 1.0 + random_test_field(gr, seed=5, amplitude=0.3, band=1).data
+        h = 1.0 + random_test_field(gr, seed=6, amplitude=0.3, band=1).data
+        bg = make_background(gr, g, h, "pluriclosed_general", validate=False)
+        g_w, h_z = deriv_data(gr, g, "w"), deriv_data(gr, h, "z")
+        g_z, h_w = deriv_data(gr, g, "z"), deriv_data(gr, h, "w")
+        nsq = (np.abs(g_w / g) ** 2) / h + (np.abs(h_z / h) ** 2) / g
+        cz, cw = g_z / g + h_z / h, g_w / g + h_w / h
+        inv_dir = {"z": 1.0 / g, "zb": 1.0 / g, "w": 1.0 / h, "wb": 1.0 / h}
+        grad_sq = np.zeros(gr.shape)
+        for comp, weight, conn in (
+            (-g_w, 1.0 / (g * g * h),
+             {"z": cz, "w": cw, "zb": np.conj(g_z / g), "wb": np.conj(g_w / g)}),
+            (h_z, 1.0 / (g * h * h),
+             {"z": cz, "w": cw, "zb": np.conj(h_z / h), "wb": np.conj(h_w / h)}),
+        ):
+            for t in ("z", "zb", "w", "wb"):
+                dc = deriv_data(gr, comp, t) - conn[t] * comp
+                grad_sq = grad_sq + inv_dir[t] * np.abs(dc) ** 2 * weight
+        rep = torsion(bg)
+        max_nsq = float(np.max(nsq.real))
+        max_grad = float(np.sqrt(np.max(grad_sq)))
+        assert max_nsq > 0.0 and max_grad > 0.0
+        assert abs(rep.max_norm_sq - max_nsq) <= 1e-12 * max_nsq
+        assert abs(rep.max_grad - max_grad) <= 1e-12 * max_grad
 
 
 class TestCurvature:

@@ -5,7 +5,7 @@ import pytest
 
 from splitma import AdmissibilityLost, ConfigurationError, make_grid
 from splitma.geometry import constants, flat_background, pluriclosed_background
-from splitma.grid_field import RealField
+from splitma.grid_field import RealField, deriv_data, factor_laplacian
 from splitma.identities import (
     Abs2,
     Add,
@@ -82,6 +82,47 @@ class TestMaterialDerivative:
         ws = ManifoldSlice(u16, bgp16, 0.5)
         got = Conj(UDeriv("z w")).dt(ws)
         assert np.max(np.abs(got - np.conj(ws.spd_d("z w")))) == 0.0
+
+
+class TestFactorKernelSlice:
+    """The slice's L and its factor Laplacians of derived fields go
+    through the factor-local real kernel.  The grid has distinct sizes and
+    periods per axis, so a swapped axis shows."""
+
+    @pytest.fixture(scope="class")
+    def ws(self):
+        gr = make_grid((8, 16, 32, 8), (1, 2, 0.5, 1.5))
+        phi = random_test_field(gr, seed=13, amplitude=0.002, band=1)
+        return LocalSlice(phi, 1.0, 1.0, 0.7)
+
+    def _composite(self, ws, arr):
+        return (ws.coef_z * deriv_data(ws.grid, arr, "z zb")
+                + ws.coef_w * deriv_data(ws.grid, arr, "w wb"))
+
+    def test_L_of_real_input(self, ws):
+        arr = np.random.default_rng(31).normal(size=ws.grid.shape)
+        got = ws.L(arr)
+        ref = self._composite(ws, arr)
+        assert got.dtype == np.float64
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_L_of_complex_input(self, ws):
+        rng = np.random.default_rng(37)
+        arr = rng.normal(size=ws.grid.shape) + 1j * rng.normal(size=ws.grid.shape)
+        got = ws.L(arr)
+        ref = self._composite(ws, arr)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_dt_uses_the_kernel_of_L(self, ws):
+        spd = ws.base("spd")
+        assert np.array_equal(ws.d("spd", "z zb"),
+                              factor_laplacian(ws.grid, spd, "z"))
+        assert np.array_equal(ws.d("spd", "w wb"),
+                              factor_laplacian(ws.grid, spd, "w"))
+
+    def test_potential_keeps_its_full_spectrum(self, ws):
+        phi = ws.base("u")
+        assert np.array_equal(ws.d("u", "z zb"), deriv_data(ws.grid, phi, "z zb"))
 
 
 class TestGroupA:
