@@ -22,13 +22,15 @@ from .flow import (
     FlowParams,
     Trajectory,
     gauge_out_f,
+    is_split,
     normalize_compat,
     normalize_exponents,
     run,
     shift_min_zero,
+    steady_residual,
 )
-from .geometry import (BETA_MIN, constants, curvature, make_background,
-                       pluriclosed_background)
+from .geometry import (BETA_MIN, KAHLER_PRODUCT, constants, curvature,
+                       make_background, pluriclosed_background)
 from .grid_field import RealField, deriv_data, make_grid, write_field
 from .identities import random_test_field, verify_A, verify_B, verify_C, ManifoldSlice
 from .monitors import (
@@ -115,10 +117,7 @@ def _write_timeseries(path, traj: Trajectory, results: dict[str, CheckResult],
     lines = [",".join(cols)]
     for i, s in enumerate(traj.snapshots):
         osc = float(s.u.data.max() - s.u.data.min())
-        if traj.params.steady_criterion == "osc":
-            steady_res = float(s.du_dt.data.max() - s.du_dt.data.min())
-        else:
-            steady_res = float(np.max(np.abs(s.du_dt.data)))
+        steady_res = steady_residual(s.du_dt.data, traj.params.steady_criterion)
         row = [
             f"{s.t:.17g}", f"{traj.dts[i]:.17g}",
             f"{float(s.du_dt.data.max()):.17g}",
@@ -196,7 +195,7 @@ def _prepare_problem(cfg: ExperimentConfig, seed=None):
         return grid, bg, shift_min_zero(u0), None, info
     fp = RealField(grid, fp.data / cfg.alpha)
     fm = RealField(grid, fm.data / cfg.alpha)
-    if bg.kind != "kahler_product":
+    if bg.kind != KAHLER_PRODUCT:
         raise ConfigurationError(
             "forcing is supported on product backgrounds only"
         )
@@ -206,7 +205,7 @@ def _prepare_problem(cfg: ExperimentConfig, seed=None):
         forcing = RealField(grid, fp.data + fm.data)
         return grid, bg, u0, forcing, info
     res = gauge_out_f(bg, fp, fm, beta)
-    bg2 = make_background(grid, res.g_new, res.h_new, "kahler_product",
+    bg2 = make_background(grid, res.g_new, res.h_new, KAHLER_PRODUCT,
                           params={"recipe": "gauged"})
     u0_reduced = RealField(grid, u0.data - res.u_inf.data)
     info.update(gauged=True, b_plus=res.b_plus, b_minus=res.b_minus)
@@ -289,7 +288,7 @@ def cmd_kahler_converge(cfg: ExperimentConfig, out_dir, seed=None):
     out.mkdir(parents=True, exist_ok=True)
     grid = build_grid(cfg)
     bg = build_background(cfg, grid)
-    if bg.kind != "kahler_product":
+    if bg.kind != KAHLER_PRODUCT:
         raise ConfigurationError("steady-convergence run needs a product background")
     beta = cfg.beta / cfg.alpha
     fp, fm = build_forcing(cfg, grid, beta)
@@ -415,11 +414,10 @@ def cmd_oracle_2d(cfg: ExperimentConfig, out_dir, seed=None,
     out.mkdir(parents=True, exist_ok=True)
     grid = build_grid(cfg)
     bg = build_background(cfg, grid)
-    if bg.kind != "kahler_product":
+    if bg.kind != KAHLER_PRODUCT:
         raise ConfigurationError("factor-oracle run needs a product background")
     u0 = build_initial(cfg, grid, bg, seed_override=seed)
-    u_zw = float(np.max(np.abs(deriv_data(grid, u0.data, "z w"))))
-    if u_zw > 1e-10 * (1.0 + float(np.max(np.abs(u0.data)))):
+    if not is_split(u0):
         raise ConfigurationError("factor-oracle run needs split initial data")
     beta = cfg.beta / cfg.alpha
     t_end = cfg.t_end

@@ -238,6 +238,21 @@ def step_with_rejection(
     )
 
 
+def is_split(u: RealField) -> bool:
+    """Whether u is split data: its mixed derivative u_zw vanishes to
+    1e-10 relative to 1 + sup|u|."""
+    u_zw = float(np.max(np.abs(deriv_data(u.grid, u.data, "z w"))))
+    return u_zw <= 1e-10 * (1.0 + float(np.max(np.abs(u.data))))
+
+
+def steady_residual(speed: np.ndarray, criterion: str) -> float:
+    """Steadiness measure of the speed field: its oscillation ("osc") or
+    its sup-norm ("norm")."""
+    if criterion == "osc":
+        return float(speed.max() - speed.min())
+    return float(np.max(np.abs(speed)))
+
+
 def run(
     bg: Background,
     u0: RealField,
@@ -260,10 +275,7 @@ def run(
     traj = Trajectory(grid=grid, beta=beta, params=params)
     traj.meta["forcing"] = f
     traj.meta["reduced"] = forcing is None and abs(float(u0.data.min())) < 1e-12
-    u_zw0 = float(np.max(np.abs(deriv_data(grid, u0.data, "z w"))))
-    traj.meta["split_initial"] = bool(
-        u_zw0 < 1e-10 * (1.0 + float(np.max(np.abs(u0.data))))
-    )
+    traj.meta["split_initial"] = is_split(u0)
 
     state = make_state(u0.copy(), bg, beta, 0.0, floor, forcing)
     traj.snapshots.append(state)
@@ -272,10 +284,7 @@ def run(
     cps = sorted(t for t in (checkpoint_times or []) if 0.0 < t <= params.t_end)
 
     def is_steady(speed: np.ndarray) -> tuple[bool, float]:
-        if params.steady_criterion == "osc":
-            r = float(speed.max() - speed.min())
-        else:
-            r = float(np.max(np.abs(speed)))
+        r = steady_residual(speed, params.steady_criterion)
         return r < params.steady_tol, r
 
     steady0, _ = is_steady(state.du_dt.data)

@@ -12,7 +12,10 @@ converge geometrically under grid refinement while false ones stall.
 
 The expression grammar is closed: the node types below cover every term
 that appears in the verified identities.  No general symbolic engine is
-built or needed.
+built or needed.  Each node has one method, pair(ws), which evaluates its
+children once each and returns its value and its time derivative
+together (the chain, product and quotient rules applied to the children's
+pairs), so one walk of the tree gives both halves of H(expr).
 
 Two spectral paths meet in a slice.  The linearised operator L and the
 factor Laplacians ("z zb", "w wb") of every derived field (the speed,
@@ -46,16 +49,29 @@ _FACTOR_LAPLACIANS = {"z zb": "z", "w wb": "w"}
 
 
 class _SliceBase:
-    """Cached spectral evaluation of one admissible time slice."""
+    """Cached spectral evaluation of one admissible time slice with the
+    traces lambda = a + u_zzb/g and eta = b - u_wwb/h.  The registered base
+    fields are the potential "u", "lam", "eta" and the flow speed "spd"."""
 
-    def __init__(self, grid: TorusGrid, beta: float):
-        self.grid = grid
+    def __init__(self, u: RealField, g, h, a: float, b: float, beta: float,
+                 floor: float):
+        self.grid = u.grid
         self.beta = beta
+        self.g, self.h = g, h
         self._hats: dict = {}
         self._derivs: dict = {}
-        self._bases: dict = {}
+        self._bases: dict = {"u": u.data}
+        lam = a + self.d("u", "z zb").real / g
+        eta = b - self.d("u", "w wb").real / h
+        if float(lam.min()) <= floor or float(eta.min()) <= floor:
+            raise AdmissibilityLost(f"{type(self).__name__} is not admissible")
+        self.lam, self.eta = lam, eta
+        self.register("lam", lam)
+        self.register("eta", eta)
+        self.register("spd", beta * np.log(lam) - np.log(eta))
+        self.coef_z = beta / (g * lam)
+        self.coef_w = 1.0 / (h * eta)
 
-    # base fields ----------------------------------------------------------
     def register(self, key: str, arr: np.ndarray) -> None:
         self._bases[key] = arr
 
@@ -96,20 +112,6 @@ class _SliceBase:
         return (self.coef_z * self._laplacian(arr, "z")
                 + self.coef_w * self._laplacian(arr, "w"))
 
-    # flow speed -----------------------------------------------------------
-    @property
-    def spd(self) -> np.ndarray:
-        return self.base("spd")
-
-    def spd_d(self, op: str) -> np.ndarray:
-        return self.d("spd", op)
-
-    def lam_d(self, op: str) -> np.ndarray:
-        return self.d("lam", op)
-
-    def eta_d(self, op: str) -> np.ndarray:
-        return self.d("eta", op)
-
 
 class ManifoldSlice(_SliceBase):
     """Slice of the flow on a pluriclosed background:
@@ -117,42 +119,18 @@ class ManifoldSlice(_SliceBase):
 
     def __init__(self, u: RealField, bg: Background, beta: float,
                  floor: float = 1e-10):
-        super().__init__(u.grid, beta)
-        self.bg = bg
-        self.register("u", u.data)
+        super().__init__(u, bg.g.data, bg.h.data, 1.0, 1.0, beta, floor)
         self.register("g", bg.g.data)
         self.register("h", bg.h.data)
-        lam = 1.0 + self.d("u", "z zb").real / bg.g.data
-        eta = 1.0 - self.d("u", "w wb").real / bg.h.data
-        if float(lam.min()) <= floor or float(eta.min()) <= floor:
-            raise AdmissibilityLost("test slice is not admissible")
-        self.lam = lam
-        self.eta = eta
-        self.register("lam", lam)
-        self.register("eta", eta)
-        self.register("spd", beta * np.log(lam) - np.log(eta))
-        self.coef_z = beta / (bg.g.data * lam)
-        self.coef_w = 1.0 / (bg.h.data * eta)
 
     def u(self, op: str = "") -> np.ndarray:
-        if op == "":
-            return self.base("u")
-        return self.d("u", op)
-
-    def dt_lam(self) -> np.ndarray:
-        return self.spd_d("z zb") / self.bg.g.data
-
-    def dt_eta(self) -> np.ndarray:
-        return -self.spd_d("w wb") / self.bg.h.data
+        return self.base("u") if op == "" else self.d("u", op)
 
     def dt_u(self, op: str) -> np.ndarray:
-        return self.spd if op == "" else self.spd_d(op)
+        return self.base("spd") if op == "" else self.d("spd", op)
 
     def bgf(self, name: str) -> np.ndarray:
         return self.base(name)
-
-    def bgd(self, name: str, op: str) -> np.ndarray:
-        return self.d(name, op)
 
 
 class LocalSlice(_SliceBase):
@@ -166,28 +144,20 @@ class LocalSlice(_SliceBase):
 
     def __init__(self, phi: RealField, a: float, b: float, beta: float,
                  floor: float = 1e-10):
-        super().__init__(phi.grid, beta)
-        self.a = float(a)
-        self.b = float(b)
-        self.register("u", phi.data)
-        lam = self.a + self.d("u", "z zb").real
-        eta = self.b - self.d("u", "w wb").real
-        if float(lam.min()) <= floor or float(eta.min()) <= floor:
-            raise AdmissibilityLost("local test slice is not admissible")
-        self.lam = lam
-        self.eta = eta
-        self.register("lam", lam)
-        self.register("eta", eta)
-        self.register("spd", beta * np.log(lam) - np.log(eta))
-        self.coef_z = beta / lam
-        self.coef_w = 1.0 / eta
+        self.a, self.b = float(a), float(b)
+        super().__init__(phi, 1.0, 1.0, self.a, self.b, beta, floor)
 
-    def u(self, op: str = "") -> np.ndarray:
+    @staticmethod
+    def _second_order(op: str) -> list[str]:
         toks = sorted(op.split())
         if len(toks) < 2:
             raise ConfigurationError(
                 "local slice supports potential derivatives of order >= 2 only"
             )
+        return toks
+
+    def u(self, op: str = "") -> np.ndarray:
+        toks = self._second_order(op)
         out = self.d("u", op)
         if toks == ["z", "zb"]:
             out = out + self.a
@@ -195,24 +165,12 @@ class LocalSlice(_SliceBase):
             out = out - self.b
         return out
 
-    def dt_lam(self) -> np.ndarray:
-        return self.spd_d("z zb")
-
-    def dt_eta(self) -> np.ndarray:
-        return -self.spd_d("w wb")
-
     def dt_u(self, op: str) -> np.ndarray:
-        if len(op.split()) < 2:
-            raise ConfigurationError(
-                "local slice supports potential derivatives of order >= 2 only"
-            )
-        return self.spd_d(op)
+        self._second_order(op)
+        return self.d("spd", op)
 
     def bgf(self, name: str) -> np.ndarray:
         return np.ones(self.grid.shape)
-
-    def bgd(self, name: str, op: str) -> np.ndarray:
-        return np.zeros(self.grid.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +178,8 @@ class LocalSlice(_SliceBase):
 
 
 class Expr:
-    def value(self, ws) -> np.ndarray:
-        raise NotImplementedError
-
-    def dt(self, ws) -> np.ndarray:
+    def pair(self, ws) -> tuple[np.ndarray, np.ndarray]:
+        """(value, d/dt) of the node on the slice ws."""
         raise NotImplementedError
 
 
@@ -233,100 +189,68 @@ class UDeriv(Expr):
 
     op: str = ""
 
-    def value(self, ws):
-        return ws.u(self.op)
-
-    def dt(self, ws):
-        return ws.dt_u(self.op)
+    def pair(self, ws):
+        return ws.u(self.op), ws.dt_u(self.op)
 
 
 class Lam(Expr):
-    def value(self, ws):
-        return ws.lam
+    """lambda = a + u_zzb/g, so d/dt lambda = spd_zzb/g."""
 
-    def dt(self, ws):
-        return ws.dt_lam()
+    def pair(self, ws):
+        return ws.lam, ws.d("spd", "z zb") / ws.g
 
 
 class Eta(Expr):
-    def value(self, ws):
-        return ws.eta
+    """eta = b - u_wwb/h, so d/dt eta = -spd_wwb/h."""
 
-    def dt(self, ws):
-        return ws.dt_eta()
+    def pair(self, ws):
+        return ws.eta, -ws.d("spd", "w wb") / ws.h
 
 
 @dataclass
 class BGField(Expr):
     name: str
 
-    def value(self, ws):
-        return ws.bgf(self.name)
-
-    def dt(self, ws):
-        return np.zeros(ws.grid.shape)
-
-
-@dataclass
-class BGDeriv(Expr):
-    name: str
-    op: str
-
-    def value(self, ws):
-        return ws.bgd(self.name, self.op)
-
-    def dt(self, ws):
-        return np.zeros(ws.grid.shape)
+    def pair(self, ws):
+        return ws.bgf(self.name), np.zeros(ws.grid.shape)
 
 
 @dataclass
 class Num(Expr):
     c: complex
 
-    def value(self, ws):
-        return np.full(ws.grid.shape, self.c)
-
-    def dt(self, ws):
-        return np.zeros(ws.grid.shape)
+    def pair(self, ws):
+        return np.full(ws.grid.shape, self.c), np.zeros(ws.grid.shape)
 
 
 class Add(Expr):
     def __init__(self, *terms):
         self.terms = terms
 
-    def value(self, ws):
-        out = self.terms[0].value(ws)
+    def pair(self, ws):
+        val, dt = self.terms[0].pair(ws)
         for t in self.terms[1:]:
-            out = out + t.value(ws)
-        return out
-
-    def dt(self, ws):
-        out = self.terms[0].dt(ws)
-        for t in self.terms[1:]:
-            out = out + t.dt(ws)
-        return out
+            v, d = t.pair(ws)
+            val, dt = val + v, dt + d
+        return val, dt
 
 
 class Mul(Expr):
     def __init__(self, *factors):
         self.factors = factors
 
-    def value(self, ws):
-        out = self.factors[0].value(ws)
-        for f in self.factors[1:]:
-            out = out * f.value(ws)
-        return out
-
-    def dt(self, ws):
-        vals = [f.value(ws) for f in self.factors]
-        out = None
-        for i, f in enumerate(self.factors):
-            term = f.dt(ws)
+    def pair(self, ws):
+        vals, dts = zip(*(f.pair(ws) for f in self.factors))
+        val = vals[0]
+        for v in vals[1:]:
+            val = val * v
+        dt = None
+        for i, term in enumerate(dts):
             for j, v in enumerate(vals):
                 if j != i:
                     term = term * v
-            out = term if out is None else out + term
-        return out
+            dt = term if dt is None else dt + term
+        return val, dt
 
 
 @dataclass
@@ -334,81 +258,67 @@ class Div(Expr):
     num: Expr
     den: Expr
 
-    def value(self, ws):
-        return self.num.value(ws) / self.den.value(ws)
-
-    def dt(self, ws):
-        d = self.den.value(ws)
-        return (self.num.dt(ws) * d - self.num.value(ws) * self.den.dt(ws)) / (d * d)
+    def pair(self, ws):
+        n, dn = self.num.pair(ws)
+        d, dd = self.den.pair(ws)
+        return n / d, (dn * d - n * dd) / (d * d)
 
 
 @dataclass
 class Inv(Expr):
     arg: Expr
 
-    def value(self, ws):
-        return 1.0 / self.arg.value(ws)
-
-    def dt(self, ws):
-        v = self.arg.value(ws)
-        return -self.arg.dt(ws) / (v * v)
+    def pair(self, ws):
+        v, d = self.arg.pair(ws)
+        return 1.0 / v, -d / (v * v)
 
 
 @dataclass
 class Log(Expr):
     arg: Expr
 
-    def value(self, ws):
-        return np.log(self.arg.value(ws))
-
-    def dt(self, ws):
-        return self.arg.dt(ws) / self.arg.value(ws)
+    def pair(self, ws):
+        v, d = self.arg.pair(ws)
+        return np.log(v), d / v
 
 
 @dataclass
 class Abs2(Expr):
     arg: Expr
 
-    def value(self, ws):
-        v = self.arg.value(ws)
-        return (v * np.conj(v)).real
-
-    def dt(self, ws):
-        return 2.0 * (np.conj(self.arg.value(ws)) * self.arg.dt(ws)).real
+    def pair(self, ws):
+        v, d = self.arg.pair(ws)
+        return (v * np.conj(v)).real, 2.0 * (np.conj(v) * d).real
 
 
 @dataclass
 class ReP(Expr):
     arg: Expr
 
-    def value(self, ws):
-        return self.arg.value(ws).real
-
-    def dt(self, ws):
-        return self.arg.dt(ws).real
+    def pair(self, ws):
+        v, d = self.arg.pair(ws)
+        return v.real, d.real
 
 
 @dataclass
 class Conj(Expr):
     arg: Expr
 
-    def value(self, ws):
-        return np.conj(self.arg.value(ws))
-
-    def dt(self, ws):
-        return np.conj(self.arg.dt(ws))
+    def pair(self, ws):
+        v, d = self.arg.pair(ws)
+        return np.conj(v), np.conj(d)
 
 
 def heat_residual(expr: Expr, ws) -> np.ndarray:
-    """H(expr) = d(expr)/dt - L(expr), fully spatial."""
-    return expr.dt(ws) - ws.L(expr.value(ws))
+    """H(expr) = d(expr)/dt - L(expr), fully spatial, from one walk."""
+    value, dt = expr.pair(ws)
+    return dt - ws.L(value)
 
 
 def material_derivative(expr: Expr, u: RealField, bg: Background, beta: float):
     """Time derivative of a slice functional along the flow, evaluated by
     the chain-rule substitution; returns the raw array."""
-    ws = ManifoldSlice(u, bg, beta)
-    return expr.dt(ws)
+    return expr.pair(ManifoldSlice(u, bg, beta))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +363,8 @@ def verify_A(u: RealField, bg: Background, beta: float,
         ws = ManifoldSlice(u, bg, beta)
     g, h = ws.base("g"), ws.base("h")
     lam, eta = ws.lam, ws.eta
-    lam_z, lam_w = ws.lam_d("z"), ws.lam_d("w")
-    eta_z, eta_w = ws.eta_d("z"), ws.eta_d("w")
+    lam_z, lam_w = ws.d("lam", "z"), ws.d("lam", "w")
+    eta_z, eta_w = ws.d("eta", "z"), ws.d("eta", "w")
     g_w, h_z = ws.d("g", "w"), ws.d("h", "z")
     g_wwb, h_zzb = ws.d("g", "w wb").real, ws.d("h", "z zb").real
     out = []
@@ -466,7 +376,7 @@ def verify_A(u: RealField, bg: Background, beta: float,
 
     # A2: heat operator on the potential
     lhs = heat_residual(UDeriv(""), ws)
-    rhs = ws.spd + beta / lam - 1.0 / eta + (1.0 - beta)
+    rhs = ws.base("spd") + beta / lam - 1.0 / eta + (1.0 - beta)
     out.append(_result("A2", lhs, rhs, tol, beta, ws.grid))
 
     # A3: the flowed form stays pluriclosed
@@ -562,8 +472,8 @@ def _psi_component(ws) -> np.ndarray:
     g, h = ws.base("g"), ws.base("h")
     lam, eta = ws.lam, ws.eta
     beta = ws.beta
-    lam_z, lam_w = ws.lam_d("z"), ws.lam_d("w")
-    eta_z, eta_w = ws.eta_d("z"), ws.eta_d("w")
+    lam_z, lam_w = ws.d("lam", "z"), ws.d("lam", "w")
+    eta_z, eta_w = ws.d("eta", "z"), ws.d("eta", "w")
     g_z, g_w = ws.d("g", "z"), ws.d("g", "w")
     h_z, h_w = ws.d("h", "z"), ws.d("h", "w")
     g_zw, h_zw = ws.d("g", "z w"), ws.d("h", "z w")
@@ -590,8 +500,8 @@ def verify_B(u: RealField, bg: Background, beta: float, tol: float = 1e-8,
         ws = ManifoldSlice(u, bg, beta)
     g, h = ws.base("g"), ws.base("h")
     lam, eta = ws.lam, ws.eta
-    lam_z, lam_w = ws.lam_d("z"), ws.lam_d("w")
-    eta_z, eta_w = ws.eta_d("z"), ws.eta_d("w")
+    lam_z, lam_w = ws.d("lam", "z"), ws.d("lam", "w")
+    eta_z, eta_w = ws.d("eta", "z"), ws.d("eta", "w")
     g_z, g_w = ws.d("g", "z"), ws.d("g", "w")
     h_z, h_w = ws.d("h", "z"), ws.d("h", "w")
     u_zw = ws.u("z w")
@@ -617,8 +527,8 @@ def verify_B(u: RealField, bg: Background, beta: float, tol: float = 1e-8,
     ws.register("log_heta", np.log(h * eta))
     res = 0.0
     for op in ("z", "w"):
-        r1 = (ws.d("g", op) / g + ws.lam_d(op) / lam) - ws.d("log_glam", op)
-        r2 = (ws.d("h", op) / h + ws.eta_d(op) / eta) - ws.d("log_heta", op)
+        r1 = (ws.d("g", op) / g + ws.d("lam", op) / lam) - ws.d("log_glam", op)
+        r2 = (ws.d("h", op) / h + ws.d("eta", op) / eta) - ws.d("log_heta", op)
         res = max(res, float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
     out.append(
         IdentityResult("B12", res, tol, res <= tol, "equality", beta, ws.grid.shape,
@@ -704,8 +614,8 @@ def verify_C(phi: RealField, a: float, b: float, beta: float,
     of the transform matrix, on the quadratic-plus-periodic slice."""
     ws = LocalSlice(phi, a, b, beta)
     lam, eta = ws.lam, ws.eta
-    lam_z, lam_w = ws.lam_d("z"), ws.lam_d("w")
-    eta_z, eta_w = ws.eta_d("z"), ws.eta_d("w")
+    lam_z, lam_w = ws.d("lam", "z"), ws.d("lam", "w")
+    eta_z, eta_w = ws.d("eta", "z"), ws.d("eta", "w")
     c = ws.u("z wb")
     cbar = np.conj(c)
     u_zzwb = ws.u("z z wb")
@@ -714,17 +624,13 @@ def verify_C(phi: RealField, a: float, b: float, beta: float,
     out = []
     grid = ws.grid
 
-    def tok_d(key, tok):
-        arr = ws.lam_d(tok) if key == "lam" else ws.eta_d(tok)
-        return arr
-
     # C27 family: pure second derivatives obey the same quadratic source
     for i, j in (("z", "zb"), ("z", "w"), ("z", "wb"), ("w", "wb")):
         op = f"{i} {j}"
         lhs = heat_residual(UDeriv(op), ws)
         rhs = (
-            -beta * tok_d("lam", i) * tok_d("lam", j) / lam**2
-            + tok_d("eta", i) * tok_d("eta", j) / eta**2
+            -beta * ws.d("lam", i) * ws.d("lam", j) / lam**2
+            + ws.d("eta", i) * ws.d("eta", j) / eta**2
         )
         out.append(_result(f"C27[{i}{j}]", lhs, rhs, tol, beta, grid))
 
