@@ -31,16 +31,17 @@ from .flow import (
 )
 from .geometry import (BETA_MIN, KAHLER_PRODUCT, constants, curvature,
                        make_background, pluriclosed_background)
-from .grid_field import RealField, deriv_data, make_grid, write_field
+from .grid_field import (RealField, atomic_write, deriv_data, make_grid,
+                         write_field)
 from .identities import random_test_field, verify_A, verify_B, verify_C, ManifoldSlice
 from .monitors import (
     CHECKS,
     DEFAULT_CHECKS,
     CheckResult,
+    MonitorInputs,
     c0_series,
     corrupt_trajectory,
     evaluate,
-    mixed_norm_sups,
 )
 from .oracle2d import run_factor_flow
 
@@ -74,6 +75,11 @@ def _flow_params(cfg: ExperimentConfig, beta: float, **overrides) -> FlowParams:
     return FlowParams(**{**fields, **overrides})
 
 
+def _write_json(path, report: dict) -> None:
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(report, indent=2))
+
+
 def _at_checkpoint(times, items, t):
     """The item at the time nearest t, which must lie within 1e-9 of it."""
     i = min(range(len(times)), key=lambda k: abs(times[k] - t))
@@ -98,15 +104,11 @@ def _enabled_checks(cfg: ExperimentConfig):
 
 
 def _write_timeseries(path, traj: Trajectory, results: dict[str, CheckResult],
-                      sups: list[float]) -> None:
-    series_c0, _ = c0_series(traj)
+                      sups: list[float], series_c0: list[float]) -> None:
+    """One row per snapshot; each check's entry joins the row of its
+    snapshot index."""
     names = list(results)
-    margin_maps = []
-    for name in names:
-        m = {}
-        for e in results[name].entries:
-            m[round(e.t, 12)] = e
-        margin_maps.append(m)
+    by_index = [{e.index: e for e in results[n].entries} for n in names]
     cols = [
         "t", "dt", "max_du_dt", "min_du_dt", "osc_u", "min_lambda",
         "max_lambda", "min_eta", "max_eta", "c0", "sup_mixed_norm",
@@ -131,8 +133,8 @@ def _write_timeseries(path, traj: Trajectory, results: dict[str, CheckResult],
             f"{sups[i]:.17g}",
             f"{steady_res:.17g}",
         ]
-        for name, m in zip(names, margin_maps):
-            e = m.get(round(s.t, 12))
+        for name, m in zip(names, by_index):
+            e = m.get(i)
             if results[name].skipped is not None:
                 row += ["skip", "nan"]
             elif e is None:
@@ -140,7 +142,8 @@ def _write_timeseries(path, traj: Trajectory, results: dict[str, CheckResult],
             else:
                 row += ["1" if e.passed else "0", f"{e.margin:.17g}"]
         lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with atomic_write(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _summary(traj: Trajectory, results: dict[str, CheckResult]) -> dict:
@@ -234,20 +237,22 @@ def cmd_flow_run(cfg: ExperimentConfig, out_dir, seed=None,
         if partial is not None and partial.snapshots:
             report["failed_at"] = partial.meta.get("failed_at")
             write_field(partial.snapshots[-1].u, out / "failure_u.field")
-        (out / "summary.json").write_text(json.dumps(report, indent=2))
+        _write_json(out / "summary.json", report)
         return EXIT_NUMERICAL, report
     if negative_control is not None:
         traj = corrupt_trajectory(traj, negative_control)
     enabled = _enabled_checks(cfg)
     if negative_control is not None and negative_control not in enabled:
         enabled.append(negative_control)
-    sups = mixed_norm_sups(traj, bg)
-    results = evaluate(traj, bg, enabled=enabled, safety=cfg.monitors_safety,
-                       sups=sups)
-    _write_timeseries(out / "timeseries.csv", traj, results, sups)
+    inputs = MonitorInputs(traj, bg, enabled, cfg.monitors_safety)
+    # the snapshot pass runs here, before the constants, as the sups did
+    sups = inputs.sups
+    results = evaluate(traj, bg, inputs=inputs)
+    _write_timeseries(out / "timeseries.csv", traj, results, sups,
+                      inputs.c0[0])
     report = _summary(traj, results)
     report["reduction"] = info
-    (out / "summary.json").write_text(json.dumps(report, indent=2))
+    _write_json(out / "summary.json", report)
     _dump_fields(out, traj, cfg.field_dump_stride)
     ok = all(r.passed for r in results.values())
     return (EXIT_OK if ok else EXIT_MONITOR), report
@@ -333,7 +338,7 @@ def cmd_kahler_converge(cfg: ExperimentConfig, out_dir, seed=None):
         "mixed_sup": split_res,
         "passed": bool(ok),
     }
-    (out / "converge.json").write_text(json.dumps(report, indent=2))
+    _write_json(out / "converge.json", report)
     return (EXIT_OK if ok else EXIT_MONITOR), report
 
 
@@ -402,7 +407,7 @@ def cmd_beta_sweep(cfg: ExperimentConfig, beta_list, out_dir, seed=None,
         "passed": bool(ok),
         "horizon_note": "hypotheses checked on the computed horizon only",
     }
-    (out / "beta_sweep.json").write_text(json.dumps(report, indent=2))
+    _write_json(out / "beta_sweep.json", report)
     return (EXIT_OK if ok else EXIT_MONITOR), report
 
 
@@ -453,7 +458,7 @@ def cmd_oracle_2d(cfg: ExperimentConfig, out_dir, seed=None,
         "tolerance": tol,
         "passed": bool(ok),
     }
-    (out / "oracle_2d.json").write_text(json.dumps(report, indent=2))
+    _write_json(out / "oracle_2d.json", report)
     return (EXIT_OK if ok else EXIT_MONITOR), report
 
 
@@ -536,7 +541,7 @@ def cmd_check_identities(cfg: ExperimentConfig, out_dir,
         "results": rows,
         "passed": bool(all_ok),
     }
-    (out / "identities.json").write_text(json.dumps(report, indent=2))
+    _write_json(out / "identities.json", report)
     return (EXIT_OK if all_ok else EXIT_MONITOR), report
 
 

@@ -28,6 +28,7 @@ from .errors import BelowBetaThreshold, ConfigurationError
 from .grid_field import (
     RealField,
     TorusGrid,
+    atomic_write,
     factor_laplacian,
     read_field,
     sup_norm,
@@ -514,7 +515,7 @@ def save_background(bg: Background, directory: str | os.PathLike) -> None:
         "periods": list(bg.grid.periods),
         "params": _jsonable(bg.params),
     }
-    with open(os.path.join(directory, "background.json"), "w") as fh:
+    with atomic_write(os.path.join(directory, "background.json")) as fh:
         json.dump(desc, fh, indent=2)
 
 

@@ -34,7 +34,10 @@ Which path a caller takes:
   solves, curvature and pluriclosedness checks, and the identity slices'
   linearised operator L together with the factor Laplacians of their
   derived fields;
-* a real transform over all four axes: exponential_filter.
+* a real transform over all four axes: exponential_filter;
+* one shared full complex spectrum per snapshot: the monitors' snapshot
+  pass takes one fftn of u and both u_zw and u_zwb from it (two ifftn)
+  when a W check runs on a constant-coefficient background.
 
 Storage order is x4-fastest (C order on arrays of shape (n1,n2,n3,n4));
 the field file format fixes this order bit-exactly.
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Union
 
@@ -399,6 +403,25 @@ def sup_norm(f: Field) -> float:
 _MAGIC = "torus-field"
 
 
+@contextmanager
+def atomic_write(path: str | os.PathLike, mode: str = "w"):
+    """Open a file for writing that replaces path only when the block
+    exits cleanly: the data goes to a temporary file in the same directory,
+    which os.replace then moves over path.  If the block raises, the
+    temporary file is removed and path is left as it was."""
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path),
+                       f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_field(f: Field, path: str | os.PathLike) -> None:
     if isinstance(f, RealField):
         dtype = "<f8"
@@ -414,7 +437,7 @@ def write_field(f: Field, path: str | os.PathLike) -> None:
         "dtype": dtype,
         "order": "x4-fastest",
     }
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(json.dumps(header).encode("ascii") + b"\n")
         fh.write(payload)
 

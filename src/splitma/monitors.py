@@ -8,6 +8,20 @@ runs it, whether it runs by default, and the negative-control corruption
 (applied by corrupt_trajectory) that makes it fail, so a passing suite is
 evidence the checks can actually bite.
 
+The field work of the checks is one pass over the snapshots
+(snapshot_pass).  At each snapshot it transforms u once: with a W check on
+a constant-coefficient background, one fftn gives both u_zw and u_zwb
+(two ifftn) and is freed at once; otherwise mixed_norm takes u_zw from one
+deriv_data call.  It builds the mixed-norm field once (its sup serves
+mixed_growth, trace_growth and the run recipe's sup_mixed_norm column; the
+field itself is the b term of Phi), W once (its det residual, and one
+quad per direction vector) and Phi once.  The centred time differences of
+legendre_subsolution and phi_subsolution need only the last three
+snapshots, so the pass keeps a 3-snapshot window of quads and Phi and
+emits scalars; its memory does not grow with the number of snapshots.
+MonitorInputs runs the pass at most once per evaluate, for the enabled
+checks only; a check called on its own runs the pass for itself.
+
 Bound tolerances absorb time discretisation: monotonicity comparisons use
 a fixed relative slack, pointwise comparisons scale with the square of
 the local step or snapshot spacing.
@@ -17,13 +31,14 @@ from __future__ import annotations
 
 import copy
 import math
-from collections import namedtuple
+from collections import deque, namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import iadd, imul
 
 import numpy as np
 
+from . import _backend as fft
 from .errors import ConfigurationError
 from .geometry import (BETA_MIN, Background, ConstantsReport, CurvatureReport,
                        constants, curvature)
@@ -32,6 +47,8 @@ from .flow import FlowState, Trajectory
 
 MONO_SLACK = 1e-8           # relative slack for monotone scalar series
 FD_FLOOR = 1e-6             # floor of the finite-difference tolerances
+# direction vectors (v_z, v_w) whose W quads legendre_subsolution tests
+W_VECTORS = ((1.0, 0.0), (0.0, 1.0), (1 / math.sqrt(2), 1 / math.sqrt(2)))
 
 
 @dataclass
@@ -41,6 +58,7 @@ class MonitorEntry:
     observed: float
     margin: float
     passed: bool
+    index: int              # the snapshot the entry belongs to
 
 
 @dataclass
@@ -68,20 +86,18 @@ def _finish(name: str, entries: list[MonitorEntry]) -> CheckResult:
 # pointwise helper quantities
 
 
+def _mixed_field(u_zw: np.ndarray, state: FlowState, bg: Background,
+                 beta: float) -> np.ndarray:
+    return beta * np.abs(u_zw) ** 2 / (
+        bg.g.data * state.lam.data * bg.h.data * state.eta.data
+    )
+
+
 def mixed_norm(state: FlowState, bg: Background, beta: float) -> RealField:
     """Squared norm of the mixed second derivative in the adjusted metric:
     beta |u_zw|^2 / (g lam h eta)."""
     u_zw = deriv_data(state.u.grid, state.u.data, "z w")
-    val = beta * np.abs(u_zw) ** 2 / (
-        bg.g.data * state.lam.data * bg.h.data * state.eta.data
-    )
-    return RealField(state.u.grid, val)
-
-
-def mixed_norm_sups(traj: Trajectory, bg: Background) -> list[float]:
-    """Per-snapshot sup of the adjusted-metric mixed norm."""
-    return [float(np.max(mixed_norm(s, bg, traj.beta).data))
-            for s in traj.snapshots]
+    return RealField(state.u.grid, _mixed_field(u_zw, state, bg, beta))
 
 
 @dataclass
@@ -108,13 +124,19 @@ class LegendreW:
         return self.w11 * self.w22 - np.abs(self.w12) ** 2
 
 
-def legendre_w(state: FlowState, bg: Background) -> LegendreW:
-    _require_constant_background(bg)
+def legendre_w(state: FlowState, bg: Background,
+               u_zwb: np.ndarray | None = None) -> LegendreW:
+    """W of one snapshot; u_zwb is the potential's u_zwb when the caller
+    already has it."""
+    reason = _background_varies(bg)
+    if reason is not None:
+        raise ConfigurationError(reason)
     g0 = float(bg.g.data.flat[0])
     h0 = float(bg.h.data.flat[0])
     lam_loc = g0 * state.lam.data
     eta_loc = h0 * state.eta.data
-    u_zwb = deriv_data(state.u.grid, state.u.data, "z wb")
+    if u_zwb is None:
+        u_zwb = deriv_data(state.u.grid, state.u.data, "z wb")
     return LegendreW(
         w11=lam_loc + np.abs(u_zwb) ** 2 / eta_loc,
         w12=u_zwb / eta_loc,
@@ -122,10 +144,13 @@ def legendre_w(state: FlowState, bg: Background) -> LegendreW:
     )
 
 
-def det_w_residual(state: FlowState, bg: Background) -> float:
+def det_w_residual(state: FlowState, bg: Background,
+                   w: LegendreW | None = None) -> float:
     """det W against the trace ratio recomputed from the potential, so the
-    check also validates the coherence of the cached traces."""
-    w = legendre_w(state, bg)
+    check also validates the coherence of the cached traces.  w is the
+    snapshot's W when the caller already has it."""
+    if w is None:
+        w = legendre_w(state, bg)
     g0 = float(bg.g.data.flat[0])
     h0 = float(bg.h.data.flat[0])
     u_zzb, u_wwb = factor_laplacians(state.u.grid, state.u.data)
@@ -134,12 +159,23 @@ def det_w_residual(state: FlowState, bg: Background) -> float:
     return float(np.max(np.abs(w.det() - target))) / scale
 
 
-def _require_constant_background(bg: Background) -> None:
+def _background_varies(bg: Background) -> str | None:
+    """Why bg is not constant-coefficient, or None when it is."""
     for name, arr in (("g", bg.g.data), ("h", bg.h.data)):
         if float(arr.max() - arr.min()) > 1e-12 * max(1.0, float(arr.max())):
-            raise ConfigurationError(
-                f"check requires a constant-coefficient background ({name} varies)"
-            )
+            return (f"check requires a constant-coefficient background "
+                    f"({name} varies)")
+    return None
+
+
+def _upper_bound_skip(beta: float, cr: ConstantsReport) -> str | None:
+    """Why the upper-bound estimates (trace_growth, phi_subsolution) do
+    not apply, or None when they do."""
+    if beta <= BETA_MIN:
+        return "beta at or below the universal threshold"
+    if cr.c14 is None:
+        return "upper-bound constants unavailable"
+    return None
 
 
 def c0_series(traj: Trajectory):
@@ -165,14 +201,14 @@ def check_speed_consistency(traj: Trajectory, bg: Background) -> CheckResult:
     """Cached speed equals beta log(lam) - log(eta) at every snapshot."""
     beta = traj.beta
     entries = []
-    for s in traj.snapshots:
+    for i, s in enumerate(traj.snapshots):
         expect = beta * np.log(s.lam.data) - np.log(s.eta.data)
         forcing = traj.meta.get("forcing")
         if forcing is not None:
             expect = expect - forcing
         err = float(np.max(np.abs(s.du_dt.data - expect)))
         tol = 1e-13 * (1.0 + float(np.max(np.abs(s.du_dt.data))))
-        entries.append(MonitorEntry(s.t, tol, err, tol - err, err <= tol))
+        entries.append(MonitorEntry(s.t, tol, err, tol - err, err <= tol, i))
     return _finish("speed_consistency", entries)
 
 
@@ -187,7 +223,7 @@ def check_speed_range(traj: Trajectory, bg: Background) -> CheckResult:
     g_min, g_max = float(g0.min()), float(g0.max())
     entries = []
     prev_max = prev_min = None
-    for s, dt in zip(snaps, traj.dts):
+    for i, (s, dt) in enumerate(zip(snaps, traj.dts)):
         cur_max = float(s.du_dt.data.max())
         cur_min = float(s.du_dt.data.min())
         scale = 1.0 + max(abs(cur_max), abs(cur_min))
@@ -202,7 +238,7 @@ def check_speed_range(traj: Trajectory, bg: Background) -> CheckResult:
         pw_margin = min(g_max + pw_tol - cur_max, cur_min - (g_min - pw_tol))
         margin = min(mono_margin, pw_margin)
         entries.append(
-            MonitorEntry(s.t, mono_tol, cur_max, margin, margin >= 0.0)
+            MonitorEntry(s.t, mono_tol, cur_max, margin, margin >= 0.0, i)
         )
         prev_max, prev_min = cur_max, cur_min
     return _finish("speed_range", entries)
@@ -215,12 +251,12 @@ def check_potential_bounds(traj: Trajectory, bg: Background) -> CheckResult:
     snaps = traj.snapshots
     max_u0 = float(snaps[0].u.data.max())
     entries = []
-    for s, dt in zip(snaps, traj.dts):
+    for i, (s, dt) in enumerate(zip(snaps, traj.dts)):
         tol = max(1e-10, dt * dt) * (1.0 + max_u0)
         lo = float(s.u.data.min())
         hi = float(s.u.data.max())
         margin = min(lo + tol, max_u0 + tol - hi)
-        entries.append(MonitorEntry(s.t, max_u0, hi, margin, margin >= 0.0))
+        entries.append(MonitorEntry(s.t, max_u0, hi, margin, margin >= 0.0, i))
     return _finish("potential_bounds", entries)
 
 
@@ -279,10 +315,10 @@ def check_trace_lower_bound(
         beta, float(g0.min()), float(g0.max()), max_u0, cr.c, delta_grid
     )
     entries = []
-    for s in traj.snapshots:
+    for i, s in enumerate(traj.snapshots):
         obs = float(s.lam.data.min())
         margin = obs - bound + 1e-12
-        entries.append(MonitorEntry(s.t, bound, obs, margin, margin >= 0.0))
+        entries.append(MonitorEntry(s.t, bound, obs, margin, margin >= 0.0, i))
     return _finish("trace_lower_bound", entries)
 
 
@@ -299,11 +335,11 @@ def check_trace_floor(traj: Trajectory, bg: Background,
     snaps = traj.snapshots
     floor0 = float(snaps[0].lam.data.min())
     entries = []
-    for s, dt in zip(snaps, traj.dts):
+    for i, (s, dt) in enumerate(zip(snaps, traj.dts)):
         tol = max(1e-10, dt * dt) * (1.0 + floor0)
         obs = float(s.lam.data.min())
         margin = obs - (floor0 - tol)
-        entries.append(MonitorEntry(s.t, floor0, obs, margin, margin >= 0.0))
+        entries.append(MonitorEntry(s.t, floor0, obs, margin, margin >= 0.0, i))
     return _finish("trace_floor", entries)
 
 
@@ -312,18 +348,18 @@ def check_mixed_growth(
 ) -> CheckResult:
     """Sup of the adjusted-metric mixed norm grows at most like
     max(1 + c0 a_psi, (sup_0 + c0 a_psi) exp(c11 t)).  sups are the
-    per-snapshot sups (mixed_norm_sups), computed here if omitted."""
+    per-snapshot sups (SnapshotPass.sups), computed here if omitted."""
     if sups is None:
-        sups = mixed_norm_sups(traj, bg)
+        sups = snapshot_pass(traj, bg).sups
     shift = cr.c0 * cr.a_psi
     sup0 = sups[0]
     entries = []
-    for s, obs in zip(traj.snapshots, sups):
+    for i, (s, obs) in enumerate(zip(traj.snapshots, sups)):
         expo = min(cr.c11 * s.t, 700.0)
         bound = max(1.0 + shift, (sup0 + shift) * math.exp(expo))
         tol = 1e-8 * (1.0 + bound)
         margin = bound + tol - obs
-        entries.append(MonitorEntry(s.t, bound, obs, margin, margin >= 0.0))
+        entries.append(MonitorEntry(s.t, bound, obs, margin, margin >= 0.0, i))
     return _finish("mixed_growth", entries)
 
 
@@ -332,14 +368,11 @@ def check_trace_growth(
 ) -> CheckResult:
     """max lambda grows at most doubly exponentially:
     log max lam(t) <= log max lam(0) + (b sup_0 + a c0) exp(c14 t).
-    sup_0 is taken from sups (mixed_norm_sups) when given."""
+    sup_0 is taken from sups (SnapshotPass.sups) when given."""
     beta = traj.beta
-    if beta <= BETA_MIN:
-        return CheckResult.skip(
-            "trace_growth", "beta at or below the universal threshold"
-        )
-    if cr.c14 is None:
-        return CheckResult.skip("trace_growth", "upper-bound constants unavailable")
+    reason = _upper_bound_skip(beta, cr)
+    if reason is not None:
+        return CheckResult.skip("trace_growth", reason)
     snaps = traj.snapshots
     if sups is not None:
         sup0 = sups[0]
@@ -348,13 +381,14 @@ def check_trace_growth(
     log_lam0 = math.log(float(snaps[0].lam.data.max()))
     coef = cr.b_phi * sup0 + cr.a_phi * cr.c0
     entries = []
-    for s in snaps:
+    for i, s in enumerate(snaps):
         expo = min(cr.c14 * s.t, 700.0)
         log_bound = log_lam0 + coef * math.exp(expo)
         obs = math.log(float(s.lam.data.max()))
         tol = 1e-8 * (1.0 + abs(log_bound)) if math.isfinite(log_bound) else 0.0
         margin = log_bound + tol - obs
-        entries.append(MonitorEntry(s.t, log_bound, obs, margin, margin >= 0.0))
+        entries.append(MonitorEntry(s.t, log_bound, obs, margin, margin >= 0.0,
+                                    i))
     return _finish("trace_growth", entries)
 
 
@@ -364,15 +398,36 @@ def check_split_preserved(traj: Trajectory, bg: Background,
     if not traj.meta.get("split_initial", False):
         return CheckResult.skip("split_preserved", "initial data is not split")
     entries = []
-    for s in traj.snapshots:
+    for i, s in enumerate(traj.snapshots):
         u_zw = deriv_data(s.u.grid, s.u.data, "z w")
         obs = float(np.max(np.abs(u_zw)))
-        entries.append(MonitorEntry(s.t, tol, obs, tol - obs, obs <= tol))
+        entries.append(MonitorEntry(s.t, tol, obs, tol - obs, obs <= tol, i))
     return _finish("split_preserved", entries)
 
 
 # ---------------------------------------------------------------------------
-# finite-difference heat-operator checks on snapshot triples
+# the snapshot pass and the finite-difference heat-operator checks
+
+
+@dataclass
+class SnapshotPass:
+    """Scalars of one pass over a trajectory's snapshots (snapshot_pass);
+    a part the pass was not asked for is None.
+
+    sups: sup of the mixed norm, per snapshot.
+    det_w: det W residual (det_w_residual), per snapshot.
+    legendre: (i, dt_snap, [(scale, worst) per direction vector]) per
+        interior snapshot i.
+    phi: (i, dt_snap, scale, worst) per interior snapshot i.
+
+    worst is the sup of the finite-difference heat residual (minus the
+    c14 source for phi), scale is 1 + sup|field| of the tested field.
+    """
+
+    sups: list[float] | None = None
+    det_w: list[float] | None = None
+    legendre: list | None = None
+    phi: list | None = None
 
 
 def _centered_dt(fm, f0, fp, hm, hp):
@@ -382,77 +437,137 @@ def _centered_dt(fm, f0, fp, hm, hp):
     return wm * fm + w0 * f0 + wp * fp
 
 
-def _apply_linearized(field_arr, state: FlowState, bg: Background, beta: float):
-    d_z, d_w = factor_laplacians(state.u.grid, field_arr)
-    return (beta / (bg.g.data * state.lam.data)) * d_z + (
-        1.0 / (bg.h.data * state.eta.data)
-    ) * d_w
+def snapshot_pass(traj: Trajectory, bg: Background, checks=(),
+                  cr: ConstantsReport | None = None, sups: bool = True,
+                  vectors=W_VECTORS) -> SnapshotPass:
+    """One pass over the snapshots computing the field scalars of the
+    named checks: det_w and legendre_subsolution (on a constant-coefficient
+    background), phi_subsolution (needs cr), and with sups the per-snapshot
+    mixed-norm sups.  vectors are the directions of the W quads."""
+    beta = traj.beta
+    constant = _background_varies(bg) is None
+    do_det = constant and "det_w" in checks
+    do_leg = constant and "legendre_subsolution" in checks
+    do_phi = ("phi_subsolution" in checks and cr is not None
+              and _upper_bound_skip(beta, cr) is None)
+    want_mixed = sups or do_phi
+    out = SnapshotPass(
+        sups=[] if sups else None, det_w=[] if do_det else None,
+        legendre=[] if do_leg else None, phi=[] if do_phi else None)
+    window = deque(maxlen=3)        # (i, state, quads, phi)
+    for i, s in enumerate(traj.snapshots):
+        grid = s.u.grid
+        mixed = u_zwb = quads = phi = None
+        if do_det or do_leg:
+            hat = fft.fftn(s.u.data)
+            if want_mixed:
+                u_zw = fft.ifftn(grid.apply_multiplier(hat, "z w"))
+                mixed = _mixed_field(u_zw, s, bg, beta)
+                del u_zw
+            u_zwb = fft.ifftn(grid.apply_multiplier(hat, "z wb"))
+            del hat
+        elif want_mixed:
+            mixed = mixed_norm(s, bg, beta).data
+        if sups:
+            out.sups.append(float(np.max(mixed)))
+        if u_zwb is not None:
+            w = legendre_w(s, bg, u_zwb)
+            del u_zwb
+            if do_det:
+                out.det_w.append(det_w_residual(s, bg, w))
+            if do_leg:
+                quads = [w.quad(va, vb) for va, vb in vectors]
+            del w
+        if do_phi:
+            phi = (
+                np.log(s.lam.data)
+                + cr.a_phi * (1.0 / s.lam.data + 1.0 / s.eta.data)
+                + cr.b_phi * mixed
+            )
+        del mixed
+        window.append((i, s, quads, phi))
+        if len(window) == 3 and (do_leg or do_phi):
+            _interior(window, bg, beta, cr, out)
+    return out
+
+
+def _interior(window, bg: Background, beta: float, cr, out: SnapshotPass):
+    """The finite-difference scalars of the middle snapshot of window."""
+    (_, sm, qm, pm), (i, s0, q0, p0), (_, sp, qp, pp) = window
+    hm = s0.t - sm.t
+    hp = sp.t - s0.t
+    dt_snap = max(hm, hp)
+    coef_z = beta / (bg.g.data * s0.lam.data)
+    coef_w = 1.0 / (bg.h.data * s0.eta.data)
+
+    def heat(fm, f0, fp):
+        """Centred d/dt minus the linearised operator at the middle
+        snapshot."""
+        d_z, d_w = factor_laplacians(s0.u.grid, f0)
+        return _centered_dt(fm, f0, fp, hm, hp) - (coef_z * d_z
+                                                   + coef_w * d_w)
+
+    if out.legendre is not None:
+        out.legendre.append((i, dt_snap, [
+            (1.0 + float(np.max(np.abs(b))), float(np.max(heat(a, b, c))))
+            for a, b, c in zip(qm, q0, qp)]))
+    if out.phi is not None:
+        h_phi = heat(pm, p0, pp)
+        rhs = cr.c14 * np.maximum(p0, 1.0)
+        out.phi.append((i, dt_snap, 1.0 + float(np.max(np.abs(p0))),
+                        float(np.max(h_phi - rhs))))
 
 
 def check_legendre_subsolution(
-    traj: Trajectory, bg: Background, vectors=None, fd_coef: float = 1.0
+    traj: Trajectory, bg: Background, vectors=None, fd_coef: float = 1.0,
+    sweep: SnapshotPass | None = None,
 ) -> CheckResult:
     """Every direction pairing of the transform matrix is a heat
     subsolution: the finite-difference heat operator applied to W(v, vbar)
     is nonpositive up to discretisation tolerance.  Needs a
-    constant-coefficient background and at least three snapshots."""
-    try:
-        _require_constant_background(bg)
-    except ConfigurationError as exc:
-        return CheckResult.skip("legendre_subsolution", str(exc))
+    constant-coefficient background and at least three snapshots.  sweep
+    is this trajectory's snapshot_pass with legendre_subsolution among its
+    checks (its vectors then apply); computed here if omitted."""
+    reason = _background_varies(bg)
+    if reason is not None:
+        return CheckResult.skip("legendre_subsolution", reason)
     snaps = traj.snapshots
     if len(snaps) < 3:
         return CheckResult.skip("legendre_subsolution", "needs >= 3 snapshots")
-    if vectors is None:
-        vectors = [(1.0, 0.0), (0.0, 1.0), (1 / math.sqrt(2), 1 / math.sqrt(2))]
-    beta = traj.beta
-    ws = [legendre_w(s, bg) for s in snaps]
+    if sweep is None:
+        sweep = snapshot_pass(traj, bg, ("legendre_subsolution",), sups=False,
+                              vectors=W_VECTORS if vectors is None else vectors)
     entries = []
-    for i in range(1, len(snaps) - 1):
-        hm = snaps[i].t - snaps[i - 1].t
-        hp = snaps[i + 1].t - snaps[i].t
-        dt_snap = max(hm, hp)
+    for i, dt_snap, per_vector in sweep.legendre:
         worst = -math.inf
         tol = FD_FLOOR
-        for va, vb in vectors:
-            qm = ws[i - 1].quad(va, vb)
-            q0 = ws[i].quad(va, vb)
-            qp = ws[i + 1].quad(va, vb)
-            dqdt = _centered_dt(qm, q0, qp, hm, hp)
-            hw = dqdt - _apply_linearized(q0, snaps[i], bg, beta)
-            scale = 1.0 + float(np.max(np.abs(q0)))
+        for scale, worst_v in per_vector:
             tol = max(FD_FLOOR, fd_coef * dt_snap * dt_snap) * scale
-            worst = max(worst, float(np.max(hw)))
+            worst = max(worst, worst_v)
         entries.append(
-            MonitorEntry(snaps[i].t, tol, worst, tol - worst, worst <= tol)
+            MonitorEntry(snaps[i].t, tol, worst, tol - worst, worst <= tol, i)
         )
     return _finish("legendre_subsolution", entries)
 
 
-def check_det_w(traj: Trajectory, bg: Background, tol: float = 1e-12) -> CheckResult:
-    """det W = (g lam)/(h eta) at every snapshot (algebraic identity)."""
-    try:
-        _require_constant_background(bg)
-    except ConfigurationError as exc:
-        return CheckResult.skip("det_w", str(exc))
-    entries = []
-    for s in traj.snapshots:
-        r = det_w_residual(s, bg)
-        entries.append(MonitorEntry(s.t, tol, r, tol - r, r <= tol))
+def check_det_w(traj: Trajectory, bg: Background, tol: float = 1e-12,
+                sweep: SnapshotPass | None = None) -> CheckResult:
+    """det W = (g lam)/(h eta) at every snapshot (algebraic identity).
+    sweep is this trajectory's snapshot_pass with det_w among its checks;
+    computed here if omitted."""
+    reason = _background_varies(bg)
+    if reason is not None:
+        return CheckResult.skip("det_w", reason)
+    if sweep is None:
+        sweep = snapshot_pass(traj, bg, ("det_w",), sups=False)
+    entries = [MonitorEntry(s.t, tol, r, tol - r, r <= tol, i)
+               for i, (s, r) in enumerate(zip(traj.snapshots, sweep.det_w))]
     return _finish("det_w", entries)
 
 
-def _phi_field(state: FlowState, bg: Background, beta: float, cr: ConstantsReport):
-    mixed = mixed_norm(state, bg, beta).data
-    return (
-        np.log(state.lam.data)
-        + cr.a_phi * (1.0 / state.lam.data + 1.0 / state.eta.data)
-        + cr.b_phi * mixed
-    )
-
-
 def check_phi_subsolution(
-    traj: Trajectory, bg: Background, cr: ConstantsReport, fd_coef: float = 1.0
+    traj: Trajectory, bg: Background, cr: ConstantsReport,
+    fd_coef: float = 1.0, sweep: SnapshotPass | None = None,
 ) -> CheckResult:
     """The composite test function Phi = log lam + a(1/lam + 1/eta) +
     b |mixed|^2 satisfies H Phi <= c14 max(Phi, 1) pointwise.
@@ -462,32 +577,23 @@ def check_phi_subsolution(
     below level one the absolute constant c14 itself bounds the source.
     The unguarded form H Phi <= c14 Phi is violated by exact solutions
     wherever Phi < 0 (e.g. split data with lam < 1 has H Phi = 0 > c14 Phi),
-    so it is not a usable runtime check.
+    so it is not a usable runtime check.  sweep is this trajectory's
+    snapshot_pass with phi_subsolution among its checks and the same cr;
+    computed here if omitted.
     """
-    beta = traj.beta
-    if beta <= BETA_MIN:
-        return CheckResult.skip(
-            "phi_subsolution", "beta at or below the universal threshold"
-        )
-    if cr.c14 is None:
-        return CheckResult.skip("phi_subsolution", "upper-bound constants unavailable")
+    reason = _upper_bound_skip(traj.beta, cr)
+    if reason is not None:
+        return CheckResult.skip("phi_subsolution", reason)
     snaps = traj.snapshots
     if len(snaps) < 3:
         return CheckResult.skip("phi_subsolution", "needs >= 3 snapshots")
-    phis = [_phi_field(s, bg, beta, cr) for s in snaps]
+    if sweep is None:
+        sweep = snapshot_pass(traj, bg, ("phi_subsolution",), cr, sups=False)
     entries = []
-    for i in range(1, len(snaps) - 1):
-        hm = snaps[i].t - snaps[i - 1].t
-        hp = snaps[i + 1].t - snaps[i].t
-        dt_snap = max(hm, hp)
-        dphi = _centered_dt(phis[i - 1], phis[i], phis[i + 1], hm, hp)
-        h_phi = dphi - _apply_linearized(phis[i], snaps[i], bg, beta)
-        rhs = cr.c14 * np.maximum(phis[i], 1.0)
-        scale = 1.0 + float(np.max(np.abs(phis[i])))
+    for i, dt_snap, scale, worst in sweep.phi:
         tol = max(FD_FLOOR, fd_coef * dt_snap * dt_snap) * scale
-        worst = float(np.max(h_phi - rhs))
         entries.append(
-            MonitorEntry(snaps[i].t, tol, worst, tol - worst, worst <= tol)
+            MonitorEntry(snaps[i].t, tol, worst, tol - worst, worst <= tol, i)
         )
     return _finish("phi_subsolution", entries)
 
@@ -496,13 +602,36 @@ def check_phi_subsolution(
 # per-call inputs, negative-control helpers and the check registry
 
 
-class _Inputs:
-    """Curvature, constants report and mixed-norm sups of one evaluate
-    call, each computed on first use; never stored on the trajectory, which
-    corrupt_trajectory deep-copies."""
+class MonitorInputs:
+    """What the checks of one evaluate call share, each computed on first
+    use and at most once: the c0 series, the background curvature, the
+    constants report, and the snapshot pass for the enabled checks, which
+    also yields the mixed-norm sups unless they are supplied.  A recipe
+    that reads the sups or the c0 series itself builds one and hands it to
+    evaluate.  Never stored on the trajectory, which corrupt_trajectory
+    deep-copies."""
 
-    def __init__(self, traj: Trajectory, bg: Background, safety: float):
+    def __init__(self, traj: Trajectory, bg: Background, enabled=None,
+                 safety: float = 1.0,
+                 constants_report: ConstantsReport | None = None,
+                 sups: list[float] | None = None):
         self.traj, self.bg, self.safety = traj, bg, safety
+        self.enabled = list(DEFAULT_CHECKS if enabled is None else enabled)
+        for name in self.enabled:
+            if name not in CHECKS:
+                raise ConfigurationError(f"unknown check {name!r}")
+        self._sups_given = sups is not None
+        if sups is not None:
+            if len(sups) != len(traj.snapshots):
+                raise ConfigurationError("sups needs one value per snapshot")
+            self.sups = sups
+        if constants_report is not None:
+            self.cr = constants_report
+
+    @cached_property
+    def c0(self) -> tuple[list[float], list[float]]:
+        """c0_series of the trajectory: per snapshot, and its running max."""
+        return c0_series(self.traj)
 
     @cached_property
     def curv(self) -> CurvatureReport:
@@ -510,14 +639,19 @@ class _Inputs:
 
     @cached_property
     def cr(self) -> ConstantsReport:
-        _, running = c0_series(self.traj)
-        return constants(self.bg, self.traj.beta, c0=running[-1],
+        return constants(self.bg, self.traj.beta, c0=self.c0[1][-1],
                          safety=self.safety, require_upper=False,
                          curv=self.curv)
 
     @cached_property
+    def sweep(self) -> SnapshotPass:
+        cr = self.cr if "phi_subsolution" in self.enabled else None
+        return snapshot_pass(self.traj, self.bg, self.enabled, cr,
+                             sups=not self._sups_given)
+
+    @cached_property
     def sups(self) -> list[float]:
-        return mixed_norm_sups(self.traj, self.bg)
+        return self.sweep.sups
 
 
 def _nonsplit(grid) -> np.ndarray:
@@ -566,13 +700,15 @@ CHECKS: dict[str, Check] = {
         lambda tr, bg, x: check_split_preserved(tr, bg), True,
         lambda s, m: iadd(s[m].u.data, _nonsplit(s[m].u.grid))),
     "legendre_subsolution": Check(
-        lambda tr, bg, x: check_legendre_subsolution(tr, bg), False,
+        lambda tr, bg, x: check_legendre_subsolution(tr, bg, sweep=x.sweep),
+        False,
         _stretch_last),
     "det_w": Check(
-        lambda tr, bg, x: check_det_w(tr, bg), False,
+        lambda tr, bg, x: check_det_w(tr, bg, sweep=x.sweep), False,
         lambda s, m: imul(s[m].lam.data, 1.3)),
     "phi_subsolution": Check(
-        lambda tr, bg, x: check_phi_subsolution(tr, bg, x.cr), False,
+        lambda tr, bg, x: check_phi_subsolution(tr, bg, x.cr,
+                                                sweep=x.sweep), False,
         lambda s, m: imul(s[-1].lam.data, 100.0)),
 }
 
@@ -591,28 +727,25 @@ def evaluate(
     constants_report: ConstantsReport | None = None,
     safety: float = 1.0,
     sups: list[float] | None = None,
+    inputs: MonitorInputs | None = None,
 ) -> dict[str, CheckResult]:
     """Run the requested checks over a trajectory.
 
     The constants report is assembled from the trajectory's own observed
     trace bound sup(1/lambda + 1/eta) unless one is supplied.  sups are
-    the per-snapshot mixed-norm sups of this trajectory (mixed_norm_sups);
-    they and the background curvature are computed at most once here.
+    the per-snapshot mixed-norm sups of this trajectory (SnapshotPass.sups);
+    they, the background curvature and the snapshot pass are computed at
+    most once here.  inputs, a MonitorInputs of this trajectory and
+    background, takes the place of enabled, constants_report, safety and
+    sups.
     """
-    enabled = list(enabled) if enabled is not None else list(DEFAULT_CHECKS)
-    if sups is not None and len(sups) != len(traj.snapshots):
-        raise ConfigurationError("sups needs one value per snapshot")
-    inputs = _Inputs(traj, bg, safety)
-    if constants_report is not None:
-        inputs.cr = constants_report
-    if sups is not None:
-        inputs.sups = sups
-    out: dict[str, CheckResult] = {}
-    for name in enabled:
-        if name not in CHECKS:
-            raise ConfigurationError(f"unknown check {name!r}")
-        out[name] = CHECKS[name].run(traj, bg, inputs)
-    return out
+    if inputs is None:
+        inputs = MonitorInputs(traj, bg, enabled, safety, constants_report,
+                               sups)
+    elif inputs.traj is not traj or inputs.bg is not bg:
+        raise ConfigurationError("inputs belong to another trajectory")
+    return {name: CHECKS[name].run(traj, bg, inputs)
+            for name in inputs.enabled}
 
 
 def corrupt_trajectory(traj: Trajectory, check: str) -> Trajectory:

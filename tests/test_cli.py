@@ -2,12 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from splitma import ConfigurationError
 from splitma.cli import main
 from splitma.config import build_background, build_grid, build_initial, parse_config
 from splitma.experiments import cmd_flow_run, cmd_oracle_2d
+from splitma.monitors import evaluate
 
 
 MINIMAL = """
@@ -19,6 +21,31 @@ periods = 1 1 1 1
 beta = 0.5
 t_end = 0.01
 snapshot_stride = 4
+"""
+
+# non-split data with every monitor on every snapshot
+DENSE_ALL = """
+[grid]
+dims = 8 8 8 8
+periods = 1 1 1 1
+
+[background]
+kind = flat
+
+[flow]
+beta = 0.5
+dt_max = 5e-4
+t_end = 0.004
+snapshot_stride = 1
+steady_tol = 1e-30
+
+[initial]
+kind = random
+amplitude = 0.01
+seed = 2
+
+[monitors]
+enabled = all
 """
 
 SPLIT_RUN = """
@@ -311,3 +338,61 @@ class TestArtifacts:
             "--out", str(tmp_path / "ids2"), "--tamper",
         ])
         assert code == 1
+
+    def test_monitors_transform_each_snapshot_once(self, tmp_path,
+                                                   monkeypatch):
+        """With every check on, the monitors and the run recipe take one
+        fftn per snapshot, of the snapshot's u, and no other."""
+        import splitma._backend as backend
+        import splitma.experiments as exp
+
+        trajs, inputs = [], []
+        real_run, real_fftn = exp.run, backend.fftn
+
+        def run(*a, **k):
+            trajs.append(real_run(*a, **k))
+            return trajs[-1]
+
+        def fftn(a):
+            if trajs:  # after the flow
+                inputs.append(a)
+            return real_fftn(a)
+
+        monkeypatch.setattr(exp, "run", run)
+        monkeypatch.setattr(backend, "fftn", fftn)
+        cfg = parse_config(write_cfg(tmp_path, DENSE_ALL))
+        exp.cmd_flow_run(cfg, tmp_path / "o")
+        snaps = trajs[0].snapshots
+        assert len(snaps) >= 5
+        assert [sum(a is s.u.data for a in inputs) for s in snaps] == (
+            [1] * len(snaps))
+        assert len(inputs) == len(snaps)
+
+    def test_timeseries_rows_follow_snapshot_index(self, tmp_path):
+        """Two snapshots 1e-13 apart in time get their own rows."""
+        import csv
+
+        from splitma.experiments import _write_timeseries
+        from splitma.flow import FlowParams, Trajectory, make_state
+        from splitma.geometry import flat_background
+        from splitma.grid_field import RealField
+
+        grid = build_grid(parse_config(write_cfg(tmp_path, MINIMAL)))
+        bgf = flat_background(grid)
+        x1 = grid.mesh()[0] * np.ones(grid.shape)
+        u = RealField(grid, 0.01 * (2.0 + np.sin(2 * np.pi * x1)))
+        half = RealField(grid, 0.5 * u.data)
+        traj = Trajectory(grid=grid, beta=0.5,
+                          params=FlowParams(beta=0.5, t_end=1.0))
+        traj.snapshots = [make_state(u, bgf, 0.5, 0.5),
+                          make_state(half, bgf, 0.5, 0.5 + 1e-13)]
+        traj.dts = [0.01, 0.01]
+        res = evaluate(traj, bgf, enabled=["potential_bounds"])
+        margins = [e.margin for e in res["potential_bounds"].entries]
+        assert margins[0] != margins[1]
+        path = tmp_path / "timeseries.csv"
+        _write_timeseries(path, traj, res, [0.0, 0.0], [2.0, 2.0])
+        with open(path) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["t"]) for r in rows] == [0.5, 0.5 + 1e-13]
+        assert [float(r["potential_bounds_margin"]) for r in rows] == margins

@@ -304,3 +304,40 @@ class TestFieldIO:
         other = make_grid((8, 8, 8, 8), (1, 1, 1, 1))
         with pytest.raises(FieldFormatError):
             read_field(p, grid=other)
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        import os
+
+        from splitma.experiments import _write_json
+        from splitma.grid_field import atomic_write
+
+        path = tmp_path / "summary.json"
+        path.write_text("old")
+        with pytest.raises(RuntimeError):
+            with atomic_write(path) as fh:
+                fh.write("partial")
+                raise RuntimeError("interrupted")
+        with pytest.raises(TypeError):
+            _write_json(path, {"not serialisable": object()})
+        assert path.read_text() == "old"
+        assert os.listdir(tmp_path) == ["summary.json"]
+
+    def test_failed_field_write_keeps_the_old_file(self, tmp_path,
+                                                   monkeypatch):
+        import json
+        import os
+
+        def boom(*a, **k):
+            raise RuntimeError("interrupted")
+
+        grid = make_grid((8, 8, 8, 8), (1, 1, 1, 1))
+        path = tmp_path / "u.field"
+        write_field(RealField(grid, np.ones(grid.shape)), path)
+        before = path.read_bytes()
+        monkeypatch.setattr(json, "dumps", boom)  # fails after the open
+        with pytest.raises(RuntimeError):
+            write_field(RealField(grid, np.zeros(grid.shape)), path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["u.field"]

@@ -1,5 +1,7 @@
 """Tests for the a-priori bound monitors and their negative controls."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -11,16 +13,19 @@ import splitma.monitors as monitors
 from splitma.monitors import (
     DEFAULT_CHECKS,
     OPTIONAL_CHECKS,
+    MonitorInputs,
     c0_series,
     check_det_w,
     check_legendre_subsolution,
+    check_mixed_growth,
     check_phi_subsolution,
+    check_trace_growth,
     corrupt_trajectory,
     det_w_residual,
     evaluate,
     legendre_w,
     mixed_norm,
-    mixed_norm_sups,
+    snapshot_pass,
     trace_lower_bound_value,
 )
 
@@ -268,7 +273,7 @@ class TestDeterminism:
                 assert a.margin == b.margin and a.observed == b.observed
 
     def test_supplied_sups_match_computed(self, split_traj, bg):
-        sups = mixed_norm_sups(split_traj, bg)
+        sups = snapshot_pass(split_traj, bg).sups
         assert len(sups) == len(split_traj.snapshots)
         r1 = evaluate(split_traj, bg)
         r2 = evaluate(split_traj, bg, sups=sups)
@@ -277,3 +282,59 @@ class TestDeterminism:
                 e.margin for e in r2[name].entries]
         with pytest.raises(ConfigurationError):
             evaluate(split_traj, bg, sups=sups[:-1])
+
+
+class TestSnapshotPass:
+    def test_standalone_checks_match_evaluate(self, dense16):
+        """A check called on its own runs the pass for itself; its entries
+        equal, bit for bit, those of evaluate's shared pass, with or
+        without the recipe's pre-built inputs."""
+        traj, b16 = dense16
+        everything = list(monitors.CHECKS)
+        plain = evaluate(traj, b16, enabled=everything)
+        inputs = MonitorInputs(traj, b16, everything)
+        assert inputs.sups == snapshot_pass(traj, b16).sups
+        shared = evaluate(traj, b16, inputs=inputs)
+        cr = constants(b16, traj.beta, c0=c0_series(traj)[1][-1],
+                       require_upper=False)
+        alone = {
+            "mixed_growth": check_mixed_growth(traj, b16, cr),
+            "trace_growth": check_trace_growth(traj, b16, cr),
+            "legendre_subsolution": check_legendre_subsolution(traj, b16),
+            "det_w": check_det_w(traj, b16),
+            "phi_subsolution": check_phi_subsolution(traj, b16, cr),
+        }
+        for name, res in alone.items():
+            assert res.skipped is None and res.entries, name
+            assert res.entries == plain[name].entries == shared[name].entries
+        for name in everything:
+            assert plain[name].entries == shared[name].entries
+
+    def test_evaluate_rejects_inputs_of_another_trajectory(self, dense16,
+                                                           split_traj, bg):
+        traj, b16 = dense16
+        with pytest.raises(ConfigurationError):
+            evaluate(split_traj, bg, inputs=MonitorInputs(traj, b16))
+
+    def test_memory_does_not_grow_with_snapshots(self, dense16):
+        """The pass keeps a 3-snapshot window: doubling the snapshots may
+        not raise the peak of evaluate by more than two field sizes."""
+        import tracemalloc
+
+        traj, b16 = dense16
+        field_bytes = traj.snapshots[0].u.data.nbytes
+        n = len(traj.snapshots)
+        assert n >= 20
+        half = copy.copy(traj)
+        half.snapshots, half.dts = traj.snapshots[:n // 2], traj.dts[:n // 2]
+        peaks = []
+        for tr in (half, traj):
+            evaluate(tr, b16, enabled=list(monitors.CHECKS))  # warm caches
+            tracemalloc.start()
+            try:
+                evaluate(tr, b16, enabled=list(monitors.CHECKS))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] > 4 * field_bytes  # the fields are traced
+        assert peaks[1] - peaks[0] <= 2 * field_bytes, peaks
