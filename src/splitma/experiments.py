@@ -245,7 +245,8 @@ def cmd_flow_run(cfg: ExperimentConfig, out_dir, seed=None,
     if negative_control is not None and negative_control not in enabled:
         enabled.append(negative_control)
     inputs = MonitorInputs(traj, bg, enabled, cfg.monitors_safety)
-    # the snapshot pass runs here, before the constants, as the sups did
+    # read the sups first, so the snapshot pass runs before the constants
+    # and their working arrays are never alive together
     sups = inputs.sups
     results = evaluate(traj, bg, inputs=inputs)
     _write_timeseries(out / "timeseries.csv", traj, results, sups,

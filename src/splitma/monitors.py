@@ -524,10 +524,12 @@ def check_legendre_subsolution(
 ) -> CheckResult:
     """Every direction pairing of the transform matrix is a heat
     subsolution: the finite-difference heat operator applied to W(v, vbar)
-    is nonpositive up to discretisation tolerance.  Needs a
-    constant-coefficient background and at least three snapshots.  sweep
-    is this trajectory's snapshot_pass with legendre_subsolution among its
-    checks (its vectors then apply); computed here if omitted."""
+    is nonpositive up to discretisation tolerance, each vector against its
+    own tolerance (which scales with that quad's size); an entry reports
+    the vector with the least margin.  Needs a constant-coefficient
+    background and at least three snapshots.  sweep is this trajectory's
+    snapshot_pass with legendre_subsolution among its checks (its vectors
+    then apply); computed here if omitted."""
     reason = _background_varies(bg)
     if reason is not None:
         return CheckResult.skip("legendre_subsolution", reason)
@@ -539,13 +541,12 @@ def check_legendre_subsolution(
                               vectors=W_VECTORS if vectors is None else vectors)
     entries = []
     for i, dt_snap, per_vector in sweep.legendre:
-        worst = -math.inf
-        tol = FD_FLOOR
-        for scale, worst_v in per_vector:
-            tol = max(FD_FLOOR, fd_coef * dt_snap * dt_snap) * scale
-            worst = max(worst, worst_v)
+        fd_tol = max(FD_FLOOR, fd_coef * dt_snap * dt_snap)
+        tols = [(fd_tol * scale, worst) for scale, worst in per_vector]
+        tol, worst = min(tols, key=lambda p: p[0] - p[1])
+        passed = all(w <= t for t, w in tols)
         entries.append(
-            MonitorEntry(snaps[i].t, tol, worst, tol - worst, worst <= tol, i)
+            MonitorEntry(snaps[i].t, tol, worst, tol - worst, passed, i)
         )
     return _finish("legendre_subsolution", entries)
 

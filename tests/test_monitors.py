@@ -149,6 +149,30 @@ class TestLegendreW:
         assert float(w.w11.min()) > 0 and float(w.w22.min()) > 0
         assert float(w.det().min()) > 0
 
+    def test_each_vector_meets_its_own_tolerance(self, grid, bg):
+        """W(e1) = lam rises at 1e-5 per unit time, above its own tolerance
+        FD_FLOOR (1 + lam); W(e2) = 1/eta = 100 is constant and makes the
+        later vectors' tolerances about 50x larger.  The check must fail
+        on the first vector."""
+        from splitma.flow import FlowState, Trajectory
+
+        zero = RealField.zeros(grid)
+        traj = Trajectory(grid=grid, beta=0.5,
+                          params=FlowParams(beta=0.5, t_end=1.0))
+        for k in range(3):
+            t = 1e-4 * k
+            lam = RealField(grid, np.full(grid.shape, 0.01 + 1e-5 * t))
+            eta = RealField(grid, np.full(grid.shape, 0.01))
+            traj.snapshots.append(FlowState(zero, t, lam, eta, zero))
+            traj.dts.append(1e-4)
+        res = check_legendre_subsolution(traj, bg)
+        assert res.skipped is None and len(res.entries) == 1
+        e = res.entries[0]
+        assert not res.passed
+        assert e.bound < 1.1 * monitors.FD_FLOOR  # the first vector's scale
+        assert abs(e.observed - 1e-5) < 1e-9
+        assert e.margin == e.bound - e.observed < 0.0
+
     def test_requires_constant_background(self, grid):
         x1 = grid.mesh()[0]
         gp = (1 + 0.3 * np.cos(TWO_PI * np.arange(8) / 8))[:, None] * np.ones((1, 8))
