@@ -438,12 +438,12 @@ def _centered_dt(fm, f0, fp, hm, hp):
 
 
 def snapshot_pass(traj: Trajectory, bg: Background, checks=(),
-                  cr: ConstantsReport | None = None, sups: bool = True,
-                  vectors=W_VECTORS) -> SnapshotPass:
+                  cr: ConstantsReport | None = None,
+                  sups: bool = True) -> SnapshotPass:
     """One pass over the snapshots computing the field scalars of the
     named checks: det_w and legendre_subsolution (on a constant-coefficient
     background), phi_subsolution (needs cr), and with sups the per-snapshot
-    mixed-norm sups.  vectors are the directions of the W quads."""
+    mixed-norm sups."""
     beta = traj.beta
     constant = _background_varies(bg) is None
     do_det = constant and "det_w" in checks
@@ -476,7 +476,7 @@ def snapshot_pass(traj: Trajectory, bg: Background, checks=(),
             if do_det:
                 out.det_w.append(det_w_residual(s, bg, w))
             if do_leg:
-                quads = [w.quad(va, vb) for va, vb in vectors]
+                quads = [w.quad(va, vb) for va, vb in W_VECTORS]
             del w
         if do_phi:
             phi = (
@@ -519,17 +519,17 @@ def _interior(window, bg: Background, beta: float, cr, out: SnapshotPass):
 
 
 def check_legendre_subsolution(
-    traj: Trajectory, bg: Background, vectors=None, fd_coef: float = 1.0,
+    traj: Trajectory, bg: Background, fd_coef: float = 1.0,
     sweep: SnapshotPass | None = None,
 ) -> CheckResult:
     """Every direction pairing of the transform matrix is a heat
-    subsolution: the finite-difference heat operator applied to W(v, vbar)
-    is nonpositive up to discretisation tolerance, each vector against its
-    own tolerance (which scales with that quad's size); an entry reports
-    the vector with the least margin.  Needs a constant-coefficient
-    background and at least three snapshots.  sweep is this trajectory's
-    snapshot_pass with legendre_subsolution among its checks (its vectors
-    then apply); computed here if omitted."""
+    subsolution: the finite-difference heat operator applied to W(v, vbar),
+    for each v in W_VECTORS, is nonpositive up to discretisation
+    tolerance, each vector against its own tolerance (which scales with
+    that quad's size); an entry reports the vector with the least margin.
+    Needs a constant-coefficient background and at least three snapshots.
+    sweep is this trajectory's snapshot_pass with legendre_subsolution
+    among its checks; computed here if omitted."""
     reason = _background_varies(bg)
     if reason is not None:
         return CheckResult.skip("legendre_subsolution", reason)
@@ -537,8 +537,7 @@ def check_legendre_subsolution(
     if len(snaps) < 3:
         return CheckResult.skip("legendre_subsolution", "needs >= 3 snapshots")
     if sweep is None:
-        sweep = snapshot_pass(traj, bg, ("legendre_subsolution",), sups=False,
-                              vectors=W_VECTORS if vectors is None else vectors)
+        sweep = snapshot_pass(traj, bg, ("legendre_subsolution",), sups=False)
     entries = []
     for i, dt_snap, per_vector in sweep.legendre:
         fd_tol = max(FD_FLOOR, fd_coef * dt_snap * dt_snap)
