@@ -408,7 +408,8 @@ def atomic_write(path: str | os.PathLike, mode: str = "w"):
     """Open a file for writing that replaces path only when the block
     exits cleanly: the data goes to a temporary file in the same directory,
     which os.replace then moves over path.  If the block raises, the
-    temporary file is removed and path is left as it was."""
+    temporary file is removed and path is left as it was.  There is no
+    fsync: this guards against an interrupted writer, not a power loss."""
     path = os.fspath(path)
     tmp = os.path.join(os.path.dirname(path),
                        f".{os.path.basename(path)}.{os.getpid()}.tmp")
