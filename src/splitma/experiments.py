@@ -22,6 +22,7 @@ from .flow import (
     FlowParams,
     Trajectory,
     gauge_out_f,
+    integrate,
     is_split,
     normalize_compat,
     normalize_exponents,
@@ -53,11 +54,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-# Checkpoint runs (sweep, oracle) never stop early and snapshot only at
-# their checkpoints and at t_end.
-_CHECKPOINT_RUN = dict(steady_tol=1e-30, snapshot_stride=10**9)
-
-
 def _flow_params(cfg: ExperimentConfig, beta: float, **overrides) -> FlowParams:
     """The one builder of FlowParams: the config's [flow] values with
     t_end scaled by alpha, then overrides; validated once, on the result."""
@@ -86,6 +82,16 @@ def _at_checkpoint(times, items, t):
     if abs(times[i] - t) > 1e-9:
         raise NumericalFailure(f"missed checkpoint {t}")
     return items[i]
+
+
+def _checkpoint_states(bg, u0, params: FlowParams, cps):
+    """The initial state and the state at each checkpoint time of a run
+    that never stops early; the last checkpoint is t_end."""
+    states = [s for i, (s, _, at_stop) in enumerate(
+        integrate(bg, u0, params, stops=cps)) if i == 0 or at_stop]
+    if len(states) == 1:  # t_end within 1e-12 of 0: no step was taken
+        states *= len(cps) + 1
+    return states
 
 
 def _enabled_checks(cfg: ExperimentConfig):
@@ -366,22 +372,17 @@ def cmd_beta_sweep(cfg: ExperimentConfig, beta_list, out_dir, seed=None,
     u0 = shift_min_zero(build_initial(cfg, grid, bg, seed_override=seed))
     t_end = cfg.t_end
     cps = [t_end * (i + 1) / n_checkpoints for i in range(n_checkpoints)]
-    runs = {}
-    for b in betas:
-        params = _flow_params(cfg, b, t_end=t_end, **_CHECKPOINT_RUN)
-        runs[b] = run(bg, u0, params, checkpoint_times=cps)
+    runs = {b: _checkpoint_states(bg, u0, _flow_params(cfg, b, t_end=t_end),
+                                  cps)
+            for b in betas}
 
     ref = runs[1.0]
     per_beta = {}
     curv_ok = curvature(bg).mixed_curvature_nonneg
     for b in betas:
         series, running = c0_series(runs[b])
-        dists = [
-            float(np.max(np.abs(
-                _at_checkpoint(runs[b].times, runs[b].snapshots, t).u.data
-                - _at_checkpoint(ref.times, ref.snapshots, t).u.data)))
-            for t in cps
-        ]
+        dists = [float(np.max(np.abs(s.u.data - r.u.data)))
+                 for s, r in zip(runs[b][1:], ref[1:])]
         per_beta[b] = {
             "c0_initial": series[0],
             "c0_max": running[-1],
@@ -428,10 +429,9 @@ def cmd_oracle_2d(cfg: ExperimentConfig, out_dir, seed=None,
     beta = cfg.beta / cfg.alpha
     t_end = cfg.t_end
     cps = [t_end * (i + 1) / n_checkpoints for i in range(n_checkpoints)]
-    # oracle2d has no spectral filter and judges steadiness by oscillation
-    params = _flow_params(cfg, beta, t_end=t_end, steady_criterion="osc",
-                          spectral_filter=False, **_CHECKPOINT_RUN)
-    traj = run(bg, u0, params, checkpoint_times=cps)
+    # oracle2d has no spectral filter
+    params = _flow_params(cfg, beta, t_end=t_end, spectral_filter=False)
+    states = _checkpoint_states(bg, u0, params, cps)
 
     a0 = u0.data.mean(axis=(2, 3))
     b0 = u0.data.mean(axis=(0, 1)) - float(u0.data.mean())
@@ -443,13 +443,12 @@ def cmd_oracle_2d(cfg: ExperimentConfig, out_dir, seed=None,
     fb = run_factor_flow(b0, h2d, pw, 1.0, "minus", t_end, cps, cfl=cfg.cfl)
 
     errors = []
-    for t in cps:
+    for t, s in zip(cps, states[1:]):
         combo = (
             _at_checkpoint(fa.times, fa.states, t)[:, :, None, None]
             + _at_checkpoint(fb.times, fb.states, t)[None, None, :, :]
         )
-        u4 = _at_checkpoint(traj.times, traj.snapshots, t).u.data
-        errors.append(float(np.max(np.abs(u4 - combo))))
+        errors.append(float(np.max(np.abs(s.u.data - combo))))
     ok = max(errors) <= tol
     report = {
         "schema_version": SCHEMA_VERSION,

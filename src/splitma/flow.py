@@ -7,6 +7,11 @@ with classical four-stage explicit stepping under an adaptive stability
 limit.  The admissibility cone (lambda > 0, eta > 0) is enforced at every
 stage; a violated stage rejects the step, halves dt and retries, so that
 persistent failure is loud rather than silently degenerate.
+
+All stepping lives in one generator, integrate, which yields the initial
+state and the state after every accepted step.  run keeps a Trajectory of
+its snapshots and stops on steadiness; the exponent sweep and the factor
+oracle (experiments) keep the initial state and the checkpoint states.
 """
 
 from __future__ import annotations
@@ -170,20 +175,15 @@ def spectral_radius_bounds(grid: TorusGrid) -> tuple[float, float]:
 def dt_adaptive(
     state: FlowState, bg: Background, beta: float, cfl: float, dt_max: float
 ) -> float:
-    """Stability-limited step cfl / rho, rho from _stability_radius."""
+    """Stability-limited step cfl / rho: rho is the sup of the linearised
+    operator's coefficients, each times its factor Laplacian spectral
+    radius (spectral_radius_bounds)."""
     kz, kw = spectral_radius_bounds(state.u.grid)
-    rho = _stability_radius(state.lam.data, state.eta.data, bg, beta, kz, kw)
-    return min(dt_max, cfl / rho)
-
-
-def _stability_radius(lam, eta, bg: Background, beta: float,
-                      kz: float, kw: float) -> float:
-    """Sup of the linearised operator's coefficients, each times its
-    factor Laplacian spectral radius (kz, kw from spectral_radius_bounds)."""
-    return (
-        float(np.max(beta / (bg.g.data * lam))) * kz
-        + float(np.max(1.0 / (bg.h.data * eta))) * kw
+    rho = (
+        float(np.max(beta / (bg.g.data * state.lam.data))) * kz
+        + float(np.max(1.0 / (bg.h.data * state.eta.data))) * kw
     )
+    return min(dt_max, cfl / rho)
 
 
 def _speed_of(u_data, bg, beta, floor, forcing, t):
@@ -253,6 +253,48 @@ def steady_residual(speed: np.ndarray, criterion: str) -> float:
     return float(np.max(np.abs(speed)))
 
 
+def integrate(
+    bg: Background,
+    u0: RealField,
+    params: FlowParams,
+    forcing: RealField | None = None,
+    stops=(),
+):
+    """Yield (state, dt_used, at_stop) for the initial state (dt_used 0)
+    and after every accepted step, until t_end.
+
+    Each step is the stability limit dt_adaptive, cut to t_end and
+    shortened to land on the next of the stops in (0, t_end]; at_stop is
+    true at each stop hit and at t_end.  The yielded arrays are fresh at
+    every step and are the inputs of the next one: do not modify them.
+    """
+    beta, floor, eps = params.beta, params.admissibility_floor, 1e-12
+    f = None if forcing is None else forcing.data
+    stops = sorted(t for t in stops if 0.0 < t <= params.t_end)
+    state = make_state(u0.copy(), bg, beta, 0.0, floor, forcing)
+    yield state, 0.0, state.t >= params.t_end - eps
+    t, k = 0.0, 0
+    while t < params.t_end - eps:
+        dt = min(dt_adaptive(state, bg, beta, params.cfl, params.dt_max),
+                 params.t_end - t)
+        hit = k < len(stops) and stops[k] - t <= dt + eps
+        if hit:
+            dt = stops[k] - t
+        (u, lam, eta, speed), dt_used = step_with_rejection(
+            state.u.data, bg, beta, dt, floor, f, t, k1=state.du_dt.data
+        )
+        if params.spectral_filter:
+            u = exponential_filter(u0.grid, u)
+            lam, eta = _lambda_eta_data(u, bg, floor, t)
+            speed = flow_speed(lam, eta, beta, f)
+        t += dt_used
+        hit = hit and dt_used == dt
+        k += hit
+        state = FlowState(RealField(u0.grid, u), t, RealField(u0.grid, lam),
+                          RealField(u0.grid, eta), RealField(u0.grid, speed))
+        yield state, dt_used, hit or t >= params.t_end - eps
+
+
 def run(
     bg: Background,
     u0: RealField,
@@ -262,90 +304,36 @@ def run(
 ) -> Trajectory:
     """Integrate until t_end, steadiness, or failure.
 
-    Snapshots are taken every snapshot_stride accepted steps plus at every
-    checkpoint time and at termination.  Steadiness is judged on the speed
-    field: oscillation below steady_tol ("osc", the right notion before
-    gauging, where the flow may drift at a constant rate) or sup-norm
-    below steady_tol ("norm", for gauged problems).
+    Keeps the state of integrate every snapshot_stride accepted steps, at
+    every checkpoint time and at t_end.  Stops at the first kept state
+    whose speed is steady: oscillation below steady_tol ("osc", the right
+    notion before gauging, where the flow may drift at a constant rate) or
+    sup-norm below steady_tol ("norm", for gauged problems).
     """
-    beta = params.beta
-    floor = params.admissibility_floor
-    f = None if forcing is None else forcing.data
-    grid = u0.grid
-    traj = Trajectory(grid=grid, beta=beta, params=params)
-    traj.meta["forcing"] = f
+    traj = Trajectory(grid=u0.grid, beta=params.beta, params=params,
+                      termination="t_end")
+    traj.meta["forcing"] = None if forcing is None else forcing.data
     traj.meta["reduced"] = forcing is None and abs(float(u0.data.min())) < 1e-12
     traj.meta["split_initial"] = is_split(u0)
-
-    state = make_state(u0.copy(), bg, beta, 0.0, floor, forcing)
-    traj.snapshots.append(state)
-    traj.dts.append(0.0)
-
-    cps = sorted(t for t in (checkpoint_times or []) if 0.0 < t <= params.t_end)
-
-    def is_steady(speed: np.ndarray) -> tuple[bool, float]:
-        r = steady_residual(speed, params.steady_criterion)
-        return r < params.steady_tol, r
-
-    steady0, _ = is_steady(state.du_dt.data)
-    if steady0 or params.t_end == 0.0:
-        traj.termination = "steady" if steady0 else "t_end"
-        return traj
-
-    u = u0.data.copy()
-    lam, eta, speed = state.lam.data, state.eta.data, state.du_dt.data
-    kz, kw = spectral_radius_bounds(grid)
-    t = 0.0
-    step_i = 0
-    cp_idx = 0
-    eps = 1e-12
-    while t < params.t_end - eps:
-        rho = _stability_radius(lam, eta, bg, beta, kz, kw)
-        dt = min(params.dt_max, params.cfl / rho, params.t_end - t)
-        hit_cp = False
-        if cp_idx < len(cps):
-            remaining = cps[cp_idx] - t
-            if remaining <= dt + eps:
-                dt = remaining
-                hit_cp = True
-        try:
-            (u, lam, eta, speed), dt_used = step_with_rejection(
-                u, bg, beta, dt, floor, f, t, k1=speed
-            )
-            if params.spectral_filter:
-                u = exponential_filter(grid, u)
-                lam, eta = _lambda_eta_data(u, bg, floor, t)
-                speed = flow_speed(lam, eta, beta, f)
-        except (NumericalFailure, AdmissibilityLost) as exc:
-            traj.termination = "failed"
-            traj.meta["failed_at"] = t
-            # surface the failing time and the partial trajectory so the
-            # caller can dump the last admissible state
-            exc.trajectory = traj
-            raise
-        t += dt_used
-        step_i += 1
-        if hit_cp and dt_used == dt:
-            cp_idx += 1
-        at_snapshot = (
-            step_i % params.snapshot_stride == 0
-            or t >= params.t_end - eps
-            or (hit_cp and dt_used == dt)
-        )
-        if at_snapshot:
-            snap = FlowState(
-                u=RealField(grid, u.copy()), t=t,
-                lam=RealField(grid, lam.copy()), eta=RealField(grid, eta.copy()),
-                du_dt=RealField(grid, speed.copy()),
-            )
-            traj.snapshots.append(snap)
-            traj.dts.append(dt_used)
-            steady, res = is_steady(speed)
-            if steady:
-                traj.termination = "steady"
-                traj.meta["steady_residual"] = res
-                return traj
-    traj.termination = "t_end"
+    t = None
+    try:
+        for i, (state, dt_used, at_stop) in enumerate(
+                integrate(bg, u0, params, forcing, checkpoint_times or ())):
+            t = state.t
+            if i % params.snapshot_stride == 0 or at_stop:
+                traj.snapshots.append(state)
+                traj.dts.append(dt_used)
+                if steady_residual(state.du_dt.data,
+                                   params.steady_criterion) < params.steady_tol:
+                    traj.termination = "steady"
+                    break
+    except (NumericalFailure, AdmissibilityLost) as exc:
+        traj.termination = "failed"
+        traj.meta["failed_at"] = t
+        # surface the failing time and the partial trajectory so the
+        # caller can dump the last admissible state
+        exc.trajectory = traj
+        raise
     return traj
 
 

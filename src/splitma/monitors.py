@@ -11,14 +11,15 @@ evidence the checks can actually bite.
 The field work of the checks is one pass over the snapshots
 (snapshot_pass).  At each snapshot it transforms u once: with a W check on
 a constant-coefficient background, one fftn gives both u_zw and u_zwb
-(two ifftn) and is freed at once; otherwise mixed_norm takes u_zw from one
-deriv_data call.  It builds the mixed-norm field once (its sup serves
-mixed_growth, trace_growth and the run recipe's sup_mixed_norm column; the
-field itself is the b term of Phi), W once (its det residual, and one
-quad per direction vector) and Phi once.  The centred time differences of
-legendre_subsolution and phi_subsolution need only the last three
-snapshots, so the pass keeps a 3-snapshot window of quads and Phi and
-emits scalars; its memory does not grow with the number of snapshots.
+(two ifftn) and is freed at once; otherwise one deriv_data call gives
+u_zw.  It takes sup|u_zw| (split_preserved) and builds the mixed-norm
+field once (its sup serves mixed_growth, trace_growth and the run recipe's
+sup_mixed_norm column; the field itself is the b term of Phi), W once
+(its det residual, and one quad per direction vector) and Phi once.
+The centred time differences of legendre_subsolution and phi_subsolution
+need only the last three snapshots, so the pass keeps a 3-snapshot window
+of quads and Phi and emits scalars; its memory does not grow with the
+number of snapshots.
 MonitorInputs runs the pass at most once per evaluate, for the enabled
 checks only; a check called on its own runs the pass for itself.
 
@@ -178,11 +179,9 @@ def _upper_bound_skip(beta: float, cr: ConstantsReport) -> str | None:
     return None
 
 
-def c0_series(traj: Trajectory):
-    """Per-snapshot sup(1/lambda + 1/eta) and its running max."""
-    series = [
-        float(np.max(1.0 / s.lam.data + 1.0 / s.eta.data)) for s in traj.snapshots
-    ]
+def c0_series(states: list[FlowState]):
+    """Per-state sup(1/lambda + 1/eta) and its running max."""
+    series = [float(np.max(1.0 / s.lam.data + 1.0 / s.eta.data)) for s in states]
     running = list(np.maximum.accumulate(series))
     return series, running
 
@@ -393,15 +392,17 @@ def check_trace_growth(
 
 
 def check_split_preserved(traj: Trajectory, bg: Background,
-                          tol: float = 1e-10) -> CheckResult:
-    """Split initial data keeps a vanishing mixed derivative."""
+                          tol: float = 1e-10,
+                          sweep: SnapshotPass | None = None) -> CheckResult:
+    """Split initial data keeps a vanishing mixed derivative.  sweep is
+    this trajectory's snapshot_pass with split_preserved among its checks;
+    computed here if omitted."""
     if not traj.meta.get("split_initial", False):
         return CheckResult.skip("split_preserved", "initial data is not split")
-    entries = []
-    for i, s in enumerate(traj.snapshots):
-        u_zw = deriv_data(s.u.grid, s.u.data, "z w")
-        obs = float(np.max(np.abs(u_zw)))
-        entries.append(MonitorEntry(s.t, tol, obs, tol - obs, obs <= tol, i))
+    if sweep is None:
+        sweep = snapshot_pass(traj, bg, ("split_preserved",), sups=False)
+    entries = [MonitorEntry(s.t, tol, obs, tol - obs, obs <= tol, i)
+               for i, (s, obs) in enumerate(zip(traj.snapshots, sweep.zw))]
     return _finish("split_preserved", entries)
 
 
@@ -415,6 +416,7 @@ class SnapshotPass:
     a part the pass was not asked for is None.
 
     sups: sup of the mixed norm, per snapshot.
+    zw: sup|u_zw|, per snapshot (split_preserved, on split initial data).
     det_w: det W residual (det_w_residual), per snapshot.
     legendre: (i, dt_snap, [(scale, worst) per direction vector]) per
         interior snapshot i.
@@ -425,6 +427,7 @@ class SnapshotPass:
     """
 
     sups: list[float] | None = None
+    zw: list[float] | None = None
     det_w: list[float] | None = None
     legendre: list | None = None
     phi: list | None = None
@@ -441,36 +444,44 @@ def snapshot_pass(traj: Trajectory, bg: Background, checks=(),
                   cr: ConstantsReport | None = None,
                   sups: bool = True) -> SnapshotPass:
     """One pass over the snapshots computing the field scalars of the
-    named checks: det_w and legendre_subsolution (on a constant-coefficient
-    background), phi_subsolution (needs cr), and with sups the per-snapshot
-    mixed-norm sups."""
+    named checks: split_preserved (on split initial data), det_w and
+    legendre_subsolution (on a constant-coefficient background),
+    phi_subsolution (needs cr), and with sups the per-snapshot mixed-norm
+    sups."""
     beta = traj.beta
     constant = _background_varies(bg) is None
+    do_zw = "split_preserved" in checks and traj.meta.get("split_initial")
     do_det = constant and "det_w" in checks
     do_leg = constant and "legendre_subsolution" in checks
     do_phi = ("phi_subsolution" in checks and cr is not None
               and _upper_bound_skip(beta, cr) is None)
     want_mixed = sups or do_phi
     out = SnapshotPass(
-        sups=[] if sups else None, det_w=[] if do_det else None,
-        legendre=[] if do_leg else None, phi=[] if do_phi else None)
+        sups=[] if sups else None, zw=[] if do_zw else None,
+        det_w=[] if do_det else None, legendre=[] if do_leg else None,
+        phi=[] if do_phi else None)
     window = deque(maxlen=3)        # (i, state, quads, phi)
     for i, s in enumerate(traj.snapshots):
         grid = s.u.grid
-        mixed = u_zwb = quads = phi = None
-        if do_det or do_leg:
-            hat = fft.fftn(s.u.data)
-            if want_mixed:
+        mixed = u_zw = quads = phi = None
+        hat = fft.fftn(s.u.data) if do_det or do_leg else None
+        if hat is not None:
+            if want_mixed or do_zw:
                 u_zw = fft.ifftn(grid.apply_multiplier(hat, "z w"))
-                mixed = _mixed_field(u_zw, s, bg, beta)
-                del u_zw
-            u_zwb = fft.ifftn(grid.apply_multiplier(hat, "z wb"))
-            del hat
+        elif do_zw:
+            u_zw = deriv_data(grid, s.u.data, "z w")
         elif want_mixed:
             mixed = mixed_norm(s, bg, beta).data
+        if u_zw is not None and want_mixed:
+            mixed = _mixed_field(u_zw, s, bg, beta)
+        if do_zw:
+            out.zw.append(float(np.max(np.abs(u_zw))))
+        del u_zw            # before u_zwb: one complex field less at peak
         if sups:
             out.sups.append(float(np.max(mixed)))
-        if u_zwb is not None:
+        if hat is not None:
+            u_zwb = fft.ifftn(grid.apply_multiplier(hat, "z wb"))
+            del hat
             w = legendre_w(s, bg, u_zwb)
             del u_zwb
             if do_det:
@@ -631,7 +642,7 @@ class MonitorInputs:
     @cached_property
     def c0(self) -> tuple[list[float], list[float]]:
         """c0_series of the trajectory: per snapshot, and its running max."""
-        return c0_series(self.traj)
+        return c0_series(self.traj.snapshots)
 
     @cached_property
     def curv(self) -> CurvatureReport:
@@ -697,7 +708,7 @@ CHECKS: dict[str, Check] = {
         lambda tr, bg, x: check_trace_growth(tr, bg, x.cr, x.sups), True,
         lambda s, m: imul(s[1].lam.data, 10.0)),
     "split_preserved": Check(
-        lambda tr, bg, x: check_split_preserved(tr, bg), True,
+        lambda tr, bg, x: check_split_preserved(tr, bg, sweep=x.sweep), True,
         lambda s, m: iadd(s[m].u.data, _nonsplit(s[m].u.grid))),
     "legendre_subsolution": Check(
         lambda tr, bg, x: check_legendre_subsolution(tr, bg, sweep=x.sweep),

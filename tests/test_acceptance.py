@@ -210,7 +210,7 @@ def test_legendre_subsolution(dense_run, flat16):
 
 def test_growth_bounds(monitored_split_run, nonsplit_run, flat16):
     traj, results, _ = monitored_split_run
-    cr_split = constants(flat16, 0.5, c0=max(c0_series(traj)[1]))
+    cr_split = constants(flat16, 0.5, c0=max(c0_series(traj.snapshots)[1]))
     assert cr_split.a_psi == 0.0 and cr_split.c11 == 2.0
     assert cr_split.a_phi == 0.0 and cr_split.c14 == 2.0 * cr_split.b_phi
     checks = [
@@ -218,7 +218,7 @@ def test_growth_bounds(monitored_split_run, nonsplit_run, flat16):
         results["trace_growth"],
         check_phi_subsolution(traj, flat16, cr_split),
     ]
-    cr_ns = constants(flat16, 0.5, c0=max(c0_series(nonsplit_run)[1]))
+    cr_ns = constants(flat16, 0.5, c0=max(c0_series(nonsplit_run.snapshots)[1]))
     checks += [
         check_mixed_growth(nonsplit_run, flat16, cr_ns),
         check_trace_growth(nonsplit_run, flat16, cr_ns),

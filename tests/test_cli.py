@@ -339,10 +339,10 @@ class TestArtifacts:
         ])
         assert code == 1
 
-    def test_monitors_transform_each_snapshot_once(self, tmp_path,
-                                                   monkeypatch):
-        """With every check on, the monitors and the run recipe take one
-        fftn per snapshot, of the snapshot's u, and no other."""
+    @staticmethod
+    def fftn_after_flow(tmp_path, monkeypatch, text):
+        """Run the recipe on text; returns its report, the trajectory's
+        snapshots and the input of every fftn taken after the flow."""
         import splitma._backend as backend
         import splitma.experiments as exp
 
@@ -360,13 +360,52 @@ class TestArtifacts:
 
         monkeypatch.setattr(exp, "run", run)
         monkeypatch.setattr(backend, "fftn", fftn)
-        cfg = parse_config(write_cfg(tmp_path, DENSE_ALL))
-        exp.cmd_flow_run(cfg, tmp_path / "o")
-        snaps = trajs[0].snapshots
+        cfg = parse_config(write_cfg(tmp_path, text))
+        _, rep = exp.cmd_flow_run(cfg, tmp_path / "o")
+        return rep, trajs[0].snapshots, inputs
+
+    def test_monitors_transform_each_snapshot_once(self, tmp_path,
+                                                   monkeypatch):
+        """With every check on, the monitors and the run recipe take one
+        fftn per snapshot, of the snapshot's u, and no other."""
+        _, snaps, inputs = self.fftn_after_flow(tmp_path, monkeypatch,
+                                                DENSE_ALL)
         assert len(snaps) >= 5
         assert [sum(a is s.u.data for a in inputs) for s in snaps] == (
             [1] * len(snaps))
         assert len(inputs) == len(snaps)
+
+    def test_default_checks_transform_each_snapshot_once(self, tmp_path,
+                                                         monkeypatch):
+        """On split data the default checks, split_preserved included,
+        take one fftn per snapshot."""
+        rep, snaps, inputs = self.fftn_after_flow(tmp_path, monkeypatch,
+                                                  SPLIT_RUN)
+        assert rep["checks"]["split_preserved"]["passed"]
+        assert rep["checks"]["split_preserved"]["skipped"] is None
+        assert len(snaps) >= 5
+        assert [sum(a is s.u.data for a in inputs) for s in snaps] == (
+            [1] * len(snaps))
+        assert len(inputs) == len(snaps)
+
+    @pytest.mark.parametrize("t_end", ["0.01", "0"])
+    def test_checkpoint_recipes_on_steady_data(self, tmp_path, t_end):
+        """Zero initial data never moves: every distance and error is 0,
+        also when t_end = 0 leaves every checkpoint at the initial state."""
+        text = SPLIT_RUN.replace("t_end = 0.05", f"t_end = {t_end}").replace(
+            "kind = split_sine", "kind = zero").replace(
+            "a_amp = 0.05", "").replace("b_amp = 0.05", "")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["beta-sweep", "--config", str(cfg), "--betas", "0.5,0.9",
+                     "--out", str(tmp_path / "sw")]) == 0
+        rep = json.loads((tmp_path / "sw" / "beta_sweep.json").read_text())
+        for per in rep["per_beta"].values():
+            assert per["distances"] == [0.0] * len(rep["checkpoints"])
+        assert main(["oracle-2d", "--config", str(cfg),
+                     "--out", str(tmp_path / "or")]) == 0
+        rep = json.loads((tmp_path / "or" / "oracle_2d.json").read_text())
+        assert rep["max_error"] == 0.0
+        assert len(rep["errors"]) == len(rep["checkpoints"])
 
     def test_timeseries_rows_follow_snapshot_index(self, tmp_path):
         """Two snapshots 1e-13 apart in time get their own rows."""

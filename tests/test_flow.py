@@ -12,6 +12,7 @@ from splitma.flow import (
     dt_adaptive,
     flow_speed,
     gauge_out_f,
+    integrate,
     lambda_eta,
     make_state,
     normalize_compat,
@@ -189,6 +190,70 @@ class TestStepping:
         times = traj.times
         for c in cps:
             assert any(abs(t - c) < 1e-12 for t in times), (c, times)
+
+
+class TestIntegrate:
+    """The one run loop: its yields, its stops and its trace evaluations."""
+
+    @pytest.fixture
+    def small(self):
+        g8 = make_grid((8, 8, 8, 8), (1, 1, 1, 1))
+        return g8, flat_background(g8)
+
+    @staticmethod
+    def count_trace_evals(monkeypatch):
+        import splitma.flow as flow
+
+        calls = []
+        real = flow._lambda_eta_data
+
+        def counted(*a, **k):
+            calls.append(1)
+            return real(*a, **k)
+
+        monkeypatch.setattr(flow, "_lambda_eta_data", counted)
+        return calls
+
+    @pytest.mark.parametrize("filtered, per_step", [(False, 4), (True, 5)])
+    def test_clean_run_trace_evals(self, small, monkeypatch, filtered,
+                                   per_step):
+        # k1 is the speed of the accepted state: four evaluations a step,
+        # one more when the spectral filter re-evaluates the filtered state
+        g8, b8 = small
+        calls = self.count_trace_evals(monkeypatch)
+        params = FlowParams(beta=0.5, t_end=0.01, cfl=0.9,
+                            spectral_filter=filtered)
+        traj = run(b8, split_sine(g8, 0.03, 0.03), params)
+        steps = len(traj.snapshots) - 1
+        assert traj.termination == "t_end" and steps >= 5
+        assert len(calls) == 1 + per_step * steps
+
+    def test_steady_run_evaluates_once(self, small, monkeypatch):
+        g8, b8 = small
+        calls = self.count_trace_evals(monkeypatch)
+        traj = run(b8, RealField.zeros(g8), FlowParams(beta=0.5, t_end=1.0))
+        assert traj.termination == "steady"
+        assert len(calls) == 1
+
+    def test_stops_and_end_are_flagged_once(self, small):
+        g8, b8 = small
+        cps = [0.005, 0.01, 0.015]
+        params = FlowParams(beta=0.5, t_end=0.02, cfl=0.9)
+        out = list(integrate(b8, split_sine(g8), params, stops=cps))
+        assert out[0][0].t == 0.0 and out[0][1] == 0.0
+        flagged = [s.t for s, _, at_stop in out if at_stop]
+        assert len(flagged) == len(cps) + 1
+        for t, c in zip(flagged, cps + [0.02]):
+            assert abs(t - c) <= 1e-12, (t, c)
+        assert flagged[-1] == out[-1][0].t
+
+    def test_t_end_zero_yields_once(self, small):
+        g8, b8 = small
+        out = list(integrate(b8, split_sine(g8), FlowParams(beta=0.5,
+                                                            t_end=0.0)))
+        assert len(out) == 1
+        state, dt_used, at_stop = out[0]
+        assert state.t == 0.0 and dt_used == 0.0 and at_stop
 
 
 class TestOracle2D:

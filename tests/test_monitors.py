@@ -105,7 +105,7 @@ class TestScalarHelpers:
         from splitma.flow import FlowParams, run
 
         traj = run(bg, RealField.zeros(grid), FlowParams(beta=0.5, t_end=0.0))
-        series, running = c0_series(traj)
+        series, running = c0_series(traj.snapshots)
         assert series == [2.0] and running == [2.0]
 
     def test_mixed_norm_symbolic(self, grid, bg):
@@ -201,7 +201,7 @@ class TestChecksPassOnCleanRuns:
         res = check_legendre_subsolution(traj, b16)
         assert res.passed and res.skipped is None
         assert res.worst_margin >= 0.0
-        cr = constants(b16, 0.5, c0=max(c0_series(traj)[1]))
+        cr = constants(b16, 0.5, c0=max(c0_series(traj.snapshots)[1]))
         res = check_phi_subsolution(traj, b16, cr)
         assert res.passed and res.skipped is None
         res = check_det_w(traj, b16)
@@ -319,7 +319,7 @@ class TestSnapshotPass:
         inputs = MonitorInputs(traj, b16, everything)
         assert inputs.sups == snapshot_pass(traj, b16).sups
         shared = evaluate(traj, b16, inputs=inputs)
-        cr = constants(b16, traj.beta, c0=c0_series(traj)[1][-1],
+        cr = constants(b16, traj.beta, c0=c0_series(traj.snapshots)[1][-1],
                        require_upper=False)
         alone = {
             "mixed_growth": check_mixed_growth(traj, b16, cr),
