@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import configparser
 import difflib
+import math
 from dataclasses import dataclass, field as dfield
 from pathlib import Path
 
@@ -221,6 +222,12 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigurationError("strides must be >= 1 (dump stride >= 0)")
     if cfg.t_end < 0:
         raise ConfigurationError("t_end must be nonnegative")
+    # safety scales the torsion and curvature maxima of the bound constants:
+    # below 1 it would shrink them (a negative value flips their sign)
+    if not (1.0 <= cfg.monitors_safety < math.inf):
+        raise ConfigurationError(
+            f"[monitors] safety must be finite and >= 1, got "
+            f"{cfg.monitors_safety}")
     known_bg = {"flat", "kahler_cos", "pluriclosed_cos", "files"}
     if cfg.bg_kind not in known_bg:
         raise ConfigurationError(

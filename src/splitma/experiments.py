@@ -4,6 +4,7 @@ the slice identity suite.  Each recipe returns (exit_code, report)."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -28,7 +29,6 @@ from .flow import (
     normalize_exponents,
     run,
     shift_min_zero,
-    steady_residual,
 )
 from .geometry import (BETA_MIN, KAHLER_PRODUCT, constants, curvature,
                        make_background, pluriclosed_background)
@@ -39,7 +39,7 @@ from .monitors import (
     CHECKS,
     DEFAULT_CHECKS,
     CheckResult,
-    MonitorInputs,
+    MonitorStream,
     c0_series,
     corrupt_trajectory,
     evaluate,
@@ -109,10 +109,10 @@ def _enabled_checks(cfg: ExperimentConfig):
     return names
 
 
-def _write_timeseries(path, traj: Trajectory, results: dict[str, CheckResult],
-                      sups: list[float], series_c0: list[float]) -> None:
-    """One row per snapshot; each check's entry joins the row of its
-    snapshot index."""
+def _write_timeseries(path, stream: MonitorStream,
+                      results: dict[str, CheckResult]) -> None:
+    """One row per record of stream; each check's entry joins the row of
+    its snapshot index."""
     names = list(results)
     by_index = [{e.index: e for e in results[n].entries} for n in names]
     cols = [
@@ -123,22 +123,10 @@ def _write_timeseries(path, traj: Trajectory, results: dict[str, CheckResult],
     for n in names:
         cols += [f"{n}_pass", f"{n}_margin"]
     lines = [",".join(cols)]
-    for i, s in enumerate(traj.snapshots):
-        osc = float(s.u.data.max() - s.u.data.min())
-        steady_res = steady_residual(s.du_dt.data, traj.params.steady_criterion)
-        row = [
-            f"{s.t:.17g}", f"{traj.dts[i]:.17g}",
-            f"{float(s.du_dt.data.max()):.17g}",
-            f"{float(s.du_dt.data.min()):.17g}",
-            f"{osc:.17g}",
-            f"{float(s.lam.data.min()):.17g}",
-            f"{float(s.lam.data.max()):.17g}",
-            f"{float(s.eta.data.min()):.17g}",
-            f"{float(s.eta.data.max()):.17g}",
-            f"{series_c0[i]:.17g}",
-            f"{sups[i]:.17g}",
-            f"{steady_res:.17g}",
-        ]
+    for i, r in enumerate(stream.records):
+        row = [f"{v:.17g}" for v in (
+            r.t, r.dt, r.du_max, r.du_min, r.u_max - r.u_min, r.lam_min,
+            r.lam_max, r.eta_min, r.eta_max, r.c0, r.sup, r.steady)]
         for name, m in zip(names, by_index):
             e = m.get(i)
             if results[name].skipped is not None:
@@ -152,8 +140,9 @@ def _write_timeseries(path, traj: Trajectory, results: dict[str, CheckResult],
         fh.write("\n".join(lines) + "\n")
 
 
-def _summary(traj: Trajectory, results: dict[str, CheckResult]) -> dict:
-    final = traj.snapshots[-1]
+def _summary(traj: Trajectory, stream: MonitorStream,
+             results: dict[str, CheckResult]) -> dict:
+    final = stream.records[-1]
     checks = {}
     for name, res in results.items():
         checks[name] = {
@@ -166,25 +155,29 @@ def _summary(traj: Trajectory, results: dict[str, CheckResult]) -> dict:
         "schema_version": SCHEMA_VERSION,
         "termination": traj.termination,
         "t_final": final.t,
-        "steps_recorded": len(traj.snapshots),
+        "steps_recorded": len(stream.records),
         "final_stats": {
-            "min_lambda": float(final.lam.data.min()),
-            "max_lambda": float(final.lam.data.max()),
-            "min_eta": float(final.eta.data.min()),
-            "max_eta": float(final.eta.data.max()),
-            "min_u": float(final.u.data.min()),
-            "max_u": float(final.u.data.max()),
+            "min_lambda": final.lam_min,
+            "max_lambda": final.lam_max,
+            "min_eta": final.eta_min,
+            "max_eta": final.eta_max,
+            "min_u": final.u_min,
+            "max_u": final.u_max,
         },
         "checks": checks,
     }
 
 
-def _dump_fields(out: Path, traj: Trajectory, stride: int) -> None:
-    if stride > 0:
-        for i, s in enumerate(traj.snapshots):
-            if i % stride == 0:
-                write_field(s.u, out / f"u_{i:06d}.field")
-    write_field(traj.snapshots[-1].u, out / "u_final.field")
+def _field_dump(out: Path, stride: int):
+    """A consumer of kept states that writes the potential of every
+    stride-th one (none when stride is 0)."""
+    count = itertools.count()
+
+    def dump(state) -> None:
+        i = next(count)
+        if stride > 0 and i % stride == 0:
+            write_field(state.u, out / f"u_{i:06d}.field")
+    return dump
 
 
 def _prepare_problem(cfg: ExperimentConfig, seed=None):
@@ -227,15 +220,29 @@ def _prepare_problem(cfg: ExperimentConfig, seed=None):
 
 def cmd_flow_run(cfg: ExperimentConfig, out_dir, seed=None,
                  negative_control: str | None = None):
+    """Monitored run: the kept states stream through a MonitorStream and
+    the field dump as they are produced.  A negative control keeps the
+    whole run instead, corrupts it, and replays it through the stream."""
     if negative_control is not None and negative_control not in CHECKS:
         raise ConfigurationError(
             f"no corruption fixture for check {negative_control!r}")
+    enabled = _enabled_checks(cfg)
+    if negative_control is not None and negative_control not in enabled:
+        enabled.append(negative_control)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     grid, bg, u0, forcing, info = _prepare_problem(cfg, seed=seed)
     params = _flow_params(cfg, info["beta"])
+    stream = MonitorStream(bg, enabled, cfg.monitors_safety)
+    dump = _field_dump(out, cfg.field_dump_stride)
+
+    def keep(tr: Trajectory) -> None:
+        stream.keep(tr)
+        dump(tr.snapshots[-1])
+
     try:
-        traj = run(bg, u0, params, forcing=forcing)
+        traj = run(bg, u0, params, forcing=forcing,
+                   keep=None if negative_control else keep)
     except (NumericalFailure, AdmissibilityLost) as exc:
         report = {"schema_version": SCHEMA_VERSION, "termination": "failed",
                   "error": str(exc)}
@@ -247,20 +254,15 @@ def cmd_flow_run(cfg: ExperimentConfig, out_dir, seed=None,
         return EXIT_NUMERICAL, report
     if negative_control is not None:
         traj = corrupt_trajectory(traj, negative_control)
-    enabled = _enabled_checks(cfg)
-    if negative_control is not None and negative_control not in enabled:
-        enabled.append(negative_control)
-    inputs = MonitorInputs(traj, bg, enabled, cfg.monitors_safety)
-    # read the sups first, so the snapshot pass runs before the constants
-    # and their working arrays are never alive together
-    sups = inputs.sups
-    results = evaluate(traj, bg, inputs=inputs)
-    _write_timeseries(out / "timeseries.csv", traj, results, sups,
-                      inputs.c0[0])
-    report = _summary(traj, results)
+        evaluate(traj, bg, stream=stream)
+        for s in traj.snapshots:
+            dump(s)
+    results = stream.results()
+    _write_timeseries(out / "timeseries.csv", stream, results)
+    report = _summary(traj, stream, results)
     report["reduction"] = info
     _write_json(out / "summary.json", report)
-    _dump_fields(out, traj, cfg.field_dump_stride)
+    write_field(traj.snapshots[-1].u, out / "u_final.field")
     ok = all(r.passed for r in results.values())
     return (EXIT_OK if ok else EXIT_MONITOR), report
 
@@ -320,15 +322,17 @@ def cmd_kahler_converge(cfg: ExperimentConfig, out_dir, seed=None):
     u0 = build_initial(cfg, grid, bg, seed_override=seed)
     forcing = RealField(grid, fp.data + fm.data)
     params = _flow_params(cfg, beta, steady_criterion="norm")
-    traj = run(bg, u0, params, forcing=forcing)
-
     times, residuals, split_res = [], [], []
-    for s in traj.snapshots:
+
+    def keep(tr: Trajectory) -> None:
+        s = tr.snapshots[-1]
         rz = float(np.max(np.abs(bg.g.data * s.lam.data - mu_plus)))
         rw = float(np.max(np.abs(bg.h.data * s.eta.data - mu_minus)))
         times.append(s.t)
         residuals.append(max(rz, rw))
         split_res.append(float(np.max(np.abs(deriv_data(grid, s.u.data, "z w")))))
+
+    traj = run(bg, u0, params, forcing=forcing, keep=keep)
     rate, r2 = _fit_log_decay(times, residuals)
     final = residuals[-1]
     ok = final <= 1e-6 and r2 >= 0.99

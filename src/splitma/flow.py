@@ -9,8 +9,13 @@ stage; a violated stage rejects the step, halves dt and retries, so that
 persistent failure is loud rather than silently degenerate.
 
 All stepping lives in one generator, integrate, which yields the initial
-state and the state after every accepted step.  run keeps a Trajectory of
-its snapshots and stops on steadiness; the exponent sweep and the factor
+state and the state after every accepted step.  run keeps every
+snapshot_stride-th state and stops on steadiness.  Given a keep callback,
+run hands each kept state to it as it is produced and its Trajectory holds
+only the last one, so a streamed run's memory does not grow with its
+length (the run recipe streams into monitors.MonitorStream, the
+steady-convergence recipe into its residual series); without one the
+Trajectory stores every kept state.  The exponent sweep and the factor
 oracle (experiments) keep the initial state and the checkpoint states.
 """
 
@@ -301,6 +306,7 @@ def run(
     params: FlowParams,
     forcing: RealField | None = None,
     checkpoint_times: list[float] | None = None,
+    keep=None,
 ) -> Trajectory:
     """Integrate until t_end, steadiness, or failure.
 
@@ -309,6 +315,9 @@ def run(
     whose speed is steady: oscillation below steady_tol ("osc", the right
     notion before gauging, where the flow may drift at a constant rate) or
     sup-norm below steady_tol ("norm", for gauged problems).
+
+    keep, when given, is called with the trajectory each time it keeps a
+    state; the trajectory then holds that state (and its dt) only.
     """
     traj = Trajectory(grid=u0.grid, beta=params.beta, params=params,
                       termination="t_end")
@@ -321,8 +330,12 @@ def run(
                 integrate(bg, u0, params, forcing, checkpoint_times or ())):
             t = state.t
             if i % params.snapshot_stride == 0 or at_stop:
-                traj.snapshots.append(state)
-                traj.dts.append(dt_used)
+                if keep is None:
+                    traj.snapshots.append(state)
+                    traj.dts.append(dt_used)
+                else:
+                    traj.snapshots[:], traj.dts[:] = [state], [dt_used]
+                    keep(traj)
                 if steady_residual(state.du_dt.data,
                                    params.steady_criterion) < params.steady_tol:
                     traj.termination = "steady"

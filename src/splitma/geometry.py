@@ -393,6 +393,7 @@ def constants(
     safety: float = 1.0,
     require_upper: bool = False,
     curv: CurvatureReport | None = None,
+    tors: TorsionReport | None = None,
 ) -> ConstantsReport:
     """Assemble the named bound constants for one background and beta.
 
@@ -400,7 +401,8 @@ def constants(
     the run being monitored.  The upper-bound constants (b_phi, a_phi,
     c12..c14, epsilon, delta) exist only for beta above the universal
     threshold; pass require_upper=True to make their absence an error.
-    curv is the background's curvature report, computed here if omitted.
+    curv is the background's curvature report and tors its torsion report
+    (read off Kahler products only), each computed here if omitted.
 
     On Kahler products the torsion vanishes identically and the constants
     collapse to their exact product values (c3 = c7 = c8 = 0, c6 = 2,
@@ -429,7 +431,8 @@ def constants(
         c9 = 0.0
         notes["kind"] = "kahler product: torsion and mixed curvature vanish"
     else:
-        tors = torsion(bg)
+        if tors is None:
+            tors = torsion(bg)
         t_max_sq = safety * tors.max_norm_sq
         t_grad = safety * tors.max_grad
         # metric-normalised mixed curvature components

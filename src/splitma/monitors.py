@@ -1,27 +1,38 @@
 """Executable forms of the a-priori estimates, evaluated along
 trajectories.
 
-Each check is a pure function of trajectory data and a constants report:
-re-running a check on the same trajectory gives identical results.  The
-registry CHECKS is the one list of checks: for each it holds how evaluate
-runs it, whether it runs by default, and the negative-control corruption
-(applied by corrupt_trajectory) that makes it fail, so a passing suite is
-evidence the checks can actually bite.
+A run's kept states stream through one consumer, MonitorStream, at the
+moment flow.run keeps them (its keep callback).  The stream does each
+state's field work at once and keeps one scalar record per state
+(SnapshotRecord): the extrema, c0 = sup(1/lambda + 1/eta), the steady
+residual, the sup of the mixed norm, and what the enabled checks need of
+the state (the speed-consistency error, sup|u_zw|, the det W residual).
+It transforms u once: with a W check on a constant-coefficient
+background, one fftn gives both u_zw and u_zwb (two ifftn) and is freed
+at once; otherwise one deriv_data call gives u_zw.  It builds the
+mixed-norm field, W and Phi once each.  The centred time differences of
+legendre_subsolution and phi_subsolution need only the last three
+states, so the stream keeps a 3-state window of traces, W quads and Phi
+and emits scalars.  No field outlives the window, so the memory of a
+monitored run does not grow with its length.
 
-The field work of the checks is one pass over the snapshots
-(snapshot_pass).  At each snapshot it transforms u once: with a W check on
-a constant-coefficient background, one fftn gives both u_zw and u_zwb
-(two ifftn) and is freed at once; otherwise one deriv_data call gives
-u_zw.  It takes sup|u_zw| (split_preserved) and builds the mixed-norm
-field once (its sup serves mixed_growth, trace_growth and the run recipe's
-sup_mixed_norm column; the field itself is the b term of Phi), W once
-(its det residual, and one quad per direction vector) and Phi once.
-The centred time differences of legendre_subsolution and phi_subsolution
-need only the last three snapshots, so the pass keeps a 3-snapshot window
-of quads and Phi and emits scalars; its memory does not grow with the
-number of snapshots.
-MonitorInputs runs the pass at most once per evaluate, for the enabled
-checks only; a check called on its own runs the pass for itself.
+Each check is a function of the trajectory's header (beta, params, meta)
+and the stream's records: check_<name>(traj, bg, ..., stream) never reads
+traj.snapshots, so it gives the same result on a live run, whose
+Trajectory holds only its last state, and on a stored trajectory replayed
+through a stream (evaluate, which --negative-control uses).  A check
+called without a stream replays traj for itself.  The checks whose bounds
+need the final running c0 (trace_lower_bound, mixed_growth, trace_growth)
+are evaluated from the records at the end.  phi_subsolution, whose Phi
+weight a_phi and source c14 depend on c0 off Kahler products, takes each
+window's constants at the running c0 up to the window's last state
+unless a constants report is supplied.
+
+The registry CHECKS is the one list of checks: for each it holds how the
+stream's results run it, whether it runs by default, and the
+negative-control corruption (applied by corrupt_trajectory) that makes it
+fail, so a passing suite is evidence the checks can actually bite.
+Re-running a check on the same trajectory gives identical results.
 
 Bound tolerances absorb time discretisation: monotonicity comparisons use
 a fixed relative slack, pointwise comparisons scale with the square of
@@ -41,10 +52,10 @@ import numpy as np
 
 from . import _backend as fft
 from .errors import ConfigurationError
-from .geometry import (BETA_MIN, Background, ConstantsReport, CurvatureReport,
-                       constants, curvature)
+from .geometry import (BETA_MIN, KAHLER_PRODUCT, Background, ConstantsReport,
+                       CurvatureReport, constants, curvature, torsion)
 from .grid_field import RealField, deriv_data, factor_laplacians
-from .flow import FlowState, Trajectory
+from .flow import FlowState, Trajectory, steady_residual
 
 MONO_SLACK = 1e-8           # relative slack for monotone scalar series
 FD_FLOOR = 1e-6             # floor of the finite-difference tolerances
@@ -186,48 +197,271 @@ def c0_series(states: list[FlowState]):
     return series, running
 
 
-def initial_speed_field(traj: Trajectory) -> np.ndarray:
-    """Flow speed frozen at the initial slice; the reference for the
-    speed-range check."""
-    return traj.snapshots[0].du_dt.data
+def _phi_field(lam: np.ndarray, eta: np.ndarray, mixed: np.ndarray,
+               cr: ConstantsReport) -> np.ndarray:
+    """Phi = log lam + a_phi (1/lam + 1/eta) + b_phi |mixed|^2."""
+    return np.log(lam) + cr.a_phi * (1.0 / lam + 1.0 / eta) + cr.b_phi * mixed
 
 
 # ---------------------------------------------------------------------------
-# checks
+# the monitor stream
 
 
-def check_speed_consistency(traj: Trajectory, bg: Background) -> CheckResult:
+@dataclass(slots=True)
+class SnapshotRecord:
+    """The scalars one kept state leaves in a MonitorStream; a part the
+    stream's checks do not need is None."""
+
+    t: float
+    dt: float                   # the step that reached the state
+    u_min: float
+    u_max: float
+    lam_min: float
+    lam_max: float
+    eta_min: float
+    eta_max: float
+    du_min: float               # extrema of the speed du/dt
+    du_max: float
+    c0: float                   # sup(1/lambda + 1/eta)
+    steady: float               # flow.steady_residual of the speed
+    sup: float = math.nan       # sup of the mixed norm
+    speed_err: float | None = None  # sup|cached speed - recomputed speed|
+    zw: float | None = None     # sup|u_zw| (on split initial data)
+    det_w: float | None = None  # det_w_residual
+
+
+@dataclass
+class _Slot:
+    """One state's place in the stream's 3-state window."""
+
+    i: int
+    t: float
+    lam: np.ndarray
+    eta: np.ndarray
+    quads: list | None          # W quad per direction vector
+    mixed: np.ndarray | None    # the mixed-norm field, Phi's b term
+    phi: np.ndarray | None = None
+    weights: tuple | None = None  # (a_phi, b_phi) of phi
+
+
+def _centered_dt(fm, f0, fp, hm, hp):
+    wm = -hp / (hm * (hm + hp))
+    wp = hm / (hp * (hm + hp))
+    w0 = (hp - hm) / (hm * hp)
+    return wm * fm + w0 * f0 + wp * fp
+
+
+class MonitorStream:
+    """The one consumer of a run's kept states.
+
+    keep(traj) is flow.run's keep callback; add(traj, state, dt) consumes
+    one state of traj, which evaluate uses to replay a stored trajectory.
+    enabled names the checks whose field work is done; constants_report,
+    when given, fixes the constants of every check, otherwise they are
+    taken at the records' running c0 (constants_at).  The background's
+    curvature and torsion are computed at most once.  results() runs the
+    enabled checks on the records.
+
+    records: one SnapshotRecord per state.
+    legendre: (i, dt_snap, [(scale, worst) per direction vector]) per
+        interior state i.
+    phi: (i, dt_snap, scale, worst) per interior state i.
+    worst is the sup of the finite-difference heat residual (minus the c14
+    source for phi), scale is 1 + sup|field| of the tested field.
+    """
+
+    def __init__(self, bg: Background, enabled=None, safety: float = 1.0,
+                 constants_report: ConstantsReport | None = None):
+        self.bg, self.safety, self.fixed_cr = bg, safety, constants_report
+        self.enabled = list(DEFAULT_CHECKS if enabled is None else enabled)
+        for name in self.enabled:
+            if name not in CHECKS:
+                raise ConfigurationError(f"unknown check {name!r}")
+        self.traj: Trajectory | None = None   # read for its header only
+        self.records: list[SnapshotRecord] = []
+        self.legendre: list = []
+        self.phi: list = []
+        self.c0_max = math.nan                # running max of records' c0
+        self._window = deque(maxlen=3)
+        self._cr: ConstantsReport | None = None
+
+    @cached_property
+    def curv(self) -> CurvatureReport:
+        return curvature(self.bg)
+
+    @cached_property
+    def tors(self):
+        """The background's torsion; None on Kahler products, where it
+        vanishes."""
+        return None if self.bg.kind == KAHLER_PRODUCT else torsion(self.bg)
+
+    def constants_at(self, c0: float) -> ConstantsReport:
+        """The supplied constants report, or the constants at c0."""
+        if self.fixed_cr is not None:
+            return self.fixed_cr
+        if self._cr is None or self._cr.c0 != c0:
+            self._cr = constants(self.bg, self.traj.beta, c0=c0,
+                                 safety=self.safety, require_upper=False,
+                                 curv=self.curv, tors=self.tors)
+        return self._cr
+
+    @property
+    def cr(self) -> ConstantsReport:
+        """The constants at the final running c0."""
+        return self.constants_at(self.c0_max)
+
+    def keep(self, traj: Trajectory) -> None:
+        """flow.run's keep callback: consume the state traj just kept."""
+        self.add(traj, traj.snapshots[-1], traj.dts[-1])
+
+    def _start(self, traj: Trajectory) -> None:
+        self.traj = traj
+        on, beta = self.enabled, traj.beta
+        constant = _background_varies(self.bg) is None
+        self._speed = "speed_consistency" in on
+        self._zw = "split_preserved" in on and bool(
+            traj.meta.get("split_initial"))
+        self._det = constant and "det_w" in on
+        self._leg = constant and "legendre_subsolution" in on
+        fixed = self.fixed_cr
+        self._phi = ("phi_subsolution" in on and beta > BETA_MIN
+                     and (fixed is None or fixed.c14 is not None))
+
+    def add(self, traj: Trajectory, s: FlowState, dt: float) -> None:
+        """Consume state s of traj, reached by a step of dt."""
+        if self.traj is None:
+            self._start(traj)
+        elif traj is not self.traj:
+            raise ConfigurationError("the stream belongs to another trajectory")
+        bg, beta, grid = self.bg, traj.beta, s.u.grid
+        i = len(self.records)
+        c0 = float(np.max(1.0 / s.lam.data + 1.0 / s.eta.data))
+        self.c0_max = c0 if i == 0 else float(np.maximum(self.c0_max, c0))
+        rec = SnapshotRecord(
+            s.t, dt, float(s.u.data.min()), float(s.u.data.max()),
+            float(s.lam.data.min()), float(s.lam.data.max()),
+            float(s.eta.data.min()), float(s.eta.data.max()),
+            float(s.du_dt.data.min()), float(s.du_dt.data.max()), c0,
+            steady_residual(s.du_dt.data, traj.params.steady_criterion))
+        self.records.append(rec)
+        if self._speed:
+            expect = beta * np.log(s.lam.data) - np.log(s.eta.data)
+            forcing = traj.meta.get("forcing")
+            if forcing is not None:
+                expect = expect - forcing
+            rec.speed_err = float(np.max(np.abs(s.du_dt.data - expect)))
+            del expect
+        hat = fft.fftn(s.u.data) if self._det or self._leg else None
+        if hat is not None:
+            u_zw = fft.ifftn(grid.apply_multiplier(hat, "z w"))
+        elif self._zw:
+            u_zw = deriv_data(grid, s.u.data, "z w")
+        else:
+            u_zw, mixed = None, mixed_norm(s, bg, beta).data
+        if u_zw is not None:
+            mixed = _mixed_field(u_zw, s, bg, beta)
+        if self._zw:
+            rec.zw = float(np.max(np.abs(u_zw)))
+        del u_zw            # before u_zwb: one complex field less at peak
+        rec.sup = float(np.max(mixed))
+        quads = None
+        if hat is not None:
+            u_zwb = fft.ifftn(grid.apply_multiplier(hat, "z wb"))
+            del hat
+            w = legendre_w(s, bg, u_zwb)
+            del u_zwb
+            if self._det:
+                rec.det_w = det_w_residual(s, bg, w)
+            if self._leg:
+                quads = [w.quad(va, vb) for va, vb in W_VECTORS]
+            del w
+        if self._leg or self._phi:
+            self._window.append(_Slot(i, s.t, s.lam.data, s.eta.data, quads,
+                                      mixed if self._phi else None))
+            if len(self._window) == 3:
+                self._interior()
+
+    def _interior(self) -> None:
+        """The finite-difference scalars of the window's middle state."""
+        sm, s0, sp = self._window
+        hm = s0.t - sm.t
+        hp = sp.t - s0.t
+        dt_snap = max(hm, hp)
+        beta, bg = self.traj.beta, self.bg
+        coef_z = beta / (bg.g.data * s0.lam)
+        coef_w = 1.0 / (bg.h.data * s0.eta)
+
+        def heat(fm, f0, fp):
+            """Centred d/dt minus the linearised operator at the middle
+            state."""
+            d_z, d_w = factor_laplacians(self.traj.grid, f0)
+            return _centered_dt(fm, f0, fp, hm, hp) - (coef_z * d_z
+                                                       + coef_w * d_w)
+
+        if self._leg:
+            self.legendre.append((s0.i, dt_snap, [
+                (1.0 + float(np.max(np.abs(b))), float(np.max(heat(a, b, c))))
+                for a, b, c in zip(sm.quads, s0.quads, sp.quads)]))
+        if self._phi:
+            # the whole window's Phi at the running c0 of its last state
+            cr = self.constants_at(self.c0_max)
+            weights = (cr.a_phi, cr.b_phi)
+            for slot in self._window:
+                if slot.weights != weights:
+                    slot.phi = _phi_field(slot.lam, slot.eta, slot.mixed, cr)
+                    slot.weights = weights
+            h_phi = heat(sm.phi, s0.phi, sp.phi)
+            rhs = cr.c14 * np.maximum(s0.phi, 1.0)
+            self.phi.append((s0.i, dt_snap, 1.0 + float(np.max(np.abs(s0.phi))),
+                             float(np.max(h_phi - rhs))))
+
+    def results(self) -> dict[str, CheckResult]:
+        """The enabled checks on the records so far."""
+        return {name: CHECKS[name].run(self.traj, self.bg, self)
+                for name in self.enabled}
+
+
+def _replay(traj: Trajectory, stream: MonitorStream) -> MonitorStream:
+    """stream after consuming every stored state of traj."""
+    for s, dt in zip(traj.snapshots, traj.dts):
+        stream.add(traj, s, dt)
+    return stream
+
+
+# ---------------------------------------------------------------------------
+# checks: each reads the records of stream, a MonitorStream that has
+# consumed traj with the check enabled; replayed here if omitted
+
+
+def check_speed_consistency(traj: Trajectory, bg: Background,
+                            stream: MonitorStream | None = None) -> CheckResult:
     """Cached speed equals beta log(lam) - log(eta) at every snapshot."""
-    beta = traj.beta
+    stream = stream or _replay(traj, MonitorStream(bg, ["speed_consistency"]))
     entries = []
-    for i, s in enumerate(traj.snapshots):
-        expect = beta * np.log(s.lam.data) - np.log(s.eta.data)
-        forcing = traj.meta.get("forcing")
-        if forcing is not None:
-            expect = expect - forcing
-        err = float(np.max(np.abs(s.du_dt.data - expect)))
-        tol = 1e-13 * (1.0 + float(np.max(np.abs(s.du_dt.data))))
-        entries.append(MonitorEntry(s.t, tol, err, tol - err, err <= tol, i))
+    for i, r in enumerate(stream.records):
+        err = r.speed_err
+        tol = 1e-13 * (1.0 + max(abs(r.du_max), abs(r.du_min)))
+        entries.append(MonitorEntry(r.t, tol, err, tol - err, err <= tol, i))
     return _finish("speed_consistency", entries)
 
 
-def check_speed_range(traj: Trajectory, bg: Background) -> CheckResult:
+def check_speed_range(traj: Trajectory, bg: Background,
+                      stream: MonitorStream | None = None) -> CheckResult:
     """Extrema of the speed contract, and the speed stays in the range of
     its initial slice (equivalently the trace comparability
     exp(min G) eta <= lam^beta <= exp(max G) eta holds pointwise)."""
-    snaps = traj.snapshots
-    if len(snaps) < 2:
+    stream = stream or _replay(traj, MonitorStream(bg, ["speed_range"]))
+    recs = stream.records
+    if len(recs) < 2:
         return CheckResult.skip("speed_range", "needs at least two snapshots")
-    g0 = initial_speed_field(traj)
-    g_min, g_max = float(g0.min()), float(g0.max())
+    g_min, g_max = recs[0].du_min, recs[0].du_max
     entries = []
     prev_max = prev_min = None
-    for i, (s, dt) in enumerate(zip(snaps, traj.dts)):
-        cur_max = float(s.du_dt.data.max())
-        cur_min = float(s.du_dt.data.min())
+    for i, r in enumerate(recs):
+        cur_max, cur_min = r.du_max, r.du_min
         scale = 1.0 + max(abs(cur_max), abs(cur_min))
         mono_tol = MONO_SLACK * scale
-        pw_tol = max(1e-10, dt * dt) * (1.0 + max(abs(g_min), abs(g_max)))
+        pw_tol = max(1e-10, r.dt * r.dt) * (1.0 + max(abs(g_min), abs(g_max)))
         if prev_max is None:
             mono_margin = math.inf
         else:
@@ -237,25 +471,26 @@ def check_speed_range(traj: Trajectory, bg: Background) -> CheckResult:
         pw_margin = min(g_max + pw_tol - cur_max, cur_min - (g_min - pw_tol))
         margin = min(mono_margin, pw_margin)
         entries.append(
-            MonitorEntry(s.t, mono_tol, cur_max, margin, margin >= 0.0, i)
+            MonitorEntry(r.t, mono_tol, cur_max, margin, margin >= 0.0, i)
         )
         prev_max, prev_min = cur_max, cur_min
     return _finish("speed_range", entries)
 
 
-def check_potential_bounds(traj: Trajectory, bg: Background) -> CheckResult:
+def check_potential_bounds(traj: Trajectory, bg: Background,
+                           stream: MonitorStream | None = None) -> CheckResult:
     """0 <= u <= max u0 along the reduced flow."""
     if not traj.meta.get("reduced", True):
         return CheckResult.skip("potential_bounds", "flow is not in reduced form")
-    snaps = traj.snapshots
-    max_u0 = float(snaps[0].u.data.max())
+    stream = stream or _replay(traj, MonitorStream(bg, ["potential_bounds"]))
+    recs = stream.records
+    max_u0 = recs[0].u_max
     entries = []
-    for i, (s, dt) in enumerate(zip(snaps, traj.dts)):
-        tol = max(1e-10, dt * dt) * (1.0 + max_u0)
-        lo = float(s.u.data.min())
-        hi = float(s.u.data.max())
-        margin = min(lo + tol, max_u0 + tol - hi)
-        entries.append(MonitorEntry(s.t, max_u0, hi, margin, margin >= 0.0, i))
+    for i, r in enumerate(recs):
+        tol = max(1e-10, r.dt * r.dt) * (1.0 + max_u0)
+        margin = min(r.u_min + tol, max_u0 + tol - r.u_max)
+        entries.append(MonitorEntry(r.t, max_u0, r.u_max, margin, margin >= 0.0,
+                                    i))
     return _finish("potential_bounds", entries)
 
 
@@ -301,28 +536,32 @@ def trace_lower_bound_value(
 
 
 def check_trace_lower_bound(
-    traj: Trajectory, bg: Background, cr: ConstantsReport, delta_grid=None
+    traj: Trajectory, bg: Background, cr: ConstantsReport, delta_grid=None,
+    stream: MonitorStream | None = None,
 ) -> CheckResult:
+    """min lambda stays above trace_lower_bound_value, whose G is the
+    initial speed."""
     beta = traj.beta
     if beta >= 1.0:
         return CheckResult.skip(
             "trace_lower_bound", "bound formula degenerates at beta = 1"
         )
-    g0 = initial_speed_field(traj)
-    max_u0 = float(traj.snapshots[0].u.data.max())
+    stream = stream or _replay(traj, MonitorStream(bg, ["trace_lower_bound"]))
+    first = stream.records[0]
     bound, _ = trace_lower_bound_value(
-        beta, float(g0.min()), float(g0.max()), max_u0, cr.c, delta_grid
+        beta, first.du_min, first.du_max, first.u_max, cr.c, delta_grid
     )
     entries = []
-    for i, s in enumerate(traj.snapshots):
-        obs = float(s.lam.data.min())
-        margin = obs - bound + 1e-12
-        entries.append(MonitorEntry(s.t, bound, obs, margin, margin >= 0.0, i))
+    for i, r in enumerate(stream.records):
+        margin = r.lam_min - bound + 1e-12
+        entries.append(MonitorEntry(r.t, bound, r.lam_min, margin, margin >= 0.0,
+                                    i))
     return _finish("trace_lower_bound", entries)
 
 
 def check_trace_floor(traj: Trajectory, bg: Background,
-                      curv: CurvatureReport | None = None) -> CheckResult:
+                      curv: CurvatureReport | None = None,
+                      stream: MonitorStream | None = None) -> CheckResult:
     """min lambda never drops below its initial value, valid when the
     cross-factor curvature components are nonnegative."""
     if curv is None:
@@ -331,254 +570,119 @@ def check_trace_floor(traj: Trajectory, bg: Background,
         return CheckResult.skip(
             "trace_floor", "background curvature sign condition fails"
         )
-    snaps = traj.snapshots
-    floor0 = float(snaps[0].lam.data.min())
+    stream = stream or _replay(traj, MonitorStream(bg, ["trace_floor"]))
+    floor0 = stream.records[0].lam_min
     entries = []
-    for i, (s, dt) in enumerate(zip(snaps, traj.dts)):
-        tol = max(1e-10, dt * dt) * (1.0 + floor0)
-        obs = float(s.lam.data.min())
-        margin = obs - (floor0 - tol)
-        entries.append(MonitorEntry(s.t, floor0, obs, margin, margin >= 0.0, i))
+    for i, r in enumerate(stream.records):
+        tol = max(1e-10, r.dt * r.dt) * (1.0 + floor0)
+        margin = r.lam_min - (floor0 - tol)
+        entries.append(MonitorEntry(r.t, floor0, r.lam_min, margin,
+                                    margin >= 0.0, i))
     return _finish("trace_floor", entries)
 
 
 def check_mixed_growth(
-    traj: Trajectory, bg: Background, cr: ConstantsReport, sups=None
+    traj: Trajectory, bg: Background, cr: ConstantsReport,
+    stream: MonitorStream | None = None,
 ) -> CheckResult:
     """Sup of the adjusted-metric mixed norm grows at most like
-    max(1 + c0 a_psi, (sup_0 + c0 a_psi) exp(c11 t)).  sups are the
-    per-snapshot sups (SnapshotPass.sups), computed here if omitted."""
-    if sups is None:
-        sups = snapshot_pass(traj, bg).sups
+    max(1 + c0 a_psi, (sup_0 + c0 a_psi) exp(c11 t))."""
+    stream = stream or _replay(traj, MonitorStream(bg, ["mixed_growth"]))
     shift = cr.c0 * cr.a_psi
-    sup0 = sups[0]
+    sup0 = stream.records[0].sup
     entries = []
-    for i, (s, obs) in enumerate(zip(traj.snapshots, sups)):
-        expo = min(cr.c11 * s.t, 700.0)
+    for i, r in enumerate(stream.records):
+        expo = min(cr.c11 * r.t, 700.0)
         bound = max(1.0 + shift, (sup0 + shift) * math.exp(expo))
         tol = 1e-8 * (1.0 + bound)
-        margin = bound + tol - obs
-        entries.append(MonitorEntry(s.t, bound, obs, margin, margin >= 0.0, i))
+        margin = bound + tol - r.sup
+        entries.append(MonitorEntry(r.t, bound, r.sup, margin, margin >= 0.0,
+                                    i))
     return _finish("mixed_growth", entries)
 
 
 def check_trace_growth(
-    traj: Trajectory, bg: Background, cr: ConstantsReport, sups=None
+    traj: Trajectory, bg: Background, cr: ConstantsReport,
+    stream: MonitorStream | None = None,
 ) -> CheckResult:
     """max lambda grows at most doubly exponentially:
-    log max lam(t) <= log max lam(0) + (b sup_0 + a c0) exp(c14 t).
-    sup_0 is taken from sups (SnapshotPass.sups) when given."""
-    beta = traj.beta
-    reason = _upper_bound_skip(beta, cr)
+    log max lam(t) <= log max lam(0) + (b sup_0 + a c0) exp(c14 t)."""
+    reason = _upper_bound_skip(traj.beta, cr)
     if reason is not None:
         return CheckResult.skip("trace_growth", reason)
-    snaps = traj.snapshots
-    if sups is not None:
-        sup0 = sups[0]
-    else:
-        sup0 = float(np.max(mixed_norm(snaps[0], bg, beta).data))
-    log_lam0 = math.log(float(snaps[0].lam.data.max()))
-    coef = cr.b_phi * sup0 + cr.a_phi * cr.c0
+    stream = stream or _replay(traj, MonitorStream(bg, ["trace_growth"]))
+    first = stream.records[0]
+    log_lam0 = math.log(first.lam_max)
+    coef = cr.b_phi * first.sup + cr.a_phi * cr.c0
     entries = []
-    for i, s in enumerate(snaps):
-        expo = min(cr.c14 * s.t, 700.0)
+    for i, r in enumerate(stream.records):
+        expo = min(cr.c14 * r.t, 700.0)
         log_bound = log_lam0 + coef * math.exp(expo)
-        obs = math.log(float(s.lam.data.max()))
+        obs = math.log(r.lam_max)
         tol = 1e-8 * (1.0 + abs(log_bound)) if math.isfinite(log_bound) else 0.0
         margin = log_bound + tol - obs
-        entries.append(MonitorEntry(s.t, log_bound, obs, margin, margin >= 0.0,
+        entries.append(MonitorEntry(r.t, log_bound, obs, margin, margin >= 0.0,
                                     i))
     return _finish("trace_growth", entries)
 
 
 def check_split_preserved(traj: Trajectory, bg: Background,
                           tol: float = 1e-10,
-                          sweep: SnapshotPass | None = None) -> CheckResult:
-    """Split initial data keeps a vanishing mixed derivative.  sweep is
-    this trajectory's snapshot_pass with split_preserved among its checks;
-    computed here if omitted."""
+                          stream: MonitorStream | None = None) -> CheckResult:
+    """Split initial data keeps a vanishing mixed derivative."""
     if not traj.meta.get("split_initial", False):
         return CheckResult.skip("split_preserved", "initial data is not split")
-    if sweep is None:
-        sweep = snapshot_pass(traj, bg, ("split_preserved",), sups=False)
-    entries = [MonitorEntry(s.t, tol, obs, tol - obs, obs <= tol, i)
-               for i, (s, obs) in enumerate(zip(traj.snapshots, sweep.zw))]
+    stream = stream or _replay(traj, MonitorStream(bg, ["split_preserved"]))
+    entries = [MonitorEntry(r.t, tol, r.zw, tol - r.zw, r.zw <= tol, i)
+               for i, r in enumerate(stream.records)]
     return _finish("split_preserved", entries)
-
-
-# ---------------------------------------------------------------------------
-# the snapshot pass and the finite-difference heat-operator checks
-
-
-@dataclass
-class SnapshotPass:
-    """Scalars of one pass over a trajectory's snapshots (snapshot_pass);
-    a part the pass was not asked for is None.
-
-    sups: sup of the mixed norm, per snapshot.
-    zw: sup|u_zw|, per snapshot (split_preserved, on split initial data).
-    det_w: det W residual (det_w_residual), per snapshot.
-    legendre: (i, dt_snap, [(scale, worst) per direction vector]) per
-        interior snapshot i.
-    phi: (i, dt_snap, scale, worst) per interior snapshot i.
-
-    worst is the sup of the finite-difference heat residual (minus the
-    c14 source for phi), scale is 1 + sup|field| of the tested field.
-    """
-
-    sups: list[float] | None = None
-    zw: list[float] | None = None
-    det_w: list[float] | None = None
-    legendre: list | None = None
-    phi: list | None = None
-
-
-def _centered_dt(fm, f0, fp, hm, hp):
-    wm = -hp / (hm * (hm + hp))
-    wp = hm / (hp * (hm + hp))
-    w0 = (hp - hm) / (hm * hp)
-    return wm * fm + w0 * f0 + wp * fp
-
-
-def snapshot_pass(traj: Trajectory, bg: Background, checks=(),
-                  cr: ConstantsReport | None = None,
-                  sups: bool = True) -> SnapshotPass:
-    """One pass over the snapshots computing the field scalars of the
-    named checks: split_preserved (on split initial data), det_w and
-    legendre_subsolution (on a constant-coefficient background),
-    phi_subsolution (needs cr), and with sups the per-snapshot mixed-norm
-    sups."""
-    beta = traj.beta
-    constant = _background_varies(bg) is None
-    do_zw = "split_preserved" in checks and traj.meta.get("split_initial")
-    do_det = constant and "det_w" in checks
-    do_leg = constant and "legendre_subsolution" in checks
-    do_phi = ("phi_subsolution" in checks and cr is not None
-              and _upper_bound_skip(beta, cr) is None)
-    want_mixed = sups or do_phi
-    out = SnapshotPass(
-        sups=[] if sups else None, zw=[] if do_zw else None,
-        det_w=[] if do_det else None, legendre=[] if do_leg else None,
-        phi=[] if do_phi else None)
-    window = deque(maxlen=3)        # (i, state, quads, phi)
-    for i, s in enumerate(traj.snapshots):
-        grid = s.u.grid
-        mixed = u_zw = quads = phi = None
-        hat = fft.fftn(s.u.data) if do_det or do_leg else None
-        if hat is not None:
-            if want_mixed or do_zw:
-                u_zw = fft.ifftn(grid.apply_multiplier(hat, "z w"))
-        elif do_zw:
-            u_zw = deriv_data(grid, s.u.data, "z w")
-        elif want_mixed:
-            mixed = mixed_norm(s, bg, beta).data
-        if u_zw is not None and want_mixed:
-            mixed = _mixed_field(u_zw, s, bg, beta)
-        if do_zw:
-            out.zw.append(float(np.max(np.abs(u_zw))))
-        del u_zw            # before u_zwb: one complex field less at peak
-        if sups:
-            out.sups.append(float(np.max(mixed)))
-        if hat is not None:
-            u_zwb = fft.ifftn(grid.apply_multiplier(hat, "z wb"))
-            del hat
-            w = legendre_w(s, bg, u_zwb)
-            del u_zwb
-            if do_det:
-                out.det_w.append(det_w_residual(s, bg, w))
-            if do_leg:
-                quads = [w.quad(va, vb) for va, vb in W_VECTORS]
-            del w
-        if do_phi:
-            phi = (
-                np.log(s.lam.data)
-                + cr.a_phi * (1.0 / s.lam.data + 1.0 / s.eta.data)
-                + cr.b_phi * mixed
-            )
-        del mixed
-        window.append((i, s, quads, phi))
-        if len(window) == 3 and (do_leg or do_phi):
-            _interior(window, bg, beta, cr, out)
-    return out
-
-
-def _interior(window, bg: Background, beta: float, cr, out: SnapshotPass):
-    """The finite-difference scalars of the middle snapshot of window."""
-    (_, sm, qm, pm), (i, s0, q0, p0), (_, sp, qp, pp) = window
-    hm = s0.t - sm.t
-    hp = sp.t - s0.t
-    dt_snap = max(hm, hp)
-    coef_z = beta / (bg.g.data * s0.lam.data)
-    coef_w = 1.0 / (bg.h.data * s0.eta.data)
-
-    def heat(fm, f0, fp):
-        """Centred d/dt minus the linearised operator at the middle
-        snapshot."""
-        d_z, d_w = factor_laplacians(s0.u.grid, f0)
-        return _centered_dt(fm, f0, fp, hm, hp) - (coef_z * d_z
-                                                   + coef_w * d_w)
-
-    if out.legendre is not None:
-        out.legendre.append((i, dt_snap, [
-            (1.0 + float(np.max(np.abs(b))), float(np.max(heat(a, b, c))))
-            for a, b, c in zip(qm, q0, qp)]))
-    if out.phi is not None:
-        h_phi = heat(pm, p0, pp)
-        rhs = cr.c14 * np.maximum(p0, 1.0)
-        out.phi.append((i, dt_snap, 1.0 + float(np.max(np.abs(p0))),
-                        float(np.max(h_phi - rhs))))
 
 
 def check_legendre_subsolution(
     traj: Trajectory, bg: Background, fd_coef: float = 1.0,
-    sweep: SnapshotPass | None = None,
+    stream: MonitorStream | None = None,
 ) -> CheckResult:
     """Every direction pairing of the transform matrix is a heat
     subsolution: the finite-difference heat operator applied to W(v, vbar),
     for each v in W_VECTORS, is nonpositive up to discretisation
     tolerance, each vector against its own tolerance (which scales with
     that quad's size); an entry reports the vector with the least margin.
-    Needs a constant-coefficient background and at least three snapshots.
-    sweep is this trajectory's snapshot_pass with legendre_subsolution
-    among its checks; computed here if omitted."""
+    Needs a constant-coefficient background and at least three snapshots."""
     reason = _background_varies(bg)
     if reason is not None:
         return CheckResult.skip("legendre_subsolution", reason)
-    snaps = traj.snapshots
-    if len(snaps) < 3:
+    stream = stream or _replay(traj, MonitorStream(
+        bg, ["legendre_subsolution"]))
+    recs = stream.records
+    if len(recs) < 3:
         return CheckResult.skip("legendre_subsolution", "needs >= 3 snapshots")
-    if sweep is None:
-        sweep = snapshot_pass(traj, bg, ("legendre_subsolution",), sups=False)
     entries = []
-    for i, dt_snap, per_vector in sweep.legendre:
+    for i, dt_snap, per_vector in stream.legendre:
         fd_tol = max(FD_FLOOR, fd_coef * dt_snap * dt_snap)
         tols = [(fd_tol * scale, worst) for scale, worst in per_vector]
         tol, worst = min(tols, key=lambda p: p[0] - p[1])
         passed = all(w <= t for t, w in tols)
         entries.append(
-            MonitorEntry(snaps[i].t, tol, worst, tol - worst, passed, i)
+            MonitorEntry(recs[i].t, tol, worst, tol - worst, passed, i)
         )
     return _finish("legendre_subsolution", entries)
 
 
 def check_det_w(traj: Trajectory, bg: Background, tol: float = 1e-12,
-                sweep: SnapshotPass | None = None) -> CheckResult:
-    """det W = (g lam)/(h eta) at every snapshot (algebraic identity).
-    sweep is this trajectory's snapshot_pass with det_w among its checks;
-    computed here if omitted."""
+                stream: MonitorStream | None = None) -> CheckResult:
+    """det W = (g lam)/(h eta) at every snapshot (algebraic identity)."""
     reason = _background_varies(bg)
     if reason is not None:
         return CheckResult.skip("det_w", reason)
-    if sweep is None:
-        sweep = snapshot_pass(traj, bg, ("det_w",), sups=False)
-    entries = [MonitorEntry(s.t, tol, r, tol - r, r <= tol, i)
-               for i, (s, r) in enumerate(zip(traj.snapshots, sweep.det_w))]
+    stream = stream or _replay(traj, MonitorStream(bg, ["det_w"]))
+    entries = [MonitorEntry(r.t, tol, r.det_w, tol - r.det_w, r.det_w <= tol, i)
+               for i, r in enumerate(stream.records)]
     return _finish("det_w", entries)
 
 
 def check_phi_subsolution(
     traj: Trajectory, bg: Background, cr: ConstantsReport,
-    fd_coef: float = 1.0, sweep: SnapshotPass | None = None,
+    fd_coef: float = 1.0, stream: MonitorStream | None = None,
 ) -> CheckResult:
     """The composite test function Phi = log lam + a(1/lam + 1/eta) +
     b |mixed|^2 satisfies H Phi <= c14 max(Phi, 1) pointwise.
@@ -588,81 +692,29 @@ def check_phi_subsolution(
     below level one the absolute constant c14 itself bounds the source.
     The unguarded form H Phi <= c14 Phi is violated by exact solutions
     wherever Phi < 0 (e.g. split data with lam < 1 has H Phi = 0 > c14 Phi),
-    so it is not a usable runtime check.  sweep is this trajectory's
-    snapshot_pass with phi_subsolution among its checks and the same cr;
-    computed here if omitted.
+    so it is not a usable runtime check.  cr decides whether the check
+    applies; the replay without a stream uses it for every window, a
+    stream's Phi uses that stream's constants.
     """
     reason = _upper_bound_skip(traj.beta, cr)
     if reason is not None:
         return CheckResult.skip("phi_subsolution", reason)
-    snaps = traj.snapshots
-    if len(snaps) < 3:
+    stream = stream or _replay(traj, MonitorStream(
+        bg, ["phi_subsolution"], constants_report=cr))
+    recs = stream.records
+    if len(recs) < 3:
         return CheckResult.skip("phi_subsolution", "needs >= 3 snapshots")
-    if sweep is None:
-        sweep = snapshot_pass(traj, bg, ("phi_subsolution",), cr, sups=False)
     entries = []
-    for i, dt_snap, scale, worst in sweep.phi:
+    for i, dt_snap, scale, worst in stream.phi:
         tol = max(FD_FLOOR, fd_coef * dt_snap * dt_snap) * scale
         entries.append(
-            MonitorEntry(snaps[i].t, tol, worst, tol - worst, worst <= tol, i)
+            MonitorEntry(recs[i].t, tol, worst, tol - worst, worst <= tol, i)
         )
     return _finish("phi_subsolution", entries)
 
 
 # ---------------------------------------------------------------------------
-# per-call inputs, negative-control helpers and the check registry
-
-
-class MonitorInputs:
-    """What the checks of one evaluate call share, each computed on first
-    use and at most once: the c0 series, the background curvature, the
-    constants report, and the snapshot pass for the enabled checks, which
-    also yields the mixed-norm sups unless they are supplied.  A recipe
-    that reads the sups or the c0 series itself builds one and hands it to
-    evaluate.  Never stored on the trajectory, which corrupt_trajectory
-    deep-copies."""
-
-    def __init__(self, traj: Trajectory, bg: Background, enabled=None,
-                 safety: float = 1.0,
-                 constants_report: ConstantsReport | None = None,
-                 sups: list[float] | None = None):
-        self.traj, self.bg, self.safety = traj, bg, safety
-        self.enabled = list(DEFAULT_CHECKS if enabled is None else enabled)
-        for name in self.enabled:
-            if name not in CHECKS:
-                raise ConfigurationError(f"unknown check {name!r}")
-        self._sups_given = sups is not None
-        if sups is not None:
-            if len(sups) != len(traj.snapshots):
-                raise ConfigurationError("sups needs one value per snapshot")
-            self.sups = sups
-        if constants_report is not None:
-            self.cr = constants_report
-
-    @cached_property
-    def c0(self) -> tuple[list[float], list[float]]:
-        """c0_series of the trajectory: per snapshot, and its running max."""
-        return c0_series(self.traj.snapshots)
-
-    @cached_property
-    def curv(self) -> CurvatureReport:
-        return curvature(self.bg)
-
-    @cached_property
-    def cr(self) -> ConstantsReport:
-        return constants(self.bg, self.traj.beta, c0=self.c0[1][-1],
-                         safety=self.safety, require_upper=False,
-                         curv=self.curv)
-
-    @cached_property
-    def sweep(self) -> SnapshotPass:
-        cr = self.cr if "phi_subsolution" in self.enabled else None
-        return snapshot_pass(self.traj, self.bg, self.enabled, cr,
-                             sups=not self._sups_given)
-
-    @cached_property
-    def sups(self) -> list[float]:
-        return self.sweep.sups
+# negative-control helpers and the check registry
 
 
 def _nonsplit(grid) -> np.ndarray:
@@ -677,49 +729,50 @@ def _stretch_last(snaps: list[FlowState], mid: int) -> None:
     snaps[-1].lam.data = 1.0 + 2.0 * (snaps[-1].lam.data - 1.0)
 
 
-# The one list of checks, read by evaluate, corrupt_trajectory,
+# The one list of checks, read by MonitorStream, corrupt_trajectory,
 # DEFAULT_CHECKS, OPTIONAL_CHECKS and the recipes' monitor selection.
-# run(traj, bg, inputs) looks check_<name> up at call time, so a rebound
+# run(traj, bg, stream) looks check_<name> up at call time, so a rebound
 # (e.g. traced) name is the one called; corrupt(snaps, mid) injects the
 # negative control's violation in place.
 Check = namedtuple("Check", "run default_on corrupt")
 CHECKS: dict[str, Check] = {
     "speed_consistency": Check(
-        lambda tr, bg, x: check_speed_consistency(tr, bg), True,
+        lambda tr, bg, x: check_speed_consistency(tr, bg, stream=x), True,
         lambda s, m: iadd(s[m].du_dt.data, 1.0)),
     "speed_range": Check(
-        lambda tr, bg, x: check_speed_range(tr, bg), True,
+        lambda tr, bg, x: check_speed_range(tr, bg, stream=x), True,
         lambda s, m: iadd(s[m].du_dt.data,
                           1.0 + float(np.max(np.abs(s[0].du_dt.data))))),
     "potential_bounds": Check(
-        lambda tr, bg, x: check_potential_bounds(tr, bg), True,
+        lambda tr, bg, x: check_potential_bounds(tr, bg, stream=x), True,
         lambda s, m: iadd(s[m].u.data, float(s[0].u.data.max()) + 1.0)),
     "trace_lower_bound": Check(
-        lambda tr, bg, x: check_trace_lower_bound(tr, bg, x.cr), True,
+        lambda tr, bg, x: check_trace_lower_bound(tr, bg, x.cr, stream=x),
+        True,
         lambda s, m: imul(s[m].lam.data, 1e-4)),
     "trace_floor": Check(
-        lambda tr, bg, x: check_trace_floor(tr, bg, x.curv), True,
+        lambda tr, bg, x: check_trace_floor(tr, bg, x.curv, stream=x), True,
         lambda s, m: imul(s[m].lam.data, 0.5)),
     # early injection: the growth envelope is still near its t = 0 level
     "mixed_growth": Check(
-        lambda tr, bg, x: check_mixed_growth(tr, bg, x.cr, x.sups), True,
+        lambda tr, bg, x: check_mixed_growth(tr, bg, x.cr, stream=x), True,
         lambda s, m: iadd(s[1].u.data, _nonsplit(s[1].u.grid))),
     "trace_growth": Check(
-        lambda tr, bg, x: check_trace_growth(tr, bg, x.cr, x.sups), True,
+        lambda tr, bg, x: check_trace_growth(tr, bg, x.cr, stream=x), True,
         lambda s, m: imul(s[1].lam.data, 10.0)),
     "split_preserved": Check(
-        lambda tr, bg, x: check_split_preserved(tr, bg, sweep=x.sweep), True,
+        lambda tr, bg, x: check_split_preserved(tr, bg, stream=x), True,
         lambda s, m: iadd(s[m].u.data, _nonsplit(s[m].u.grid))),
     "legendre_subsolution": Check(
-        lambda tr, bg, x: check_legendre_subsolution(tr, bg, sweep=x.sweep),
+        lambda tr, bg, x: check_legendre_subsolution(tr, bg, stream=x),
         False,
         _stretch_last),
     "det_w": Check(
-        lambda tr, bg, x: check_det_w(tr, bg, sweep=x.sweep), False,
+        lambda tr, bg, x: check_det_w(tr, bg, stream=x), False,
         lambda s, m: imul(s[m].lam.data, 1.3)),
     "phi_subsolution": Check(
-        lambda tr, bg, x: check_phi_subsolution(tr, bg, x.cr,
-                                                sweep=x.sweep), False,
+        lambda tr, bg, x: check_phi_subsolution(tr, bg, x.cr, stream=x),
+        False,
         lambda s, m: imul(s[-1].lam.data, 100.0)),
 }
 
@@ -728,7 +781,7 @@ OPTIONAL_CHECKS = tuple(n for n, c in CHECKS.items() if not c.default_on)
 
 
 # ---------------------------------------------------------------------------
-# suite evaluation and negative controls
+# replay of stored trajectories and negative controls
 
 
 def evaluate(
@@ -737,26 +790,21 @@ def evaluate(
     enabled=None,
     constants_report: ConstantsReport | None = None,
     safety: float = 1.0,
-    sups: list[float] | None = None,
-    inputs: MonitorInputs | None = None,
+    stream: MonitorStream | None = None,
 ) -> dict[str, CheckResult]:
-    """Run the requested checks over a trajectory.
+    """Replay a stored trajectory through a MonitorStream and run its
+    checks.
 
-    The constants report is assembled from the trajectory's own observed
-    trace bound sup(1/lambda + 1/eta) unless one is supplied.  sups are
-    the per-snapshot mixed-norm sups of this trajectory (SnapshotPass.sups);
-    they, the background curvature and the snapshot pass are computed at
-    most once here.  inputs, a MonitorInputs of this trajectory and
-    background, takes the place of enabled, constants_report, safety and
-    sups.
+    The constants are taken at the trajectory's own observed trace bound
+    sup(1/lambda + 1/eta) unless a report is supplied.  stream, a fresh
+    MonitorStream on bg, takes the place of enabled, constants_report and
+    safety; a recipe that reads the stream's records passes its own.
     """
-    if inputs is None:
-        inputs = MonitorInputs(traj, bg, enabled, safety, constants_report,
-                               sups)
-    elif inputs.traj is not traj or inputs.bg is not bg:
-        raise ConfigurationError("inputs belong to another trajectory")
-    return {name: CHECKS[name].run(traj, bg, inputs)
-            for name in inputs.enabled}
+    if stream is None:
+        stream = MonitorStream(bg, enabled, safety, constants_report)
+    elif stream.bg is not bg or stream.traj is not None:
+        raise ConfigurationError("evaluate needs a fresh stream on bg")
+    return _replay(traj, stream).results()
 
 
 def corrupt_trajectory(traj: Trajectory, check: str) -> Trajectory:

@@ -9,7 +9,7 @@ from splitma import ConfigurationError
 from splitma.cli import main
 from splitma.config import build_background, build_grid, build_initial, parse_config
 from splitma.experiments import cmd_flow_run, cmd_oracle_2d
-from splitma.monitors import evaluate
+from splitma.monitors import MonitorStream, evaluate
 
 
 MINIMAL = """
@@ -124,6 +124,23 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, MINIMAL.replace("beta = 0.5", "beta = 1.5"))
         code = main(["run", "--config", str(cfg)])
         assert code == 2
+
+    @pytest.mark.parametrize("safety", ["-5", "0.5", "nan", "inf"])
+    def test_bad_monitor_safety_exits_two(self, tmp_path, capsys, safety):
+        """safety scales the torsion and curvature maxima of the bound
+        constants; a value below 1 shrinks them (-5 flips their sign and
+        let every check of a pluriclosed run pass), so it is refused
+        before the flow runs."""
+        text = DENSE_ALL.replace("kind = flat", "kind = pluriclosed_cos\n"
+                                 "modes = 1,1,0.3").replace(
+            "enabled = all", f"enabled = all\nsafety = {safety}")
+        cfg = write_cfg(tmp_path, text)
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "safety" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        assert parse_config(write_cfg(tmp_path, text.replace(
+            f"safety = {safety}", "safety = 3"))).monitors_safety == 3.0
 
     def test_negative_control_exits_one(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SPLIT_RUN)
@@ -341,20 +358,27 @@ class TestArtifacts:
 
     @staticmethod
     def fftn_after_flow(tmp_path, monkeypatch, text):
-        """Run the recipe on text; returns its report, the trajectory's
-        snapshots and the input of every fftn taken after the flow."""
+        """Run the recipe on text; returns its report, the states the run
+        kept and the input of every fftn taken by the monitors, that is
+        within the run's keep callback or after the flow."""
         import splitma._backend as backend
         import splitma.experiments as exp
 
-        trajs, inputs = [], []
+        snaps, inputs, monitoring = [], [], [False]
         real_run, real_fftn = exp.run, backend.fftn
 
-        def run(*a, **k):
-            trajs.append(real_run(*a, **k))
-            return trajs[-1]
+        def run(*a, keep, **k):
+            def spy(traj):
+                snaps.append(traj.snapshots[-1])
+                monitoring[0] = True
+                keep(traj)
+                monitoring[0] = False
+            traj = real_run(*a, keep=spy, **k)
+            monitoring[0] = True
+            return traj
 
         def fftn(a):
-            if trajs:  # after the flow
+            if monitoring[0]:
                 inputs.append(a)
             return real_fftn(a)
 
@@ -362,7 +386,7 @@ class TestArtifacts:
         monkeypatch.setattr(backend, "fftn", fftn)
         cfg = parse_config(write_cfg(tmp_path, text))
         _, rep = exp.cmd_flow_run(cfg, tmp_path / "o")
-        return rep, trajs[0].snapshots, inputs
+        return rep, snaps, inputs
 
     def test_monitors_transform_each_snapshot_once(self, tmp_path,
                                                    monkeypatch):
@@ -387,6 +411,57 @@ class TestArtifacts:
         assert [sum(a is s.u.data for a in inputs) for s in snaps] == (
             [1] * len(snaps))
         assert len(inputs) == len(snaps)
+
+    @pytest.mark.parametrize("text", [DENSE_ALL, SPLIT_RUN],
+                             ids=["dense", "split"])
+    def test_live_stream_equals_replay(self, tmp_path, text):
+        """The recipe streams the run through its monitors as the states
+        are kept; replaying the stored run through evaluate gives the same
+        check results and the same timeseries bytes."""
+        import splitma.experiments as exp
+        from splitma.flow import run
+
+        cfg = parse_config(write_cfg(tmp_path, text))
+        assert cmd_flow_run(cfg, tmp_path / "live")[0] == 0
+        grid, bg, u0, forcing, info = exp._prepare_problem(cfg)
+        params = exp._flow_params(cfg, info["beta"])
+        enabled = exp._enabled_checks(cfg)
+        live = MonitorStream(bg, enabled, cfg.monitors_safety)
+        last = run(bg, u0, params, forcing=forcing, keep=live.keep)
+        stored = run(bg, u0, params, forcing=forcing)
+        assert len(last.snapshots) == 1 < len(stored.snapshots)
+        replay = MonitorStream(bg, enabled, cfg.monitors_safety)
+        results = evaluate(stored, bg, stream=replay)
+        assert results == live.results()
+        exp._write_timeseries(tmp_path / "replay.csv", replay, results)
+        assert ((tmp_path / "replay.csv").read_bytes()
+                == (tmp_path / "live" / "timeseries.csv").read_bytes())
+
+    def test_run_memory_does_not_grow_with_t_end(self, tmp_path):
+        """The tracemalloc peak of a monitored 16^4 run with every check
+        on grows by at most two field sizes when t_end doubles (from 11
+        to 21 snapshots); a run that stored its snapshots would add four
+        fields per snapshot."""
+        import tracemalloc
+
+        text = DENSE_ALL.replace("dims = 8 8 8 8", "dims = 16 16 16 16").replace(
+            "dt_max = 5e-4", "dt_max = 5e-5").replace("seed = 2",
+                                                      "seed = 2\nband = 1")
+        peaks = []
+        for t_end in ("1e-4", "5e-4", "1e-3"):  # the first warms the caches
+            cfg = parse_config(write_cfg(
+                tmp_path, text.replace("t_end = 0.004", f"t_end = {t_end}")))
+            tracemalloc.start()
+            try:
+                code, rep = cmd_flow_run(cfg, tmp_path / t_end)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        field_bytes = 16**4 * 8
+        assert rep["steps_recorded"] == 21
+        assert peaks[1] > 4 * field_bytes  # the fields are traced
+        assert peaks[2] - peaks[1] <= 2 * field_bytes, peaks
 
     @pytest.mark.parametrize("t_end", ["0.01", "0"])
     def test_checkpoint_recipes_on_steady_data(self, tmp_path, t_end):
@@ -426,11 +501,12 @@ class TestArtifacts:
         traj.snapshots = [make_state(u, bgf, 0.5, 0.5),
                           make_state(half, bgf, 0.5, 0.5 + 1e-13)]
         traj.dts = [0.01, 0.01]
-        res = evaluate(traj, bgf, enabled=["potential_bounds"])
+        stream = MonitorStream(bgf, ["potential_bounds"])
+        res = evaluate(traj, bgf, stream=stream)
         margins = [e.margin for e in res["potential_bounds"].entries]
         assert margins[0] != margins[1]
         path = tmp_path / "timeseries.csv"
-        _write_timeseries(path, traj, res, [0.0, 0.0], [2.0, 2.0])
+        _write_timeseries(path, stream, res)
         with open(path) as fh:
             rows = list(csv.DictReader(fh))
         assert [float(r["t"]) for r in rows] == [0.5, 0.5 + 1e-13]

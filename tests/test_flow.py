@@ -247,6 +247,30 @@ class TestIntegrate:
             assert abs(t - c) <= 1e-12, (t, c)
         assert flagged[-1] == out[-1][0].t
 
+    def test_keep_streams_the_kept_states(self, small):
+        """With a keep callback run hands over each kept state as it is
+        produced, bit-identical to the stored run's snapshots, and its
+        trajectory holds only the last one, also when it stops steady."""
+        g8, b8 = small
+        params = FlowParams(beta=0.5, t_end=0.01, cfl=0.9, snapshot_stride=3)
+        stored = run(b8, split_sine(g8), params)
+        kept = []
+
+        def keep(traj):
+            assert len(traj.snapshots) == len(traj.dts) == 1
+            kept.append((traj.snapshots[-1], traj.dts[-1]))
+
+        last = run(b8, split_sine(g8), params, keep=keep)
+        assert len(kept) == len(stored.snapshots) >= 3
+        for (s, dt), ref, ref_dt in zip(kept, stored.snapshots, stored.dts):
+            assert s.t == ref.t and dt == ref_dt
+            assert np.array_equal(s.u.data, ref.u.data)
+        assert last.snapshots == [kept[-1][0]] and last.dts == [kept[-1][1]]
+        assert last.termination == stored.termination == "t_end"
+        steady = run(b8, RealField.zeros(g8), FlowParams(beta=0.5, t_end=1.0),
+                     keep=keep)
+        assert steady.termination == "steady" and len(steady.snapshots) == 1
+
     def test_t_end_zero_yields_once(self, small):
         g8, b8 = small
         out = list(integrate(b8, split_sine(g8), FlowParams(beta=0.5,

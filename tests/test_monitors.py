@@ -13,7 +13,7 @@ import splitma.monitors as monitors
 from splitma.monitors import (
     DEFAULT_CHECKS,
     OPTIONAL_CHECKS,
-    MonitorInputs,
+    MonitorStream,
     c0_series,
     check_det_w,
     check_legendre_subsolution,
@@ -25,7 +25,6 @@ from splitma.monitors import (
     evaluate,
     legendre_w,
     mixed_norm,
-    snapshot_pass,
     trace_lower_bound_value,
 )
 
@@ -296,29 +295,21 @@ class TestDeterminism:
             for a, b in zip(e1, e2):
                 assert a.margin == b.margin and a.observed == b.observed
 
-    def test_supplied_sups_match_computed(self, split_traj, bg):
-        sups = snapshot_pass(split_traj, bg).sups
-        assert len(sups) == len(split_traj.snapshots)
-        r1 = evaluate(split_traj, bg)
-        r2 = evaluate(split_traj, bg, sups=sups)
-        for name in ("mixed_growth", "trace_growth"):
-            assert [e.margin for e in r1[name].entries] == [
-                e.margin for e in r2[name].entries]
-        with pytest.raises(ConfigurationError):
-            evaluate(split_traj, bg, sups=sups[:-1])
-
 
 class TestSnapshotPass:
     def test_standalone_checks_match_evaluate(self, dense16):
-        """A check called on its own runs the pass for itself; its entries
-        equal, bit for bit, those of evaluate's shared pass, with or
-        without the recipe's pre-built inputs."""
+        """A check called on its own replays the trajectory for itself;
+        its entries equal, bit for bit, those of evaluate's shared replay
+        and those of a stream fed live by run, whose trajectory keeps only
+        its last state."""
         traj, b16 = dense16
         everything = list(monitors.CHECKS)
         plain = evaluate(traj, b16, enabled=everything)
-        inputs = MonitorInputs(traj, b16, everything)
-        assert inputs.sups == snapshot_pass(traj, b16).sups
-        shared = evaluate(traj, b16, inputs=inputs)
+        stream = MonitorStream(b16, everything)
+        last = run(b16, traj.snapshots[0].u, traj.params, keep=stream.keep)
+        assert len(last.snapshots) == 1
+        assert len(stream.records) == len(traj.snapshots)
+        live = stream.results()
         cr = constants(b16, traj.beta, c0=c0_series(traj.snapshots)[1][-1],
                        require_upper=False)
         alone = {
@@ -330,15 +321,23 @@ class TestSnapshotPass:
         }
         for name, res in alone.items():
             assert res.skipped is None and res.entries, name
-            assert res.entries == plain[name].entries == shared[name].entries
+            assert res.entries == plain[name].entries == live[name].entries
         for name in everything:
-            assert plain[name].entries == shared[name].entries
+            assert plain[name].entries == live[name].entries
 
     def test_evaluate_rejects_inputs_of_another_trajectory(self, dense16,
                                                            split_traj, bg):
+        """A stream that has consumed one trajectory cannot replay another,
+        and evaluate takes only a fresh stream on its own background."""
         traj, b16 = dense16
+        used = MonitorStream(b16, ["det_w"])
+        evaluate(traj, b16, stream=used)
         with pytest.raises(ConfigurationError):
-            evaluate(split_traj, bg, inputs=MonitorInputs(traj, b16))
+            evaluate(split_traj, b16, stream=used)
+        with pytest.raises(ConfigurationError):
+            used.add(split_traj, split_traj.snapshots[0], 0.0)
+        with pytest.raises(ConfigurationError):
+            evaluate(split_traj, bg, stream=MonitorStream(b16))
 
     def test_memory_does_not_grow_with_snapshots(self, dense16):
         """The pass keeps a 3-snapshot window: doubling the snapshots may
@@ -362,3 +361,40 @@ class TestSnapshotPass:
                 tracemalloc.stop()
         assert peaks[0] > 4 * field_bytes  # the fields are traced
         assert peaks[1] - peaks[0] <= 2 * field_bytes, peaks
+
+
+class TestRunningConstants:
+    def test_phi_takes_the_running_constants_of_each_window(self, grid):
+        """Off Kahler products a_phi and c14 depend on c0.  Without a
+        constants report each window's Phi and source use the constants
+        at the running c0 up to the window's last snapshot, so an entry
+        equals the last entry of the trajectory cut at that snapshot with
+        those constants fixed, and differs from the final-c0 entry."""
+        from splitma.flow import FlowState, Trajectory
+
+        bgp = pluriclosed_background(grid, 1.0, 1.0, [(1, 1, 0.3)])
+        x1 = grid.mesh()[0] * np.ones(grid.shape)
+        zero = RealField.zeros(grid)
+        traj = Trajectory(grid=grid, beta=0.5,
+                          params=FlowParams(beta=0.5, t_end=1.0))
+        for k in range(6):  # lambda falls, so c0 rises at every snapshot
+            lam = (1.0 - 0.1 * k) * (1.0 + 0.05 * np.sin(TWO_PI * x1))
+            traj.snapshots.append(FlowState(
+                zero, 1e-3 * k, RealField(grid, lam),
+                RealField(grid, np.ones(grid.shape)), zero))
+            traj.dts.append(1e-3)
+        running = c0_series(traj.snapshots)[1]
+        assert all(b > a for a, b in zip(running, running[1:]))
+        res = evaluate(traj, bgp, enabled=["phi_subsolution"])
+        entries = res["phi_subsolution"].entries
+        assert [e.index for e in entries] == [1, 2, 3, 4]
+        for e in entries:
+            j = e.index + 1
+            cut = copy.copy(traj)
+            cut.snapshots, cut.dts = traj.snapshots[:j + 1], traj.dts[:j + 1]
+            cr = constants(bgp, 0.5, c0=running[j])
+            assert check_phi_subsolution(cut, bgp, cr).entries[-1] == e
+        final = check_phi_subsolution(traj, bgp,
+                                      constants(bgp, 0.5, c0=running[-1]))
+        assert final.entries[-1] == entries[-1]
+        assert final.entries[0].margin != entries[0].margin
