@@ -490,8 +490,8 @@ def cmd_check_identities(cfg: ExperimentConfig, out_dir,
             grid = make_grid(dims, cfg.periods)
             bgp = _identity_background(cfg, grid)
             u = random_test_field(grid, cfg.id_seed, cfg.id_amplitude,
-                                  cfg.id_band, bg=bgp, beta=beta)
-            ws = ManifoldSlice(u, bgp, beta)
+                                  cfg.id_band)
+            ws = ManifoldSlice(u, bgp, beta)  # raises on inadmissible data
             c0 = float(np.max(1.0 / ws.lam + 1.0 / ws.eta))
             cr = constants(bgp, beta, c0=c0)
             res = verify_A(u, bgp, beta, tol=tol, ws=ws)

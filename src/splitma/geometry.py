@@ -218,28 +218,22 @@ def torsion(bg: Background) -> TorsionReport:
 
     a = -g_w
     b = h_z
-    cz = g_z / g + h_z / h          # holomorphic z-connection on a and b
-    cw = g_w / g + h_w / h          # holomorphic w-connection on a and b
     # component a carries indices (z, w, zb); component b carries (z, w, wb).
     # Their derivatives are composite derivatives of g and h, taken from
-    # the two spectra above.
-    da = {
-        "z": -d(g_hat, "w z") - cz * a,
-        "w": -d(g_hat, "w w") - cw * a,
-        "zb": -d(g_hat, "w zb") - np.conj(g_z / g) * a,
-        "wb": -d(g_hat, "w wb") - np.conj(g_w / g) * a,
-    }
-    db = {
-        "z": d(h_hat, "z z") - cz * b,
-        "w": d(h_hat, "z w") - cw * b,
-        "zb": d(h_hat, "z zb") - np.conj(h_z / h) * b,
-        "wb": d(h_hat, "z wb") - np.conj(h_w / h) * b,
-    }
-    inv_dir = {"z": 1.0 / g, "zb": 1.0 / g, "w": 1.0 / h, "wb": 1.0 / h}
+    # the two spectra above.  One direction t is held at a time.
+    first = {"z": (g_z, h_z), "w": (g_w, h_w)}
     grad_sq = np.zeros(grid.shape)
     for t in ("z", "zb", "w", "wb"):
-        grad_sq = grad_sq + inv_dir[t] * np.abs(da[t]) ** 2 / (g * g * h)
-        grad_sq = grad_sq + inv_dir[t] * np.abs(db[t]) ** 2 / (g * h * h)
+        g_t, h_t = first[t[0]]
+        if len(t) == 1:     # holomorphic connection, the same on a and b
+            ca = cb = g_t / g + h_t / h
+        else:               # conjugate connection of each coefficient
+            ca, cb = np.conj(g_t / g), np.conj(h_t / h)
+        da = -d(g_hat, f"w {t}") - ca * a
+        db = d(h_hat, f"z {t}") - cb * b
+        inv_t = 1.0 / (g if t[0] == "z" else h)     # inverse metric factor
+        grad_sq = grad_sq + inv_t * np.abs(da) ** 2 / (g * g * h)
+        grad_sq = grad_sq + inv_t * np.abs(db) ** 2 / (g * h * h)
     nsq_real = np.ascontiguousarray(nsq.real)
     return TorsionReport(
         norm_sq=RealField(grid, nsq_real),

@@ -28,6 +28,20 @@ needs that spectrum anyway for the mixed derivatives, and sending its
 Laplacians through the kernel instead raises most fine-grid residuals
 about tenfold (A3 at 32^4, beta = 0.7, from 2.1e-12 to 2.2e-11, past the
 1e-11 convergence floor of the identity recipe).
+
+A slice keeps only what is reused, since at 32^4 each complex field is
+16 MiB and the number of live arrays bounds the grid the suite can reach.
+It caches the derivatives of its base fields (the potential, lambda, eta,
+the speed, and on a manifold slice g and h) and, of the spectra, only the
+potential's.  Another base field's spectrum lives for one request, which
+computes every op the identities take of that field.  Base fields are
+real, so their "zb" and "wb" derivatives are conjugates of the cached "z"
+and "w".  Not cached: u_zzb and u_wwb, which give lambda and eta when the
+slice is built; the helper fields an identity differentiates once
+(log(g lambda) and log(h eta) in B12, |u_zwb|^2 and 1/eta in C33), which
+go through one transient spectrum in derivs(); and the constants of an
+expression tree, which are scalars.  Each identity drops its arrays
+before the next one is built.
 """
 
 from __future__ import annotations
@@ -43,60 +57,74 @@ from .geometry import Background
 from .grid_field import RealField, TorusGrid, deriv_data, factor_laplacian
 
 _FACTOR_LAPLACIANS = {"z zb": "z", "w wb": "w"}
+_CONJUGATES = {"zb": "z", "wb": "w"}
 
 # ---------------------------------------------------------------------------
 # evaluation workspaces
 
 
 class _SliceBase:
-    """Cached spectral evaluation of one admissible time slice with the
-    traces lambda = a + u_zzb/g and eta = b - u_wwb/h.  The registered base
-    fields are the potential "u", "lam", "eta" and the flow speed "spd"."""
+    """Spectral evaluation of one admissible time slice with the traces
+    lambda = a + u_zzb/g and eta = b - u_wwb/h.  The base fields are "u",
+    "lam", "eta" and the flow speed "spd"; the module docstring sets out
+    what is cached.  _GROUPS lists, for a base field other than the
+    potential, the ops computed together from its one spectrum; an op
+    outside the group gets a spectrum of its own."""
+
+    _GROUPS: dict = {"lam": ("z", "w"), "eta": ("z", "w")}
 
     def __init__(self, u: RealField, g, h, a: float, b: float, beta: float,
                  floor: float):
         self.grid = u.grid
         self.beta = beta
         self.g, self.h = g, h
-        self._hats: dict = {}
+        self._u_hat = fft.fftn(u.data)
         self._derivs: dict = {}
-        self._bases: dict = {"u": u.data}
-        lam = a + self.d("u", "z zb").real / g
-        eta = b - self.d("u", "w wb").real / h
+        # u_zzb and u_wwb give lambda and eta and are not cached
+        lam = a + self._spectral(self._u_hat, "z zb").real / g
+        eta = b - self._spectral(self._u_hat, "w wb").real / h
         if float(lam.min()) <= floor or float(eta.min()) <= floor:
             raise AdmissibilityLost(f"{type(self).__name__} is not admissible")
         self.lam, self.eta = lam, eta
-        self.register("lam", lam)
-        self.register("eta", eta)
-        self.register("spd", beta * np.log(lam) - np.log(eta))
+        self._bases: dict = {"u": u.data, "lam": lam, "eta": eta,
+                             "spd": beta * np.log(lam) - np.log(eta)}
         self.coef_z = beta / (g * lam)
         self.coef_w = 1.0 / (h * eta)
-
-    def register(self, key: str, arr: np.ndarray) -> None:
-        self._bases[key] = arr
 
     def base(self, key: str) -> np.ndarray:
         return self._bases[key]
 
-    def _hat(self, key: str) -> np.ndarray:
-        if key not in self._hats:
-            self._hats[key] = fft.fftn(self._bases[key])
-        return self._hats[key]
+    def _spectral(self, hat: np.ndarray, op: str) -> np.ndarray:
+        return fft.ifftn(self.grid.apply_multiplier(hat, op))
 
     def d(self, key: str, op: str) -> np.ndarray:
-        """Cached spectral derivative of a registered base field.  The
-        factor Laplacians of every field but the potential use the factor
+        """Cached spectral derivative of a base field.  The factor
+        Laplacians of every base field but the potential use the factor
         kernel, the one L uses, so d/dt and L of a derived field agree to
-        rounding."""
+        rounding.  Base fields are real, so "zb" and "wb" are the
+        conjugates of the cached "z" and "w", with no transform."""
+        if op in _CONJUGATES:
+            return np.conj(self.d(key, _CONJUGATES[op]))
         ck = (key, op)
         if ck not in self._derivs:
-            if key != "u" and op in _FACTOR_LAPLACIANS:
-                out = factor_laplacian(self.grid, self._bases[key],
-                                       _FACTOR_LAPLACIANS[op])
+            if key == "u":
+                self._derivs[ck] = self._spectral(self._u_hat, op)
+            elif op in _FACTOR_LAPLACIANS:
+                self._derivs[ck] = factor_laplacian(
+                    self.grid, self._bases[key], _FACTOR_LAPLACIANS[op])
             else:
-                out = fft.ifftn(self.grid.apply_multiplier(self._hat(key), op))
-            self._derivs[ck] = out
+                ops = self._GROUPS.get(key, ())
+                if op not in ops:
+                    ops = (op,)
+                outs = self.derivs(self._bases[key], *ops)
+                self._derivs.update(((key, o), out) for o, out in zip(ops, outs))
         return self._derivs[ck]
+
+    def derivs(self, arr: np.ndarray, *ops: str) -> list[np.ndarray]:
+        """Spectral derivatives of a field, all from one spectrum, which is
+        then dropped; nothing is cached."""
+        hat = fft.fftn(arr)
+        return [self._spectral(hat, op) for op in ops]
 
     def _laplacian(self, arr: np.ndarray, factor: str) -> np.ndarray:
         """Factor Laplacian of a real or complex array."""
@@ -117,11 +145,13 @@ class ManifoldSlice(_SliceBase):
     """Slice of the flow on a pluriclosed background:
     lambda = 1 + u_zzb/g, eta = 1 - u_wwb/h."""
 
+    _GROUPS = dict(_SliceBase._GROUPS, spd=("z w",),
+                   g=("z", "w", "z w"), h=("z", "w", "z w"))
+
     def __init__(self, u: RealField, bg: Background, beta: float,
                  floor: float = 1e-10):
         super().__init__(u, bg.g.data, bg.h.data, 1.0, 1.0, beta, floor)
-        self.register("g", bg.g.data)
-        self.register("h", bg.h.data)
+        self._bases.update(g=bg.g.data, h=bg.h.data)
 
     def u(self, op: str = "") -> np.ndarray:
         return self.base("u") if op == "" else self.d("u", op)
@@ -141,6 +171,8 @@ class LocalSlice(_SliceBase):
     the periodic ones); the quadratic part contributes the constants a and
     -b to the two pure traces and nothing else.
     """
+
+    _GROUPS = dict(_SliceBase._GROUPS, spd=("z w", "z wb"))
 
     def __init__(self, phi: RealField, a: float, b: float, beta: float,
                  floor: float = 1e-10):
@@ -169,8 +201,8 @@ class LocalSlice(_SliceBase):
         self._second_order(op)
         return self.d("spd", op)
 
-    def bgf(self, name: str) -> np.ndarray:
-        return np.ones(self.grid.shape)
+    def bgf(self, name: str) -> float:
+        return 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +211,8 @@ class LocalSlice(_SliceBase):
 
 class Expr:
     def pair(self, ws) -> tuple[np.ndarray, np.ndarray]:
-        """(value, d/dt) of the node on the slice ws."""
+        """(value, d/dt) of the node on the slice ws; either is a scalar
+        where it is constant in space."""
         raise NotImplementedError
 
 
@@ -212,7 +245,7 @@ class BGField(Expr):
     name: str
 
     def pair(self, ws):
-        return ws.bgf(self.name), np.zeros(ws.grid.shape)
+        return ws.bgf(self.name), 0.0
 
 
 @dataclass
@@ -220,7 +253,7 @@ class Num(Expr):
     c: complex
 
     def pair(self, ws):
-        return np.full(ws.grid.shape, self.c), np.zeros(ws.grid.shape)
+        return self.c, 0.0
 
 
 class Add(Expr):
@@ -373,17 +406,20 @@ def verify_A(u: RealField, bg: Background, beta: float,
     lhs = ws.L(ws.u())
     rhs = 1.0 / eta - beta / lam + (beta - 1.0)
     out.append(_result("A1", lhs, rhs, tol, beta, ws.grid))
+    del lhs, rhs
 
     # A2: heat operator on the potential
     lhs = heat_residual(UDeriv(""), ws)
     rhs = ws.base("spd") + beta / lam - 1.0 / eta + (1.0 - beta)
     out.append(_result("A2", lhs, rhs, tol, beta, ws.grid))
+    del lhs, rhs
 
     # A3: the flowed form stays pluriclosed
     lhs = (deriv_data(ws.grid, g * lam, "w wb")
            + deriv_data(ws.grid, h * eta, "z zb"))
     out.append(_result("A3", lhs, np.zeros_like(lhs), tol, beta, ws.grid,
                        note="(g lam)_wwb + (h eta)_zzb = 0"))
+    del lhs
 
     # A4: heat operator on lambda
     lhs = heat_residual(Lam(), ws)
@@ -396,6 +432,7 @@ def verify_A(u: RealField, bg: Background, beta: float,
         + h_zzb / (g * h)
     )
     out.append(_result("A4", lhs, rhs, tol, beta, ws.grid))
+    del lhs, rhs
 
     # A5: heat operator on eta
     lhs = heat_residual(Eta(), ws)
@@ -408,6 +445,7 @@ def verify_A(u: RealField, bg: Background, beta: float,
         + beta * g_wwb / (g * h)
     )
     out.append(_result("A5", lhs, rhs, tol, beta, ws.grid))
+    del lhs, rhs
 
     # A6: heat operator on log lambda
     sq_w = np.abs(lam_w / lam + g_w / g) ** 2
@@ -420,11 +458,13 @@ def verify_A(u: RealField, bg: Background, beta: float,
         + (g_wwb / g - np.abs(g_w / g) ** 2) / (h * eta)
     )
     out.append(_result("A6", h_loglam, rhs, tol, beta, ws.grid))
+    del rhs
 
     # A7: the two log traces evolve proportionally
     lhs = heat_residual(Log(Eta()), ws)
     rhs = beta * h_loglam
     out.append(_result("A7", lhs, rhs, tol, beta, ws.grid))
+    del lhs, rhs, h_loglam
 
     # A8: heat operator on 1/lambda.  The torsion cross term enters with
     # half weight relative to a naive completed square; the form below is
@@ -440,6 +480,7 @@ def verify_A(u: RealField, bg: Background, beta: float,
         - (g_wwb / g) / (h * lam * eta)
     )
     out.append(_result("A8", lhs, rhs, tol, beta, ws.grid))
+    del lhs, rhs
 
     # A9: heat operator on 1/eta (same half-weight structure on the
     # z-factor cross term)
@@ -453,6 +494,7 @@ def verify_A(u: RealField, bg: Background, beta: float,
         - (1.0 / (h * eta**2)) * np.abs(eta_w / eta) ** 2
     )
     out.append(_result("A9", lhs, rhs, tol, beta, ws.grid))
+    del lhs, rhs
 
     # sanity: the speed itself solves the linearised heat equation, by
     # construction of the substitution
@@ -520,16 +562,18 @@ def verify_B(u: RealField, bg: Background, beta: float, tol: float = 1e-8,
         + (1.0 / (h * eta)) * sigma_w * u_zwwb
     )
     out.append(_result("B11", lhs, psi, tol, beta, ws.grid))
+    del lhs
 
     # B12: connection coefficients agree with log-derivatives of the
     # adjusted metric coefficients
-    ws.register("log_glam", np.log(g * lam))
-    ws.register("log_heta", np.log(h * eta))
     res = 0.0
-    for op in ("z", "w"):
-        r1 = (ws.d("g", op) / g + ws.d("lam", op) / lam) - ws.d("log_glam", op)
-        r2 = (ws.d("h", op) / h + ws.d("eta", op) / eta) - ws.d("log_heta", op)
-        res = max(res, float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
+    for coef, trace in (("g", "lam"), ("h", "eta")):
+        cf, tr = ws.base(coef), ws.base(trace)
+        logs = ws.derivs(np.log(cf * tr), "z", "w")
+        for op, log_d in zip(("z", "w"), logs):
+            r = (ws.d(coef, op) / cf + ws.d(trace, op) / tr) - log_d
+            res = max(res, float(np.max(np.abs(r))))
+        del logs, log_d, r
     out.append(
         IdentityResult("B12", res, tol, res <= tol, "equality", beta, ws.grid.shape,
                        note="connection coefficients vs log-derivatives")
@@ -546,6 +590,7 @@ def verify_B(u: RealField, bg: Background, beta: float, tol: float = 1e-8,
         eta_z / eta + h_z / h - h_z / (h * eta)
     ) ** 2
     out.append(_result("B25", dbar_sq, rhs, tol, beta, ws.grid))
+    del rhs
 
     # B18: Bochner identity for the squared norm of the mixed form
     mixed_node = Mul(
@@ -560,12 +605,14 @@ def verify_B(u: RealField, bg: Background, beta: float, tol: float = 1e-8,
         (beta / (g * lam)) * np.abs(grad_z) ** 2
         + (1.0 / (h * eta)) * np.abs(grad_w) ** 2
     )
+    del grad_z, grad_w
     logdet_node = Add(Log(BGField("g")), Log(Lam()), Log(BGField("h")), Log(Eta()))
     h_logdet = heat_residual(logdet_node, ws)
     mixed_sq = V * np.abs(u_zw) ** 2
     pairing = 2.0 * (V * psi * np.conj(u_zw)).real
     rhs = -dbar_sq - grad_sq - mixed_sq * h_logdet + pairing
     out.append(_result("B18", h_mixed, rhs, tol, beta, ws.grid))
+    del rhs, dbar_sq, grad_sq, h_logdet, pairing, psi
 
     # B23: endpoint growth inequality with conservative constants
     if constants_report is not None:
@@ -609,7 +656,7 @@ def verify_B(u: RealField, bg: Background, beta: float, tol: float = 1e-8,
 
 
 def verify_C(phi: RealField, a: float, b: float, beta: float,
-             tol: float = 1e-8, vectors=None) -> list[IdentityResult]:
+             tol: float = 1e-8) -> list[IdentityResult]:
     """Evolution identities of the local flow and the subsolution property
     of the transform matrix, on the quadratic-plus-periodic slice."""
     ws = LocalSlice(phi, a, b, beta)
@@ -633,11 +680,13 @@ def verify_C(phi: RealField, a: float, b: float, beta: float,
             + ws.d("eta", i) * ws.d("eta", j) / eta**2
         )
         out.append(_result(f"C27[{i}{j}]", lhs, rhs, tol, beta, grid))
+        del lhs, rhs
 
     # C28 / C30: the traces themselves
     lhs = heat_residual(Lam(), ws)
     rhs = -beta * np.abs(lam_z / lam) ** 2 + np.abs(eta_z / eta) ** 2
     out.append(_result("C28", lhs, rhs, tol, beta, grid))
+    del lhs, rhs
 
     lhs = heat_residual(UDeriv("z wb"), ws)
     rhs = (
@@ -645,10 +694,12 @@ def verify_C(phi: RealField, a: float, b: float, beta: float,
         + eta_z * np.conj(eta_w) / eta**2
     )
     out.append(_result("C29", lhs, rhs, tol, beta, grid))
+    del lhs, rhs
 
     lhs = heat_residual(Eta(), ws)
     rhs = beta * np.abs(lam_w / lam) ** 2 - np.abs(eta_w / eta) ** 2
     out.append(_result("C30", lhs, rhs, tol, beta, grid))
+    del lhs, rhs
 
     # C31: reciprocal of eta is a subsolution in closed form
     rhs31 = (
@@ -658,6 +709,7 @@ def verify_C(phi: RealField, a: float, b: float, beta: float,
     )
     lhs = heat_residual(Inv(Eta()), ws)
     out.append(_result("C31", lhs, rhs31, tol, beta, grid))
+    del lhs
 
     # C32: squared modulus of the skew second derivative
     lhs = heat_residual(Abs2(UDeriv("z wb")), ws)
@@ -668,11 +720,12 @@ def verify_C(phi: RealField, a: float, b: float, beta: float,
         - (1.0 / eta) * (np.abs(u_wwzb) ** 2 + np.abs(eta_z) ** 2)
     )
     out.append(_result("C32", lhs, rhs, tol, beta, grid))
+    del lhs, rhs
 
     # C33: product-rule form for |u_zwb|^2 / eta
     absc = (c * cbar).real
-    ws.register("absc", absc)
-    ws.register("inveta", 1.0 / eta)
+    absc_z, absc_w = ws.derivs(absc, "z", "w")
+    inveta_z, inveta_w = ws.derivs(1.0 / eta, "z", "w")
     lhs = heat_residual(Div(Abs2(UDeriv("z wb")), Eta()), ws)
     rhs = (
         (2.0 / eta**3) * (cbar * eta_z * np.conj(eta_w)).real
@@ -681,11 +734,12 @@ def verify_C(phi: RealField, a: float, b: float, beta: float,
         + absc * rhs31
         - (2.0 * beta / (lam**2 * eta)) * (cbar * lam_z * np.conj(lam_w)).real
         - (2.0 * beta / lam)
-        * (ws.d("absc", "z") * np.conj(ws.d("inveta", "z"))).real
+        * (absc_z * np.conj(inveta_z)).real
         - (2.0 / eta)
-        * (ws.d("absc", "w") * np.conj(ws.d("inveta", "w"))).real
+        * (absc_w * np.conj(inveta_w)).real
     )
     out.append(_result("C33", lhs, rhs, tol, beta, grid))
+    del rhs, absc_z, absc_w, inveta_z, inveta_w
 
     # C34: same statement with the product derivatives substituted
     rhs = (
@@ -700,6 +754,7 @@ def verify_C(phi: RealField, a: float, b: float, beta: float,
         * ((c * u_wwzb - cbar * eta_z) * np.conj(eta_w) / eta**2).real
     )
     out.append(_result("C34", lhs, rhs, tol, beta, grid))
+    del lhs, rhs, absc
 
     # C35: completed-square form for the first diagonal transform entry.
     # All three factor-weighted squares carry beta; the derivation fixes
@@ -711,6 +766,7 @@ def verify_C(phi: RealField, a: float, b: float, beta: float,
     rhs35 = -beta * sq1 - beta * sq2 - beta * sq3 - sq4
     lhs = heat_residual(Add(Lam(), Div(Abs2(UDeriv("z wb")), Eta())), ws)
     out.append(_result("C35", lhs, rhs35, tol, beta, grid))
+    del lhs, sq1, sq2, sq3, sq4
 
     # C36: off-diagonal entry, product-rule form
     lhs36 = heat_residual(Div(UDeriv("z wb"), Eta()), ws)
@@ -723,6 +779,7 @@ def verify_C(phi: RealField, a: float, b: float, beta: float,
         + (1.0 / eta) * (u_zwbwb * eta_w / eta**2 - eta_z * np.conj(eta_w) / eta**2)
     )
     out.append(_result("C36", lhs36, rhs, tol, beta, grid))
+    del rhs
 
     # C37: off-diagonal entry, regrouped into the pairing blocks
     t37 = (
@@ -735,15 +792,15 @@ def verify_C(phi: RealField, a: float, b: float, beta: float,
         * (eta_z / np.sqrt(lam * eta**3))
     )
     out.append(_result("C37", lhs36, t37, tol, beta, grid))
+    del lhs36
 
     # quadratic form: direct heat residual equals the block expansion and
     # the expansion is pointwise nonpositive
-    if vectors is None:
-        vectors = [(1.0, 0.0), (0.0, 1.0), (1 / math.sqrt(2), 1 / math.sqrt(2))]
     w11 = Add(Lam(), Div(Abs2(UDeriv("z wb")), Eta()))
     w12 = Div(UDeriv("z wb"), Eta())
     w22 = Inv(Eta())
-    for va, vb in vectors:
+    for va, vb in ((1.0, 0.0), (0.0, 1.0),
+                   (1 / math.sqrt(2), 1 / math.sqrt(2))):
         node = Add(
             Mul(Num(abs(va) ** 2), w11),
             Mul(Num(2.0), ReP(Mul(Num(va * np.conj(vb)), w12))),
@@ -757,6 +814,7 @@ def verify_C(phi: RealField, a: float, b: float, beta: float,
         )
         tag = f"HW[{va:.2f},{vb:.2f}]"
         out.append(_result(tag, lhs, expansion, tol, beta, grid))
+        del lhs
         top = float(np.max(expansion))
         scale = max(1.0, float(np.max(np.abs(expansion))))
         out.append(

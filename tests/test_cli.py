@@ -356,6 +356,21 @@ class TestArtifacts:
         ])
         assert code == 1
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "legendre_subsolution's dt_snap^2 tolerance ignores the third time "
+        "derivative of the fast-decaying quads: the finite-difference "
+        "subsolution checks are calibrated for snapshot_stride = 1"))
+    def test_every_check_passes_on_a_strided_clean_run(self, tmp_path):
+        """Known failure, kept until runs can space their snapshots in time
+        (snapshot_dt): SPLIT_RUN (snapshot_stride = 10) with every check on
+        exits 1, failing legendre_subsolution only, worst margin -0.098."""
+        cfg = write_cfg(tmp_path, SPLIT_RUN + "\n[monitors]\nenabled = all\n")
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")])
+        summary = json.loads((tmp_path / "r" / "summary.json").read_text())
+        failed = [name for name, r in summary["checks"].items()
+                  if not r["passed"]]
+        assert (code, failed) == (0, [])
+
     @staticmethod
     def fftn_after_flow(tmp_path, monkeypatch, text):
         """Run the recipe on text; returns its report, the states the run

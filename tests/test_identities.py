@@ -1,9 +1,14 @@
 """Tests for the slice identity checker and the expression algebra."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from splitma import AdmissibilityLost, ConfigurationError, make_grid
+from splitma import _backend, identities
+from splitma.config import ExperimentConfig
+from splitma.experiments import cmd_check_identities
 from splitma.geometry import (
     PLURICLOSED_GENERAL,
     constants,
@@ -164,6 +169,73 @@ class TestFactorKernelSlice:
     def test_potential_keeps_its_full_spectrum(self, ws):
         phi = ws.base("u")
         assert np.array_equal(ws.d("u", "z zb"), deriv_data(ws.grid, phi, "z zb"))
+
+
+class TestSliceCache:
+    """A slice keeps the derivatives of its base fields only, takes the
+    conjugate ops of a real base field without a transform, and the
+    identity recipe stays within its memory budget."""
+
+    @pytest.fixture()
+    def slices(self, grid16, bgp16, u16):
+        phi = random_test_field(grid16, seed=5, amplitude=0.005, band=2)
+        return [ManifoldSlice(u16, bgp16, 0.7), LocalSlice(phi, 1.0, 1.0, 0.7)]
+
+    def test_conjugate_ops_of_real_base_fields(self, slices, monkeypatch):
+        calls = []
+        real_ifftn = _backend.ifftn
+        monkeypatch.setattr(_backend, "ifftn",
+                            lambda a: calls.append(1) or real_ifftn(a))
+        for ws in slices:
+            for key in ws._bases:
+                f = ws.base(key)
+                for op in ("zb", "wb"):
+                    ws.d(key, op[0])
+                    n = len(calls)
+                    got = ws.d(key, op)
+                    assert len(calls) == n, (key, op)
+                    direct = real_ifftn(ws.grid.apply_multiplier(
+                        _backend.fftn(f), op))
+                    err = np.max(np.abs(got - direct))
+                    assert err <= 1e-14 * np.max(np.abs(direct)), (key, op, err)
+
+    def test_helper_fields_leave_nothing_in_the_slice(self, grid16, bgp16,
+                                                      u16, monkeypatch):
+        ws = ManifoldSlice(u16, bgp16, 0.7)
+        verify_A(u16, bgp16, 0.7, ws=ws)
+        verify_B(u16, bgp16, 0.7, ws=ws)
+        local = []
+
+        class Recorded(LocalSlice):
+            def __init__(self, *args):
+                super().__init__(*args)
+                local.append(self)
+
+        monkeypatch.setattr(identities, "LocalSlice", Recorded)
+        x1, _, x3, _ = grid16.mesh()
+        phi = RealField(grid16, 0.01 * np.sin(TWO_PI * x1)
+                        * np.sin(TWO_PI * x3) * np.ones(grid16.shape))
+        verify_C(phi, 1.0, 1.0, 0.7)
+        bases = {"u", "lam", "eta", "spd"}
+        assert set(ws._bases) == bases | {"g", "h"}
+        assert set(local[0]._bases) == bases
+        for s in (ws, local[0]):
+            assert {key for key, _ in s._derivs} <= set(s._bases)
+
+    def test_identity_recipe_peak_memory(self, tmp_path):
+        """The tracemalloc peak of the identity recipe on a 16^4
+        pluriclosed config is at most 40 complex 16^4 fields (1 MiB each).
+        A slice that kept every spectrum and derivative it computed
+        peaked at about 54."""
+        cfg = ExperimentConfig(dims=(16,) * 4, bg_kind="pluriclosed_cos",
+                               id_betas=(0.7,), id_seed=3)
+        tracemalloc.start()
+        try:
+            cmd_check_identities(cfg, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 2**20 <= 40
 
 
 class TestGroupA:
