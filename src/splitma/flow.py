@@ -17,6 +17,11 @@ length (the run recipe streams into monitors.MonitorStream, the
 steady-convergence recipe into its residual series); without one the
 Trajectory stores every kept state.  The exponent sweep and the factor
 oracle (experiments) keep the initial state and the checkpoint states.
+
+Working set: a step computes in place (trace factors in the Laplacian
+outputs, speeds in lambda's buffer, one stage buffer, k2's buffer as the
+accumulator) and holds about five fields beyond u and k1; between keeps a
+streamed run holds the current state and the kept potential only.
 """
 
 from __future__ import annotations
@@ -126,9 +131,11 @@ def lambda_eta(
 
 
 def _lambda_eta_data(u_data: np.ndarray, bg: Background, floor: float, t=None):
-    u_zzb, u_wwb = factor_laplacians(bg.grid, u_data)
-    lam = 1.0 + u_zzb / bg.g.data
-    eta = 1.0 - u_wwb / bg.h.data
+    lam, eta = factor_laplacians(bg.grid, u_data)
+    lam /= bg.g.data
+    lam += 1.0
+    eta /= bg.h.data
+    np.subtract(1.0, eta, out=eta)
     lam_min = float(lam.min())
     eta_min = float(eta.min())
     if not (lam_min > floor):
@@ -192,8 +199,14 @@ def dt_adaptive(
 
 
 def _speed_of(u_data, bg, beta, floor, forcing, t):
-    lam, eta = _lambda_eta_data(u_data, bg, floor, t)
-    return flow_speed(lam, eta, beta, forcing)
+    """flow_speed of u_data, computed inside the lambda buffer."""
+    s, eta = _lambda_eta_data(u_data, bg, floor, t)
+    np.log(s, out=s)
+    s *= beta
+    s -= np.log(eta, out=eta)
+    if forcing is not None:
+        s -= forcing
+    return s
 
 
 def _step_rk4_full(u_data, bg, beta, dt, floor, forcing, t, k1=None):
@@ -202,15 +215,32 @@ def _step_rk4_full(u_data, bg, beta, dt, floor, forcing, t, k1=None):
     Returns (u_new, lam_new, eta_new, speed_new): the trailing
     admissibility check of the accepted state doubles as the first stage
     of the next step, so nothing is evaluated twice across the run loop.
+
+    One buffer holds the three stage inputs in turn; k2's buffer
+    accumulates u + (dt/6)(k1 + 2 k2 + 2 k3 + k4) in that expression's
+    operation order (IEEE + and * commute), dropping each k once folded in.
     """
     if k1 is None:
         k1 = _speed_of(u_data, bg, beta, floor, forcing, t)
-    k2 = _speed_of(u_data + 0.5 * dt * k1, bg, beta, floor, forcing, t)
-    k3 = _speed_of(u_data + 0.5 * dt * k2, bg, beta, floor, forcing, t)
-    k4 = _speed_of(u_data + dt * k3, bg, beta, floor, forcing, t)
-    u_new = u_data + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    lam_new, eta_new = _lambda_eta_data(u_new, bg, floor, t)
-    return u_new, lam_new, eta_new, flow_speed(lam_new, eta_new, beta, forcing)
+    stage = np.multiply(k1, 0.5 * dt)
+    stage += u_data
+    acc = _speed_of(stage, bg, beta, floor, forcing, t)
+    np.multiply(acc, 0.5 * dt, out=stage)
+    stage += u_data
+    acc *= 2.0
+    acc += k1
+    k = _speed_of(stage, bg, beta, floor, forcing, t)
+    np.multiply(k, dt, out=stage)
+    stage += u_data
+    k *= 2.0
+    acc += k
+    del k
+    acc += _speed_of(stage, bg, beta, floor, forcing, t)
+    del stage
+    acc *= dt / 6.0
+    acc += u_data
+    lam_new, eta_new = _lambda_eta_data(acc, bg, floor, t)
+    return acc, lam_new, eta_new, flow_speed(lam_new, eta_new, beta, forcing)
 
 
 def step_rk4(
@@ -270,13 +300,14 @@ def integrate(
 
     Each step is the stability limit dt_adaptive, cut to t_end and
     shortened to land on the next of the stops in (0, t_end]; at_stop is
-    true at each stop hit and at t_end.  The yielded arrays are fresh at
-    every step and are the inputs of the next one: do not modify them.
+    true at each stop hit and at t_end.  The yielded arrays are the inputs
+    of the next step and the first state holds u0 itself: do not modify
+    them.  A step holds the current state and about five fields more.
     """
     beta, floor, eps = params.beta, params.admissibility_floor, 1e-12
     f = None if forcing is None else forcing.data
     stops = sorted(t for t in stops if 0.0 < t <= params.t_end)
-    state = make_state(u0.copy(), bg, beta, 0.0, floor, forcing)
+    state = make_state(u0, bg, beta, 0.0, floor, forcing)
     yield state, 0.0, state.t >= params.t_end - eps
     t, k = 0.0, 0
     while t < params.t_end - eps:
@@ -317,7 +348,10 @@ def run(
     sup-norm below steady_tol ("norm", for gauged problems).
 
     keep, when given, is called with the trajectory each time it keeps a
-    state; the trajectory then holds that state (and its dt) only.
+    state; the trajectory then holds that state (and its dt) only.  Until
+    the next keep it holds just that state's potential and time (lam, eta
+    and du_dt None), all a failure dump reads; the returned trajectory
+    holds the final state whole.
     """
     traj = Trajectory(grid=u0.grid, beta=params.beta, params=params,
                       termination="t_end")
@@ -336,6 +370,8 @@ def run(
                 else:
                     traj.snapshots[:], traj.dts[:] = [state], [dt_used]
                     keep(traj)
+                    traj.snapshots[0] = FlowState(state.u, state.t,
+                                                  None, None, None)
                 if steady_residual(state.du_dt.data,
                                    params.steady_criterion) < params.steady_tol:
                     traj.termination = "steady"
@@ -347,6 +383,8 @@ def run(
         # caller can dump the last admissible state
         exc.trajectory = traj
         raise
+    if keep is not None:
+        traj.snapshots[0] = state
     return traj
 
 

@@ -260,16 +260,14 @@ def curvature(bg: Background, tol: float = 1e-10) -> CurvatureReport:
     the trace floor is preserved along the flow.
     """
     grid = bg.grid
-    lg = np.log(bg.g.data)
-    lh = np.log(bg.h.data)
     fields = {}
-    for name, src, factor in (
-        ("log_g_zzb", lg, "z"),
-        ("log_g_wwb", lg, "w"),
-        ("log_h_zzb", lh, "z"),
-        ("log_h_wwb", lh, "w"),
-    ):
-        fields[name] = RealField(grid, factor_laplacian(grid, src, factor))
+    for coef, zzb, wwb in ((bg.g, "log_g_zzb", "log_g_wwb"),
+                           (bg.h, "log_h_zzb", "log_h_wwb")):
+        # one log field at a time: it is dropped before the next is taken
+        log_c = np.log(coef.data)
+        fields[zzb] = RealField(grid, factor_laplacian(grid, log_c, "z"))
+        fields[wwb] = RealField(grid, factor_laplacian(grid, log_c, "w"))
+        del log_c
     scale = 1.0 + max(sup_norm(fields["log_h_zzb"]), sup_norm(fields["log_g_wwb"]))
     ok = (
         float(fields["log_h_zzb"].data.min()) >= -tol * scale

@@ -424,12 +424,9 @@ def atomic_write(path: str | os.PathLike, mode: str = "w"):
 
 
 def write_field(f: Field, path: str | os.PathLike) -> None:
-    if isinstance(f, RealField):
-        dtype = "<f8"
-        payload = np.ascontiguousarray(f.data, dtype="<f8").tobytes()
-    else:
-        dtype = "<c16"
-        payload = np.ascontiguousarray(f.data, dtype="<c16").tobytes()
+    dtype = "<f8" if isinstance(f, RealField) else "<c16"
+    # the array's own buffer is written, without a bytes copy
+    payload = memoryview(np.ascontiguousarray(f.data, dtype=dtype)).cast("B")
     header = {
         "format": _MAGIC,
         "version": 1,
@@ -444,43 +441,44 @@ def write_field(f: Field, path: str | os.PathLike) -> None:
 
 
 def read_field(path: str | os.PathLike, grid: TorusGrid | None = None) -> Field:
+    """The field in path; the payload is read straight into its array."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    nl = raw.find(b"\n")
-    if nl < 0:
-        raise FieldFormatError("corrupt header: no header line")
-    try:
-        header = json.loads(raw[:nl].decode("ascii"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FieldFormatError(f"corrupt header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format") != _MAGIC:
-        raise FieldFormatError("corrupt header: wrong format tag")
-    try:
-        dims = tuple(int(n) for n in header["dims"])
-        periods = tuple(float(L) for L in header["periods"])
-        dtype = header["dtype"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FieldFormatError(f"corrupt header: {exc}") from exc
-    if dtype not in ("<f8", "<c16"):
-        raise FieldFormatError(f"corrupt header: unsupported dtype {dtype!r}")
-    if len(dims) != 4:
-        raise FieldFormatError("corrupt header: dims must have length 4")
-    payload = raw[nl + 1 :]
-    itemsize = np.dtype(dtype).itemsize
-    expected = itemsize * int(np.prod(dims))
-    if len(payload) != expected:
-        raise FieldFormatError(
-            f"length mismatch: payload {len(payload)} bytes, expected {expected}"
-        )
-    if grid is not None:
-        if grid.shape != dims or not np.allclose(grid.periods, periods):
-            raise FieldFormatError("header grid does not match requested grid")
-        g = grid
-    else:
-        g = make_grid(dims, periods)
-    data = np.frombuffer(payload, dtype=dtype).reshape(dims)
+        line = fh.readline()
+        if not line.endswith(b"\n"):
+            raise FieldFormatError("corrupt header: no header line")
+        try:
+            header = json.loads(line[:-1].decode("ascii"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise FieldFormatError(f"corrupt header: {exc}") from exc
+        if not isinstance(header, dict) or header.get("format") != _MAGIC:
+            raise FieldFormatError("corrupt header: wrong format tag")
+        try:
+            dims = tuple(int(n) for n in header["dims"])
+            periods = tuple(float(L) for L in header["periods"])
+            dtype = header["dtype"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FieldFormatError(f"corrupt header: {exc}") from exc
+        if dtype not in ("<f8", "<c16"):
+            raise FieldFormatError(f"corrupt header: unsupported dtype {dtype!r}")
+        if len(dims) != 4:
+            raise FieldFormatError("corrupt header: dims must have length 4")
+        size = os.fstat(fh.fileno()).st_size - len(line)
+        expected = np.dtype(dtype).itemsize * int(np.prod(dims))
+        if size != expected:
+            raise FieldFormatError(
+                f"length mismatch: payload {size} bytes, expected {expected}"
+            )
+        if grid is not None:
+            if grid.shape != dims or not np.allclose(grid.periods, periods):
+                raise FieldFormatError("header grid does not match requested grid")
+            g = grid
+        else:
+            g = make_grid(dims, periods)
+        data = np.empty(dims, dtype=dtype)
+        if fh.readinto(memoryview(data).cast("B")) != expected:
+            raise FieldFormatError("length mismatch: payload changed while read")
     if not np.all(np.isfinite(data)):
         raise FieldFormatError("payload contains non-finite entries")
     if dtype == "<f8":
-        return RealField(g, data.astype(np.float64))
-    return ComplexField(g, data.astype(np.complex128))
+        return RealField(g, data.astype(np.float64, copy=False))
+    return ComplexField(g, data.astype(np.complex128, copy=False))

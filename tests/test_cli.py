@@ -346,6 +346,34 @@ class TestArtifacts:
         assert rep["failed_at"] == 0.25
         assert (tmp_path / "fail" / "failure_u.field").exists()
 
+    def test_admissibility_loss_dumps_the_last_kept_potential(
+            self, tmp_path, monkeypatch):
+        """A streamed run with snapshot_stride 10 that loses admissibility
+        in step 14 dumps the potential of step 10, its last kept state."""
+        import splitma.flow as flow
+        from splitma.errors import AdmissibilityLost
+        from splitma.grid_field import read_field
+
+        real, calls = flow._lambda_eta_data, []
+
+        def failing(*a, **k):
+            calls.append(1)
+            if len(calls) > 1 + 4 * 13:  # the initial state and 13 steps
+                raise AdmissibilityLost("forced", which="lambda", value=0.0)
+            return real(*a, **k)
+
+        monkeypatch.setattr(flow, "_lambda_eta_data", failing)
+        cfg = parse_config(write_cfg(
+            tmp_path, SPLIT_RUN + "\n[output]\nfield_dump_stride = 1\n"))
+        out = tmp_path / "fail"
+        code, rep = cmd_flow_run(cfg, out)
+        assert code == 3 and rep["termination"] == "failed"
+        kept = sorted(out.glob("u_*.field"))
+        assert [p.name for p in kept] == ["u_000000.field", "u_000001.field"]
+        dumped = read_field(out / "failure_u.field").data
+        assert np.array_equal(dumped, read_field(kept[-1]).data)
+        assert not np.array_equal(dumped, read_field(kept[0]).data)
+
     def test_identities_tamper_exits_one(self, tmp_path):
         text = MINIMAL.replace("dims = 8 8 8 8", "dims = 16 16 16 16")
         text += "\n[identities]\nbetas = 0.5\ntolerance = 1e-3\n"

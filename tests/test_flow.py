@@ -20,9 +20,11 @@ from splitma.flow import (
     run,
     shift_min_zero,
     step_rk4,
+    step_with_rejection,
 )
 from splitma.geometry import flat_background, kahler_product_background
-from splitma.grid_field import RealField, derivative, sup_norm
+from splitma.grid_field import RealField, derivative, factor_laplacians, sup_norm
+from splitma.identities import random_test_field
 from splitma.oracle2d import run_factor_flow
 
 TWO_PI = 2.0 * np.pi
@@ -36,6 +38,18 @@ def grid():
 @pytest.fixture(scope="module")
 def bg(grid):
     return flat_background(grid)
+
+
+@pytest.fixture(scope="module")
+def kahler16(grid):
+    """A 16^4 kahler_cos background (g_eps = h_eps = 0.2), random
+    non-split data and a forcing that depends on both factors."""
+    x = np.arange(16) / 16
+    prof = (1.0 + 0.2 * np.cos(TWO_PI * x))[:, None] * np.ones((1, 16))
+    x1, _, x3, _ = grid.mesh()
+    forcing = 0.1 * np.cos(TWO_PI * x1) * np.cos(TWO_PI * x3)
+    return (kahler_product_background(grid, prof, prof),
+            random_test_field(grid, 5, 0.01, 1), forcing)
 
 
 def split_sine(grid, amp_a=0.05, amp_b=0.05, k=1, m=1):
@@ -146,6 +160,35 @@ class TestStepping:
         u = np.zeros(grid.shape)
         out = step_rk4(u, bg, 0.5, 1e-3)
         assert np.max(np.abs(out)) < 1e-16
+
+    def test_step_is_the_textbook_formula_bit_for_bit(self, grid, kahler16):
+        """The in-place step keeps the operation order of the textbook
+        RK4 step and of its trace factors and speed."""
+        kbg, u0, f = kahler16
+        beta, dt = 0.5, 2e-4
+
+        def textbook_speed(v):
+            u_zzb, u_wwb = factor_laplacians(grid, v)
+            lam = 1.0 + u_zzb / kbg.g.data
+            eta = 1.0 - u_wwb / kbg.h.data
+            return lam, eta, flow_speed(lam, eta, beta, f)
+
+        u = u0.data
+        k1 = textbook_speed(u)[2]
+        k2 = textbook_speed(u + 0.5 * dt * k1)[2]
+        k3 = textbook_speed(u + 0.5 * dt * k2)[2]
+        k4 = textbook_speed(u + dt * k3)[2]
+        ref = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.array_equal(step_rk4(u, kbg, beta, dt, forcing=f), ref)
+        lam, eta = lambda_eta(u0, kbg)
+        ref_lam, ref_eta, _ = textbook_speed(u)
+        assert np.array_equal(lam.data, ref_lam)
+        assert np.array_equal(eta.data, ref_eta)
+        out, dt_used = step_with_rejection(u, kbg, beta, dt, 1e-10, f, 0.0,
+                                           k1=k1)
+        assert dt_used == dt
+        for got, want in zip(out, (ref, *textbook_speed(ref))):
+            assert np.array_equal(got, want)
 
     def test_split_data_stays_split(self, grid, bg):
         u0 = split_sine(grid)
@@ -278,6 +321,48 @@ class TestIntegrate:
         assert len(out) == 1
         state, dt_used, at_stop = out[0]
         assert state.t == 0.0 and dt_used == 0.0 and at_stop
+
+
+class TestMemory:
+    """tracemalloc gates on the stepping layer's working set, in 16^4
+    field units."""
+
+    FIELD = 16**4 * 8
+
+    def test_one_step_holds_at_most_six_fields(self, kahler16,
+                                               traced_peak):
+        # one stage buffer and k2's buffer as the accumulator: about 5.1
+        # fields beyond u and k1; allocating every intermediate takes 9.0
+        kbg, u0, f = kahler16
+        state = make_state(u0, kbg, 0.5, 0.0, forcing=RealField(u0.grid, f))
+        dt = dt_adaptive(state, kbg, 0.5, cfl=1.0, dt_max=1.0)
+
+        def step():
+            _, dt_used = step_with_rejection(
+                u0.data, kbg, 0.5, dt, 1e-10, f, 0.0, k1=state.du_dt.data)
+            assert dt_used == dt
+
+        step()  # warm the transform plans and the multiplier cache
+        assert traced_peak(step) <= 6 * self.FIELD
+
+    @pytest.mark.parametrize("t_end, kept, bound", [
+        (1e-5, 2, 10),      # one step
+        (2.5e-4, 4, 11),    # keeps at steps 0, 10, 20 and 25
+    ])
+    def test_streamed_run_peak(self, kahler16, traced_peak, t_end, kept,
+                               bound):
+        """Between keeps a streamed run holds the current state, the kept
+        potential and one step's working set: about 8.1 fields on one step
+        and 10.1 once a later state is kept, where holding the whole kept
+        state and allocating every intermediate takes 13.0 and 17.0."""
+        kbg, u0, _ = kahler16
+        params = FlowParams(beta=0.5, t_end=t_end, dt_max=1e-5,
+                            snapshot_stride=10)
+        times = []
+        peak = traced_peak(lambda: run(
+            kbg, u0, params, keep=lambda tr: times.append(tr.snapshots[-1].t)))
+        assert len(times) == kept
+        assert peak <= bound * self.FIELD, peak / self.FIELD
 
 
 class TestOracle2D:

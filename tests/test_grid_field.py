@@ -297,6 +297,29 @@ class TestFieldIO:
         with pytest.raises(FieldFormatError, match="non-finite"):
             read_field(p)
 
+    def test_long_payload(self, grid, tmp_path):
+        p = tmp_path / "u.field"
+        write_field(RealField.zeros(grid), p)
+        p.write_bytes(p.read_bytes() + b"\x00" * 8)
+        with pytest.raises(FieldFormatError, match="length mismatch"):
+            read_field(p)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_io_transients(self, tmp_path, traced_peak, complex_):
+        """At 16^4 write_field copies nothing and read_field allocates the
+        returned array only (and isfinite's boolean mask); going through
+        bytes copies takes one (write) and three (read) payloads."""
+        g16 = make_grid((16, 16, 16, 16), (1, 1, 1, 1))
+        data = np.random.default_rng(7).normal(size=g16.shape)
+        f = (ComplexField(g16, data - 0.5j * data) if complex_
+             else RealField(g16, data))
+        p = tmp_path / "u.field"
+        write_field(f, p)  # warm the header and file paths
+        field = 16**4 * 8
+        assert traced_peak(lambda: write_field(f, p)) <= 0.25 * field
+        assert traced_peak(lambda: read_field(p)) <= f.data.nbytes + 0.25 * field
+        assert np.array_equal(read_field(p).data, f.data)
+
     def test_mismatched_grid(self, grid, tmp_path):
         u = RealField.zeros(grid)
         p = tmp_path / "u.field"
