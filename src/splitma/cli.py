@@ -39,8 +39,9 @@ COMMANDS = {
         [_SEED,
          ("--negative-control", dict(
              default=None, metavar="CHECK",
-             help="corrupt the trajectory so the named check must fail "
-                  "(any check registered in splitma.monitors.CHECKS)"))],
+             help="corrupt every kept state after the first so the named "
+                  "check must fail (any check registered in "
+                  "splitma.monitors.CHECKS)"))],
         lambda cfg, out, a: cmd_flow_run(
             cfg, out, seed=a.seed, negative_control=a.negative_control),
     ),

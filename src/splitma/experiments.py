@@ -4,6 +4,7 @@ the slice identity suite.  Each recipe returns (exit_code, report)."""
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import math
@@ -41,8 +42,6 @@ from .monitors import (
     CheckResult,
     MonitorStream,
     c0_series,
-    corrupt_trajectory,
-    evaluate,
 )
 from .oracle2d import run_factor_flow
 
@@ -221,8 +220,8 @@ def _prepare_problem(cfg: ExperimentConfig, seed=None):
 def cmd_flow_run(cfg: ExperimentConfig, out_dir, seed=None,
                  negative_control: str | None = None):
     """Monitored run: the kept states stream through a MonitorStream and
-    the field dump as they are produced.  A negative control keeps the
-    whole run instead, corrupts it, and replays it through the stream."""
+    the field dump as they are produced.  A negative control hands them a
+    corrupted deep copy of each kept state after the first instead."""
     if negative_control is not None and negative_control not in CHECKS:
         raise ConfigurationError(
             f"no corruption fixture for check {negative_control!r}")
@@ -237,12 +236,15 @@ def cmd_flow_run(cfg: ExperimentConfig, out_dir, seed=None,
     dump = _field_dump(out, cfg.field_dump_stride)
 
     def keep(tr: Trajectory) -> None:
-        stream.keep(tr)
-        dump(tr.snapshots[-1])
+        s = tr.snapshots[-1]
+        if negative_control is not None and stream.records:
+            s = copy.deepcopy(s, {id(s.u.grid): s.u.grid})
+            CHECKS[negative_control].corrupt(s, stream.records[0])
+        stream.add(tr, s, tr.dts[-1])
+        dump(s)
 
     try:
-        traj = run(bg, u0, params, forcing=forcing,
-                   keep=None if negative_control else keep)
+        traj = run(bg, u0, params, forcing=forcing, keep=keep)
     except (NumericalFailure, AdmissibilityLost) as exc:
         report = {"schema_version": SCHEMA_VERSION, "termination": "failed",
                   "error": str(exc)}
@@ -252,11 +254,8 @@ def cmd_flow_run(cfg: ExperimentConfig, out_dir, seed=None,
             write_field(partial.snapshots[-1].u, out / "failure_u.field")
         _write_json(out / "summary.json", report)
         return EXIT_NUMERICAL, report
-    if negative_control is not None:
-        traj = corrupt_trajectory(traj, negative_control)
-        evaluate(traj, bg, stream=stream)
-        for s in traj.snapshots:
-            dump(s)
+    if negative_control is not None and len(stream.records) < 3:
+        raise ConfigurationError("corruption fixtures need >= 3 snapshots")
     results = stream.results()
     _write_timeseries(out / "timeseries.csv", stream, results)
     report = _summary(traj, stream, results)

@@ -433,12 +433,13 @@ def gauge_out_f(
     mean_he = float((h * np.exp(-f_minus.data)).mean())
     b_minus = math.log(mean_he / mean_h)
 
-    rhs_plus = g * (np.exp((f_plus.data + b_plus) / beta) - 1.0)
-    rhs_minus = h * (1.0 - np.exp(-(f_minus.data + b_minus)))
-    u_plus = poisson_solve_factor(RealField(grid, rhs_plus), "z")
-    u_minus = poisson_solve_factor(RealField(grid, rhs_minus), "w")
-    g_new = g * np.exp((f_plus.data + b_plus) / beta)
-    h_new = h * np.exp(-(f_minus.data + b_minus))
+    e = np.exp((f_plus.data + b_plus) / beta)
+    u_plus = poisson_solve_factor(RealField(grid, g * (e - 1.0)), "z")
+    g_new = g * e
+    e = np.exp(-(f_minus.data + b_minus))
+    u_minus = poisson_solve_factor(RealField(grid, h * (1.0 - e)), "w")
+    h_new = h * e
+    del e
     return GaugeResult(
         u_inf=RealField(grid, u_plus.data + u_minus.data),
         b_plus=b_plus,

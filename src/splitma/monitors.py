@@ -16,23 +16,28 @@ states, so the stream keeps a 3-state window of traces, W quads and Phi
 and emits scalars.  No field outlives the window, so the memory of a
 monitored run does not grow with its length.
 
-Each check is a function of the trajectory's header (beta, params, meta)
-and the stream's records: check_<name>(traj, bg, ..., stream) never reads
-traj.snapshots, so it gives the same result on a live run, whose
-Trajectory holds only its last state, and on a stored trajectory replayed
-through a stream (evaluate, which --negative-control uses).  A check
-called without a stream replays traj for itself.  The checks whose bounds
-need the final running c0 (trace_lower_bound, mixed_growth, trace_growth)
-are evaluated from the records at the end.  phi_subsolution, whose Phi
+Each check takes the stream alone: check_<name>(stream) reads the
+trajectory's header (beta, params, meta) from stream.traj, the background
+from stream.bg, the constants from stream.cr, the curvature from
+stream.curv, and the stream's records; it never reads a stored state.  So
+it gives the same result on a live run, whose Trajectory holds only its
+last state, and on a stored trajectory replayed through a stream
+(MonitorStream.replay, which evaluate uses).  The checks whose bounds need
+the final running c0 (trace_lower_bound, mixed_growth, trace_growth) are
+evaluated from the records at the end.  phi_subsolution, whose Phi
 weight a_phi and source c14 depend on c0 off Kahler products, takes each
 window's constants at the running c0 up to the window's last state
 unless a constants report is supplied.
 
-The registry CHECKS is the one list of checks: for each it holds how the
-stream's results run it, whether it runs by default, and the
-negative-control corruption (applied by corrupt_trajectory) that makes it
-fail, so a passing suite is evidence the checks can actually bite.
-Re-running a check on the same trajectory gives identical results.
+The registry CHECKS is the one list of checks: for each it holds whether
+it runs by default and the negative-control corruption that makes it
+fail, so a passing suite is evidence the checks can actually bite.  A
+negative control corrupts every kept state after the first,
+corrupt(state, first), where first is the first state's SnapshotRecord:
+corrupt_trajectory does so on a deep copy of a stored trajectory, and
+`splitma run --negative-control` on a deep copy of each state as the run
+keeps it, so the negative control streams like a clean run.  Re-running a
+check on the same trajectory gives identical results.
 
 Bound tolerances absorb time discretisation: monotonicity comparisons use
 a fixed relative slack, pointwise comparisons scale with the square of
@@ -230,6 +235,17 @@ class SnapshotRecord:
     det_w: float | None = None  # det_w_residual
 
 
+def _record(s: FlowState, dt: float, steady_criterion: str) -> SnapshotRecord:
+    """The record of state s without the parts of the enabled checks."""
+    return SnapshotRecord(
+        s.t, dt, float(s.u.data.min()), float(s.u.data.max()),
+        float(s.lam.data.min()), float(s.lam.data.max()),
+        float(s.eta.data.min()), float(s.eta.data.max()),
+        float(s.du_dt.data.min()), float(s.du_dt.data.max()),
+        float(np.max(1.0 / s.lam.data + 1.0 / s.eta.data)),
+        steady_residual(s.du_dt.data, steady_criterion))
+
+
 @dataclass
 class _Slot:
     """One state's place in the stream's 3-state window."""
@@ -255,12 +271,12 @@ class MonitorStream:
     """The one consumer of a run's kept states.
 
     keep(traj) is flow.run's keep callback; add(traj, state, dt) consumes
-    one state of traj, which evaluate uses to replay a stored trajectory.
-    enabled names the checks whose field work is done; constants_report,
-    when given, fixes the constants of every check, otherwise they are
-    taken at the records' running c0 (constants_at).  The background's
-    curvature and torsion are computed at most once.  results() runs the
-    enabled checks on the records.
+    one state of traj, and replay(traj) every stored state.  enabled names
+    the checks whose field work is done; constants_report, when given,
+    fixes the constants of every check, otherwise they are taken at the
+    records' running c0 (constants_at).  The background's curvature and
+    torsion are computed at most once.  results() runs the enabled checks
+    on the records.
 
     records: one SnapshotRecord per state.
     legendre: (i, dt_snap, [(scale, worst) per direction vector]) per
@@ -335,14 +351,9 @@ class MonitorStream:
             raise ConfigurationError("the stream belongs to another trajectory")
         bg, beta, grid = self.bg, traj.beta, s.u.grid
         i = len(self.records)
-        c0 = float(np.max(1.0 / s.lam.data + 1.0 / s.eta.data))
-        self.c0_max = c0 if i == 0 else float(np.maximum(self.c0_max, c0))
-        rec = SnapshotRecord(
-            s.t, dt, float(s.u.data.min()), float(s.u.data.max()),
-            float(s.lam.data.min()), float(s.lam.data.max()),
-            float(s.eta.data.min()), float(s.eta.data.max()),
-            float(s.du_dt.data.min()), float(s.du_dt.data.max()), c0,
-            steady_residual(s.du_dt.data, traj.params.steady_criterion))
+        rec = _record(s, dt, traj.params.steady_criterion)
+        self.c0_max = rec.c0 if i == 0 else float(np.maximum(self.c0_max,
+                                                             rec.c0))
         self.records.append(rec)
         if self._speed:
             expect = beta * np.log(s.lam.data) - np.log(s.eta.data)
@@ -352,14 +363,11 @@ class MonitorStream:
             rec.speed_err = float(np.max(np.abs(s.du_dt.data - expect)))
             del expect
         hat = fft.fftn(s.u.data) if self._det or self._leg else None
-        if hat is not None:
-            u_zw = fft.ifftn(grid.apply_multiplier(hat, "z w"))
-        elif self._zw:
+        if hat is None:
             u_zw = deriv_data(grid, s.u.data, "z w")
         else:
-            u_zw, mixed = None, mixed_norm(s, bg, beta).data
-        if u_zw is not None:
-            mixed = _mixed_field(u_zw, s, bg, beta)
+            u_zw = fft.ifftn(grid.apply_multiplier(hat, "z w"))
+        mixed = _mixed_field(u_zw, s, bg, beta)
         if self._zw:
             rec.zw = float(np.max(np.abs(u_zw)))
         del u_zw            # before u_zwb: one complex field less at peak
@@ -415,28 +423,27 @@ class MonitorStream:
             self.phi.append((s0.i, dt_snap, 1.0 + float(np.max(np.abs(s0.phi))),
                              float(np.max(h_phi - rhs))))
 
+    def replay(self, traj: Trajectory) -> "MonitorStream":
+        """Consume every stored state of traj; returns the stream."""
+        for s, dt in zip(traj.snapshots, traj.dts):
+            self.add(traj, s, dt)
+        return self
+
     def results(self) -> dict[str, CheckResult]:
-        """The enabled checks on the records so far."""
-        return {name: CHECKS[name].run(self.traj, self.bg, self)
+        """The enabled checks on the records so far.  check_<name> is
+        looked up at call time, so a rebound (e.g. traced) name is the one
+        called."""
+        return {name: globals()[f"check_{name}"](self)
                 for name in self.enabled}
-
-
-def _replay(traj: Trajectory, stream: MonitorStream) -> MonitorStream:
-    """stream after consuming every stored state of traj."""
-    for s, dt in zip(traj.snapshots, traj.dts):
-        stream.add(traj, s, dt)
-    return stream
 
 
 # ---------------------------------------------------------------------------
 # checks: each reads the records of stream, a MonitorStream that has
-# consumed traj with the check enabled; replayed here if omitted
+# consumed a trajectory with the check enabled
 
 
-def check_speed_consistency(traj: Trajectory, bg: Background,
-                            stream: MonitorStream | None = None) -> CheckResult:
+def check_speed_consistency(stream: MonitorStream) -> CheckResult:
     """Cached speed equals beta log(lam) - log(eta) at every snapshot."""
-    stream = stream or _replay(traj, MonitorStream(bg, ["speed_consistency"]))
     entries = []
     for i, r in enumerate(stream.records):
         err = r.speed_err
@@ -445,12 +452,10 @@ def check_speed_consistency(traj: Trajectory, bg: Background,
     return _finish("speed_consistency", entries)
 
 
-def check_speed_range(traj: Trajectory, bg: Background,
-                      stream: MonitorStream | None = None) -> CheckResult:
+def check_speed_range(stream: MonitorStream) -> CheckResult:
     """Extrema of the speed contract, and the speed stays in the range of
     its initial slice (equivalently the trace comparability
     exp(min G) eta <= lam^beta <= exp(max G) eta holds pointwise)."""
-    stream = stream or _replay(traj, MonitorStream(bg, ["speed_range"]))
     recs = stream.records
     if len(recs) < 2:
         return CheckResult.skip("speed_range", "needs at least two snapshots")
@@ -477,12 +482,10 @@ def check_speed_range(traj: Trajectory, bg: Background,
     return _finish("speed_range", entries)
 
 
-def check_potential_bounds(traj: Trajectory, bg: Background,
-                           stream: MonitorStream | None = None) -> CheckResult:
+def check_potential_bounds(stream: MonitorStream) -> CheckResult:
     """0 <= u <= max u0 along the reduced flow."""
-    if not traj.meta.get("reduced", True):
+    if not stream.traj.meta.get("reduced", True):
         return CheckResult.skip("potential_bounds", "flow is not in reduced form")
-    stream = stream or _replay(traj, MonitorStream(bg, ["potential_bounds"]))
     recs = stream.records
     max_u0 = recs[0].u_max
     entries = []
@@ -535,21 +538,17 @@ def trace_lower_bound_value(
     return best, best_delta
 
 
-def check_trace_lower_bound(
-    traj: Trajectory, bg: Background, cr: ConstantsReport, delta_grid=None,
-    stream: MonitorStream | None = None,
-) -> CheckResult:
+def check_trace_lower_bound(stream: MonitorStream) -> CheckResult:
     """min lambda stays above trace_lower_bound_value, whose G is the
     initial speed."""
-    beta = traj.beta
+    beta = stream.traj.beta
     if beta >= 1.0:
         return CheckResult.skip(
             "trace_lower_bound", "bound formula degenerates at beta = 1"
         )
-    stream = stream or _replay(traj, MonitorStream(bg, ["trace_lower_bound"]))
     first = stream.records[0]
     bound, _ = trace_lower_bound_value(
-        beta, first.du_min, first.du_max, first.u_max, cr.c, delta_grid
+        beta, first.du_min, first.du_max, first.u_max, stream.cr.c
     )
     entries = []
     for i, r in enumerate(stream.records):
@@ -559,18 +558,13 @@ def check_trace_lower_bound(
     return _finish("trace_lower_bound", entries)
 
 
-def check_trace_floor(traj: Trajectory, bg: Background,
-                      curv: CurvatureReport | None = None,
-                      stream: MonitorStream | None = None) -> CheckResult:
+def check_trace_floor(stream: MonitorStream) -> CheckResult:
     """min lambda never drops below its initial value, valid when the
     cross-factor curvature components are nonnegative."""
-    if curv is None:
-        curv = curvature(bg)
-    if not curv.mixed_curvature_nonneg:
+    if not stream.curv.mixed_curvature_nonneg:
         return CheckResult.skip(
             "trace_floor", "background curvature sign condition fails"
         )
-    stream = stream or _replay(traj, MonitorStream(bg, ["trace_floor"]))
     floor0 = stream.records[0].lam_min
     entries = []
     for i, r in enumerate(stream.records):
@@ -581,13 +575,10 @@ def check_trace_floor(traj: Trajectory, bg: Background,
     return _finish("trace_floor", entries)
 
 
-def check_mixed_growth(
-    traj: Trajectory, bg: Background, cr: ConstantsReport,
-    stream: MonitorStream | None = None,
-) -> CheckResult:
+def check_mixed_growth(stream: MonitorStream) -> CheckResult:
     """Sup of the adjusted-metric mixed norm grows at most like
     max(1 + c0 a_psi, (sup_0 + c0 a_psi) exp(c11 t))."""
-    stream = stream or _replay(traj, MonitorStream(bg, ["mixed_growth"]))
+    cr = stream.cr
     shift = cr.c0 * cr.a_psi
     sup0 = stream.records[0].sup
     entries = []
@@ -601,16 +592,13 @@ def check_mixed_growth(
     return _finish("mixed_growth", entries)
 
 
-def check_trace_growth(
-    traj: Trajectory, bg: Background, cr: ConstantsReport,
-    stream: MonitorStream | None = None,
-) -> CheckResult:
+def check_trace_growth(stream: MonitorStream) -> CheckResult:
     """max lambda grows at most doubly exponentially:
     log max lam(t) <= log max lam(0) + (b sup_0 + a c0) exp(c14 t)."""
-    reason = _upper_bound_skip(traj.beta, cr)
+    cr = stream.cr
+    reason = _upper_bound_skip(stream.traj.beta, cr)
     if reason is not None:
         return CheckResult.skip("trace_growth", reason)
-    stream = stream or _replay(traj, MonitorStream(bg, ["trace_growth"]))
     first = stream.records[0]
     log_lam0 = math.log(first.lam_max)
     coef = cr.b_phi * first.sup + cr.a_phi * cr.c0
@@ -626,22 +614,17 @@ def check_trace_growth(
     return _finish("trace_growth", entries)
 
 
-def check_split_preserved(traj: Trajectory, bg: Background,
-                          tol: float = 1e-10,
-                          stream: MonitorStream | None = None) -> CheckResult:
+def check_split_preserved(stream: MonitorStream) -> CheckResult:
     """Split initial data keeps a vanishing mixed derivative."""
-    if not traj.meta.get("split_initial", False):
+    if not stream.traj.meta.get("split_initial", False):
         return CheckResult.skip("split_preserved", "initial data is not split")
-    stream = stream or _replay(traj, MonitorStream(bg, ["split_preserved"]))
+    tol = 1e-10
     entries = [MonitorEntry(r.t, tol, r.zw, tol - r.zw, r.zw <= tol, i)
                for i, r in enumerate(stream.records)]
     return _finish("split_preserved", entries)
 
 
-def check_legendre_subsolution(
-    traj: Trajectory, bg: Background, fd_coef: float = 1.0,
-    stream: MonitorStream | None = None,
-) -> CheckResult:
+def check_legendre_subsolution(stream: MonitorStream) -> CheckResult:
     """Every direction pairing of the transform matrix is a heat
     subsolution: the finite-difference heat operator applied to W(v, vbar),
     for each v in W_VECTORS, is nonpositive up to discretisation
@@ -649,24 +632,18 @@ def check_legendre_subsolution(
     that quad's size); an entry reports the vector with the least margin.
     Needs a constant-coefficient background and at least three snapshots.
 
-    The finite-difference subsolution checks (this one and
-    phi_subsolution) are calibrated for snapshot_stride = 1.  Their
-    tolerance fd_coef * dt_snap^2 ignores the third time derivative of
-    the fast-decaying quads, so at larger strides a clean run can fail:
-    the split 8^4 test run at stride 10 fails here with worst margin
-    -0.098.  This holds until runs can space their snapshots in time
-    (snapshot_dt, ROADMAP item 4)."""
-    reason = _background_varies(bg)
+    The tolerance dt_snap^2 covers the time difference only, not the
+    spatial aliasing of the nonlinear quads, so a clean run on a coarse
+    grid can fail at every snapshot stride."""
+    reason = _background_varies(stream.bg)
     if reason is not None:
         return CheckResult.skip("legendre_subsolution", reason)
-    stream = stream or _replay(traj, MonitorStream(
-        bg, ["legendre_subsolution"]))
     recs = stream.records
     if len(recs) < 3:
         return CheckResult.skip("legendre_subsolution", "needs >= 3 snapshots")
     entries = []
     for i, dt_snap, per_vector in stream.legendre:
-        fd_tol = max(FD_FLOOR, fd_coef * dt_snap * dt_snap)
+        fd_tol = max(FD_FLOOR, dt_snap * dt_snap)
         tols = [(fd_tol * scale, worst) for scale, worst in per_vector]
         tol, worst = min(tols, key=lambda p: p[0] - p[1])
         passed = all(w <= t for t, w in tols)
@@ -676,22 +653,18 @@ def check_legendre_subsolution(
     return _finish("legendre_subsolution", entries)
 
 
-def check_det_w(traj: Trajectory, bg: Background, tol: float = 1e-12,
-                stream: MonitorStream | None = None) -> CheckResult:
+def check_det_w(stream: MonitorStream) -> CheckResult:
     """det W = (g lam)/(h eta) at every snapshot (algebraic identity)."""
-    reason = _background_varies(bg)
+    reason = _background_varies(stream.bg)
     if reason is not None:
         return CheckResult.skip("det_w", reason)
-    stream = stream or _replay(traj, MonitorStream(bg, ["det_w"]))
+    tol = 1e-12
     entries = [MonitorEntry(r.t, tol, r.det_w, tol - r.det_w, r.det_w <= tol, i)
                for i, r in enumerate(stream.records)]
     return _finish("det_w", entries)
 
 
-def check_phi_subsolution(
-    traj: Trajectory, bg: Background, cr: ConstantsReport,
-    fd_coef: float = 1.0, stream: MonitorStream | None = None,
-) -> CheckResult:
+def check_phi_subsolution(stream: MonitorStream) -> CheckResult:
     """The composite test function Phi = log lam + a(1/lam + 1/eta) +
     b |mixed|^2 satisfies H Phi <= c14 max(Phi, 1) pointwise.
 
@@ -700,21 +673,19 @@ def check_phi_subsolution(
     below level one the absolute constant c14 itself bounds the source.
     The unguarded form H Phi <= c14 Phi is violated by exact solutions
     wherever Phi < 0 (e.g. split data with lam < 1 has H Phi = 0 > c14 Phi),
-    so it is not a usable runtime check.  cr decides whether the check
-    applies; the replay without a stream uses it for every window, a
-    stream's Phi uses that stream's constants.
+    so it is not a usable runtime check.  The stream's final constants
+    decide whether the check applies; each window's Phi takes the
+    stream's constants at that window.
     """
-    reason = _upper_bound_skip(traj.beta, cr)
+    reason = _upper_bound_skip(stream.traj.beta, stream.cr)
     if reason is not None:
         return CheckResult.skip("phi_subsolution", reason)
-    stream = stream or _replay(traj, MonitorStream(
-        bg, ["phi_subsolution"], constants_report=cr))
     recs = stream.records
     if len(recs) < 3:
         return CheckResult.skip("phi_subsolution", "needs >= 3 snapshots")
     entries = []
     for i, dt_snap, scale, worst in stream.phi:
-        tol = max(FD_FLOOR, fd_coef * dt_snap * dt_snap) * scale
+        tol = max(FD_FLOOR, dt_snap * dt_snap) * scale
         entries.append(
             MonitorEntry(recs[i].t, tol, worst, tol - worst, worst <= tol, i)
         )
@@ -722,66 +693,41 @@ def check_phi_subsolution(
 
 
 # ---------------------------------------------------------------------------
-# negative-control helpers and the check registry
+# negative-control corruptions and the check registry
 
 
-def _nonsplit(grid) -> np.ndarray:
+def _nonsplit(s: FlowState, first: SnapshotRecord) -> None:
+    grid = s.u.grid
     x1, _, x3, _ = grid.mesh()
-    return 0.2 * np.sin(2 * np.pi * x1 / grid.periods[0]) * np.sin(
+    s.u.data += 0.2 * np.sin(2 * np.pi * x1 / grid.periods[0]) * np.sin(
         2 * np.pi * x3 / grid.periods[2]
     ) * np.ones(grid.shape)
 
 
-def _stretch_last(snaps: list[FlowState], mid: int) -> None:
-    snaps[-1].u.data *= 3.0
-    snaps[-1].lam.data = 1.0 + 2.0 * (snaps[-1].lam.data - 1.0)
+def _stretch(s: FlowState, first: SnapshotRecord) -> None:
+    s.u.data *= 3.0
+    s.lam.data = 1.0 + 2.0 * (s.lam.data - 1.0)
 
 
 # The one list of checks, read by MonitorStream, corrupt_trajectory,
 # DEFAULT_CHECKS, OPTIONAL_CHECKS and the recipes' monitor selection.
-# run(traj, bg, stream) looks check_<name> up at call time, so a rebound
-# (e.g. traced) name is the one called; corrupt(snaps, mid) injects the
-# negative control's violation in place.
-Check = namedtuple("Check", "run default_on corrupt")
+# corrupt(state, first) injects the negative control's violation into a
+# kept state in place; first is the first kept state's record.
+Check = namedtuple("Check", "default_on corrupt")
 CHECKS: dict[str, Check] = {
-    "speed_consistency": Check(
-        lambda tr, bg, x: check_speed_consistency(tr, bg, stream=x), True,
-        lambda s, m: iadd(s[m].du_dt.data, 1.0)),
-    "speed_range": Check(
-        lambda tr, bg, x: check_speed_range(tr, bg, stream=x), True,
-        lambda s, m: iadd(s[m].du_dt.data,
-                          1.0 + float(np.max(np.abs(s[0].du_dt.data))))),
-    "potential_bounds": Check(
-        lambda tr, bg, x: check_potential_bounds(tr, bg, stream=x), True,
-        lambda s, m: iadd(s[m].u.data, float(s[0].u.data.max()) + 1.0)),
-    "trace_lower_bound": Check(
-        lambda tr, bg, x: check_trace_lower_bound(tr, bg, x.cr, stream=x),
-        True,
-        lambda s, m: imul(s[m].lam.data, 1e-4)),
-    "trace_floor": Check(
-        lambda tr, bg, x: check_trace_floor(tr, bg, x.curv, stream=x), True,
-        lambda s, m: imul(s[m].lam.data, 0.5)),
-    # early injection: the growth envelope is still near its t = 0 level
-    "mixed_growth": Check(
-        lambda tr, bg, x: check_mixed_growth(tr, bg, x.cr, stream=x), True,
-        lambda s, m: iadd(s[1].u.data, _nonsplit(s[1].u.grid))),
-    "trace_growth": Check(
-        lambda tr, bg, x: check_trace_growth(tr, bg, x.cr, stream=x), True,
-        lambda s, m: imul(s[1].lam.data, 10.0)),
-    "split_preserved": Check(
-        lambda tr, bg, x: check_split_preserved(tr, bg, stream=x), True,
-        lambda s, m: iadd(s[m].u.data, _nonsplit(s[m].u.grid))),
-    "legendre_subsolution": Check(
-        lambda tr, bg, x: check_legendre_subsolution(tr, bg, stream=x),
-        False,
-        _stretch_last),
-    "det_w": Check(
-        lambda tr, bg, x: check_det_w(tr, bg, stream=x), False,
-        lambda s, m: imul(s[m].lam.data, 1.3)),
-    "phi_subsolution": Check(
-        lambda tr, bg, x: check_phi_subsolution(tr, bg, x.cr, stream=x),
-        False,
-        lambda s, m: imul(s[-1].lam.data, 100.0)),
+    "speed_consistency": Check(True, lambda s, f: iadd(s.du_dt.data, 1.0)),
+    "speed_range": Check(True, lambda s, f: iadd(
+        s.du_dt.data, 1.0 + max(abs(f.du_min), abs(f.du_max)))),
+    "potential_bounds": Check(True, lambda s, f: iadd(s.u.data,
+                                                      f.u_max + 1.0)),
+    "trace_lower_bound": Check(True, lambda s, f: imul(s.lam.data, 1e-4)),
+    "trace_floor": Check(True, lambda s, f: imul(s.lam.data, 0.5)),
+    "mixed_growth": Check(True, _nonsplit),
+    "trace_growth": Check(True, lambda s, f: imul(s.lam.data, 10.0)),
+    "split_preserved": Check(True, _nonsplit),
+    "legendre_subsolution": Check(False, _stretch),
+    "det_w": Check(False, lambda s, f: imul(s.lam.data, 1.3)),
+    "phi_subsolution": Check(False, lambda s, f: imul(s.lam.data, 100.0)),
 }
 
 DEFAULT_CHECKS = tuple(n for n, c in CHECKS.items() if c.default_on)
@@ -798,30 +744,27 @@ def evaluate(
     enabled=None,
     constants_report: ConstantsReport | None = None,
     safety: float = 1.0,
-    stream: MonitorStream | None = None,
 ) -> dict[str, CheckResult]:
     """Replay a stored trajectory through a MonitorStream and run its
     checks.
 
     The constants are taken at the trajectory's own observed trace bound
-    sup(1/lambda + 1/eta) unless a report is supplied.  stream, a fresh
-    MonitorStream on bg, takes the place of enabled, constants_report and
-    safety; a recipe that reads the stream's records passes its own.
+    sup(1/lambda + 1/eta) unless a report is supplied.
     """
-    if stream is None:
-        stream = MonitorStream(bg, enabled, safety, constants_report)
-    elif stream.bg is not bg or stream.traj is not None:
-        raise ConfigurationError("evaluate needs a fresh stream on bg")
-    return _replay(traj, stream).results()
+    return MonitorStream(bg, enabled, safety,
+                         constants_report).replay(traj).results()
 
 
 def corrupt_trajectory(traj: Trajectory, check: str) -> Trajectory:
-    """Deep-copied trajectory with a deliberate violation of one check."""
+    """Deep-copied trajectory with a deliberate violation of one check in
+    every state after the first."""
     t = copy.deepcopy(traj)
     snaps = t.snapshots
     if len(snaps) < 3:
         raise ConfigurationError("corruption fixtures need >= 3 snapshots")
     if check not in CHECKS:
         raise ConfigurationError(f"no corruption fixture for check {check!r}")
-    CHECKS[check].corrupt(snaps, len(snaps) // 2)
+    first = _record(snaps[0], t.dts[0], t.params.steady_criterion)
+    for s in snaps[1:]:
+        CHECKS[check].corrupt(s, first)
     return t

@@ -32,11 +32,6 @@ from splitma.grid_field import RealField
 from splitma.identities import random_test_field
 from splitma.monitors import (
     CHECKS,
-    check_det_w,
-    check_legendre_subsolution,
-    check_mixed_growth,
-    check_phi_subsolution,
-    check_trace_growth,
     c0_series,
     evaluate,
 )
@@ -197,8 +192,8 @@ def test_factor_oracle(tmp_path):
 
 
 def test_legendre_subsolution(dense_run, flat16):
-    res = check_legendre_subsolution(dense_run, flat16)
-    det = check_det_w(dense_run, flat16)
+    results = evaluate(dense_run, flat16, ["legendre_subsolution", "det_w"])
+    res, det = results["legendre_subsolution"], results["det_w"]
     ok = res.passed and res.skipped is None and det.passed
     worst_det = max((e.observed for e in det.entries), default=0.0)
     _report(
@@ -216,14 +211,13 @@ def test_growth_bounds(monitored_split_run, nonsplit_run, flat16):
     checks = [
         results["mixed_growth"],
         results["trace_growth"],
-        check_phi_subsolution(traj, flat16, cr_split),
+        evaluate(traj, flat16, ["phi_subsolution"],
+                 constants_report=cr_split)["phi_subsolution"],
     ]
     cr_ns = constants(flat16, 0.5, c0=max(c0_series(nonsplit_run.snapshots)[1]))
-    checks += [
-        check_mixed_growth(nonsplit_run, flat16, cr_ns),
-        check_trace_growth(nonsplit_run, flat16, cr_ns),
-        check_phi_subsolution(nonsplit_run, flat16, cr_ns),
-    ]
+    checks += evaluate(nonsplit_run, flat16,
+                       ["mixed_growth", "trace_growth", "phi_subsolution"],
+                       constants_report=cr_ns).values()
     ok = all(c.passed and c.skipped is None for c in checks)
     worst = min(c.worst_margin for c in checks)
     _report(

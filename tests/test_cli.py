@@ -9,7 +9,7 @@ from splitma import ConfigurationError
 from splitma.cli import main
 from splitma.config import build_background, build_grid, build_initial, parse_config
 from splitma.experiments import cmd_flow_run, cmd_oracle_2d
-from splitma.monitors import MonitorStream, evaluate
+from splitma.monitors import MonitorStream
 
 
 MINIMAL = """
@@ -149,6 +149,20 @@ class TestExitCodes:
             "--negative-control", "potential_bounds",
         ])
         assert code == 1
+
+    def test_short_negative_control_exits_two(self, tmp_path, capsys):
+        """A negative control needs three kept states; a streamed run that
+        keeps two (the initial state and t_end) is a configuration error."""
+        cfg = write_cfg(tmp_path, SPLIT_RUN.replace("snapshot_stride = 10",
+                                                    "snapshot_stride = 1000"))
+        code = main([
+            "run", "--config", str(cfg), "--out", str(tmp_path / "short"),
+            "--negative-control", "potential_bounds",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error:")
+        assert not (tmp_path / "short" / "summary.json").exists()
 
     def test_unknown_negative_control_exits_before_the_flow(
             self, tmp_path, capsys, monkeypatch):
@@ -385,13 +399,14 @@ class TestArtifacts:
         assert code == 1
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "legendre_subsolution's dt_snap^2 tolerance ignores the third time "
-        "derivative of the fast-decaying quads: the finite-difference "
-        "subsolution checks are calibrated for snapshot_stride = 1"))
+        "legendre_subsolution's dt_snap^2 tolerance leaves out the spatial "
+        "aliasing of the nonlinear W quads, and SPLIT_RUN's 8^4 grid does "
+        "not resolve them: the check fails at snapshot_stride = 1 too"))
     def test_every_check_passes_on_a_strided_clean_run(self, tmp_path):
-        """Known failure, kept until runs can space their snapshots in time
-        (snapshot_dt): SPLIT_RUN (snapshot_stride = 10) with every check on
-        exits 1, failing legendre_subsolution only, worst margin -0.098."""
+        """Known failure, kept until the subsolution checks bound the
+        spatial error of the quads: SPLIT_RUN (snapshot_stride = 10) with
+        every check on exits 1, failing legendre_subsolution only, worst
+        margin -0.098."""
         cfg = write_cfg(tmp_path, SPLIT_RUN + "\n[monitors]\nenabled = all\n")
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")])
         summary = json.loads((tmp_path / "r" / "summary.json").read_text())
@@ -459,7 +474,7 @@ class TestArtifacts:
                              ids=["dense", "split"])
     def test_live_stream_equals_replay(self, tmp_path, text):
         """The recipe streams the run through its monitors as the states
-        are kept; replaying the stored run through evaluate gives the same
+        are kept; replaying the stored run through a stream gives the same
         check results and the same timeseries bytes."""
         import splitma.experiments as exp
         from splitma.flow import run
@@ -473,18 +488,18 @@ class TestArtifacts:
         last = run(bg, u0, params, forcing=forcing, keep=live.keep)
         stored = run(bg, u0, params, forcing=forcing)
         assert len(last.snapshots) == 1 < len(stored.snapshots)
-        replay = MonitorStream(bg, enabled, cfg.monitors_safety)
-        results = evaluate(stored, bg, stream=replay)
+        replayed = MonitorStream(bg, enabled, cfg.monitors_safety).replay(
+            stored)
+        results = replayed.results()
         assert results == live.results()
-        exp._write_timeseries(tmp_path / "replay.csv", replay, results)
+        exp._write_timeseries(tmp_path / "replay.csv", replayed, results)
         assert ((tmp_path / "replay.csv").read_bytes()
                 == (tmp_path / "live" / "timeseries.csv").read_bytes())
 
-    def test_run_memory_does_not_grow_with_t_end(self, tmp_path):
+    @staticmethod
+    def assert_flat_peak(tmp_path, negative_control=None):
         """The tracemalloc peak of a monitored 16^4 run with every check
-        on grows by at most two field sizes when t_end doubles (from 11
-        to 21 snapshots); a run that stored its snapshots would add four
-        fields per snapshot."""
+        on grows by at most two field sizes from 11 to 21 kept states."""
         import tracemalloc
 
         text = DENSE_ALL.replace("dims = 8 8 8 8", "dims = 16 16 16 16").replace(
@@ -496,15 +511,27 @@ class TestArtifacts:
                 tmp_path, text.replace("t_end = 0.004", f"t_end = {t_end}")))
             tracemalloc.start()
             try:
-                code, rep = cmd_flow_run(cfg, tmp_path / t_end)
+                code, rep = cmd_flow_run(cfg, tmp_path / t_end,
+                                         negative_control=negative_control)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            assert code == 0
+            assert code == (0 if negative_control is None else 1)
         field_bytes = 16**4 * 8
         assert rep["steps_recorded"] == 21
         assert peaks[1] > 4 * field_bytes  # the fields are traced
         assert peaks[2] - peaks[1] <= 2 * field_bytes, peaks
+
+    def test_run_memory_does_not_grow_with_t_end(self, tmp_path):
+        """The peak grows by at most two field sizes when t_end doubles
+        (from 11 to 21 snapshots); a run that stored its snapshots would
+        add four fields per snapshot."""
+        self.assert_flat_peak(tmp_path)
+
+    def test_negative_control_memory_does_not_grow_with_t_end(self, tmp_path):
+        """A negative control streams like a clean run: it corrupts a copy
+        of each kept state instead of storing the run."""
+        self.assert_flat_peak(tmp_path, "phi_subsolution")
 
     @pytest.mark.parametrize("t_end", ["0.01", "0"])
     def test_checkpoint_recipes_on_steady_data(self, tmp_path, t_end):
@@ -544,8 +571,8 @@ class TestArtifacts:
         traj.snapshots = [make_state(u, bgf, 0.5, 0.5),
                           make_state(half, bgf, 0.5, 0.5 + 1e-13)]
         traj.dts = [0.01, 0.01]
-        stream = MonitorStream(bgf, ["potential_bounds"])
-        res = evaluate(traj, bgf, stream=stream)
+        stream = MonitorStream(bgf, ["potential_bounds"]).replay(traj)
+        res = stream.results()
         margins = [e.margin for e in res["potential_bounds"].entries]
         assert margins[0] != margins[1]
         path = tmp_path / "timeseries.csv"

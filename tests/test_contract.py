@@ -103,6 +103,14 @@ def test_traced_function_exists(module, name):
     assert fn.__module__ == module.__name__
 
 
+@pytest.mark.parametrize("name", list(monitors.CHECKS))
+def test_checks_take_the_stream_alone(name):
+    """Every registered check reads a MonitorStream and nothing else."""
+    fn = getattr(monitors, f"check_{name}", None)
+    assert inspect.isfunction(fn), f"monitors.check_{name} is gone"
+    assert list(inspect.signature(fn).parameters) == ["stream"]
+
+
 def test_traced_signatures():
     """The tracer reads step_with_rejection's dt (argument 3) and its
     (state, dt_used) result, and evaluate's trajectory (argument 0)."""

@@ -364,6 +364,19 @@ class TestMemory:
         assert len(times) == kept
         assert peak <= bound * self.FIELD, peak / self.FIELD
 
+    def test_gauge_holds_at_most_six_and_a_half_fields(self, kahler16,
+                                                       traced_peak):
+        # each factor's exponential taken once: about 6.1 fields, returned
+        # u_inf, g_new and h_new included; taking each twice peaks at 7.0
+        kbg, _, _ = kahler16
+        grid = kbg.grid
+        x1, _, x3, _ = grid.mesh()
+        fp = RealField(grid, 0.1 * np.cos(TWO_PI * x1) * np.ones(grid.shape))
+        fm = RealField(grid, 0.1 * np.sin(TWO_PI * x3) * np.ones(grid.shape))
+        gauge_out_f(kbg, fp, fm, 0.5)  # warm the Poisson multipliers
+        peak = traced_peak(lambda: gauge_out_f(kbg, fp, fm, 0.5))
+        assert peak <= 6.5 * self.FIELD, peak / self.FIELD
+
 
 class TestOracle2D:
     def test_split_flow_matches_factor_flows(self, grid, bg):

@@ -15,11 +15,6 @@ from splitma.monitors import (
     OPTIONAL_CHECKS,
     MonitorStream,
     c0_series,
-    check_det_w,
-    check_legendre_subsolution,
-    check_mixed_growth,
-    check_phi_subsolution,
-    check_trace_growth,
     corrupt_trajectory,
     det_w_residual,
     evaluate,
@@ -164,7 +159,8 @@ class TestLegendreW:
             eta = RealField(grid, np.full(grid.shape, 0.01))
             traj.snapshots.append(FlowState(zero, t, lam, eta, zero))
             traj.dts.append(1e-4)
-        res = check_legendre_subsolution(traj, bg)
+        res = evaluate(traj, bg, ["legendre_subsolution"])[
+            "legendre_subsolution"]
         assert res.skipped is None and len(res.entries) == 1
         e = res.entries[0]
         assert not res.passed
@@ -185,7 +181,8 @@ class TestLegendreW:
                           params=FlowParams(beta=0.5, t_end=0.0))
         traj.snapshots = [state, state, state]
         traj.dts = [0.0, 0.0, 0.0]
-        res = check_legendre_subsolution(traj, bgc)
+        res = evaluate(traj, bgc, ["legendre_subsolution"])[
+            "legendre_subsolution"]
         assert res.skipped is not None
 
 
@@ -197,13 +194,15 @@ class TestChecksPassOnCleanRuns:
 
     def test_time_difference_checks_dense_run(self, dense16):
         traj, b16 = dense16
-        res = check_legendre_subsolution(traj, b16)
+        res = evaluate(traj, b16, ["legendre_subsolution"])[
+            "legendre_subsolution"]
         assert res.passed and res.skipped is None
         assert res.worst_margin >= 0.0
         cr = constants(b16, 0.5, c0=max(c0_series(traj.snapshots)[1]))
-        res = check_phi_subsolution(traj, b16, cr)
+        res = evaluate(traj, b16, ["phi_subsolution"],
+                       constants_report=cr)["phi_subsolution"]
         assert res.passed and res.skipped is None
-        res = check_det_w(traj, b16)
+        res = evaluate(traj, b16, ["det_w"])["det_w"]
         assert res.passed
 
     def test_skips_on_pluriclosed_background(self, grid):
@@ -271,9 +270,9 @@ class TestRegistry:
         calls = []
         original = monitors.check_det_w
 
-        def spy(traj, bg_, *args, **kwargs):
-            calls.append(traj)
-            return original(traj, bg_, *args, **kwargs)
+        def spy(stream):
+            calls.append(stream.traj)
+            return original(stream)
 
         monkeypatch.setattr(monitors, "check_det_w", spy)
         res = evaluate(split_traj, bg, enabled=["det_w"])
@@ -298,10 +297,10 @@ class TestDeterminism:
 
 class TestSnapshotPass:
     def test_standalone_checks_match_evaluate(self, dense16):
-        """A check called on its own replays the trajectory for itself;
-        its entries equal, bit for bit, those of evaluate's shared replay
-        and those of a stream fed live by run, whose trajectory keeps only
-        its last state."""
+        """A check evaluated on its own with the constants fixed at the
+        final c0 gives, bit for bit, the entries of evaluate's shared
+        replay with running constants and those of a stream fed live by
+        run, whose trajectory keeps only its last state."""
         traj, b16 = dense16
         everything = list(monitors.CHECKS)
         plain = evaluate(traj, b16, enabled=everything)
@@ -312,13 +311,10 @@ class TestSnapshotPass:
         live = stream.results()
         cr = constants(b16, traj.beta, c0=c0_series(traj.snapshots)[1][-1],
                        require_upper=False)
-        alone = {
-            "mixed_growth": check_mixed_growth(traj, b16, cr),
-            "trace_growth": check_trace_growth(traj, b16, cr),
-            "legendre_subsolution": check_legendre_subsolution(traj, b16),
-            "det_w": check_det_w(traj, b16),
-            "phi_subsolution": check_phi_subsolution(traj, b16, cr),
-        }
+        alone = {name: evaluate(traj, b16, [name], constants_report=cr)[name]
+                 for name in ("mixed_growth", "trace_growth",
+                              "legendre_subsolution", "det_w",
+                              "phi_subsolution")}
         for name, res in alone.items():
             assert res.skipped is None and res.entries, name
             assert res.entries == plain[name].entries == live[name].entries
@@ -326,18 +322,15 @@ class TestSnapshotPass:
             assert plain[name].entries == live[name].entries
 
     def test_evaluate_rejects_inputs_of_another_trajectory(self, dense16,
-                                                           split_traj, bg):
-        """A stream that has consumed one trajectory cannot replay another,
-        and evaluate takes only a fresh stream on its own background."""
+                                                           split_traj):
+        """A stream that has consumed one trajectory cannot replay or
+        add a state of another."""
         traj, b16 = dense16
-        used = MonitorStream(b16, ["det_w"])
-        evaluate(traj, b16, stream=used)
+        used = MonitorStream(b16, ["det_w"]).replay(traj)
         with pytest.raises(ConfigurationError):
-            evaluate(split_traj, b16, stream=used)
+            used.replay(split_traj)
         with pytest.raises(ConfigurationError):
             used.add(split_traj, split_traj.snapshots[0], 0.0)
-        with pytest.raises(ConfigurationError):
-            evaluate(split_traj, bg, stream=MonitorStream(b16))
 
     def test_memory_does_not_grow_with_snapshots(self, dense16):
         """The pass keeps a 3-snapshot window: doubling the snapshots may
@@ -393,8 +386,10 @@ class TestRunningConstants:
             cut = copy.copy(traj)
             cut.snapshots, cut.dts = traj.snapshots[:j + 1], traj.dts[:j + 1]
             cr = constants(bgp, 0.5, c0=running[j])
-            assert check_phi_subsolution(cut, bgp, cr).entries[-1] == e
-        final = check_phi_subsolution(traj, bgp,
-                                      constants(bgp, 0.5, c0=running[-1]))
+            assert evaluate(cut, bgp, ["phi_subsolution"], constants_report=cr)[
+                "phi_subsolution"].entries[-1] == e
+        final = evaluate(traj, bgp, ["phi_subsolution"],
+                         constants_report=constants(bgp, 0.5, c0=running[-1]))[
+            "phi_subsolution"]
         assert final.entries[-1] == entries[-1]
         assert final.entries[0].margin != entries[0].margin
