@@ -4,6 +4,12 @@ Deterministic mode (workers=1) is the default and is what the test suite
 runs under.  Parallel mode dispatches the same pocketfft kernels over
 independent transform lines, so results agree with deterministic mode to
 rounding; no cross-thread reductions occur.
+
+The factor Laplacians do not come here: they are matrix products
+(grid_field.factor_laplacian) run by numpy's BLAS, whose thread count this
+switch does not set and whose result does not depend on it.  The transforms
+here serve the general derivatives, the identity spectra, the monitors'
+spectrum of u, the factor Poisson solves and the spectral filter.
 """
 
 import scipy.fft as _sfft

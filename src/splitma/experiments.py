@@ -206,11 +206,15 @@ def _prepare_problem(cfg: ExperimentConfig, seed=None):
         forcing = RealField(grid, fp.data + fm.data)
         return grid, bg, u0, forcing, info
     res = gauge_out_f(bg, fp, fm, beta)
-    bg2 = make_background(grid, res.g_new, res.h_new, KAHLER_PRODUCT,
-                          params={"recipe": "gauged"})
-    u0_reduced = RealField(grid, u0.data - res.u_inf.data)
+    del bg, fp, fm
+    u0_reduced = shift_min_zero(RealField(grid, u0.data - res.u_inf.data))
     info.update(gauged=True, b_plus=res.b_plus, b_minus=res.b_minus)
-    return grid, bg2, shift_min_zero(u0_reduced), None, info
+    g_new, h_new = res.g_new, res.h_new
+    # only the reduced problem's three fields reach make_background
+    del u0, res
+    bg2 = make_background(grid, g_new, h_new, KAHLER_PRODUCT,
+                          params={"recipe": "gauged"})
+    return grid, bg2, u0_reduced, None, info
 
 
 # ---------------------------------------------------------------------------

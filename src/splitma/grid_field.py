@@ -18,11 +18,16 @@ products of first-order multipliers applied to the full complex 4D
 spectrum, so every identity between operator compositions holds exactly on
 the band-limited subspace.
 
-The factor Laplacians u_{z zb}, u_{w wb} and their pseudo-inverses act on
-one factor only.  They take real data through a real transform over just
-that factor's two axes, (x1, x2) or (x3, x4), multiply the half spectrum
-by one real multiplier per factor (same Nyquist convention) and transform
-back; the other factor's axes are never transformed.
+The factor Laplacians u_{z zb}, u_{w wb} act on one factor only and take
+no transform.  The multiplier -(k_a^2 + k_b^2)/4 (same Nyquist convention)
+is a sum of one term per axis, so each axis is differentiated by an n x n
+circulant matrix, the multiplier -k^2/4 written in physical space, applied
+by BLAS matmul over cache-sized blocks.  Each block is shifted by its value
+at the factor's origin before the product, so a field constant over the
+factor gives exactly zero, as the multiplier does.  The factor Poisson
+solve inverts 1/(k_a^2 + k_b^2), which is not a sum of per-axis terms, so
+it keeps a real transform over just that factor's two axes, (x1, x2) or
+(x3, x4), and one half-spectrum multiplier.
 
 Which path a caller takes:
 
@@ -30,10 +35,12 @@ Which path a caller takes:
   e.g. "z w", "z wb"), the geometry's torsion (two spectra, g and h), and
   the identity slices' cached spectra, including every derivative of the
   slice potential;
-* the factor kernel: the flow's lambda and eta, the gauge and Poisson
-  solves, curvature and pluriclosedness checks, and the identity slices'
-  linearised operator L together with the factor Laplacians of their
-  derived fields;
+* the factor Laplacian matrices (no transform): the flow's lambda and
+  eta, the monitors' traces, curvature and pluriclosedness checks, and
+  the identity slices' linearised operator L together with the factor
+  Laplacians of their derived fields;
+* a real transform over one factor's two axes: the gauge and Poisson
+  solves;
 * a real transform over all four axes: exponential_filter;
 * one shared full complex spectrum per snapshot: the monitors' snapshot
   pass takes one fftn of u and both u_zw and u_zwb from it (two ifftn)
@@ -285,39 +292,70 @@ def _factor_axes(factor: str) -> tuple[int, int]:
     return _FACTOR_AXES[factor]
 
 
-def _factor_multiplier(grid: TorusGrid, factor: str, inverse: bool) -> np.ndarray:
-    """Real multiplier of the quarter-Laplacian on one factor (or its
-    pseudo-inverse, zero on the kernel), shaped for the half spectrum of
-    a real transform over that factor's two axes."""
-    key = ("factor_lap", factor, inverse)
+def _second_difference(grid: TorusGrid, axis: int) -> np.ndarray:
+    """The n x n matrix of the quarter second derivative along one axis:
+    the zeroed-Nyquist multiplier -k^2/4 written as a circulant, whose
+    first column is the multiplier's inverse transform."""
+    key = ("d2", axis)
     if key not in grid._cache:
-        a, b = _factor_axes(factor)
-        nb = grid.shape[b] // 2 + 1
-        # the first nb zeroed-Nyquist wavenumbers are the rfft half spectrum
-        ka = grid.wavenumbers(a)[:, None]
-        kb = grid.wavenumbers(b)[None, :nb]
-        m = -0.25 * (ka**2 + kb**2)
-        if inverse:
-            m = np.divide(1.0, m, out=np.zeros_like(m), where=m != 0.0)
-        shp = [1, 1, 1, 1]
-        shp[a], shp[b] = grid.shape[a], nb
-        grid._cache[key] = m.reshape(shp)
+        n = grid.shape[axis]
+        col = np.fft.ifft(-0.25 * grid.wavenumbers(axis) ** 2).real
+        i = np.arange(n)
+        grid._cache[key] = col[(i[:, None] - i[None, :]) % n]
     return grid._cache[key]
 
 
-def _apply_factor(grid: TorusGrid, data: np.ndarray, factor: str,
-                  inverse: bool = False) -> np.ndarray:
-    a, b = _factor_axes(factor)
-    hat = fft.rfftn(data, (a, b))
-    hat *= _factor_multiplier(grid, factor, inverse)
-    return fft.irfftn(hat, (grid.shape[a], grid.shape[b]), (a, b))
+def _laplacian_z(grid: TorusGrid, data: np.ndarray) -> np.ndarray:
+    n0, n1, n2, n3 = grid.shape
+    d0, d1 = _second_difference(grid, 0), _second_difference(grid, 1)
+    out = np.empty(grid.shape)
+    src, dst = data.reshape(n0, n1, n2 * n3), out.reshape(n0, n1, n2 * n3)
+    origin = src[0, 0]
+    # along x1: one (x1, x3 x4) block per x2 index
+    blk = np.empty((n0, n2 * n3))
+    for i in range(n1):
+        np.subtract(src[:, i], origin, out=blk)
+        np.matmul(d0, blk, out=dst[:, i])
+    # along x2, added on: one (x2, x3 x4) block per x1 index
+    blk = np.empty((n1, n2 * n3))
+    term = np.empty_like(blk)
+    for i in range(n0):
+        np.subtract(src[i], origin, out=blk)
+        np.matmul(d1, blk, out=term)
+        dst[i] += term
+    return out
+
+
+def _laplacian_w(grid: TorusGrid, data: np.ndarray) -> np.ndarray:
+    n0, n1, n2, n3 = grid.shape
+    d2, d3 = _second_difference(grid, 2), _second_difference(grid, 3)
+    out = np.empty(grid.shape)
+    # along x3 and x4: one contiguous (x2, x3, x4) block per x1 index
+    blk = np.empty((n1, n2, n3))
+    term = np.empty((n1 * n2, n3))
+    for i in range(n0):
+        np.subtract(data[i], data[i, :, :1, :1], out=blk)
+        np.matmul(d2, blk, out=out[i])
+        np.matmul(blk.reshape(n1 * n2, n3), d3.T, out=term)
+        out[i] += term.reshape(n1, n2, n3)
+    return out
 
 
 def factor_laplacian(grid: TorusGrid, data: np.ndarray, factor: str) -> np.ndarray:
-    """u_zzb (factor "z") or u_wwb (factor "w") of real data, transforming
-    only that factor's two axes; equals deriv_data(..., "z zb" / "w wb")
-    to rounding."""
-    return _apply_factor(grid, data, factor)
+    """u_zzb (factor "z") or u_wwb (factor "w") of real data; equals
+    deriv_data(..., "z zb" / "w wb") to rounding.
+
+    Each axis of the factor is differentiated by its cached n x n
+    second-difference matrix (_second_difference), applied with matmul
+    block by block so that a block stays in cache: for "w" one (x2, x3, x4)
+    block per x1 index, for "z" one block per x2 index and then one per x1
+    index, each holding all of x3 and x4.  Every block is first shifted by
+    the data at the factor's origin, one subtraction while the block is
+    copied, so data constant over the factor gives exactly zero, as the
+    multiplier does.  No transform is taken."""
+    _factor_axes(factor)  # rejects an unknown factor
+    kernel = _laplacian_z if factor == "z" else _laplacian_w
+    return kernel(grid, data)
 
 
 def factor_laplacians(grid: TorusGrid, data: np.ndarray):
@@ -354,6 +392,27 @@ def exponential_filter(grid: TorusGrid, data: np.ndarray,
 # factor Poisson inversion
 
 
+def _poisson_multiplier(grid: TorusGrid, factor: str) -> np.ndarray:
+    """Real multiplier of the pseudo-inverse of the quarter-Laplacian on
+    one factor, 1/(-(k_a^2 + k_b^2)/4) and zero on its kernel, shaped for
+    the half spectrum of a real transform over that factor's two axes.
+    It is not separable, so unlike the forward Laplacian it keeps a
+    transform."""
+    key = ("factor_inv", factor)
+    if key not in grid._cache:
+        a, b = _factor_axes(factor)
+        nb = grid.shape[b] // 2 + 1
+        # the first nb zeroed-Nyquist wavenumbers are the rfft half spectrum
+        ka = grid.wavenumbers(a)[:, None]
+        kb = grid.wavenumbers(b)[None, :nb]
+        m = -0.25 * (ka**2 + kb**2)
+        m = np.divide(1.0, m, out=np.zeros_like(m), where=m != 0.0)
+        shp = [1, 1, 1, 1]
+        shp[a], shp[b] = grid.shape[a], nb
+        grid._cache[key] = m.reshape(shp)
+    return grid._cache[key]
+
+
 def poisson_solve_factor(
     rhs: RealField, factor: str, mean_tol: float = 1e-10
 ) -> RealField:
@@ -372,8 +431,12 @@ def poisson_solve_factor(
             "incompatible Poisson data: slice mean "
             f"{worst:.3e} exceeds {mean_tol:.1e} * sup {sup:.3e}"
         )
-    u = _apply_factor(rhs.grid, rhs.data, factor, inverse=True)
-    return RealField(rhs.grid, u)
+    grid = rhs.grid
+    a, b = _factor_axes(factor)
+    hat = fft.rfftn(rhs.data, (a, b))
+    hat *= _poisson_multiplier(grid, factor)
+    return RealField(grid, fft.irfftn(hat, (grid.shape[a], grid.shape[b]),
+                                      (a, b)))
 
 
 # ---------------------------------------------------------------------------

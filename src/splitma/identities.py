@@ -19,8 +19,8 @@ pairs), so one walk of the tree gives both halves of H(expr).
 
 Two spectral paths meet in a slice.  The linearised operator L and the
 factor Laplacians ("z zb", "w wb") of every derived field (the speed,
-lambda, eta, the background coefficients) use the factor-local real
-kernel of grid_field, so d/dt and L of one array apply the same
+lambda, eta, the background coefficients) use the factor Laplacian
+matrices of grid_field, so d/dt and L of one array apply the same
 kernel and the sanity identity H(du/dt) = 0 holds to rounding.  The
 potential instead keeps one full complex spectrum, from which all its
 derivatives come, u_zzb and u_wwb (hence lambda and eta) included: it
@@ -136,7 +136,7 @@ class _SliceBase:
         return out
 
     def L(self, arr: np.ndarray) -> np.ndarray:
-        """Linearised spatial operator, through the factor kernel."""
+        """Linearised spatial operator, through the factor Laplacians."""
         return (self.coef_z * self._laplacian(arr, "z")
                 + self.coef_w * self._laplacian(arr, "w"))
 

@@ -69,6 +69,36 @@ b_amp = 0.05
 """
 
 
+# The benchmark's forced run at 16^4: gauged log_cos forcing on a
+# kahler_cos background, initial data read from a field file.
+GAUGED_RUN = """
+[grid]
+dims = 16 16 16 16
+
+[background]
+kind = kahler_cos
+g_eps = 0.2
+h_eps = 0.2
+
+[flow]
+beta = 0.5
+cfl = 1.0
+snapshot_stride = 10
+t_end = 0.001
+
+[initial]
+kind = file
+path = initial.field
+
+[forcing]
+f_plus = log_cos
+f_plus_eps = 0.1
+f_minus = log_cos
+f_minus_eps = 0.1
+gauge = true
+"""
+
+
 def write_cfg(tmp_path, text, name="exp.cfg"):
     p = tmp_path / name
     p.write_text(text)
@@ -521,6 +551,24 @@ class TestArtifacts:
         assert rep["steps_recorded"] == 21
         assert peaks[1] > 4 * field_bytes  # the fields are traced
         assert peaks[2] - peaks[1] <= 2 * field_bytes, peaks
+
+    def test_gauged_prepare_peak(self, tmp_path, traced_peak):
+        """Preparing a gauged forced run (32^4 benchmark recipe at 16^4)
+        holds only the reduced problem's u0, g and h while the gauged
+        background is built: about 11.2 fields, set by the gauge; holding
+        the forcing, u_inf, u0 and the pre-gauge background there too
+        takes 13.15."""
+        from splitma import make_grid, random_test_field, write_field
+        from splitma.experiments import _prepare_problem
+
+        grid = make_grid((16,) * 4, (1.0,) * 4)
+        initial = tmp_path / "initial.field"
+        write_field(random_test_field(grid, 3, 0.01, 1), initial)
+        cfg = parse_config(write_cfg(
+            tmp_path, GAUGED_RUN.replace("initial.field", str(initial))))
+        _prepare_problem(cfg)  # warm the multiplier caches
+        peak = traced_peak(lambda: _prepare_problem(cfg))
+        assert peak <= 12 * 16**4 * 8, peak / (16**4 * 8)
 
     def test_run_memory_does_not_grow_with_t_end(self, tmp_path):
         """The peak grows by at most two field sizes when t_end doubles

@@ -18,7 +18,7 @@ from splitma import (
     stats,
     write_field,
 )
-from splitma.grid_field import factor_laplacians, real_part
+from splitma.grid_field import factor_laplacian, factor_laplacians, real_part
 
 TWO_PI = 2.0 * np.pi
 
@@ -111,6 +111,38 @@ class TestDerivative:
         assert np.max(np.abs(lz - ref_z)) < 1e-12 * max(1, np.max(np.abs(ref_z)))
         assert np.max(np.abs(lw - ref_w)) < 1e-12 * max(1, np.max(np.abs(ref_w)))
 
+    def test_laplacians_take_no_transform(self, grid, monkeypatch):
+        """The factor Laplacians apply matrices; only the Poisson solve
+        transforms."""
+        from splitma import _backend
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("backend transform taken")
+
+        x1, _, x3, _ = grid.mesh()
+        rhs = RealField(grid, np.cos(TWO_PI * x1) * np.sin(TWO_PI * x3)
+                        * np.ones(grid.shape))
+        u = poisson_solve_factor(rhs, "z")
+        with monkeypatch.context() as m:
+            for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+                m.setattr(_backend, name, forbidden)
+            lz, lw = factor_laplacians(grid, u.data)
+            with pytest.raises(AssertionError, match="transform"):
+                poisson_solve_factor(rhs, "z")
+        assert np.max(np.abs(lz - rhs.data)) < 1e-13
+        assert np.max(np.abs(lw + np.pi**2 * u.data)) < 1e-12
+
+    def test_one_laplacian_holds_at_most_one_and_a_half_fields(
+            self, traced_peak):
+        """The output and a few cache-sized blocks: about 1.25 fields at
+        16^4, where a real transform pair holds about 2.1."""
+        g16 = make_grid((16, 16, 16, 16), (1, 1, 1, 1))
+        u = np.random.default_rng(5).normal(size=g16.shape)
+        factor_laplacians(g16, u)  # build the cached matrices
+        for factor in ("z", "w"):
+            peak = traced_peak(lambda: factor_laplacian(g16, u, factor))
+            assert peak <= 1.5 * u.nbytes, peak / u.nbytes
+
     def test_rejects_unknown_token(self, grid):
         u = RealField.zeros(grid)
         with pytest.raises(ConfigurationError):
@@ -186,6 +218,18 @@ class TestAnisotropicFactorKernel:
         assert np.max(np.abs(lz + (np.pi / L[1]) ** 2 * u)) < 1e-12
         assert np.max(np.abs(lw + (3 * np.pi / L[2]) ** 2 * u)) < 1e-10
 
+    @pytest.mark.parametrize("factor, axes", [("z", (2, 3)), ("w", (0, 1))])
+    def test_constant_over_factor_has_zero_laplacian(self, agrid, factor,
+                                                     axes):
+        """Data that varies only over the other factor's axes has an
+        exactly zero Laplacian on this one."""
+        shape = [1, 1, 1, 1]
+        for ax in axes:
+            shape[ax] = agrid.shape[ax]
+        rng = np.random.default_rng(31)
+        u = np.broadcast_to(rng.normal(size=shape), agrid.shape)
+        assert not np.any(factor_laplacian(agrid, u, factor))
+
     def test_poisson_roundtrip_w_factor(self, agrid):
         rng = np.random.default_rng(29)
         hat = np.zeros(agrid.shape, dtype=complex)
@@ -245,6 +289,42 @@ class TestParallelMode:
             _backend.set_workers(1)
         scale = np.max(np.abs(base))
         assert np.max(np.abs(par - base)) <= 1e-13 * scale
+
+
+class TestBlasThreads:
+    SCRIPT = """
+import hashlib
+import numpy as np
+from splitma import make_grid
+from splitma.grid_field import factor_laplacians
+h = hashlib.sha256()
+for dims, periods in (((16,) * 4, (1,) * 4), ((32,) * 4, (1,) * 4),
+                      ((8, 16, 32, 8), (1, 2, 0.5, 1.5))):
+    grid = make_grid(dims, periods)
+    u = np.random.default_rng(13).normal(size=dims)
+    for out in factor_laplacians(grid, u):
+        h.update(out.tobytes())
+print(h.hexdigest())
+"""
+
+    def test_laplacians_do_not_depend_on_blas_threads(self):
+        """BLAS threads split the output of each product, not its sums,
+        so one and two threads give the same bits."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", self.SCRIPT],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=120, check=True)
+            digests.append(proc.stdout.strip())
+        assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 class TestFieldIO:
