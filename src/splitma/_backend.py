@@ -1,18 +1,27 @@
-"""FFT backend with a worker-count switch.
+"""The transforms, and which library serves which.
 
-Deterministic mode (workers=1) is the default and is what the test suite
-runs under.  Parallel mode dispatches the same pocketfft kernels over
-independent transform lines, so results agree with deterministic mode to
-rounding; no cross-thread reductions occur.
+Real transforms (rfftn, irfftn) run on numpy.fft, one axis at a time and
+in place on the half spectrum, so a forward-inverse pair holds the input,
+one half spectrum and the output (about 2.1 fields; numpy's own irfftn
+makes a new array per axis and holds about 3.3).  They serve the factor
+Poisson solves, the spectral filter and the derivatives of real data
+(grid_field.deriv_data): every transform a flow recipe takes on a product
+background.  numpy's pocketfft matched scipy's bit for bit on the Poisson
+and filter axes at 32^4.
 
-The factor Laplacians do not come here: they are matrix products
-(grid_field.factor_laplacian) run by numpy's BLAS, whose thread count this
-switch does not set and whose result does not depend on it.  The transforms
-here serve the general derivatives, the identity spectra, the monitors'
-spectrum of u, the factor Poisson solves and the spectral filter.
+Complex transforms (fftn, ifftn) run on scipy.fft, imported on first use:
+the import costs about 0.3 s and 21 MB, which only the callers of complex
+4D spectra pay (the identity slices, the torsion of a non-product
+background, derivatives of complex data).  The worker count applies to
+them only.  Deterministic mode (workers=1) is the default and is what the
+test suite runs under; parallel mode dispatches the same pocketfft kernels
+over independent transform lines, so results agree with it to rounding.
+
+The factor Laplacians and the mixed derivatives u_zw, u_zwb do not come
+here: they are matrix products (grid_field) run by numpy's BLAS.
 """
 
-import scipy.fft as _sfft
+import numpy as np
 
 _workers = 1
 
@@ -26,20 +35,39 @@ def get_workers() -> int:
     return _workers
 
 
+def scipy_fft():
+    """scipy.fft, imported on the first call, as fftn and ifftn import it."""
+    import scipy.fft
+
+    return scipy.fft
+
+
 def fftn(a):
-    return _sfft.fftn(a, workers=_workers)
+    import scipy.fft
+
+    return scipy.fft.fftn(a, workers=_workers)
 
 
 def ifftn(a):
-    return _sfft.ifftn(a, workers=_workers)
+    import scipy.fft
+
+    return scipy.fft.ifftn(a, workers=_workers)
 
 
 def rfftn(a, axes):
-    return _sfft.rfftn(a, axes=axes, workers=_workers)
+    """Half spectrum of real a over axes: a real transform along the last
+    of them, then a complex one along each other, in place."""
+    *rest, last = axes
+    hat = np.fft.rfft(a, axis=last)
+    for ax in rest:
+        np.fft.fft(hat, axis=ax, out=hat)
+    return hat
 
 
 def irfftn(a, shape, axes):
     """Inverse of rfftn; shape gives the output sizes along axes.  The
-    input spectrum is consumed: every caller passes a fresh array."""
-    return _sfft.irfftn(a, s=shape, axes=axes, overwrite_x=True,
-                        workers=_workers)
+    input spectrum is consumed: the complex inverses overwrite it."""
+    *rest, last = axes
+    for ax in rest:
+        np.fft.ifft(a, axis=ax, out=a)
+    return np.fft.irfft(a, n=shape[-1], axis=last)

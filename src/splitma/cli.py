@@ -85,10 +85,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument(
             "--parallel", type=int, default=0, metavar="N",
-            help="dispatch transforms over N workers: general derivatives, "
-                 "identity spectra, the monitors' u spectrum, Poisson solves "
-                 "and the filter, not the factor Laplacians (results agree "
-                 "with the single-worker default to rounding)",
+            help="dispatch complex transforms over N workers: the "
+                 "identity spectra, the torsion and derivatives of complex "
+                 "data, not the real transforms or the derivative matrices "
+                 "of the flow recipes (results agree with the single-worker "
+                 "default to rounding)",
         )
         for flag, kwargs in extra:
             p.add_argument(flag, **kwargs)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _backend
 from .config import (
     ExperimentConfig,
     build_background,
@@ -33,8 +34,8 @@ from .flow import (
 )
 from .geometry import (BETA_MIN, KAHLER_PRODUCT, constants, curvature,
                        make_background, pluriclosed_background)
-from .grid_field import (RealField, atomic_write, deriv_data, make_grid,
-                         write_field)
+from .grid_field import (RealField, atomic_write, make_grid,
+                         mixed_derivatives, write_field)
 from .identities import random_test_field, verify_A, verify_B, verify_C, ManifoldSlice
 from .monitors import (
     CHECKS,
@@ -189,10 +190,10 @@ def _prepare_problem(cfg: ExperimentConfig, seed=None):
     grid = build_grid(cfg)
     bg = build_background(cfg, grid)
     beta, _, _ = normalize_exponents(cfg.alpha, cfg.beta, None)
-    u0 = build_initial(cfg, grid, bg, seed_override=seed)
     fp, fm = build_forcing(cfg, grid, beta)
     info = {"beta": beta, "gauged": False, "b_plus": 0.0, "b_minus": 0.0}
     if fp is None:
+        u0 = build_initial(cfg, grid, bg, seed_override=seed)
         return grid, bg, shift_min_zero(u0), None, info
     fp = RealField(grid, fp.data / cfg.alpha)
     fm = RealField(grid, fm.data / cfg.alpha)
@@ -204,9 +205,13 @@ def _prepare_problem(cfg: ExperimentConfig, seed=None):
         fp, fm = normalize_compat(bg, fp, fm, beta)
     if not cfg.gauge:
         forcing = RealField(grid, fp.data + fm.data)
+        u0 = build_initial(cfg, grid, bg, seed_override=seed)
         return grid, bg, u0, forcing, info
     res = gauge_out_f(bg, fp, fm, beta)
-    del bg, fp, fm
+    del fp, fm
+    # u0 is built only now, so the gauge does not hold it
+    u0 = build_initial(cfg, grid, bg, seed_override=seed)
+    del bg
     u0_reduced = shift_min_zero(RealField(grid, u0.data - res.u_inf.data))
     info.update(gauged=True, b_plus=res.b_plus, b_minus=res.b_minus)
     g_new, h_new = res.g_new, res.h_new
@@ -333,7 +338,8 @@ def cmd_kahler_converge(cfg: ExperimentConfig, out_dir, seed=None):
         rw = float(np.max(np.abs(bg.h.data * s.eta.data - mu_minus)))
         times.append(s.t)
         residuals.append(max(rz, rw))
-        split_res.append(float(np.max(np.abs(deriv_data(grid, s.u.data, "z w")))))
+        u_zw, = mixed_derivatives(grid, s.u.data, "z w")
+        split_res.append(float(np.max(np.abs(u_zw))))
 
     traj = run(bg, u0, params, forcing=forcing, keep=keep)
     rate, r2 = _fit_log_decay(times, residuals)
@@ -474,6 +480,9 @@ def cmd_check_identities(cfg: ExperimentConfig, out_dir,
     """Run the slice identity suite at two resolutions and each requested
     exponent ratio; every equality must pass at the fine grid and shrink
     at least tenfold from the coarse one (down to the rounding floor)."""
+    # the slices' complex spectra need scipy.fft: imported before the
+    # first field, its memory lies below the fields, not above them
+    _backend.scipy_fft()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     fine_dims = cfg.dims

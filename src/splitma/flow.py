@@ -191,10 +191,12 @@ def dt_adaptive(
     operator's coefficients, each times its factor Laplacian spectral
     radius (spectral_radius_bounds)."""
     kz, kw = spectral_radius_bounds(state.u.grid)
-    rho = (
-        float(np.max(beta / (bg.g.data * state.lam.data))) * kz
-        + float(np.max(1.0 / (bg.h.data * state.eta.data))) * kw
-    )
+    # beta / min(g lam) equals max(beta / (g lam)) bitwise: rounded
+    # division by a positive number is monotone
+    prod = np.multiply(bg.g.data, state.lam.data)
+    coef_z = beta / float(prod.min())
+    np.multiply(bg.h.data, state.eta.data, out=prod)
+    rho = coef_z * kz + (1.0 / float(prod.min())) * kw
     return min(dt_max, cfl / rho)
 
 

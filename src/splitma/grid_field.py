@@ -14,37 +14,44 @@ so that u_{z zb} = (d1^2 + d2^2) u / 4 and u_{w wb} = (d3^2 + d4^2) u / 4.
 Differentiation is purely spectral (Fourier multipliers); the Nyquist mode
 of each first-derivative multiplier is zeroed (symmetric convention, keeps
 derivatives of real fields real).  General operators (deriv_data) are
-products of first-order multipliers applied to the full complex 4D
-spectrum, so every identity between operator compositions holds exactly on
-the band-limited subspace.
+products of first-order multipliers, so every identity between operator
+compositions holds exactly on the band-limited subspace.  Complex data
+takes the full complex 4D spectrum; real data takes one half spectrum, its
+derivative's real and imaginary parts coming from the Hermitian and
+anti-Hermitian parts of the multiplier, one real inverse each.
 
-The factor Laplacians u_{z zb}, u_{w wb} act on one factor only and take
-no transform.  The multiplier -(k_a^2 + k_b^2)/4 (same Nyquist convention)
-is a sum of one term per axis, so each axis is differentiated by an n x n
-circulant matrix, the multiplier -k^2/4 written in physical space, applied
-by BLAS matmul over cache-sized blocks.  Each block is shifted by its value
-at the factor's origin before the product, so a field constant over the
-factor gives exactly zero, as the multiplier does.  The factor Poisson
-solve inverts 1/(k_a^2 + k_b^2), which is not a sum of per-axis terms, so
-it keeps a real transform over just that factor's two axes, (x1, x2) or
-(x3, x4), and one half-spectrum multiplier.
+The factor Laplacians u_{z zb}, u_{w wb} and the mixed derivatives u_{z w},
+u_{z wb} take no transform.  Their multipliers, -(k_a^2 + k_b^2)/4 and
+products of one first-derivative multiplier per factor (same Nyquist
+convention), are sums of products of per-axis terms, so each axis is
+differentiated by an n x n circulant matrix, the axis's multiplier written
+in physical space (_axis_matrix), applied by BLAS matmul over cache-sized
+blocks.  Each block is shifted by its value at the factor's origin before
+the product, so a field constant over the factor gives exactly zero, as
+the multiplier does.  The factor Poisson solve inverts 1/(k_a^2 + k_b^2),
+which is not a sum of per-axis terms, so it keeps a real transform over
+just that factor's two axes, (x1, x2) or (x3, x4), and one half-spectrum
+multiplier.
 
 Which path a caller takes:
 
-* full complex 4D transforms: deriv_data (mixed and odd-order operators,
-  e.g. "z w", "z wb"), the geometry's torsion (two spectra, g and h), and
-  the identity slices' cached spectra, including every derivative of the
-  slice potential;
+* full complex 4D transforms: the geometry's torsion (two spectra, g and
+  h), the identity slices' cached spectra, including every derivative of
+  the slice potential, and deriv_data of complex data;
+* a real transform over all four axes: deriv_data of real data (the
+  flow's is_split, identity A3's (g lambda)_{w wb} and (h eta)_{z zb})
+  and exponential_filter;
+* a real transform over one factor's two axes: the gauge and Poisson
+  solves;
 * the factor Laplacian matrices (no transform): the flow's lambda and
   eta, the monitors' traces, curvature and pluriclosedness checks, and
   the identity slices' linearised operator L together with the factor
   Laplacians of their derived fields;
-* a real transform over one factor's two axes: the gauge and Poisson
-  solves;
-* a real transform over all four axes: exponential_filter;
-* one shared full complex spectrum per snapshot: the monitors' snapshot
-  pass takes one fftn of u and both u_zw and u_zwb from it (two ifftn)
-  when a W check runs on a constant-coefficient background.
+* the first-derivative matrices (no transform): mixed_derivatives, which
+  gives the monitors' u_zw and u_zwb (mixed_norm, legendre_w, the snapshot
+  pass) and the steady-convergence recipe's split residual.
+
+_backend sets out which library serves each transform.
 
 Storage order is x4-fastest (C order on arrays of shape (n1,n2,n3,n4));
 the field file format fixes this order bit-exactly.
@@ -265,8 +272,38 @@ def make_grid(dims, periods) -> TorusGrid:
 
 def deriv_data(grid: TorusGrid, data: np.ndarray, op: str) -> np.ndarray:
     """Spectral derivative of a raw array; op is a space-separated token
-    string over {z, zb, w, wb}, e.g. "z zb" or "z w wb"."""
-    return fft.ifftn(grid.apply_multiplier(fft.fftn(data), op))
+    string over {z, zb, w, wb}, e.g. "z zb" or "z w wb".
+
+    Complex data takes the full complex spectrum.  Real data takes one
+    half spectrum: the multiplier m of op satisfies m(-k) = (-1)^order m(k)
+    (each token's is odd in k, the Nyquist modes being zeroed), so on even
+    orders Re m and Im m, and on odd orders i Im m and -i Re m, are
+    Hermitian.  The real and imaginary parts of the derivative are then
+    one real inverse each.  The multiplier is real when each factor has as
+    many conjugate tokens as plain ones ("z zb", "w wb"); the imaginary
+    part, rounding only, is then zero and takes no inverse."""
+    if np.iscomplexobj(data):
+        return fft.ifftn(grid.apply_multiplier(fft.fftn(data), op))
+    zp, wp = grid.multiplier_parts(op)
+    if wp is not None:
+        wp = wp[..., :grid.shape[3] // 2 + 1]
+    m = wp if zp is None else zp if wp is None else zp * wp
+    tokens = op.split()
+    if len(tokens) % 2:
+        parts = ((m.imag, 1j), (m.real, -1j))
+    elif all(tokens.count(t) == tokens.count(t + "b") for t in ("z", "w")):
+        parts = ((m.real, 1),)
+    else:
+        parts = ((m.real, 1), (m.imag, 1))
+    hat = fft.rfftn(data, _ALL_AXES)
+    buf = np.empty_like(hat)
+    out = np.zeros(grid.shape, dtype=np.complex128)
+    for dst, (mult, unit) in zip((out.real, out.imag), parts):
+        np.multiply(hat, mult, out=buf)
+        if unit != 1:
+            buf *= unit
+        dst[...] = fft.irfftn(buf, grid.shape, _ALL_AXES)
+    return out
 
 
 def derivative(f: Field, op: str) -> ComplexField:
@@ -292,14 +329,17 @@ def _factor_axes(factor: str) -> tuple[int, int]:
     return _FACTOR_AXES[factor]
 
 
-def _second_difference(grid: TorusGrid, axis: int) -> np.ndarray:
-    """The n x n matrix of the quarter second derivative along one axis:
-    the zeroed-Nyquist multiplier -k^2/4 written as a circulant, whose
-    first column is the multiplier's inverse transform."""
-    key = ("d2", axis)
+def _axis_matrix(grid: TorusGrid, axis: int, order: int) -> np.ndarray:
+    """The n x n circulant matrix of the zeroed-Nyquist multiplier
+    (i k/2)^order along one axis: half the first derivative (order 1) or a
+    quarter of the second (order 2).  Its first column is the multiplier's
+    inverse transform."""
+    key = ("dx", axis, order)
     if key not in grid._cache:
         n = grid.shape[axis]
-        col = np.fft.ifft(-0.25 * grid.wavenumbers(axis) ** 2).real
+        half_k = 0.5 * grid.wavenumbers(axis)
+        mult = -half_k**2 if order == 2 else 1j * half_k
+        col = np.fft.ifft(mult).real
         i = np.arange(n)
         grid._cache[key] = col[(i[:, None] - i[None, :]) % n]
     return grid._cache[key]
@@ -307,7 +347,7 @@ def _second_difference(grid: TorusGrid, axis: int) -> np.ndarray:
 
 def _laplacian_z(grid: TorusGrid, data: np.ndarray) -> np.ndarray:
     n0, n1, n2, n3 = grid.shape
-    d0, d1 = _second_difference(grid, 0), _second_difference(grid, 1)
+    d0, d1 = _axis_matrix(grid, 0, 2), _axis_matrix(grid, 1, 2)
     out = np.empty(grid.shape)
     src, dst = data.reshape(n0, n1, n2 * n3), out.reshape(n0, n1, n2 * n3)
     origin = src[0, 0]
@@ -328,7 +368,7 @@ def _laplacian_z(grid: TorusGrid, data: np.ndarray) -> np.ndarray:
 
 def _laplacian_w(grid: TorusGrid, data: np.ndarray) -> np.ndarray:
     n0, n1, n2, n3 = grid.shape
-    d2, d3 = _second_difference(grid, 2), _second_difference(grid, 3)
+    d2, d3 = _axis_matrix(grid, 2, 2), _axis_matrix(grid, 3, 2)
     out = np.empty(grid.shape)
     # along x3 and x4: one contiguous (x2, x3, x4) block per x1 index
     blk = np.empty((n1, n2, n3))
@@ -346,7 +386,7 @@ def factor_laplacian(grid: TorusGrid, data: np.ndarray, factor: str) -> np.ndarr
     deriv_data(..., "z zb" / "w wb") to rounding.
 
     Each axis of the factor is differentiated by its cached n x n
-    second-difference matrix (_second_difference), applied with matmul
+    second-difference matrix (_axis_matrix), applied with matmul
     block by block so that a block stays in cache: for "w" one (x2, x3, x4)
     block per x1 index, for "z" one block per x2 index and then one per x1
     index, each holding all of x3 and x4.  Every block is first shifted by
@@ -361,6 +401,61 @@ def factor_laplacian(grid: TorusGrid, data: np.ndarray, factor: str) -> np.ndarr
 def factor_laplacians(grid: TorusGrid, data: np.ndarray):
     """(u_zzb, u_wwb) for real data; hot path of the flow integrator."""
     return factor_laplacian(grid, data, "z"), factor_laplacian(grid, data, "w")
+
+
+_MIXED = ("z w", "z wb")
+
+
+def mixed_derivatives(grid: TorusGrid, data: np.ndarray, *ops: str):
+    """u_zw ("z w") and u_zwb ("z wb") of real data, one complex array per
+    op in the order given; equal to deriv_data(..., op) to rounding.
+
+    With the half first derivatives p = d1 u / 2 and q = d2 u / 2 and
+    subscripts 3, 4 for half derivatives along x3, x4,
+
+        u_zw  = (p3 - q4) - i (p4 + q3),   u_zwb = (p3 + q4) + i (p4 - q3).
+
+    Each derivative is a product with the axis's cached n x n matrix
+    (_axis_matrix) over the blocks of the factor Laplacian kernels: p is
+    taken over one (x1, x3 x4) block per x2 index, then, per x1 index, q
+    of that block and the x3 and x4 derivatives of p and q.  Every block is
+    first shifted by its value at the factor's origin, so data constant
+    over either factor gives exactly zero.  No transform is taken."""
+    for op in ops:
+        if op not in _MIXED:
+            raise ConfigurationError(f"no mixed-derivative kernel for {op!r}")
+    n0, n1, n2, n3 = grid.shape
+    d0, d1, d2, d3 = (_axis_matrix(grid, ax, 1) for ax in _ALL_AXES)
+    src = data.reshape(n0, n1, n2 * n3)
+    origin = src[0, 0]
+    p = np.empty((n0, n1, n2 * n3))
+    blk = np.empty((n0, n2 * n3))
+    for j in range(n1):
+        np.subtract(src[:, j], origin, out=blk)
+        np.matmul(d0, blk, out=p[:, j])
+    outs = [np.empty(grid.shape, dtype=np.complex128) for _ in ops]
+    q = np.empty((n1, n2 * n3))
+    blk = np.empty((n1, n2 * n3))
+    wblk = np.empty((n1, n2, n3))
+    p3, p4, q3, q4 = (np.empty((n1, n2, n3)) for _ in range(4))
+    for i in range(n0):
+        np.subtract(src[i], origin, out=blk)
+        np.matmul(d1, blk, out=q)
+        for f, f3, f4 in ((p[i], p3, p4), (q, q3, q4)):
+            f = f.reshape(n1, n2, n3)
+            np.subtract(f, f[:, :1, :1], out=wblk)
+            np.matmul(d2, wblk, out=f3)
+            np.matmul(wblk.reshape(n1 * n2, n3), d3.T,
+                      out=f4.reshape(n1 * n2, n3))
+        for op, out in zip(ops, outs):
+            if op == "z w":
+                np.subtract(p3, q4, out=out[i].real)
+                np.add(p4, q3, out=out[i].imag)
+                np.negative(out[i].imag, out=out[i].imag)
+            else:
+                np.add(p3, q4, out=out[i].real)
+                np.subtract(p4, q3, out=out[i].imag)
+    return outs
 
 
 def exponential_filter(grid: TorusGrid, data: np.ndarray,

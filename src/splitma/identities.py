@@ -53,6 +53,7 @@ import numpy as np
 
 from . import _backend as fft
 from .errors import AdmissibilityLost, ConfigurationError
+from .flow import lambda_eta
 from .geometry import Background
 from .grid_field import RealField, TorusGrid, deriv_data, factor_laplacian
 
@@ -844,7 +845,8 @@ def random_test_field(
     direction) or an iterable of allowed shell indices max_i |k_i|.
 
     When a background is supplied, admissibility of the field as a
-    potential is checked and a violation raises.
+    potential is checked and a violation raises; the check takes the
+    factor Laplacians, no transform, and does not depend on beta.
     """
     if amplitude < 0:
         raise ConfigurationError("amplitude must be nonnegative")
@@ -875,5 +877,5 @@ def random_test_field(
     u *= amplitude / sup
     out = RealField(grid, u)
     if bg is not None:
-        ManifoldSlice(out, bg, beta)  # raises AdmissibilityLost if invalid
+        lambda_eta(out, bg)  # raises AdmissibilityLost if invalid
     return out

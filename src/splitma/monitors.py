@@ -7,10 +7,10 @@ state's field work at once and keeps one scalar record per state
 (SnapshotRecord): the extrema, c0 = sup(1/lambda + 1/eta), the steady
 residual, the sup of the mixed norm, and what the enabled checks need of
 the state (the speed-consistency error, sup|u_zw|, the det W residual).
-It transforms u once: with a W check on a constant-coefficient
-background, one fftn gives both u_zw and u_zwb (two ifftn) and is freed
-at once; otherwise one deriv_data call gives u_zw.  It builds the
-mixed-norm field, W and Phi once each.  The centred time differences of
+It takes no transform: one grid_field.mixed_derivatives call gives u_zw,
+and u_zwb with it when a W check runs on a constant-coefficient
+background, by per-axis derivative matrices.  It builds the mixed-norm
+field, W and Phi once each.  The centred time differences of
 legendre_subsolution and phi_subsolution need only the last three
 states, so the stream keeps a 3-state window of traces, W quads and Phi
 and emits scalars.  No field outlives the window, so the memory of a
@@ -55,11 +55,10 @@ from operator import iadd, imul
 
 import numpy as np
 
-from . import _backend as fft
 from .errors import ConfigurationError
 from .geometry import (BETA_MIN, KAHLER_PRODUCT, Background, ConstantsReport,
                        CurvatureReport, constants, curvature, torsion)
-from .grid_field import RealField, deriv_data, factor_laplacians
+from .grid_field import RealField, factor_laplacians, mixed_derivatives
 from .flow import FlowState, Trajectory, steady_residual
 
 MONO_SLACK = 1e-8           # relative slack for monotone scalar series
@@ -113,7 +112,7 @@ def _mixed_field(u_zw: np.ndarray, state: FlowState, bg: Background,
 def mixed_norm(state: FlowState, bg: Background, beta: float) -> RealField:
     """Squared norm of the mixed second derivative in the adjusted metric:
     beta |u_zw|^2 / (g lam h eta)."""
-    u_zw = deriv_data(state.u.grid, state.u.data, "z w")
+    u_zw, = mixed_derivatives(state.u.grid, state.u.data, "z w")
     return RealField(state.u.grid, _mixed_field(u_zw, state, bg, beta))
 
 
@@ -153,7 +152,7 @@ def legendre_w(state: FlowState, bg: Background,
     lam_loc = g0 * state.lam.data
     eta_loc = h0 * state.eta.data
     if u_zwb is None:
-        u_zwb = deriv_data(state.u.grid, state.u.data, "z wb")
+        u_zwb, = mixed_derivatives(state.u.grid, state.u.data, "z wb")
     return LegendreW(
         w11=lam_loc + np.abs(u_zwb) ** 2 / eta_loc,
         w12=u_zwb / eta_loc,
@@ -362,20 +361,18 @@ class MonitorStream:
                 expect = expect - forcing
             rec.speed_err = float(np.max(np.abs(s.du_dt.data - expect)))
             del expect
-        hat = fft.fftn(s.u.data) if self._det or self._leg else None
-        if hat is None:
-            u_zw = deriv_data(grid, s.u.data, "z w")
-        else:
-            u_zw = fft.ifftn(grid.apply_multiplier(hat, "z w"))
+        w_on = self._det or self._leg
+        mixed_ops = ("z w", "z wb") if w_on else ("z w",)
+        derivs = mixed_derivatives(grid, s.u.data, *mixed_ops)
+        u_zw = derivs.pop(0)
         mixed = _mixed_field(u_zw, s, bg, beta)
         if self._zw:
             rec.zw = float(np.max(np.abs(u_zw)))
-        del u_zw            # before u_zwb: one complex field less at peak
+        del u_zw            # before W: one complex field less at peak
         rec.sup = float(np.max(mixed))
         quads = None
-        if hat is not None:
-            u_zwb = fft.ifftn(grid.apply_multiplier(hat, "z wb"))
-            del hat
+        if w_on:
+            u_zwb = derivs.pop()
             w = legendre_w(s, bg, u_zwb)
             del u_zwb
             if self._det:

@@ -445,15 +445,16 @@ class TestArtifacts:
         assert (code, failed) == (0, [])
 
     @staticmethod
-    def fftn_after_flow(tmp_path, monkeypatch, text):
+    def transforms_after_flow(tmp_path, monkeypatch, text):
         """Run the recipe on text; returns its report, the states the run
-        kept and the input of every fftn taken by the monitors, that is
-        within the run's keep callback or after the flow."""
+        kept and the name of every backend transform taken by the
+        monitors, that is within the run's keep callback or after the
+        flow."""
         import splitma._backend as backend
         import splitma.experiments as exp
 
-        snaps, inputs, monitoring = [], [], [False]
-        real_run, real_fftn = exp.run, backend.fftn
+        snaps, taken, monitoring = [], [], [False]
+        real_run = exp.run
 
         def run(*a, keep, **k):
             def spy(traj):
@@ -465,40 +466,40 @@ class TestArtifacts:
             monitoring[0] = True
             return traj
 
-        def fftn(a):
-            if monitoring[0]:
-                inputs.append(a)
-            return real_fftn(a)
+        def recorded(name, fn):
+            def transform(*a, **k):
+                if monitoring[0]:
+                    taken.append(name)
+                return fn(*a, **k)
+            return transform
 
         monkeypatch.setattr(exp, "run", run)
-        monkeypatch.setattr(backend, "fftn", fftn)
+        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+            monkeypatch.setattr(backend, name,
+                                recorded(name, getattr(backend, name)))
         cfg = parse_config(write_cfg(tmp_path, text))
         _, rep = exp.cmd_flow_run(cfg, tmp_path / "o")
-        return rep, snaps, inputs
+        return rep, snaps, taken
 
-    def test_monitors_transform_each_snapshot_once(self, tmp_path,
-                                                   monkeypatch):
-        """With every check on, the monitors and the run recipe take one
-        fftn per snapshot, of the snapshot's u, and no other."""
-        _, snaps, inputs = self.fftn_after_flow(tmp_path, monkeypatch,
-                                                DENSE_ALL)
+    def test_monitors_take_no_transform(self, tmp_path, monkeypatch):
+        """With every check on, the snapshot pass and the run recipe's
+        checks take no backend transform: u_zw and u_zwb come from
+        derivative matrices."""
+        rep, snaps, taken = self.transforms_after_flow(tmp_path, monkeypatch,
+                                                       DENSE_ALL)
+        assert rep["checks"]["det_w"]["skipped"] is None
         assert len(snaps) >= 5
-        assert [sum(a is s.u.data for a in inputs) for s in snaps] == (
-            [1] * len(snaps))
-        assert len(inputs) == len(snaps)
+        assert taken == []
 
-    def test_default_checks_transform_each_snapshot_once(self, tmp_path,
-                                                         monkeypatch):
+    def test_default_checks_take_no_transform(self, tmp_path, monkeypatch):
         """On split data the default checks, split_preserved included,
-        take one fftn per snapshot."""
-        rep, snaps, inputs = self.fftn_after_flow(tmp_path, monkeypatch,
-                                                  SPLIT_RUN)
+        take no backend transform."""
+        rep, snaps, taken = self.transforms_after_flow(tmp_path, monkeypatch,
+                                                       SPLIT_RUN)
         assert rep["checks"]["split_preserved"]["passed"]
         assert rep["checks"]["split_preserved"]["skipped"] is None
         assert len(snaps) >= 5
-        assert [sum(a is s.u.data for a in inputs) for s in snaps] == (
-            [1] * len(snaps))
-        assert len(inputs) == len(snaps)
+        assert taken == []
 
     @pytest.mark.parametrize("text", [DENSE_ALL, SPLIT_RUN],
                              ids=["dense", "split"])
@@ -554,10 +555,11 @@ class TestArtifacts:
 
     def test_gauged_prepare_peak(self, tmp_path, traced_peak):
         """Preparing a gauged forced run (32^4 benchmark recipe at 16^4)
-        holds only the reduced problem's u0, g and h while the gauged
-        background is built: about 11.2 fields, set by the gauge; holding
-        the forcing, u_inf, u0 and the pre-gauge background there too
-        takes 13.15."""
+        reads u0 only after the gauge and holds only the reduced problem's
+        u0, g and h while the gauged background is built: about 10.2
+        fields, set by the gauge; holding u0 through the gauge takes
+        11.16, and holding the forcing, u_inf, u0 and the pre-gauge
+        background while the gauged background is built takes 13.15."""
         from splitma import make_grid, random_test_field, write_field
         from splitma.experiments import _prepare_problem
 
@@ -568,7 +570,7 @@ class TestArtifacts:
             tmp_path, GAUGED_RUN.replace("initial.field", str(initial))))
         _prepare_problem(cfg)  # warm the multiplier caches
         peak = traced_peak(lambda: _prepare_problem(cfg))
-        assert peak <= 12 * 16**4 * 8, peak / (16**4 * 8)
+        assert peak <= 10.5 * 16**4 * 8, peak / (16**4 * 8)
 
     def test_run_memory_does_not_grow_with_t_end(self, tmp_path):
         """The peak grows by at most two field sizes when t_end doubles
@@ -629,3 +631,50 @@ class TestArtifacts:
             rows = list(csv.DictReader(fh))
         assert [float(r["t"]) for r in rows] == [0.5, 0.5 + 1e-13]
         assert [float(r["potential_bounds_margin"]) for r in rows] == margins
+
+
+class TestScipyImport:
+    """scipy.fft serves only the complex 4D spectra, so the flow recipes
+    never import scipy and the identity recipe does."""
+
+    SCRIPT = """
+import sys
+import splitma.cli
+
+def run(*argv):
+    code = splitma.cli.main(list(argv))
+    print("result", code, "scipy" in sys.modules, flush=True)
+
+dense, gauged, ids, out = sys.argv[1:]
+run("run", "--config", dense, "--out", out + "/dense")
+run("run", "--config", gauged, "--out", out + "/gauged")
+run("check-identities", "--config", ids, "--out", out + "/ids")
+"""
+
+    def test_only_the_identity_recipe_imports_scipy(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from splitma import make_grid, random_test_field, write_field
+
+        initial = tmp_path / "initial.field"
+        write_field(random_test_field(make_grid((16,) * 4, (1.0,) * 4),
+                                      3, 0.01, 1), initial)
+        dense = write_cfg(tmp_path, DENSE_ALL, "dense.cfg")
+        gauged = write_cfg(tmp_path, GAUGED_RUN.replace(
+            "initial.field", str(initial)), "gauged.cfg")
+        ids = write_cfg(tmp_path, MINIMAL.replace(
+            "dims = 8 8 8 8", "dims = 16 16 16 16")
+            + "\n[identities]\nbetas = 0.5\ntolerance = 1e-3\n", "ids.cfg")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(dense), str(gauged),
+             str(ids), str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=300, check=True)
+        results = [tuple(line.split()[1:]) for line in proc.stdout.splitlines()
+                   if line.startswith("result")]
+        assert results == [("0", "False"), ("0", "False"), ("0", "True")], (
+            proc.stdout)

@@ -9,6 +9,7 @@ from splitma import AdmissibilityLost, ConfigurationError, make_grid
 from splitma.errors import NumericalFailure
 from splitma.flow import (
     FlowParams,
+    FlowState,
     dt_adaptive,
     flow_speed,
     gauge_out_f,
@@ -19,6 +20,7 @@ from splitma.flow import (
     normalize_exponents,
     run,
     shift_min_zero,
+    spectral_radius_bounds,
     step_rk4,
     step_with_rejection,
 )
@@ -153,6 +155,24 @@ class TestDtAdaptive:
         s2 = make_state(u, bg, 0.5, 0.0)
         # min lambda < 1 increases the z-part of rho, shrinking dt
         assert dt_adaptive(s2, bg, 0.5, 1.0, 10.0) < dt_adaptive(s1, bg, 0.5, 1.0, 10.0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_minima_give_the_quotient_maxima_bit_for_bit(self, grid, seed):
+        """beta / min(g lam) is max(beta / (g lam)) to the last bit on
+        random admissible fields, and likewise 1 / min(h eta)."""
+        rng = np.random.default_rng(seed)
+        n = grid.shape[0]
+        kbg = kahler_product_background(grid, rng.uniform(0.1, 3.0, (n, n)),
+                                        rng.uniform(0.1, 3.0, (n, n)))
+        u = RealField.zeros(grid)
+        lam, eta = (RealField(grid, rng.lognormal(0.0, 1.0, grid.shape))
+                    for _ in range(2))
+        state = FlowState(u=u, t=0.0, lam=lam, eta=eta, du_dt=u)
+        beta, cfl = rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)
+        kz, kw = spectral_radius_bounds(grid)
+        rho = (float(np.max(beta / (kbg.g.data * lam.data))) * kz
+               + float(np.max(1.0 / (kbg.h.data * eta.data))) * kw)
+        assert dt_adaptive(state, kbg, beta, cfl, 10.0) == cfl / rho
 
 
 class TestStepping:

@@ -18,7 +18,9 @@ from splitma import (
     stats,
     write_field,
 )
-from splitma.grid_field import factor_laplacian, factor_laplacians, real_part
+from splitma.grid_field import (deriv_data, factor_laplacian,
+                                factor_laplacians, mixed_derivatives,
+                                real_part)
 
 TWO_PI = 2.0 * np.pi
 
@@ -148,6 +150,71 @@ class TestDerivative:
         with pytest.raises(ConfigurationError):
             derivative(u, "z q")
 
+    @pytest.mark.parametrize("op", ["z", "wb", "z zb", "w wb", "z w", "z wb",
+                                    "zb w", "z w wb", "z zb w", "zb zb wb"])
+    def test_real_data_on_half_spectra(self, grid, op):
+        """The half-spectrum path of real data matches the full complex
+        spectrum for ops of order 1 to 3."""
+        from splitma import _backend
+
+        u = np.random.default_rng(41).normal(size=grid.shape)
+        ref = _backend.ifftn(grid.apply_multiplier(_backend.fftn(u), op))
+        got = deriv_data(grid, u, op)
+        assert got.dtype == np.complex128
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        if op in ("z zb", "w wb"):  # real multipliers: a real derivative
+            assert not np.any(got.imag)
+
+
+def _constant_over(grid, axes, seed):
+    """Random data that varies only over the given axes."""
+    shape = [1, 1, 1, 1]
+    for ax in axes:
+        shape[ax] = grid.shape[ax]
+    rng = np.random.default_rng(seed)
+    return np.broadcast_to(rng.normal(size=shape), grid.shape)
+
+
+class TestMixedDerivatives:
+    """u_zw and u_zwb by per-axis matrices against the spectral path."""
+
+    @pytest.fixture(scope="class", params=[
+        ((16, 16, 16, 16), (1, 1, 1, 1)), ((8, 16, 32, 8), (1, 2, 0.5, 1.5))],
+        ids=["16", "anisotropic"])
+    def mgrid(self, request):
+        return make_grid(*request.param)
+
+    def test_match_spectral_path(self, mgrid):
+        u = np.random.default_rng(43).normal(size=mgrid.shape)
+        outs = mixed_derivatives(mgrid, u, "z w", "z wb")
+        for out, op in zip(outs, ("z w", "z wb")):
+            ref = deriv_data(mgrid, u, op)
+            assert out.shape == mgrid.shape and out.dtype == np.complex128
+            assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+        alone = mixed_derivatives(mgrid, u, "z wb")
+        assert len(alone) == 1 and np.array_equal(alone[0], outs[1])
+
+    @pytest.mark.parametrize("axes", [(0, 1), (2, 3)], ids=["z", "w"])
+    def test_constant_over_a_factor_gives_zero(self, mgrid, axes):
+        u = _constant_over(mgrid, axes, 47)
+        for out in mixed_derivatives(mgrid, u, "z w", "z wb"):
+            assert not np.any(out)
+
+    def test_take_no_transform(self, mgrid, monkeypatch):
+        from splitma import _backend
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("backend transform taken")
+
+        u = np.random.default_rng(53).normal(size=mgrid.shape)
+        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+            monkeypatch.setattr(_backend, name, forbidden)
+        mixed_derivatives(mgrid, u, "z w", "z wb")
+
+    def test_rejects_other_ops(self, grid):
+        with pytest.raises(ConfigurationError):
+            mixed_derivatives(grid, np.zeros(grid.shape), "z zb")
+
 
 class TestPoisson:
     def test_cosine(self, grid):
@@ -223,11 +290,7 @@ class TestAnisotropicFactorKernel:
                                                      axes):
         """Data that varies only over the other factor's axes has an
         exactly zero Laplacian on this one."""
-        shape = [1, 1, 1, 1]
-        for ax in axes:
-            shape[ax] = agrid.shape[ax]
-        rng = np.random.default_rng(31)
-        u = np.broadcast_to(rng.normal(size=shape), agrid.shape)
+        u = _constant_over(agrid, axes, 31)
         assert not np.any(factor_laplacian(agrid, u, factor))
 
     def test_poisson_roundtrip_w_factor(self, agrid):
@@ -277,10 +340,13 @@ class TestStats:
 
 class TestParallelMode:
     def test_parallel_agrees_with_deterministic(self, grid):
+        """The worker count reaches the complex transforms, here those of
+        a derivative of complex data."""
         from splitma import _backend
 
         rng = np.random.default_rng(17)
-        u = RealField.create(grid, rng.normal(size=grid.shape))
+        u = ComplexField.create(grid, rng.normal(size=grid.shape)
+                                + 1j * rng.normal(size=grid.shape))
         base = derivative(u, "z zb").data
         try:
             _backend.set_workers(4)
