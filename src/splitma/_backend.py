@@ -12,27 +12,24 @@ and filter axes at 32^4.
 Complex transforms (fftn, ifftn) run on scipy.fft, imported on first use:
 the import costs about 0.3 s and 21 MB, which only the callers of complex
 4D spectra pay (the identity slices, the torsion of a non-product
-background, derivatives of complex data).  The worker count applies to
-them only.  Deterministic mode (workers=1) is the default and is what the
-test suite runs under; parallel mode dispatches the same pocketfft kernels
-over independent transform lines, so results agree with it to rounding.
+background, derivatives of complex data).  They take one worker per CPU
+this process may run on.  The workers split the independent transform
+lines between them and each line is computed as on one worker, so the
+result does not depend on the count (bit for bit; pinned by the tests).
 
 The factor Laplacians and the mixed derivatives u_zw, u_zwb do not come
 here: they are matrix products (grid_field) run by numpy's BLAS.
 """
 
+import os
+
 import numpy as np
-
-_workers = 1
-
-
-def set_workers(n: int) -> None:
-    global _workers
-    _workers = max(1, int(n))
 
 
 def get_workers() -> int:
-    return _workers
+    """Worker count of the complex transforms: the CPUs this process may
+    run on."""
+    return len(os.sched_getaffinity(0))
 
 
 def scipy_fft():
@@ -45,13 +42,13 @@ def scipy_fft():
 def fftn(a):
     import scipy.fft
 
-    return scipy.fft.fftn(a, workers=_workers)
+    return scipy.fft.fftn(a, workers=get_workers())
 
 
 def ifftn(a):
     import scipy.fft
 
-    return scipy.fft.ifftn(a, workers=_workers)
+    return scipy.fft.ifftn(a, workers=get_workers())
 
 
 def rfftn(a, axes):

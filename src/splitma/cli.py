@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 
-from . import _backend
 from .config import parse_config
 from .errors import (
     AdmissibilityLost,
@@ -83,14 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument(
-            "--parallel", type=int, default=0, metavar="N",
-            help="dispatch complex transforms over N workers: the "
-                 "identity spectra, the torsion and derivatives of complex "
-                 "data, not the real transforms or the derivative matrices "
-                 "of the flow recipes (results agree with the single-worker "
-                 "default to rounding)",
-        )
         for flag, kwargs in extra:
             p.add_argument(flag, **kwargs)
     return ap
@@ -98,9 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    workers = _backend.get_workers()
-    if args.parallel:
-        _backend.set_workers(args.parallel)
     try:
         cfg = parse_config(args.config)
         handler = COMMANDS[args.command][2]
@@ -114,8 +102,6 @@ def main(argv=None) -> int:
     except SplitmaError as exc:  # pragma: no cover
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    finally:
-        _backend.set_workers(workers)  # --parallel lasts one call only
     summary = {k: v for k, v in report.items()
                if not isinstance(v, (list, dict))}
     print(json.dumps(summary, indent=2))

@@ -1,7 +1,8 @@
 """Experiment configuration: sectioned key/value files, strictly validated.
 
-Unknown sections or keys are errors (with a nearest-match suggestion), so
-a typo can never silently fall back to a default.
+Every key a config may set is listed once, in _KEYS, and every kind once,
+in its builder registry.  Unknown sections, keys or kinds are errors (with
+a nearest-match suggestion), so a typo can never fall back to a default.
 """
 
 from __future__ import annotations
@@ -23,22 +24,6 @@ from .geometry import (
     pluriclosed_background,
 )
 from .grid_field import RealField, TorusGrid, make_grid, read_field
-
-_SCHEMA = {
-    "grid": {"dims", "periods"},
-    "background": {"kind", "c_g", "c_h", "g_eps", "g_k", "h_eps", "h_m",
-                   "modes", "path"},
-    "flow": {"beta", "alpha", "cfl", "dt_max", "t_end", "steady_tol",
-             "snapshot_stride", "admissibility_floor", "steady_criterion",
-             "spectral_filter"},
-    "initial": {"kind", "amplitude", "seed", "band", "a_amp", "a_k",
-                "b_amp", "b_m", "path"},
-    "forcing": {"f_plus", "f_plus_eps", "f_plus_k", "f_minus", "f_minus_eps",
-                "f_minus_m", "normalize_compat6", "gauge"},
-    "monitors": {"enabled", "safety"},
-    "output": {"directory", "field_dump_stride"},
-    "identities": {"betas", "amplitude", "seed", "band", "tolerance"},
-}
 
 
 @dataclass
@@ -88,121 +73,96 @@ def _ints(s: str):
     return tuple(int(x) for x in s.replace(",", " ").split())
 
 
+def _bool(s: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[s.lower()]
+    except KeyError:
+        raise ValueError(f"Not a boolean: {s}") from None
+
+
+def _modes(s: str):
+    """'k,m,a; k,m,a; ...' -> [(k, m, a), ...]"""
+    return [(int(k), int(m), float(a)) for k, m, a in
+            (chunk.split(",") for chunk in map(str.strip, s.split(";"))
+             if chunk)]
+
+
+# section -> key -> (ExperimentConfig field, converter): every key a config
+# may set.  A key whose field is a dict is stored in it under its own name.
+_KEYS = {
+    "grid": {"dims": ("dims", _ints), "periods": ("periods", _floats)},
+    "background": {
+        "kind": ("bg_kind", str), "c_g": ("bg_params", float),
+        "c_h": ("bg_params", float), "g_eps": ("bg_params", float),
+        "h_eps": ("bg_params", float), "g_k": ("bg_params", int),
+        "h_m": ("bg_params", int), "modes": ("bg_params", _modes),
+        "path": ("bg_params", str)},
+    "flow": {
+        "beta": ("beta", float), "alpha": ("alpha", float),
+        "cfl": ("cfl", float), "dt_max": ("dt_max", float),
+        "t_end": ("t_end", float), "steady_tol": ("steady_tol", float),
+        "snapshot_stride": ("snapshot_stride", int),
+        "admissibility_floor": ("admissibility_floor", float),
+        "steady_criterion": ("steady_criterion", str),
+        "spectral_filter": ("spectral_filter", _bool)},
+    "initial": {
+        "kind": ("initial_kind", str), "amplitude": ("initial_params", float),
+        "a_amp": ("initial_params", float), "b_amp": ("initial_params", float),
+        "seed": ("initial_params", int), "band": ("initial_params", int),
+        "a_k": ("initial_params", int), "b_m": ("initial_params", int),
+        "path": ("initial_params", str)},
+    "forcing": {
+        "f_plus": ("f_plus", str), "f_minus": ("f_minus", str),
+        "f_plus_eps": ("forcing_params", float),
+        "f_minus_eps": ("forcing_params", float),
+        "f_plus_k": ("forcing_params", int),
+        "f_minus_m": ("forcing_params", int),
+        "normalize_compat6": ("normalize_compat6", _bool),
+        "gauge": ("gauge", _bool)},
+    "monitors": {"enabled": ("monitors_enabled", str),
+                 "safety": ("monitors_safety", float)},
+    "output": {"directory": ("out_dir", str),
+               "field_dump_stride": ("field_dump_stride", int)},
+    "identities": {
+        "betas": ("id_betas", _floats), "amplitude": ("id_amplitude", float),
+        "seed": ("id_seed", int), "band": ("id_band", int),
+        "tolerance": ("id_tolerance", float)},
+}
+
+
 def parse_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"config file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    try:
-        cp.read(path)
+    try:  # read here: ConfigParser.read skips a file it cannot read
+        cp.read_string(path.read_text(encoding="utf-8"), source=path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigurationError(f"config parse error: {exc}") from exc
 
     for section in cp.sections():
-        if section not in _SCHEMA:
+        if section not in _KEYS:
             raise ConfigurationError(
-                f"unknown section [{section}]{_suggest(section, _SCHEMA)}"
-            )
+                f"unknown section [{section}]{_suggest(section, _KEYS)}")
         for key in cp[section]:
-            if key not in _SCHEMA[section]:
+            if key not in _KEYS[section]:
                 raise ConfigurationError(
                     f"unknown key {key!r} in [{section}]"
-                    f"{_suggest(key, _SCHEMA[section])}"
-                )
+                    f"{_suggest(key, _KEYS[section])}")
 
     cfg = ExperimentConfig()
-
-    def get(section, key, default=None):
-        if cp.has_option(section, key):
-            return cp.get(section, key)
-        return default
-
     try:
-        if cp.has_section("grid"):
-            if get("grid", "dims") is not None:
-                cfg.dims = _ints(get("grid", "dims"))
-            if get("grid", "periods") is not None:
-                cfg.periods = _floats(get("grid", "periods"))
-        if cp.has_section("background"):
-            cfg.bg_kind = get("background", "kind", "flat")
-            for k in ("c_g", "c_h", "g_eps", "h_eps"):
-                v = get("background", k)
-                if v is not None:
-                    cfg.bg_params[k] = float(v)
-            for k in ("g_k", "h_m"):
-                v = get("background", k)
-                if v is not None:
-                    cfg.bg_params[k] = int(v)
-            if get("background", "modes") is not None:
-                modes = []
-                for chunk in get("background", "modes").split(";"):
-                    chunk = chunk.strip()
-                    if not chunk:
-                        continue
-                    k, m, a = chunk.split(",")
-                    modes.append((int(k), int(m), float(a)))
-                cfg.bg_params["modes"] = modes
-            if get("background", "path") is not None:
-                cfg.bg_params["path"] = get("background", "path")
-        if cp.has_section("flow"):
-            cfg.beta = float(get("flow", "beta", cfg.beta))
-            cfg.alpha = float(get("flow", "alpha", cfg.alpha))
-            cfg.cfl = float(get("flow", "cfl", cfg.cfl))
-            cfg.dt_max = float(get("flow", "dt_max", cfg.dt_max))
-            cfg.t_end = float(get("flow", "t_end", cfg.t_end))
-            cfg.steady_tol = float(get("flow", "steady_tol", cfg.steady_tol))
-            cfg.snapshot_stride = int(get("flow", "snapshot_stride",
-                                          cfg.snapshot_stride))
-            cfg.admissibility_floor = float(
-                get("flow", "admissibility_floor", cfg.admissibility_floor)
-            )
-            cfg.steady_criterion = get("flow", "steady_criterion",
-                                       cfg.steady_criterion)
-            cfg.spectral_filter = cp.getboolean("flow", "spectral_filter",
-                                                fallback=False)
-        if cp.has_section("initial"):
-            cfg.initial_kind = get("initial", "kind", "zero")
-            for k in ("amplitude", "a_amp", "b_amp"):
-                v = get("initial", k)
-                if v is not None:
-                    cfg.initial_params[k] = float(v)
-            for k in ("seed", "band", "a_k", "b_m"):
-                v = get("initial", k)
-                if v is not None:
-                    cfg.initial_params[k] = int(v)
-            if get("initial", "path") is not None:
-                cfg.initial_params["path"] = get("initial", "path")
-        if cp.has_section("forcing"):
-            cfg.f_plus = get("forcing", "f_plus", "zero")
-            cfg.f_minus = get("forcing", "f_minus", "zero")
-            for k in ("f_plus_eps", "f_minus_eps"):
-                v = get("forcing", k)
-                if v is not None:
-                    cfg.forcing_params[k] = float(v)
-            for k in ("f_plus_k", "f_minus_m"):
-                v = get("forcing", k)
-                if v is not None:
-                    cfg.forcing_params[k] = int(v)
-            cfg.normalize_compat6 = cp.getboolean(
-                "forcing", "normalize_compat6", fallback=True
-            )
-            cfg.gauge = cp.getboolean("forcing", "gauge", fallback=True)
-        if cp.has_section("monitors"):
-            cfg.monitors_enabled = get("monitors", "enabled", "default")
-            cfg.monitors_safety = float(get("monitors", "safety", 1.0))
-        if cp.has_section("output"):
-            cfg.out_dir = get("output", "directory", cfg.out_dir)
-            cfg.field_dump_stride = int(get("output", "field_dump_stride", 0))
-        if cp.has_section("identities"):
-            if get("identities", "betas") is not None:
-                cfg.id_betas = _floats(get("identities", "betas"))
-            cfg.id_amplitude = float(get("identities", "amplitude",
-                                         cfg.id_amplitude))
-            cfg.id_seed = int(get("identities", "seed", cfg.id_seed))
-            cfg.id_band = int(get("identities", "band", cfg.id_band))
-            cfg.id_tolerance = float(get("identities", "tolerance",
-                                         cfg.id_tolerance))
-    except (ValueError, TypeError) as exc:
+        for section, keys in _KEYS.items():
+            for key, (name, convert) in keys.items():
+                if cp.has_option(section, key):
+                    value = convert(cp.get(section, key))
+                    if isinstance(getattr(cfg, name), dict):
+                        getattr(cfg, name)[key] = value
+                    else:
+                        setattr(cfg, name, value)
+    except (ValueError, TypeError, configparser.InterpolationError) as exc:
         raise ConfigurationError(f"invalid config value: {exc}") from exc
 
     _validate(cfg)
@@ -228,24 +188,19 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigurationError(
             f"[monitors] safety must be finite and >= 1, got "
             f"{cfg.monitors_safety}")
-    known_bg = {"flat", "kahler_cos", "pluriclosed_cos", "files"}
-    if cfg.bg_kind not in known_bg:
-        raise ConfigurationError(
-            f"unknown background kind {cfg.bg_kind!r}{_suggest(cfg.bg_kind, known_bg)}"
-        )
-    known_u0 = {"zero", "random", "split_sine", "file"}
-    if cfg.initial_kind not in known_u0:
-        raise ConfigurationError(
-            f"unknown initial kind {cfg.initial_kind!r}"
-            f"{_suggest(cfg.initial_kind, known_u0)}"
-        )
-    for name in (cfg.f_plus, cfg.f_minus):
-        if name not in {"zero", "log_cos"}:
-            raise ConfigurationError(f"unknown forcing kind {name!r}")
+    for what, kind, registry in (("background", cfg.bg_kind, _BACKGROUNDS),
+                                 ("initial", cfg.initial_kind, _INITIAL),
+                                 ("forcing", cfg.f_plus, _FORCING),
+                                 ("forcing", cfg.f_minus, _FORCING)):
+        if kind not in registry:
+            raise ConfigurationError(
+                f"unknown {what} kind {kind!r}{_suggest(kind, registry)}")
+    if not cfg.id_betas:  # the suite would check nothing and pass
+        raise ConfigurationError("[identities] betas lists no ratio")
 
 
 # ---------------------------------------------------------------------------
-# builders
+# builders: one registry per kind, kind -> builder
 
 
 def _existing_path(params: dict, what: str) -> str:
@@ -259,93 +214,98 @@ def build_grid(cfg: ExperimentConfig) -> TorusGrid:
     return make_grid(cfg.dims, cfg.periods)
 
 
+def _kahler_cos(grid: TorusGrid, p: dict) -> Background:
+    n1, n2, n3, n4 = grid.shape
+    x1 = np.arange(n1) * grid.periods[0] / n1
+    x3 = np.arange(n3) * grid.periods[2] / n3
+    gp = p.get("c_g", 1.0) * (1.0 + p.get("g_eps", 0.0) * np.cos(
+        2 * np.pi * p.get("g_k", 1) * x1 / grid.periods[0]))
+    hp = p.get("c_h", 1.0) * (1.0 + p.get("h_eps", 0.0) * np.cos(
+        2 * np.pi * p.get("h_m", 1) * x3 / grid.periods[2]))
+    return kahler_product_background(
+        grid, gp[:, None] * np.ones((1, n2)), hp[:, None] * np.ones((1, n4)))
+
+
+# kind -> builder(grid, cfg.bg_params)
+_BACKGROUNDS = {
+    "flat": lambda grid, p: flat_background(
+        grid, p.get("c_g", 1.0), p.get("c_h", 1.0)),
+    "kahler_cos": _kahler_cos,
+    "pluriclosed_cos": lambda grid, p: pluriclosed_background(
+        grid, p.get("c_g", 1.0), p.get("c_h", 1.0), p.get("modes", [])),
+    "files": lambda grid, p: load_background(
+        _existing_path(p, "[background] kind = files")),
+}
+
+
 def build_background(cfg: ExperimentConfig, grid: TorusGrid) -> Background:
-    p = cfg.bg_params
-    if cfg.bg_kind == "flat":
-        return flat_background(grid, p.get("c_g", 1.0), p.get("c_h", 1.0))
-    if cfg.bg_kind == "kahler_cos":
-        n1, n2, n3, n4 = grid.shape
-        x1 = np.arange(n1) * grid.periods[0] / n1
-        x3 = np.arange(n3) * grid.periods[2] / n3
-        gp = p.get("c_g", 1.0) * (
-            1.0 + p.get("g_eps", 0.0)
-            * np.cos(2 * np.pi * p.get("g_k", 1) * x1 / grid.periods[0])
-        )
-        hp = p.get("c_h", 1.0) * (
-            1.0 + p.get("h_eps", 0.0)
-            * np.cos(2 * np.pi * p.get("h_m", 1) * x3 / grid.periods[2])
-        )
-        return kahler_product_background(
-            grid, gp[:, None] * np.ones((1, n2)), hp[:, None] * np.ones((1, n4))
-        )
-    if cfg.bg_kind == "pluriclosed_cos":
-        return pluriclosed_background(
-            grid, p.get("c_g", 1.0), p.get("c_h", 1.0), p.get("modes", [])
-        )
-    if cfg.bg_kind == "files":
-        return load_background(_existing_path(p, "[background] kind = files"))
-    raise ConfigurationError(f"unknown background kind {cfg.bg_kind!r}")
+    return _BACKGROUNDS[cfg.bg_kind](grid, cfg.bg_params)
+
+
+def _random_initial(cfg, grid, bg, seed) -> RealField:
+    from .identities import random_test_field
+
+    p = cfg.initial_params
+    return random_test_field(
+        grid, p.get("seed", 0) if seed is None else seed,
+        p.get("amplitude", 0.01), p.get("band", 1),
+        bg=bg, beta=cfg.beta / cfg.alpha)
+
+
+def _split_sine(cfg, grid, bg, seed) -> RealField:
+    p = cfg.initial_params
+    a_amp, a_k = p.get("a_amp", 0.05), p.get("a_k", 1)
+    b_amp, b_m = p.get("b_amp", 0.05), p.get("b_m", 1)
+    L1, L3 = grid.periods[0], grid.periods[2]
+    return RealField.from_function(
+        grid,
+        lambda x1, x2, x3, x4: a_amp * np.sin(2 * np.pi * a_k * x1 / L1)
+        + b_amp * np.sin(2 * np.pi * b_m * x3 / L3),
+    )
+
+
+def _file_initial(cfg, grid, bg, seed) -> RealField:
+    f = read_field(_existing_path(cfg.initial_params, "[initial] kind = file"),
+                   grid=grid)
+    if not isinstance(f, RealField):
+        raise ConfigurationError("initial data file must hold a real field")
+    return f
+
+
+# kind -> builder(cfg, grid, bg, seed override or None)
+_INITIAL = {
+    "zero": lambda cfg, grid, bg, seed: RealField.zeros(grid),
+    "random": _random_initial,
+    "split_sine": _split_sine,
+    "file": _file_initial,
+}
 
 
 def build_initial(cfg: ExperimentConfig, grid: TorusGrid,
                   bg: Background, seed_override: int | None = None) -> RealField:
-    p = cfg.initial_params
-    if cfg.initial_kind == "zero":
-        return RealField.zeros(grid)
-    if cfg.initial_kind == "random":
-        from .identities import random_test_field
+    return _INITIAL[cfg.initial_kind](cfg, grid, bg, seed_override)
 
-        seed = seed_override if seed_override is not None else p.get("seed", 0)
-        return random_test_field(
-            grid, seed, p.get("amplitude", 0.01), p.get("band", 1),
-            bg=bg, beta=cfg.beta / cfg.alpha,
-        )
-    if cfg.initial_kind == "split_sine":
-        a_amp = p.get("a_amp", 0.05)
-        b_amp = p.get("b_amp", 0.05)
-        a_k = p.get("a_k", 1)
-        b_m = p.get("b_m", 1)
-        L1, L3 = grid.periods[0], grid.periods[2]
-        return RealField.from_function(
-            grid,
-            lambda x1, x2, x3, x4: a_amp * np.sin(2 * np.pi * a_k * x1 / L1)
-            + b_amp * np.sin(2 * np.pi * b_m * x3 / L3),
-        )
-    if cfg.initial_kind == "file":
-        f = read_field(_existing_path(p, "[initial] kind = file"), grid=grid)
-        if not isinstance(f, RealField):
-            raise ConfigurationError("initial data file must hold a real field")
-        return f
-    raise ConfigurationError(f"unknown initial kind {cfg.initial_kind!r}")
+
+# log_cos: f_plus = beta log(1 + eps cos(2 pi k x1/L1)), f_minus alike in x3
+_FORCING = ("zero", "log_cos")
 
 
 def build_forcing(cfg: ExperimentConfig, grid: TorusGrid, beta: float):
     """(f_plus, f_minus) as fields, or (None, None) for a free flow."""
-    p = cfg.forcing_params
     if cfg.f_plus == "zero" and cfg.f_minus == "zero":
         return None, None
-    L1, L3 = grid.periods[0], grid.periods[2]
+    p = cfg.forcing_params
+    x1, _, x3, _ = grid.mesh()
 
-    def logcos(eps, k, coord, scale):
+    def factor(kind, eps, k, coord, scale):
+        if kind == "zero":
+            return RealField.zeros(grid)
         if not (-1.0 < eps < 1.0):
             raise ConfigurationError("forcing amplitude must lie in (-1, 1)")
-        return scale * np.log(1.0 + eps * np.cos(2 * np.pi * k * coord))
+        return RealField(grid, scale * np.log(
+            1.0 + eps * np.cos(2 * np.pi * k * coord)) * np.ones(grid.shape))
 
-    x1, _, x3, _ = grid.mesh()
-    if cfg.f_plus == "log_cos":
-        fp = RealField(
-            grid,
-            logcos(p.get("f_plus_eps", 0.0), p.get("f_plus_k", 1), x1 / L1, beta)
-            * np.ones(grid.shape),
-        )
-    else:
-        fp = RealField.zeros(grid)
-    if cfg.f_minus == "log_cos":
-        fm = RealField(
-            grid,
-            logcos(p.get("f_minus_eps", 0.0), p.get("f_minus_m", 1), x3 / L3, 1.0)
-            * np.ones(grid.shape),
-        )
-    else:
-        fm = RealField.zeros(grid)
-    return fp, fm
+    return (factor(cfg.f_plus, p.get("f_plus_eps", 0.0), p.get("f_plus_k", 1),
+                   x1 / grid.periods[0], beta),
+            factor(cfg.f_minus, p.get("f_minus_eps", 0.0),
+                   p.get("f_minus_m", 1), x3 / grid.periods[2], 1.0))

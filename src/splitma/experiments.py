@@ -378,6 +378,8 @@ def cmd_beta_sweep(cfg: ExperimentConfig, beta_list, out_dir, seed=None,
                 f"sweep ratio {b} outside the admissible range "
                 f"({BETA_MIN:.6f}, 1]"
             )
+    if not betas or betas[0] >= 1.0:  # 1 alone compares 1 with itself
+        raise ConfigurationError("sweep needs a ratio below 1")
     if 1.0 not in betas:
         betas.append(1.0)
     grid = build_grid(cfg)

@@ -424,17 +424,8 @@ def gauge_out_f(
     grid = bg.grid
     _require_factor_pure(f_plus, axes=(2, 3), name="f_plus")
     _require_factor_pure(f_minus, axes=(0, 1), name="f_minus")
-    g = bg.g.data
-    h = bg.h.data
-
-    mean_g = float(g.mean())
-    mean_ge = float((g * np.exp(f_plus.data / beta)).mean())
-    b_plus = beta * math.log(mean_g / mean_ge)
-
-    mean_h = float(h.mean())
-    mean_he = float((h * np.exp(-f_minus.data)).mean())
-    b_minus = math.log(mean_he / mean_h)
-
+    g, h = bg.g.data, bg.h.data
+    b_plus, b_minus = _compat_shifts(bg, f_plus, f_minus, beta)
     e = np.exp((f_plus.data + b_plus) / beta)
     u_plus = poisson_solve_factor(RealField(grid, g * (e - 1.0)), "z")
     g_new = g * e
@@ -457,15 +448,24 @@ def normalize_compat(
     """Shift split forcing by constants so the compatibility condition
     holds exactly: the factor means of g exp(f_plus/beta) and
     h exp(-f_minus) match those of g and h."""
-    g, h = bg.g.data, bg.h.data
-    shift_p = beta * math.log(
-        float(g.mean()) / float((g * np.exp(f_plus.data / beta)).mean())
-    )
-    shift_m = math.log(float((h * np.exp(-f_minus.data)).mean()) / float(h.mean()))
+    shift_p, shift_m = _compat_shifts(bg, f_plus, f_minus, beta)
     return (
         RealField(f_plus.grid, f_plus.data + shift_p),
         RealField(f_minus.grid, f_minus.data + shift_m),
     )
+
+
+def _compat_shifts(bg: Background, f_plus: RealField, f_minus: RealField,
+                   beta: float):
+    """(b_plus, b_minus): the constants that make the factor means of
+    g exp((f_plus + b_plus)/beta) and h exp(-(f_minus + b_minus)) those of
+    g and h."""
+    g, h = bg.g.data, bg.h.data
+    b_plus = beta * math.log(
+        float(g.mean()) / float((g * np.exp(f_plus.data / beta)).mean()))
+    b_minus = math.log(
+        float((h * np.exp(-f_minus.data)).mean()) / float(h.mean()))
+    return b_plus, b_minus
 
 
 def _require_factor_pure(f: RealField, axes, name: str, tol: float = 1e-10):

@@ -7,7 +7,8 @@ import pytest
 
 from splitma import ConfigurationError
 from splitma.cli import main
-from splitma.config import build_background, build_grid, build_initial, parse_config
+from splitma.config import (_KEYS, ExperimentConfig, build_background,
+                            build_grid, build_initial, parse_config)
 from splitma.experiments import cmd_flow_run, cmd_oracle_2d
 from splitma.monitors import MonitorStream
 
@@ -99,6 +100,73 @@ gauge = true
 """
 
 
+# every key of every section, each set to a value other than its default
+ALL_KEYS = """
+[grid]
+dims = 16 8 16 8
+periods = 1.5 1 2 1
+
+[background]
+kind = kahler_cos
+c_g = 1.5
+c_h = 0.5
+g_eps = 0.1
+h_eps = 0.3
+g_k = 2
+h_m = 3
+modes = 1,1,0.3; 2,1,0.1
+path = bg.d
+
+[flow]
+beta = 0.4
+alpha = 0.8
+cfl = 0.7
+dt_max = 0.01
+t_end = 0.2
+steady_tol = 1e-7
+snapshot_stride = 3
+admissibility_floor = 1e-8
+steady_criterion = norm
+spectral_filter = yes
+
+[initial]
+kind = split_sine
+amplitude = 0.02
+seed = 7
+band = 2
+a_amp = 0.03
+a_k = 2
+b_amp = 0.04
+b_m = 3
+path = u0.field
+
+[forcing]
+f_plus = log_cos
+f_plus_eps = 0.2
+f_plus_k = 2
+f_minus = log_cos
+f_minus_eps = 0.3
+f_minus_m = 3
+normalize_compat6 = Off
+gauge = 0
+
+[monitors]
+enabled = all
+safety = 2
+
+[output]
+directory = elsewhere
+field_dump_stride = 5
+
+[identities]
+betas = 0.5, 0.9
+amplitude = 0.02
+seed = 5
+band = 3
+tolerance = 1e-7
+"""
+
+
 def write_cfg(tmp_path, text, name="exp.cfg"):
     p = tmp_path / name
     p.write_text(text)
@@ -130,6 +198,70 @@ class TestParseConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError, match="not found"):
             parse_config(tmp_path / "nope.cfg")
+
+    def test_every_key(self, tmp_path):
+        """All 47 keys at once, none at its default, and each lands in its
+        own field (a key of a dict field under its own name)."""
+        import configparser
+
+        cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        cp.read_string(ALL_KEYS)
+        assert {s: set(cp[s]) for s in cp.sections()} == {
+            s: set(keys) for s, keys in _KEYS.items()}
+        assert sum(map(len, _KEYS.values())) == 47
+        assert parse_config(write_cfg(tmp_path, ALL_KEYS)) == ExperimentConfig(
+            dims=(16, 8, 16, 8),
+            periods=(1.5, 1.0, 2.0, 1.0),
+            bg_kind="kahler_cos",
+            bg_params={"c_g": 1.5, "c_h": 0.5, "g_eps": 0.1, "h_eps": 0.3,
+                       "g_k": 2, "h_m": 3,
+                       "modes": [(1, 1, 0.3), (2, 1, 0.1)], "path": "bg.d"},
+            beta=0.4, alpha=0.8, cfl=0.7, dt_max=0.01, t_end=0.2,
+            steady_tol=1e-7, snapshot_stride=3, admissibility_floor=1e-8,
+            steady_criterion="norm", spectral_filter=True,
+            initial_kind="split_sine",
+            initial_params={"amplitude": 0.02, "seed": 7, "band": 2,
+                            "a_amp": 0.03, "a_k": 2, "b_amp": 0.04,
+                            "b_m": 3, "path": "u0.field"},
+            f_plus="log_cos", f_minus="log_cos",
+            forcing_params={"f_plus_eps": 0.2, "f_plus_k": 2,
+                            "f_minus_eps": 0.3, "f_minus_m": 3},
+            normalize_compat6=False, gauge=False,
+            monitors_enabled="all", monitors_safety=2.0,
+            out_dir="elsewhere", field_dump_stride=5,
+            id_betas=(0.5, 0.9), id_amplitude=0.02, id_seed=5, id_band=3,
+            id_tolerance=1e-7,
+        )
+
+    @pytest.mark.parametrize("word, value", [("yes", True), ("Off", False),
+                                             ("1", True), ("FALSE", False)])
+    def test_boolean_spellings(self, tmp_path, word, value):
+        text = MINIMAL + f"spectral_filter = {word}\n"
+        assert parse_config(write_cfg(tmp_path, text)).spectral_filter is value
+
+    def test_not_a_boolean_exits_two(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, MINIMAL + "spectral_filter = maybe\n")
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "Not a boolean: maybe" in capsys.readouterr().err
+
+    def test_stray_percent_sign(self, tmp_path):
+        """A value with a '%' that starts no interpolation is a
+        configuration error, not a traceback."""
+        text = MINIMAL + "\n[output]\ndirectory = out%1\n"
+        with pytest.raises(ConfigurationError, match="invalid config value"):
+            parse_config(write_cfg(tmp_path, text))
+
+    @pytest.mark.parametrize("section, line, hint", [
+        ("background", "kind = kahler_co", "kahler_cos"),
+        ("initial", "kind = split_sin", "split_sine"),
+        ("forcing", "f_plus = log_co", "log_cos"),
+        ("forcing", "f_minus = zer", "zero"),
+    ])
+    def test_unknown_kind_with_suggestion(self, tmp_path, section, line, hint):
+        with pytest.raises(ConfigurationError,
+                           match=f"unknown {section} kind .*did you mean '{hint}'"):
+            parse_config(write_cfg(tmp_path, MINIMAL + f"[{section}]\n{line}\n"))
 
     def test_builders(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, SPLIT_RUN))
@@ -212,16 +344,49 @@ class TestExitCodes:
         assert code == 2
         assert "bogus" in capsys.readouterr().err
 
-    def test_parallel_lasts_one_call(self, tmp_path, capsys):
-        from splitma import _backend
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_unreadable_config_exits_two(self, tmp_path, capsys, monkeypatch,
+                                         kind):
+        """A config that cannot be read is refused: a directory is not
+        skipped in favour of the defaults, and undecodable bytes are not a
+        traceback."""
+        import splitma.cli as cli
 
-        cfg = write_cfg(tmp_path, MINIMAL)
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "p"),
-                     "--parallel", "2"]) == 0
-        assert _backend.get_workers() == 1
-        assert main(["run", "--config", str(cfg),
-                     "--out", str(tmp_path / "s")]) == 0
-        assert _backend.get_workers() == 1
+        def never(*a, **k):
+            raise AssertionError("the recipe ran on an unread config")
+
+        monkeypatch.setattr(cli, "cmd_flow_run", never)
+        if kind == "directory":
+            path = tmp_path / "cfg.d"
+            path.mkdir()
+        else:
+            path = tmp_path / "exp.cfg"
+            path.write_bytes(MINIMAL.encode() + b"# \xff\xfe\n")
+        assert main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot read config")
+        assert not (tmp_path / "o").exists()
+
+    def test_empty_identity_betas_exit_two(self, tmp_path, capsys):
+        """No ratio means no identity is checked, which must not pass."""
+        cfg = write_cfg(tmp_path, "[grid]\ndims = 16 16 16 16\n"
+                                  "[identities]\nbetas =\n")
+        assert main(["check-identities", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "betas" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "identities.json").exists()
+
+    @pytest.mark.parametrize("betas", [",", "1.0", "1,1.0"])
+    def test_sweep_without_a_ratio_below_one_exits_two(self, tmp_path,
+                                                       capsys, betas):
+        """The sweep compares each ratio with the unit one; with no ratio
+        below 1 it would compare 1 with itself and pass."""
+        cfg = write_cfg(tmp_path, SPLIT_RUN)
+        assert main(["beta-sweep", "--config", str(cfg), "--betas", betas,
+                     "--out", str(tmp_path / "s")]) == 2
+        assert "below 1" in capsys.readouterr().err
+        assert not (tmp_path / "s" / "beta_sweep.json").exists()
 
     def test_sweep_rejects_threshold_violation(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SPLIT_RUN)

@@ -61,6 +61,17 @@ PUBLIC_NAMES = [
 COMMANDS = ["run", "kahler-converge", "beta-sweep", "oracle-2d",
             "check-identities"]
 
+# sub-command -> its flags (besides -h/--help); a flag is added or removed
+# on purpose only.  --parallel is gone: the complex transforms take one
+# worker per available CPU, and the result does not depend on the count.
+FLAGS = {
+    "run": ["--config", "--out", "--seed", "--negative-control"],
+    "kahler-converge": ["--config", "--out", "--seed"],
+    "beta-sweep": ["--config", "--out", "--seed", "--betas"],
+    "oracle-2d": ["--config", "--out", "--seed"],
+    "check-identities": ["--config", "--out", "--tamper"],
+}
+
 CHECK_NAMES = ["speed_consistency", "speed_range", "potential_bounds",
                "trace_lower_bound", "trace_floor", "mixed_growth",
                "trace_growth", "split_preserved", "legendre_subsolution",
@@ -93,6 +104,17 @@ def test_cli_commands():
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
     assert list(sub.choices) == COMMANDS
+
+
+def test_cli_flags():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {name: [opt for action in p._actions
+                    for opt in action.option_strings
+                    if opt not in ("-h", "--help")]
+             for name, p in sub.choices.items()}
+    assert flags == FLAGS
 
 
 @pytest.mark.parametrize("module, name", TRACED,

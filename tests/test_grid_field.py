@@ -338,23 +338,29 @@ class TestStats:
         assert s.min <= s.mean <= s.max
 
 
-class TestParallelMode:
-    def test_parallel_agrees_with_deterministic(self, grid):
-        """The worker count reaches the complex transforms, here those of
-        a derivative of complex data."""
+class TestComplexTransforms:
+    """The complex transforms take one worker per available CPU; their
+    output must not depend on the count."""
+
+    @pytest.mark.parametrize("dims", [(16, 16, 16, 16), (8, 16, 32, 8)],
+                             ids=["16^4", "8x16x32x8"])
+    def test_backend_matches_one_worker(self, dims):
+        import os
+
+        import scipy.fft
+
         from splitma import _backend
 
+        assert _backend.get_workers() == len(os.sched_getaffinity(0))
         rng = np.random.default_rng(17)
-        u = ComplexField.create(grid, rng.normal(size=grid.shape)
-                                + 1j * rng.normal(size=grid.shape))
-        base = derivative(u, "z zb").data
-        try:
-            _backend.set_workers(4)
-            par = derivative(u, "z zb").data
-        finally:
-            _backend.set_workers(1)
-        scale = np.max(np.abs(base))
-        assert np.max(np.abs(par - base)) <= 1e-13 * scale
+        real = rng.normal(size=dims)
+        for a in (real, real + 1j * rng.normal(size=dims)):
+            for ours, theirs in ((_backend.fftn, scipy.fft.fftn),
+                                 (_backend.ifftn, scipy.fft.ifftn)):
+                one = theirs(a, workers=1)
+                assert np.array_equal(ours(a), one)
+                # and on more workers than this machine may have
+                assert np.array_equal(theirs(a, workers=4), one)
 
 
 class TestBlasThreads:
