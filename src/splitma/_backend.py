@@ -18,18 +18,46 @@ lines between them and each line is computed as on one worker, so the
 result does not depend on the count (bit for bit; pinned by the tests).
 
 The factor Laplacians and the mixed derivatives u_zw, u_zwb do not come
-here: they are matrix products (grid_field) run by numpy's BLAS.
+here: they are matrix products (grid_field) run by numpy's BLAS.  The
+factor Laplacians run on up to get_workers() threads of grid_field's slab
+pool (one per MiB of field), each thread's BLAS pinned to one thread by
+OpenBLAS's openblas_set_num_threads_local (blas_thread_pin), so the
+threads do not split their small products again.  Where numpy's BLAS has
+no such call, they run on the calling thread alone.  A product's sums do
+not depend on the thread that runs it, so the result does not depend on
+the count.
 """
 
+import ctypes
+import functools
+import glob
 import os
 
 import numpy as np
 
 
 def get_workers() -> int:
-    """Worker count of the complex transforms: the CPUs this process may
-    run on."""
+    """Worker count of the complex transforms and of the factor Laplacian
+    slabs: the CPUs this process may run on."""
     return len(os.sched_getaffinity(0))
+
+
+@functools.cache
+def blas_thread_pin():
+    """openblas_set_num_threads_local(n) of the OpenBLAS that numpy ships
+    in numpy.libs: it sets the BLAS thread count of the calling thread
+    only.  None where no such library or call is found (numpy built on
+    another BLAS, or an OpenBLAS older than 0.3.27)."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                        "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            pin = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        pin.argtypes, pin.restype = [ctypes.c_int], ctypes.c_int
+        return pin
+    return None
 
 
 def scipy_fft():

@@ -72,6 +72,10 @@ def _flow_params(cfg: ExperimentConfig, beta: float, **overrides) -> FlowParams:
 
 
 def _write_json(path, report: dict) -> None:
+    """Write report to path, making its directory: a recipe makes its
+    output directory only once it has something to write, so a refused
+    call leaves none."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with atomic_write(path) as fh:
         fh.write(json.dumps(report, indent=2))
 
@@ -237,9 +241,9 @@ def cmd_flow_run(cfg: ExperimentConfig, out_dir, seed=None,
     enabled = _enabled_checks(cfg)
     if negative_control is not None and negative_control not in enabled:
         enabled.append(negative_control)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     grid, bg, u0, forcing, info = _prepare_problem(cfg, seed=seed)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)  # the field dump writes into it
     params = _flow_params(cfg, info["beta"])
     stream = MonitorStream(bg, enabled, cfg.monitors_safety)
     dump = _field_dump(out, cfg.field_dump_stride)
@@ -307,7 +311,6 @@ def cmd_kahler_converge(cfg: ExperimentConfig, out_dir, seed=None):
     are constructed by factor Poisson inversion, i.e. by the same discrete
     operators the flow uses, so the discrete steady state is exact."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     grid = build_grid(cfg)
     bg = build_background(cfg, grid)
     if bg.kind != KAHLER_PRODUCT:
@@ -367,7 +370,6 @@ def cmd_beta_sweep(cfg: ExperimentConfig, beta_list, out_dir, seed=None,
     """Integrate the same problem for several exponent ratios and compare
     against the unit-ratio reference at matched times."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         betas = sorted(set(float(b) for b in beta_list))
     except ValueError as exc:
@@ -433,7 +435,6 @@ def cmd_oracle_2d(cfg: ExperimentConfig, out_dir, seed=None,
     """Cross-check the 4D integrator against the two decoupled factor
     flows on split data."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     grid = build_grid(cfg)
     bg = build_background(cfg, grid)
     if bg.kind != KAHLER_PRODUCT:
@@ -486,7 +487,6 @@ def cmd_check_identities(cfg: ExperimentConfig, out_dir,
     # first field, its memory lies below the fields, not above them
     _backend.scipy_fft()
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     fine_dims = cfg.dims
     if min(fine_dims) < 16:
         raise ConfigurationError(

@@ -18,10 +18,21 @@ steady-convergence recipe into its residual series); without one the
 Trajectory stores every kept state.  The exponent sweep and the factor
 oracle (experiments) keep the initial state and the checkpoint states.
 
-Working set: a step computes in place (trace factors in the Laplacian
-outputs, speeds in lambda's buffer, one stage buffer, k2's buffer as the
-accumulator) and holds about five fields beyond u and k1; between keeps a
-streamed run holds the current state and the kept potential only.
+Every evaluation of the right-hand side is one slab pass of grid_field
+(_lambda_eta_data): the factor Laplacians, lambda, eta, their minima and
+the speed, each chunk of x1 rows finished while it is in cache, on one
+thread per available CPU for fields of 1 MiB or more.  An RK4 stage keeps
+no full lambda or eta (lambda is formed in the speed buffer, eta in the
+stage buffer it consumes) and runs its stage combinations on each chunk
+inside the pass.  The accepted state's pass also yields min(g lambda) and
+min(h eta), so the step limit takes no pass of its own.
+
+Working set: a step holds u, k1 and about four fields more (the stage
+buffer, k2's buffer as the accumulator and one more k; then the accepted
+state's lambda, eta and speed), plus the slab threads' chunk buffers,
+allocated once per process.  Neither integrate nor run holds the
+previous state's lambda and eta through a step.  Between keeps a streamed
+run holds the current state and the kept potential only.
 """
 
 from __future__ import annotations
@@ -36,9 +47,10 @@ from .geometry import KAHLER_PRODUCT, Background
 from .grid_field import (
     RealField,
     TorusGrid,
+    _slab_pass,
     deriv_data,
     exponential_filter,
-    factor_laplacians,
+    on_slabs,
     poisson_solve_factor,
 )
 
@@ -74,13 +86,15 @@ class FlowParams:
 
 @dataclass
 class FlowState:
-    """One snapshot of the flow: potential, time, cached traces and speed."""
+    """One snapshot of the flow: potential, time, cached traces and speed,
+    and the minima of g lam and h eta when the trace pass gave them."""
 
     u: RealField
     t: float
     lam: RealField
     eta: RealField
     du_dt: RealField
+    metric_min: tuple[float, float] | None = None
 
 
 @dataclass
@@ -126,18 +140,58 @@ def lambda_eta(
     u: RealField, bg: Background, floor: float = 1e-10, t: float | None = None
 ):
     """Pointwise trace factors; raises AdmissibilityLost at the floor."""
-    lam, eta = _lambda_eta_data(u.data, bg, floor, t)
+    lam, eta, _, _ = _lambda_eta_data(u.data, bg, floor, t)
     return RealField(u.grid, lam), RealField(u.grid, eta)
 
 
-def _lambda_eta_data(u_data: np.ndarray, bg: Background, floor: float, t=None):
-    lam, eta = factor_laplacians(bg.grid, u_data)
-    lam /= bg.g.data
-    lam += 1.0
-    eta /= bg.h.data
-    np.subtract(1.0, eta, out=eta)
-    lam_min = float(lam.min())
-    eta_min = float(eta.min())
+def _lambda_eta_data(u_data: np.ndarray, bg: Background, floor: float,
+                     t=None, beta=None, forcing=None, then=None):
+    """The trace factors lam = 1 + u_zzb / g and eta = 1 - u_wwb / h of
+    u_data and, given beta, its speed beta log(lam) - log(eta) - forcing,
+    in one slab pass (grid_field's _slab_pass): each chunk of x1 rows is
+    finished while it is in cache.  Raises AdmissibilityLost when min lam,
+    then min eta, is not above floor.
+
+    Returns (lam, eta, speed, metric_min): speed is None without beta, and
+    metric_min holds min(g lam) and min(h eta), the minima dt_adaptive
+    reads.
+
+    With then the call is an RK4 stage: u_data is a stage buffer that the
+    pass consumes, lam is formed in the speed buffer and eta in u_data's
+    own rows, and only the speed is returned (lam, eta and metric_min are
+    None).  then(rows, speed) runs on each chunk once its speed is done,
+    on the pool threads, so it may call numpy only.  A chunk below the
+    floor takes no logarithm and no then: the stage is rejected anyway."""
+    g, h = bg.g.data, bg.h.data
+    stage = then is not None
+    lam = np.empty(bg.grid.shape)
+    eta = u_data if stage else np.empty(bg.grid.shape)
+    speed = lam if stage else None if beta is None else np.empty(bg.grid.shape)
+
+    def finish(rows, spare):
+        lam_r, eta_r = lam[rows], eta[rows]
+        lam_r /= g[rows]
+        lam_r += 1.0
+        eta_r /= h[rows]
+        np.subtract(1.0, eta_r, out=eta_r)
+        lows = [lam_r.min(), eta_r.min()]
+        if not stage:
+            lows.append(np.multiply(g[rows], lam_r, out=spare).min())
+            lows.append(np.multiply(h[rows], eta_r, out=spare).min())
+        if speed is not None and lows[0] > floor and lows[1] > floor:
+            s = speed[rows]
+            np.log(lam_r, out=s)
+            s *= beta
+            s -= np.log(eta_r, out=eta_r if stage else spare)
+            if forcing is not None:
+                s -= forcing[rows]
+            if stage:
+                then(rows, speed)
+        return lows
+
+    # np.min propagates a NaN of any chunk, as the minimum of the field does
+    lows = np.min(_slab_pass(bg.grid, u_data, lam, eta, finish), axis=0)
+    lam_min, eta_min = float(lows[0]), float(lows[1])
     if not (lam_min > floor):
         raise AdmissibilityLost(
             f"lambda reached {lam_min:.3e} (floor {floor:.1e})",
@@ -148,27 +202,36 @@ def _lambda_eta_data(u_data: np.ndarray, bg: Background, floor: float, t=None):
             f"eta reached {eta_min:.3e} (floor {floor:.1e})",
             t=t, which="eta", value=eta_min,
         )
-    return lam, eta
+    if stage:
+        return None, None, speed, None
+    return lam, eta, speed, (float(lows[2]), float(lows[3]))
 
 
 def flow_speed(
     lam: np.ndarray, eta: np.ndarray, beta: float, forcing: np.ndarray | None = None
 ) -> np.ndarray:
-    """beta log(lambda) - log(eta), minus the forcing when present."""
+    """beta log(lambda) - log(eta), minus the forcing when present: the
+    formula that the trace pass evaluates chunk by chunk, in the same
+    operation order."""
     s = beta * np.log(lam) - np.log(eta)
     if forcing is not None:
         s = s - forcing
     return s
 
 
+def _state(u: RealField, t: float, traces) -> FlowState:
+    """The FlowState of u at t from its _lambda_eta_data result."""
+    lam, eta, speed, metric_min = traces
+    return FlowState(u, t, RealField(u.grid, lam), RealField(u.grid, eta),
+                     RealField(u.grid, speed), metric_min)
+
+
 def make_state(
     u: RealField, bg: Background, beta: float, t: float,
     floor: float = 1e-10, forcing: RealField | None = None,
 ) -> FlowState:
-    lam, eta = lambda_eta(u, bg, floor, t)
     f = None if forcing is None else forcing.data
-    speed = flow_speed(lam.data, eta.data, beta, f)
-    return FlowState(u=u, t=t, lam=lam, eta=eta, du_dt=RealField(u.grid, speed))
+    return _state(u, t, _lambda_eta_data(u.data, bg, floor, t, beta, f))
 
 
 # ---------------------------------------------------------------------------
@@ -189,60 +252,67 @@ def dt_adaptive(
 ) -> float:
     """Stability-limited step cfl / rho: rho is the sup of the linearised
     operator's coefficients, each times its factor Laplacian spectral
-    radius (spectral_radius_bounds)."""
+    radius (spectral_radius_bounds).  The minima of g lam and h eta come
+    from the state's own trace pass (metric_min) when it has them."""
     kz, kw = spectral_radius_bounds(state.u.grid)
     # beta / min(g lam) equals max(beta / (g lam)) bitwise: rounded
     # division by a positive number is monotone
-    prod = np.multiply(bg.g.data, state.lam.data)
-    coef_z = beta / float(prod.min())
-    np.multiply(bg.h.data, state.eta.data, out=prod)
-    rho = coef_z * kz + (1.0 / float(prod.min())) * kw
+    gl_min, he_min = state.metric_min or (
+        float(np.min(bg.g.data * state.lam.data)),
+        float(np.min(bg.h.data * state.eta.data)))
+    rho = (beta / gl_min) * kz + (1.0 / he_min) * kw
     return min(dt_max, cfl / rho)
-
-
-def _speed_of(u_data, bg, beta, floor, forcing, t):
-    """flow_speed of u_data, computed inside the lambda buffer."""
-    s, eta = _lambda_eta_data(u_data, bg, floor, t)
-    np.log(s, out=s)
-    s *= beta
-    s -= np.log(eta, out=eta)
-    if forcing is not None:
-        s -= forcing
-    return s
 
 
 def _step_rk4_full(u_data, bg, beta, dt, floor, forcing, t, k1=None):
     """One classical four-stage step; every stage is admissibility-checked.
 
-    Returns (u_new, lam_new, eta_new, speed_new): the trailing
-    admissibility check of the accepted state doubles as the first stage
-    of the next step, so nothing is evaluated twice across the run loop.
+    Returns (u_new, lam_new, eta_new, speed_new, metric_min): the trailing
+    trace pass of the accepted state doubles as the first stage of the
+    next step, so nothing is evaluated twice across the run loop.
 
     One buffer holds the three stage inputs in turn; k2's buffer
     accumulates u + (dt/6)(k1 + 2 k2 + 2 k3 + k4) in that expression's
-    operation order (IEEE + and * commute), dropping each k once folded in.
+    operation order (IEEE + and * commute).  Each stage's combinations run
+    inside its trace pass, on each chunk of rows once its speed is done:
+    the next stage input overwrites the chunk's rows of the consumed stage
+    buffer, and each k is folded into the accumulator there.
     """
     if k1 is None:
-        k1 = _speed_of(u_data, bg, beta, floor, forcing, t)
-    stage = np.multiply(k1, 0.5 * dt)
-    stage += u_data
-    acc = _speed_of(stage, bg, beta, floor, forcing, t)
-    np.multiply(acc, 0.5 * dt, out=stage)
-    stage += u_data
-    acc *= 2.0
-    acc += k1
-    k = _speed_of(stage, bg, beta, floor, forcing, t)
-    np.multiply(k, dt, out=stage)
-    stage += u_data
-    k *= 2.0
-    acc += k
-    del k
-    acc += _speed_of(stage, bg, beta, floor, forcing, t)
+        k1 = _lambda_eta_data(u_data, bg, floor, t, beta, forcing)[2]
+    half = 0.5 * dt
+    stage = np.empty(bg.grid.shape)
+
+    def first(r):
+        s = np.multiply(k1[r], half, out=stage[r])
+        s += u_data[r]
+
+    def after_k2(r, acc):
+        s = np.multiply(acc[r], half, out=stage[r])
+        s += u_data[r]
+        a = acc[r]
+        a *= 2.0
+        a += k1[r]
+
+    def after_k3(r, k):
+        s = np.multiply(k[r], dt, out=stage[r])
+        s += u_data[r]
+        k_r, a = k[r], acc[r]
+        k_r *= 2.0
+        a += k_r
+
+    def after_k4(r, k):
+        a = acc[r]
+        a += k[r]
+        a *= dt / 6.0
+        a += u_data[r]
+
+    on_slabs(bg.grid, first)
+    acc = _lambda_eta_data(stage, bg, floor, t, beta, forcing, after_k2)[2]
+    for then in (after_k3, after_k4):
+        _lambda_eta_data(stage, bg, floor, t, beta, forcing, then)
     del stage
-    acc *= dt / 6.0
-    acc += u_data
-    lam_new, eta_new = _lambda_eta_data(acc, bg, floor, t)
-    return acc, lam_new, eta_new, flow_speed(lam_new, eta_new, beta, forcing)
+    return (acc, *_lambda_eta_data(acc, bg, floor, t, beta, forcing))
 
 
 def step_rk4(
@@ -304,9 +374,11 @@ def integrate(
     shortened to land on the next of the stops in (0, t_end]; at_stop is
     true at each stop hit and at t_end.  The yielded arrays are the inputs
     of the next step and the first state holds u0 itself: do not modify
-    them.  A step holds the current state and about five fields more.
+    them.  A step holds the current state's u and speed and about four
+    fields more; it drops its own reference to the state's lam and eta.
     """
     beta, floor, eps = params.beta, params.admissibility_floor, 1e-12
+    grid = u0.grid
     f = None if forcing is None else forcing.data
     stops = sorted(t for t in stops if 0.0 < t <= params.t_end)
     state = make_state(u0, bg, beta, 0.0, floor, forcing)
@@ -318,18 +390,20 @@ def integrate(
         hit = k < len(stops) and stops[k] - t <= dt + eps
         if hit:
             dt = stops[k] - t
-        (u, lam, eta, speed), dt_used = step_with_rejection(
-            state.u.data, bg, beta, dt, floor, f, t, k1=state.du_dt.data
-        )
+        u, k1 = state.u.data, state.du_dt.data
+        del state  # the step needs neither lam nor eta of this state
+        new, dt_used = step_with_rejection(u, bg, beta, dt, floor, f, t, k1=k1)
+        del u, k1
         if params.spectral_filter:
-            u = exponential_filter(u0.grid, u)
-            lam, eta = _lambda_eta_data(u, bg, floor, t)
-            speed = flow_speed(lam, eta, beta, f)
+            u = exponential_filter(grid, new[0])
+            del new
+            new = (u, *_lambda_eta_data(u, bg, floor, t, beta, f))
+            del u
         t += dt_used
         hit = hit and dt_used == dt
         k += hit
-        state = FlowState(RealField(u0.grid, u), t, RealField(u0.grid, lam),
-                          RealField(u0.grid, eta), RealField(u0.grid, speed))
+        state = _state(RealField(grid, new[0]), t, new[1:])
+        del new
         yield state, dt_used, hit or t >= params.t_end - eps
 
 
@@ -360,10 +434,12 @@ def run(
     traj.meta["forcing"] = None if forcing is None else forcing.data
     traj.meta["reduced"] = forcing is None and abs(float(u0.data.min())) < 1e-12
     traj.meta["split_initial"] = is_split(u0)
-    t = None
+    t, i = None, 0
     try:
-        for i, (state, dt_used, at_stop) in enumerate(
-                integrate(bg, u0, params, forcing, checkpoint_times or ())):
+        # no enumerate: its cached result tuple would hold the previous
+        # state through the next step
+        for state, dt_used, at_stop in integrate(bg, u0, params, forcing,
+                                                 checkpoint_times or ()):
             t = state.t
             if i % params.snapshot_stride == 0 or at_stop:
                 if keep is None:
@@ -378,6 +454,9 @@ def run(
                                    params.steady_criterion) < params.steady_tol:
                     traj.termination = "steady"
                     break
+            i += 1
+            if not at_stop:  # the last state is at a stop: t_end
+                del state  # so the next step can drop its lam and eta
     except (NumericalFailure, AdmissibilityLost) as exc:
         traj.termination = "failed"
         traj.meta["failed_at"] = t

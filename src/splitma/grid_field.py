@@ -28,7 +28,13 @@ differentiated by an n x n circulant matrix, the axis's multiplier written
 in physical space (_axis_matrix), applied by BLAS matmul over cache-sized
 blocks.  Each block is shifted by its value at the factor's origin before
 the product, so a field constant over the factor gives exactly zero, as
-the multiplier does.  The factor Poisson solve inverts 1/(k_a^2 + k_b^2),
+the multiplier does.  The factor Laplacians come from one kernel,
+_slab_pass, which works over slabs of x1 rows split between a module
+pool's threads (one per available CPU, one per MiB of field at most, each
+with BLAS pinned to one thread) and can finish each chunk of rows with a
+caller's function while it is in cache: the flow's trace factors, speed
+and RK4 stage combinations (flow._lambda_eta_data).  Its output does not
+depend on the thread count.  The factor Poisson solve inverts 1/(k_a^2 + k_b^2),
 which is not a sum of per-axis terms, so it keeps a real transform over
 just that factor's two axes, (x1, x2) or (x3, x4), and one half-spectrum
 multiplier.
@@ -43,10 +49,10 @@ Which path a caller takes:
   and exponential_filter;
 * a real transform over one factor's two axes: the gauge and Poisson
   solves;
-* the factor Laplacian matrices (no transform): the flow's lambda and
-  eta, the monitors' traces, curvature and pluriclosedness checks, and
-  the identity slices' linearised operator L together with the factor
-  Laplacians of their derived fields;
+* the factor Laplacian matrices (no transform, the slab pass): the
+  flow's lambda, eta and speed, the monitors' traces, curvature and
+  pluriclosedness checks, and the identity slices' linearised operator L
+  together with the factor Laplacians of their derived fields;
 * the first-derivative matrices (no transform): mixed_derivatives, which
   gives the monitors' u_zw and u_zwb (mixed_norm, legendre_w, the snapshot
   pass) and the steady-convergence recipe's split residual.
@@ -59,8 +65,10 @@ the field file format fixes this order bit-exactly.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Union
@@ -345,40 +353,159 @@ def _axis_matrix(grid: TorusGrid, axis: int, order: int) -> np.ndarray:
     return grid._cache[key]
 
 
-def _laplacian_z(grid: TorusGrid, data: np.ndarray) -> np.ndarray:
-    n0, n1, n2, n3 = grid.shape
-    d0, d1 = _axis_matrix(grid, 0, 2), _axis_matrix(grid, 1, 2)
-    out = np.empty(grid.shape)
-    src, dst = data.reshape(n0, n1, n2 * n3), out.reshape(n0, n1, n2 * n3)
-    origin = src[0, 0]
-    # along x1: one (x1, x3 x4) block per x2 index
-    blk = np.empty((n0, n2 * n3))
-    for i in range(n1):
-        np.subtract(src[:, i], origin, out=blk)
-        np.matmul(d0, blk, out=dst[:, i])
-    # along x2, added on: one (x2, x3 x4) block per x1 index
-    blk = np.empty((n1, n2 * n3))
-    term = np.empty_like(blk)
-    for i in range(n0):
-        np.subtract(src[i], origin, out=blk)
-        np.matmul(d1, blk, out=term)
-        dst[i] += term
-    return out
+# Bytes of one chunk of x1 rows in the slab pass: a chunk's blocks and
+# their products stay in L2 (2 MiB a core) while its rows are finished.
+_CHUNK_BYTES = 256 * 1024
+# Field bytes per slab thread.  Handing a pass to a pool thread and waiting
+# for it takes 0.07-0.2 ms on a 2-vCPU Xeon (more once the thread sleeps),
+# twice a pass; a pass over 1 MiB of field takes about 2 ms on one thread.
+# A 16^4 field (0.5 MiB) loses by a second thread: the benchmark's
+# monitors-dense-16 run took 1.0 s with one and 1.4 s with two.
+_THREAD_BYTES = 1 << 20
+
+# The pools and the scratch are shared by every caller in the process: a
+# slab pass or on_slabs call holds _SLAB_LOCK throughout.
+_POOLS: dict = {}       # (pid, thread count) -> ThreadPoolExecutor
+_SCRATCH: list = []     # per thread: (block, term) flat buffers
+_SLAB_LOCK = threading.Lock()
 
 
-def _laplacian_w(grid: TorusGrid, data: np.ndarray) -> np.ndarray:
+def _slab_threads(grid: TorusGrid) -> int:
+    """Threads of a slab pass on grid: one per _THREAD_BYTES of field, at
+    most get_workers(); one where BLAS cannot be pinned to one thread per
+    caller (threads that each run a multi-threaded BLAS gain nothing)."""
+    if fft.blas_thread_pin() is None:
+        return 1
+    return max(1, min(fft.get_workers(), 8 * grid.npoints // _THREAD_BYTES))
+
+
+def _run_parts(parts):
+    """Results of the callables in parts, each run on its own pool thread
+    (every pool thread has its BLAS pinned to one thread); a single part
+    runs in the calling thread.  Waits for all before raising."""
+    if len(parts) == 1:
+        return [parts[0]()]
+    # imported with the first pool: 10 ms that one-thread runs never pay
+    import concurrent.futures
+
+    key = (os.getpid(), len(parts))  # a forked child has no pool threads
+    pool = _POOLS.get(key)
+    if pool is None:
+        pool = _POOLS[key] = concurrent.futures.ThreadPoolExecutor(
+            len(parts), thread_name_prefix="splitma-slab",
+            initializer=fft.blas_thread_pin(), initargs=(1,))
+    futures = [pool.submit(part) for part in parts]
+    concurrent.futures.wait(futures)
+    return [f.result() for f in futures]
+
+
+def _spans(n: int, parts: int):
+    """n indices cut into parts contiguous ranges of near-equal length."""
+    return [range(n * k // parts, n * (k + 1) // parts) for k in range(parts)]
+
+
+def _chunk_rows(grid: TorusGrid, threads: int) -> int:
+    """x1 rows in a chunk: about _CHUNK_BYTES, at least one row and at
+    most one thread's share."""
+    n0 = grid.shape[0]
+    row = 8 * grid.npoints // n0
+    return max(1, min(_CHUNK_BYTES // row, -(-n0 // threads)))
+
+
+def _scratch(threads: int, size: int):
+    """threads (block, term) pairs of flat buffers of at least size
+    doubles: allocated once, from the calling thread, and grown when a
+    larger grid needs more."""
+    if len(_SCRATCH) < threads or _SCRATCH[0][0].size < size:
+        size = max(size, _SCRATCH[0][0].size if _SCRATCH else 0)
+        _SCRATCH[:] = [(np.empty(size), np.empty(size))
+                       for _ in range(max(threads, len(_SCRATCH)))]
+    return _SCRATCH
+
+
+def _over_chunks(grid: TorusGrid, threads: int, fn) -> list:
+    """fn(k, rows) on every chunk of x1 rows (rows a slice, _chunk_rows
+    long), thread k taking the chunks of its share of the rows in order;
+    the results in row order."""
+    step = _chunk_rows(grid, threads)
+
+    def part(k, span):
+        return [fn(k, slice(i, min(i + step, span.stop)))
+                for i in range(span.start, span.stop, step)]
+    return [r for rs in _run_parts([functools.partial(part, k, span) for
+                                    k, span in enumerate(
+                                        _spans(grid.shape[0], threads))])
+            for r in rs]
+
+
+def on_slabs(grid: TorusGrid, fn) -> list:
+    """fn(rows) on every chunk of x1 rows (rows a slice), on the threads
+    of a slab pass; the results in row order.  fn runs on pool threads: it
+    may call numpy only, never a function of this package."""
+    with _SLAB_LOCK:
+        return _over_chunks(grid, _slab_threads(grid),
+                            lambda k, rows: fn(rows))
+
+
+def _slab_pass(grid: TorusGrid, data: np.ndarray, zz, ww, finish=None):
+    """u_zzb into zz and u_wwb into ww (either may be None, skipping that
+    factor) over x1-slabs on _slab_threads(grid) threads, in two phases:
+
+    A. along x1 (factor z only): one (x1, x3 x4) block per x2 index, the
+       x2 indices split between the threads;
+    B. per chunk of x1 rows (_chunk_rows), the rows split between the
+       threads: the x2 product of u_zzb added on, one (x2, x3 x4) block
+       per row; then u_wwb, the x3 product of each row's (x2, x3, x4)
+       block and its x4 product added on; then finish(rows, spare), where
+       spare is a free scratch buffer of the chunk's shape, and rows the
+       chunk's slice of x1.
+
+    ww may be data itself: a row of data is read before its u_wwb is
+    written, so data then ends as u_wwb.  Every block is first shifted by
+    the data at the factor's origin, so data constant over the factor
+    gives exactly zero, as the multiplier does.  The blocks and products
+    are those of one thread and one row at a time, so the result does not
+    depend on the thread count (bit for bit).  Returns finish's results in
+    row order; finish runs on pool threads (see on_slabs).  zz and ww are
+    C-ordered fields."""
     n0, n1, n2, n3 = grid.shape
-    d2, d3 = _axis_matrix(grid, 2, 2), _axis_matrix(grid, 3, 2)
-    out = np.empty(grid.shape)
-    # along x3 and x4: one contiguous (x2, x3, x4) block per x1 index
-    blk = np.empty((n1, n2, n3))
-    term = np.empty((n1 * n2, n3))
-    for i in range(n0):
-        np.subtract(data[i], data[i, :, :1, :1], out=blk)
-        np.matmul(d2, blk, out=out[i])
-        np.matmul(blk.reshape(n1 * n2, n3), d3.T, out=term)
-        out[i] += term.reshape(n1, n2, n3)
-    return out
+    m = n2 * n3
+    threads = _slab_threads(grid)
+    d0, d1, d2, d3 = (_axis_matrix(grid, ax, 2) for ax in _ALL_AXES)
+    if zz is not None:
+        src = data.reshape(n0, n1, m)
+        origin = src[0, 0].copy()  # data may be overwritten (ww is data)
+    with _SLAB_LOCK:
+        bufs = _scratch(threads, max(_chunk_rows(grid, threads) * n1, n0) * m)
+        if zz is not None:
+            dst = zz.reshape(n0, n1, m)
+
+            def phase_a(k):
+                blk = bufs[k][0][:n0 * m].reshape(n0, m)
+                for j in _spans(n1, threads)[k]:
+                    np.subtract(src[:, j], origin, out=blk)
+                    np.matmul(d0, blk, out=dst[:, j])
+            _run_parts([functools.partial(phase_a, k) for k in range(threads)])
+
+        def phase_b(k, rows):
+            c = rows.stop - rows.start
+            blk = bufs[k][0][:c * n1 * m].reshape(c, n1, m)
+            term = bufs[k][1][:c * n1 * m].reshape(c, n1, m)
+            if zz is not None:
+                np.subtract(src[rows], origin, out=blk)
+                np.matmul(d1, blk, out=term)
+                np.add(dst[rows], term, out=dst[rows])
+            if ww is not None:
+                blk = blk.reshape(c, n1, n2, n3)
+                np.subtract(data[rows], data[rows, :, :1, :1], out=blk)
+                out_w = ww[rows]
+                np.matmul(d2, blk, out=out_w)
+                np.matmul(blk.reshape(c * n1 * n2, n3), d3.T,
+                          out=term.reshape(c * n1 * n2, n3))
+                out_w += term.reshape(c, n1, n2, n3)
+            if finish is not None:
+                return finish(rows, term.reshape(c, n1, n2, n3))
+        return _over_chunks(grid, threads, phase_b)
 
 
 def factor_laplacian(grid: TorusGrid, data: np.ndarray, factor: str) -> np.ndarray:
@@ -386,21 +513,20 @@ def factor_laplacian(grid: TorusGrid, data: np.ndarray, factor: str) -> np.ndarr
     deriv_data(..., "z zb" / "w wb") to rounding.
 
     Each axis of the factor is differentiated by its cached n x n
-    second-difference matrix (_axis_matrix), applied with matmul
-    block by block so that a block stays in cache: for "w" one (x2, x3, x4)
-    block per x1 index, for "z" one block per x2 index and then one per x1
-    index, each holding all of x3 and x4.  Every block is first shifted by
-    the data at the factor's origin, one subtraction while the block is
-    copied, so data constant over the factor gives exactly zero, as the
-    multiplier does.  No transform is taken."""
+    second-difference matrix (_axis_matrix), applied with matmul block by
+    block over x1-slabs on the slab threads (_slab_pass).  No transform is
+    taken."""
     _factor_axes(factor)  # rejects an unknown factor
-    kernel = _laplacian_z if factor == "z" else _laplacian_w
-    return kernel(grid, data)
+    out = np.empty(grid.shape)
+    _slab_pass(grid, data, *((out, None) if factor == "z" else (None, out)))
+    return out
 
 
 def factor_laplacians(grid: TorusGrid, data: np.ndarray):
-    """(u_zzb, u_wwb) for real data; hot path of the flow integrator."""
-    return factor_laplacian(grid, data, "z"), factor_laplacian(grid, data, "w")
+    """(u_zzb, u_wwb) for real data, in one slab pass."""
+    zz, ww = np.empty(grid.shape), np.empty(grid.shape)
+    _slab_pass(grid, data, zz, ww)
+    return zz, ww
 
 
 _MIXED = ("z w", "z wb")

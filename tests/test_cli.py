@@ -388,6 +388,24 @@ class TestExitCodes:
         assert "below 1" in capsys.readouterr().err
         assert not (tmp_path / "s" / "beta_sweep.json").exists()
 
+    @pytest.mark.parametrize("command, extra, text", [
+        ("beta-sweep", ["--betas", "1.0"], SPLIT_RUN),
+        ("check-identities", [], MINIMAL),  # 8^4: no half-resolution grid
+        ("oracle-2d", [], DENSE_ALL),  # random data is not split
+        ("kahler-converge", [], DENSE_ALL.replace(
+            "kind = flat", "kind = pluriclosed_cos\nmodes = 1,1,0.3")),
+    ], ids=["beta-sweep", "check-identities", "oracle-2d", "kahler-converge"])
+    def test_refused_call_leaves_no_output_directory(self, tmp_path, capsys,
+                                                     command, extra, text):
+        """A recipe makes its output directory only once it has something
+        to write, so a call refused on its inputs leaves none."""
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out),
+                     *extra]) == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
+        assert not out.exists()
+
     def test_sweep_rejects_threshold_violation(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SPLIT_RUN)
         code = main([
@@ -736,6 +754,23 @@ class TestArtifacts:
         _prepare_problem(cfg)  # warm the multiplier caches
         peak = traced_peak(lambda: _prepare_problem(cfg))
         assert peak <= 10.5 * 16**4 * 8, peak / (16**4 * 8)
+
+    def test_gauged_run_peak(self, tmp_path, traced_peak):
+        """A gauged forced run at 16^4 (the benchmark's step-32 recipe)
+        peaks at about 12.2 fields, in MonitorStream.results on the final
+        state.  Its steps peak at about 9.2: a step holds neither the
+        previous state's lam and eta nor a stage's, where holding them
+        took 12.07 and set the run's peak at 12.27."""
+        from splitma import make_grid, random_test_field, write_field
+
+        grid = make_grid((16,) * 4, (1.0,) * 4)
+        initial = tmp_path / "initial.field"
+        write_field(random_test_field(grid, 3, 0.01, 1), initial)
+        cfg = parse_config(write_cfg(
+            tmp_path, GAUGED_RUN.replace("initial.field", str(initial))))
+        cmd_flow_run(cfg, tmp_path / "warm")  # the caches and slab scratch
+        peak = traced_peak(lambda: cmd_flow_run(cfg, tmp_path / "o"))
+        assert peak <= 12.25 * 16**4 * 8, peak / (16**4 * 8)
 
     def test_run_memory_does_not_grow_with_t_end(self, tmp_path):
         """The peak grows by at most two field sizes when t_end doubles

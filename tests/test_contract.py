@@ -139,3 +139,73 @@ def test_traced_signatures():
     assert list(inspect.signature(flow.step_with_rejection).parameters)[3] == "dt"
     assert list(inspect.signature(monitors.evaluate).parameters)[0] == "traj"
     assert list(inspect.signature(cli.main).parameters) == ["argv"]
+
+
+def _span_tracer_module():
+    """perfbench/spans.py, loaded from the checkout without the benchmark
+    directory on sys.path."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_pool_threads_enter_no_traced_function():
+    """The span tracer keeps one span stack for the process, so a traced
+    function may only be entered from the calling thread: the slab pool
+    threads of the factor Laplacians and the trace passes run numpy alone.
+    A traced forced 32^4 run (two slab threads where two CPUs are free)
+    with every monitor enters each traced function from the main thread,
+    and still takes 1 + 4 trace passes a step."""
+    import functools
+    import threading
+
+    import numpy as np
+
+    from splitma import grid_field
+    from splitma.geometry import kahler_product_background
+    from splitma.identities import random_test_field
+
+    spans = _span_tracer_module()
+    callers = set()
+
+    class ThreadTracer(spans.Tracer):
+        def wrap(self, name, fn):
+            traced = super().wrap(name, fn)
+
+            @functools.wraps(fn)
+            def checked(*args, **kwargs):
+                callers.add(threading.get_ident())
+                return traced(*args, **kwargs)
+            return checked
+
+    grid = grid_field.make_grid((32,) * 4, (1,) * 4)
+    prof = (1.0 + 0.2 * np.cos(2 * np.pi * np.arange(32) / 32))[:, None]
+    bg = kahler_product_background(grid, prof * np.ones(32),
+                                   prof * np.ones(32))
+    x1, _, x3, _ = grid.mesh()
+    forcing = grid_field.RealField(grid, 0.1 * np.cos(2 * np.pi * x1)
+                                   * np.cos(2 * np.pi * x3)
+                                   * np.ones(grid.shape))
+    tracer = ThreadTracer("pool")
+    tracer.install()
+    try:
+        traj = flow.run(bg, random_test_field(grid, 5, 0.01, 1),
+                        flow.FlowParams(beta=0.5, t_end=1e-4),
+                        forcing=forcing)
+        monitors.evaluate(traj, bg, enabled=list(monitors.CHECKS))
+        grid_field.factor_laplacians(grid, traj.snapshots[-1].u.data)
+    finally:
+        tracer.uninstall()
+    names = [s[0] for s in tracer.spans]
+    steps = names.count("flow.step_with_rejection")
+    assert steps >= 2 and len(traj.snapshots) == steps + 1
+    assert callers == {threading.main_thread().ident}
+    assert names.count("flow._lambda_eta_data") == 1 + 4 * steps
+    if (_backend.get_workers() >= 2
+            and _backend.blas_thread_pin() is not None):
+        assert grid_field._slab_threads(grid) >= 2  # the pool did run

@@ -175,6 +175,19 @@ class TestDtAdaptive:
         assert dt_adaptive(state, kbg, beta, cfl, 10.0) == cfl / rho
 
 
+    def test_trace_pass_minima_give_the_same_step(self, kahler16):
+        """The minima of g lam and h eta that the trace pass keeps give the
+        step that the stored lam and eta give."""
+        import dataclasses
+
+        kbg, u0, f = kahler16
+        state = make_state(u0, kbg, 0.5, 0.0, forcing=RealField(u0.grid, f))
+        assert state.metric_min is not None
+        plain = dataclasses.replace(state, metric_min=None)
+        assert (dt_adaptive(state, kbg, 0.5, 0.9, 10.0)
+                == dt_adaptive(plain, kbg, 0.5, 0.9, 10.0))
+
+
 class TestStepping:
     def test_stationary_point(self, grid, bg):
         u = np.zeros(grid.shape)
@@ -351,8 +364,10 @@ class TestMemory:
 
     def test_one_step_holds_at_most_six_fields(self, kahler16,
                                                traced_peak):
-        # one stage buffer and k2's buffer as the accumulator: about 5.1
-        # fields beyond u and k1; allocating every intermediate takes 9.0
+        # the stage buffer, k2's buffer as the accumulator and one k, then
+        # the accepted state's lam, eta and speed: about 4.1 fields beyond
+        # u and k1; a full lam and eta per stage took 5.1, and allocating
+        # every intermediate takes 9.0
         kbg, u0, f = kahler16
         state = make_state(u0, kbg, 0.5, 0.0, forcing=RealField(u0.grid, f))
         dt = dt_adaptive(state, kbg, 0.5, cfl=1.0, dt_max=1.0)

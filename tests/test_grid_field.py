@@ -364,11 +364,21 @@ class TestComplexTransforms:
 
 
 class TestBlasThreads:
+    """The factor Laplacians and the flow's trace passes run on one slab
+    thread per available CPU; neither that count nor BLAS's own thread
+    count may change a bit of their output."""
+
     SCRIPT = """
 import hashlib
+import os
+import sys
+
+cpus = sorted(os.sched_getaffinity(0))[:int(sys.argv[1])]
+os.sched_setaffinity(0, cpus)
 import numpy as np
-from splitma import make_grid
-from splitma.grid_field import factor_laplacians
+from splitma import FlowParams, kahler_product_background, make_grid, run
+from splitma import random_test_field
+from splitma.grid_field import RealField, _slab_threads, factor_laplacians
 h = hashlib.sha256()
 for dims, periods in (((16,) * 4, (1,) * 4), ((32,) * 4, (1,) * 4),
                       ((8, 16, 32, 8), (1, 2, 0.5, 1.5))):
@@ -376,27 +386,96 @@ for dims, periods in (((16,) * 4, (1,) * 4), ((32,) * 4, (1,) * 4),
     u = np.random.default_rng(13).normal(size=dims)
     for out in factor_laplacians(grid, u):
         h.update(out.tobytes())
-print(h.hexdigest())
+grid = make_grid((32,) * 4, (1,) * 4)
+prof = (1.0 + 0.2 * np.cos(2 * np.pi * np.arange(32) / 32))[:, None]
+bg = kahler_product_background(grid, prof * np.ones(32), prof * np.ones(32))
+x1, _, x3, _ = grid.mesh()
+forcing = RealField(grid, 0.1 * np.cos(2 * np.pi * x1) * np.cos(2 * np.pi * x3)
+                    * np.ones(grid.shape))
+traj = run(bg, random_test_field(grid, 5, 0.01, 1),
+           FlowParams(beta=0.5, t_end=1e-4, snapshot_stride=1000),
+           forcing=forcing)
+final = traj.snapshots[-1]
+assert abs(final.t - 1e-4) < 1e-12 and len(traj.snapshots) == 2
+for f in (final.u, final.lam, final.eta, final.du_dt):
+    h.update(f.data.tobytes())
+print(_slab_threads(grid), h.hexdigest())
 """
 
     def test_laplacians_do_not_depend_on_blas_threads(self):
-        """BLAS threads split the output of each product, not its sums,
-        so one and two threads give the same bits."""
+        """factor_laplacians at three grids and a short forced 32^4 run's
+        final u, lambda, eta and speed, on one and two CPUs (one and two
+        slab threads at 32^4) and one and two BLAS threads: the same
+        bits."""
         import os
         import subprocess
         import sys
         from pathlib import Path
 
+        from splitma import _backend
+
         src = str(Path(__file__).resolve().parent.parent / "src")
-        digests = []
+        digests, workers = set(), {}
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=src)
-            proc = subprocess.run([sys.executable, "-c", self.SCRIPT],
-                                  env=env, capture_output=True, text=True,
-                                  timeout=120, check=True)
-            digests.append(proc.stdout.strip())
-        assert len(digests[0]) == 64 and digests[0] == digests[1]
+            for cpus in (1, 2):
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                           PYTHONPATH=src)
+                proc = subprocess.run(
+                    [sys.executable, "-c", self.SCRIPT, str(cpus)], env=env,
+                    capture_output=True, text=True, timeout=300, check=True)
+                count, digest = proc.stdout.split()
+                workers[cpus] = int(count)
+                digests.add(digest)
+        assert len(digests) == 1 and len(digests.pop()) == 64
+        assert workers[1] == 1
+        if (len(os.sched_getaffinity(0)) >= 2
+                and _backend.blas_thread_pin() is not None):
+            assert workers[2] == 2  # the pool did run
+
+
+class TestSlabCallers:
+    def test_concurrent_callers_get_the_same_bits(self):
+        """The slab pool and its chunk buffers are shared by the process:
+        four threads (more than this machine's CPUs) that take factor
+        Laplacians and trace factors at once, with the interpreter
+        switching threads every microsecond, each get the bits of a lone
+        call."""
+        import sys
+        import threading
+
+        from splitma.flow import lambda_eta
+        from splitma.geometry import flat_background
+        from splitma.identities import random_test_field
+
+        g32 = make_grid((32, 32, 32, 32), (1, 1, 1, 1))
+        bg = flat_background(g32)
+        fields = [random_test_field(g32, s, 0.01, 1).data for s in range(4)]
+        want = [(*factor_laplacians(g32, u),
+                 *(f.data for f in lambda_eta(RealField(g32, u), bg)))
+                for u in fields]
+        bad = []
+
+        def caller(k):
+            for _ in range(3):
+                got = (*factor_laplacians(g32, fields[k]),
+                       *(f.data for f in lambda_eta(RealField(g32, fields[k]),
+                                                    bg)))
+                if not all(np.array_equal(a, b) for a, b in zip(got, want[k])):
+                    bad.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(k,))
+                       for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
 
 
 class TestFieldIO:
