@@ -18,14 +18,14 @@ lines between them and each line is computed as on one worker, so the
 result does not depend on the count (bit for bit; pinned by the tests).
 
 The factor Laplacians and the mixed derivatives u_zw, u_zwb do not come
-here: they are matrix products (grid_field) run by numpy's BLAS.  The
-factor Laplacians run on up to get_workers() threads of grid_field's slab
-pool (one per MiB of field), each thread's BLAS pinned to one thread by
-OpenBLAS's openblas_set_num_threads_local (blas_thread_pin), so the
-threads do not split their small products again.  Where numpy's BLAS has
-no such call, they run on the calling thread alone.  A product's sums do
-not depend on the thread that runs it, so the result does not depend on
-the count.
+here: they are matrix products (grid_field) run by numpy's BLAS.  Both
+run on up to get_workers() threads of grid_field's slab pool (one per MiB
+of field), or on the calling thread for a smaller field, each thread's
+BLAS pinned to one thread by OpenBLAS's openblas_set_num_threads_local
+(blas_thread_pin), so the threads do not split their small products
+again.  Where numpy's BLAS has no such call, they run on the calling
+thread alone, unpinned.  A product's sums do not depend on the thread
+that runs it, so the result does not depend on the count.
 """
 
 import ctypes
@@ -37,8 +37,8 @@ import numpy as np
 
 
 def get_workers() -> int:
-    """Worker count of the complex transforms and of the factor Laplacian
-    slabs: the CPUs this process may run on."""
+    """Worker count of the complex transforms and of the slab passes: the
+    CPUs this process may run on."""
     return len(os.sched_getaffinity(0))
 
 

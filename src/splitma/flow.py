@@ -24,8 +24,9 @@ the speed, each chunk of x1 rows finished while it is in cache, on one
 thread per available CPU for fields of 1 MiB or more.  An RK4 stage keeps
 no full lambda or eta (lambda is formed in the speed buffer, eta in the
 stage buffer it consumes) and runs its stage combinations on each chunk
-inside the pass.  The accepted state's pass also yields min(g lambda) and
-min(h eta), so the step limit takes no pass of its own.
+inside the pass; the first stage input, u + (dt/2) k1, is a slab pass of
+its own with no Laplacian.  The accepted state's pass also yields
+min(g lambda) and min(h eta), so the step limit takes no pass of its own.
 
 Working set: a step holds u, k1 and about four fields more (the stage
 buffer, k2's buffer as the accumulator and one more k; then the accepted
@@ -50,7 +51,6 @@ from .grid_field import (
     _slab_pass,
     deriv_data,
     exponential_filter,
-    on_slabs,
     poisson_solve_factor,
 )
 
@@ -168,7 +168,7 @@ def _lambda_eta_data(u_data: np.ndarray, bg: Background, floor: float,
     eta = u_data if stage else np.empty(bg.grid.shape)
     speed = lam if stage else None if beta is None else np.empty(bg.grid.shape)
 
-    def finish(rows, spare):
+    def finish(rows, spare, _):
         lam_r, eta_r = lam[rows], eta[rows]
         lam_r /= g[rows]
         lam_r += 1.0
@@ -276,14 +276,15 @@ def _step_rk4_full(u_data, bg, beta, dt, floor, forcing, t, k1=None):
     operation order (IEEE + and * commute).  Each stage's combinations run
     inside its trace pass, on each chunk of rows once its speed is done:
     the next stage input overwrites the chunk's rows of the consumed stage
-    buffer, and each k is folded into the accumulator there.
+    buffer, and each k is folded into the accumulator there.  The first
+    stage input is a slab pass with no Laplacian, only that combination.
     """
     if k1 is None:
         k1 = _lambda_eta_data(u_data, bg, floor, t, beta, forcing)[2]
     half = 0.5 * dt
     stage = np.empty(bg.grid.shape)
 
-    def first(r):
+    def first(r, *_):
         s = np.multiply(k1[r], half, out=stage[r])
         s += u_data[r]
 
@@ -307,7 +308,7 @@ def _step_rk4_full(u_data, bg, beta, dt, floor, forcing, t, k1=None):
         a *= dt / 6.0
         a += u_data[r]
 
-    on_slabs(bg.grid, first)
+    _slab_pass(bg.grid, u_data, None, None, first)
     acc = _lambda_eta_data(stage, bg, floor, t, beta, forcing, after_k2)[2]
     for then in (after_k3, after_k4):
         _lambda_eta_data(stage, bg, floor, t, beta, forcing, then)

@@ -16,6 +16,7 @@ Two families are constructed here:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -28,8 +29,10 @@ from .errors import BelowBetaThreshold, ConfigurationError
 from .grid_field import (
     RealField,
     TorusGrid,
+    _spectral_deriv,
     atomic_write,
     factor_laplacian,
+    factor_laplacians,
     read_field,
     sup_norm,
     write_field,
@@ -209,9 +212,7 @@ def torsion(bg: Background) -> TorsionReport:
     g, h = bg.g.data, bg.h.data
     g_hat, h_hat = fft.fftn(g), fft.fftn(h)
 
-    def d(hat, op):
-        return fft.ifftn(grid.apply_multiplier(hat, op))
-
+    d = functools.partial(_spectral_deriv, grid)
     g_z, g_w = d(g_hat, "z"), d(g_hat, "w")
     h_z, h_w = d(h_hat, "z"), d(h_hat, "w")
     nsq = (np.abs(g_w / g) ** 2) / h + (np.abs(h_z / h) ** 2) / g
@@ -264,10 +265,8 @@ def curvature(bg: Background, tol: float = 1e-10) -> CurvatureReport:
     for coef, zzb, wwb in ((bg.g, "log_g_zzb", "log_g_wwb"),
                            (bg.h, "log_h_zzb", "log_h_wwb")):
         # one log field at a time: it is dropped before the next is taken
-        log_c = np.log(coef.data)
-        fields[zzb] = RealField(grid, factor_laplacian(grid, log_c, "z"))
-        fields[wwb] = RealField(grid, factor_laplacian(grid, log_c, "w"))
-        del log_c
+        zz, ww = factor_laplacians(grid, np.log(coef.data))
+        fields[zzb], fields[wwb] = RealField(grid, zz), RealField(grid, ww)
     scale = 1.0 + max(sup_norm(fields["log_h_zzb"]), sup_norm(fields["log_g_wwb"]))
     ok = (
         float(fields["log_h_zzb"].data.min()) >= -tol * scale

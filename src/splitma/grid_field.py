@@ -28,16 +28,18 @@ differentiated by an n x n circulant matrix, the axis's multiplier written
 in physical space (_axis_matrix), applied by BLAS matmul over cache-sized
 blocks.  Each block is shifted by its value at the factor's origin before
 the product, so a field constant over the factor gives exactly zero, as
-the multiplier does.  The factor Laplacians come from one kernel,
-_slab_pass, which works over slabs of x1 rows split between a module
-pool's threads (one per available CPU, one per MiB of field at most, each
-with BLAS pinned to one thread) and can finish each chunk of rows with a
-caller's function while it is in cache: the flow's trace factors, speed
-and RK4 stage combinations (flow._lambda_eta_data).  Its output does not
-depend on the thread count.  The factor Poisson solve inverts 1/(k_a^2 + k_b^2),
-which is not a sum of per-axis terms, so it keeps a real transform over
-just that factor's two axes, (x1, x2) or (x3, x4), and one half-spectrum
-multiplier.
+the multiplier does.  Every such product comes from one kernel,
+_slab_pass, given the matrices' order (2 for the factor Laplacians, 1 for
+the mixed derivatives).  It works over slabs of x1 rows split between a
+module pool's threads (one per available CPU, one per MiB of field at
+most, each with BLAS pinned to one thread) and can finish each chunk of
+rows with a caller's function while it is in cache: the flow's trace
+factors, speed and RK4 stage combinations (flow._lambda_eta_data), and
+the x3 and x4 products of the mixed derivatives.  Its output does not
+depend on the thread count.  The factor Poisson solve inverts
+1/(k_a^2 + k_b^2), which is not a sum of per-axis terms, so it keeps a
+real transform over just that factor's two axes, (x1, x2) or (x3, x4),
+and one half-spectrum multiplier.
 
 Which path a caller takes:
 
@@ -45,17 +47,18 @@ Which path a caller takes:
   h), the identity slices' cached spectra, including every derivative of
   the slice potential, and deriv_data of complex data;
 * a real transform over all four axes: deriv_data of real data (the
-  flow's is_split, identity A3's (g lambda)_{w wb} and (h eta)_{z zb})
-  and exponential_filter;
+  flow's is_split) and exponential_filter;
 * a real transform over one factor's two axes: the gauge and Poisson
   solves;
-* the factor Laplacian matrices (no transform, the slab pass): the
+* the factor Laplacian matrices (no transform, an order-2 slab pass): the
   flow's lambda, eta and speed, the monitors' traces, curvature and
-  pluriclosedness checks, and the identity slices' linearised operator L
-  together with the factor Laplacians of their derived fields;
-* the first-derivative matrices (no transform): mixed_derivatives, which
-  gives the monitors' u_zw and u_zwb (mixed_norm, legendre_w, the snapshot
-  pass) and the steady-convergence recipe's split residual.
+  pluriclosedness checks (identity A3's among them), and the identity
+  slices' linearised operator L together with the factor Laplacians of
+  their derived fields;
+* the first-derivative matrices (no transform, an order-1 slab pass):
+  mixed_derivatives, which gives the monitors' u_zw and u_zwb (mixed_norm,
+  legendre_w, the snapshot pass) and the steady-convergence recipe's split
+  residual.
 
 _backend sets out which library serves each transform.
 
@@ -278,6 +281,11 @@ def make_grid(dims, periods) -> TorusGrid:
 # spectral derivatives
 
 
+def _spectral_deriv(grid: TorusGrid, hat: np.ndarray, op: str) -> np.ndarray:
+    """Derivative op of the data whose full complex spectrum is hat."""
+    return fft.ifftn(grid.apply_multiplier(hat, op))
+
+
 def deriv_data(grid: TorusGrid, data: np.ndarray, op: str) -> np.ndarray:
     """Spectral derivative of a raw array; op is a space-separated token
     string over {z, zb, w, wb}, e.g. "z zb" or "z w wb".
@@ -291,7 +299,7 @@ def deriv_data(grid: TorusGrid, data: np.ndarray, op: str) -> np.ndarray:
     many conjugate tokens as plain ones ("z zb", "w wb"); the imaginary
     part, rounding only, is then zero and takes no inverse."""
     if np.iscomplexobj(data):
-        return fft.ifftn(grid.apply_multiplier(fft.fftn(data), op))
+        return _spectral_deriv(grid, fft.fftn(data), op)
     zp, wp = grid.multiplier_parts(op)
     if wp is not None:
         wp = wp[..., :grid.shape[3] // 2 + 1]
@@ -364,7 +372,7 @@ _CHUNK_BYTES = 256 * 1024
 _THREAD_BYTES = 1 << 20
 
 # The pools and the scratch are shared by every caller in the process: a
-# slab pass or on_slabs call holds _SLAB_LOCK throughout.
+# slab pass holds _SLAB_LOCK throughout.
 _POOLS: dict = {}       # (pid, thread count) -> ThreadPoolExecutor
 _SCRATCH: list = []     # per thread: (block, term) flat buffers
 _SLAB_LOCK = threading.Lock()
@@ -382,9 +390,19 @@ def _slab_threads(grid: TorusGrid) -> int:
 def _run_parts(parts):
     """Results of the callables in parts, each run on its own pool thread
     (every pool thread has its BLAS pinned to one thread); a single part
-    runs in the calling thread.  Waits for all before raising."""
+    runs in the calling thread, with its BLAS pinned to one thread for the
+    call (on a 2-vCPU Xeon, the (2048 x 16) x (16 x 16) product of a 16^4
+    chunk took about 8 ms split between two BLAS threads and 0.05 ms on
+    one).  Waits for all before raising."""
     if len(parts) == 1:
-        return [parts[0]()]
+        pin = fft.blas_thread_pin()
+        if pin is None:
+            return [parts[0]()]
+        before = pin(1)
+        try:
+            return [parts[0]()]
+        finally:
+            pin(before)
     # imported with the first pool: 10 ms that one-thread runs never pay
     import concurrent.futures
 
@@ -423,60 +441,42 @@ def _scratch(threads: int, size: int):
     return _SCRATCH
 
 
-def _over_chunks(grid: TorusGrid, threads: int, fn) -> list:
-    """fn(k, rows) on every chunk of x1 rows (rows a slice, _chunk_rows
-    long), thread k taking the chunks of its share of the rows in order;
-    the results in row order."""
-    step = _chunk_rows(grid, threads)
-
-    def part(k, span):
-        return [fn(k, slice(i, min(i + step, span.stop)))
-                for i in range(span.start, span.stop, step)]
-    return [r for rs in _run_parts([functools.partial(part, k, span) for
-                                    k, span in enumerate(
-                                        _spans(grid.shape[0], threads))])
-            for r in rs]
-
-
-def on_slabs(grid: TorusGrid, fn) -> list:
-    """fn(rows) on every chunk of x1 rows (rows a slice), on the threads
-    of a slab pass; the results in row order.  fn runs on pool threads: it
-    may call numpy only, never a function of this package."""
-    with _SLAB_LOCK:
-        return _over_chunks(grid, _slab_threads(grid),
-                            lambda k, rows: fn(rows))
-
-
-def _slab_pass(grid: TorusGrid, data: np.ndarray, zz, ww, finish=None):
-    """u_zzb into zz and u_wwb into ww (either may be None, skipping that
-    factor) over x1-slabs on _slab_threads(grid) threads, in two phases:
+def _slab_pass(grid: TorusGrid, data: np.ndarray, zz, ww, finish=None,
+               order: int = 2):
+    """The products of data with each axis's order-th derivative matrix
+    (_axis_matrix), factor z's into zz and factor w's into ww (either may
+    be None, skipping that factor), over x1-slabs on _slab_threads(grid)
+    threads, in two phases:
 
     A. along x1 (factor z only): one (x1, x3 x4) block per x2 index, the
        x2 indices split between the threads;
     B. per chunk of x1 rows (_chunk_rows), the rows split between the
-       threads: the x2 product of u_zzb added on, one (x2, x3 x4) block
-       per row; then u_wwb, the x3 product of each row's (x2, x3, x4)
-       block and its x4 product added on; then finish(rows, spare), where
-       spare is a free scratch buffer of the chunk's shape, and rows the
-       chunk's slice of x1.
+       threads: the x2 product, one (x2, x3 x4) block per row, into the
+       scratch buffer term and, in order 2, added onto zz; the x3 product
+       of each row's (x2, x3, x4) block into ww and its x4 product added
+       on; then finish(rows, term, spare), rows being the chunk's slice of
+       x1 and spare a free scratch buffer of the chunk's shape, as term is
+       once order 2 is done with it.
 
-    ww may be data itself: a row of data is read before its u_wwb is
-    written, so data then ends as u_wwb.  Every block is first shifted by
-    the data at the factor's origin, so data constant over the factor
+    So order 2 gives u_zzb and u_wwb, and order 1 keeps the x1 term (in
+    zz) apart from the x2 term (in term).  ww may be data itself: a row of
+    data is read before ww's row is written.  Every block is first shifted
+    by the data at the factor's origin, so data constant over the factor
     gives exactly zero, as the multiplier does.  The blocks and products
     are those of one thread and one row at a time, so the result does not
     depend on the thread count (bit for bit).  Returns finish's results in
-    row order; finish runs on pool threads (see on_slabs).  zz and ww are
-    C-ordered fields."""
+    row order.  finish runs on pool threads: it may call numpy only, never
+    a function of this package.  zz and ww are C-ordered fields."""
     n0, n1, n2, n3 = grid.shape
     m = n2 * n3
     threads = _slab_threads(grid)
-    d0, d1, d2, d3 = (_axis_matrix(grid, ax, 2) for ax in _ALL_AXES)
+    step = _chunk_rows(grid, threads)
+    d0, d1, d2, d3 = (_axis_matrix(grid, ax, order) for ax in _ALL_AXES)
     if zz is not None:
         src = data.reshape(n0, n1, m)
         origin = src[0, 0].copy()  # data may be overwritten (ww is data)
     with _SLAB_LOCK:
-        bufs = _scratch(threads, max(_chunk_rows(grid, threads) * n1, n0) * m)
+        bufs = _scratch(threads, max(step * n1, n0) * m)
         if zz is not None:
             dst = zz.reshape(n0, n1, m)
 
@@ -489,23 +489,29 @@ def _slab_pass(grid: TorusGrid, data: np.ndarray, zz, ww, finish=None):
 
         def phase_b(k, rows):
             c = rows.stop - rows.start
-            blk = bufs[k][0][:c * n1 * m].reshape(c, n1, m)
-            term = bufs[k][1][:c * n1 * m].reshape(c, n1, m)
+            blk, term = (b[:c * n1 * m].reshape(c, n1, n2, n3) for b in bufs[k])
             if zz is not None:
-                np.subtract(src[rows], origin, out=blk)
-                np.matmul(d1, blk, out=term)
-                np.add(dst[rows], term, out=dst[rows])
+                blk3, term3 = blk.reshape(c, n1, m), term.reshape(c, n1, m)
+                np.subtract(src[rows], origin, out=blk3)
+                np.matmul(d1, blk3, out=term3)
+                if order == 2:
+                    np.add(dst[rows], term3, out=dst[rows])
             if ww is not None:
-                blk = blk.reshape(c, n1, n2, n3)
                 np.subtract(data[rows], data[rows, :, :1, :1], out=blk)
                 out_w = ww[rows]
                 np.matmul(d2, blk, out=out_w)
                 np.matmul(blk.reshape(c * n1 * n2, n3), d3.T,
                           out=term.reshape(c * n1 * n2, n3))
-                out_w += term.reshape(c, n1, n2, n3)
+                out_w += term
             if finish is not None:
-                return finish(rows, term.reshape(c, n1, n2, n3))
-        return _over_chunks(grid, threads, phase_b)
+                return finish(rows, term, blk)
+
+        def part(k):  # thread k: the chunks of its share of the rows
+            span = _spans(n0, threads)[k]
+            return [phase_b(k, slice(i, min(i + step, span.stop)))
+                    for i in range(span.start, span.stop, step)]
+        return [r for rs in _run_parts([functools.partial(part, k)
+                                        for k in range(threads)]) for r in rs]
 
 
 def factor_laplacian(grid: TorusGrid, data: np.ndarray, factor: str) -> np.ndarray:
@@ -529,7 +535,8 @@ def factor_laplacians(grid: TorusGrid, data: np.ndarray):
     return zz, ww
 
 
-_MIXED = ("z w", "z wb")
+# The sign s of the mixed derivatives, u = (p3 + s q4) + i (s p4 - q3)
+_MIXED = {"z w": -1.0, "z wb": 1.0}
 
 
 def mixed_derivatives(grid: TorusGrid, data: np.ndarray, *ops: str):
@@ -541,46 +548,40 @@ def mixed_derivatives(grid: TorusGrid, data: np.ndarray, *ops: str):
 
         u_zw  = (p3 - q4) - i (p4 + q3),   u_zwb = (p3 + q4) + i (p4 - q3).
 
-    Each derivative is a product with the axis's cached n x n matrix
-    (_axis_matrix) over the blocks of the factor Laplacian kernels: p is
-    taken over one (x1, x3 x4) block per x2 index, then, per x1 index, q
-    of that block and the x3 and x4 derivatives of p and q.  Every block is
-    first shifted by its value at the factor's origin, so data constant
-    over either factor gives exactly zero.  No transform is taken."""
+    p and q come from an order-1 slab pass (_slab_pass), which finishes
+    each chunk of x1 rows with the x3 and x4 products of its p and q rows,
+    each shifted first by its value at the w factor's origin; so data
+    constant over either factor gives exactly zero.  No transform is
+    taken."""
     for op in ops:
         if op not in _MIXED:
             raise ConfigurationError(f"no mixed-derivative kernel for {op!r}")
-    n0, n1, n2, n3 = grid.shape
-    d0, d1, d2, d3 = (_axis_matrix(grid, ax, 1) for ax in _ALL_AXES)
-    src = data.reshape(n0, n1, n2 * n3)
-    origin = src[0, 0]
-    p = np.empty((n0, n1, n2 * n3))
-    blk = np.empty((n0, n2 * n3))
-    for j in range(n1):
-        np.subtract(src[:, j], origin, out=blk)
-        np.matmul(d0, blk, out=p[:, j])
+    _, n1, n2, n3 = grid.shape
+    d2, d3 = _axis_matrix(grid, 2, 1), _axis_matrix(grid, 3, 1)
+    signs = [_MIXED[op] for op in ops]
     outs = [np.empty(grid.shape, dtype=np.complex128) for _ in ops]
-    q = np.empty((n1, n2 * n3))
-    blk = np.empty((n1, n2 * n3))
-    wblk = np.empty((n1, n2, n3))
-    p3, p4, q3, q4 = (np.empty((n1, n2, n3)) for _ in range(4))
-    for i in range(n0):
-        np.subtract(src[i], origin, out=blk)
-        np.matmul(d1, blk, out=q)
-        for f, f3, f4 in ((p[i], p3, p4), (q, q3, q4)):
-            f = f.reshape(n1, n2, n3)
-            np.subtract(f, f[:, :1, :1], out=wblk)
-            np.matmul(d2, wblk, out=f3)
-            np.matmul(wblk.reshape(n1 * n2, n3), d3.T,
-                      out=f4.reshape(n1 * n2, n3))
-        for op, out in zip(ops, outs):
-            if op == "z w":
-                np.subtract(p3, q4, out=out[i].real)
-                np.add(p4, q3, out=out[i].imag)
-                np.negative(out[i].imag, out=out[i].imag)
-            else:
-                np.add(p3, q4, out=out[i].real)
-                np.subtract(p4, q3, out=out[i].imag)
+    p = np.empty(grid.shape)
+
+    def finish(rows, q, spare):
+        k = (rows.stop - rows.start) * n1 * n2
+        f = p[rows]
+        for a in (f, q):  # the copy spares numpy's copy of the whole chunk
+            a -= a[..., :1, :1].copy()
+        re, im = [o[rows].real for o in outs], [o[rows].imag for o in outs]
+        np.matmul(d2, f, out=spare)                                  # p3
+        for r in re:
+            r[...] = spare
+        np.matmul(f.reshape(k, n3), d3.T, out=spare.reshape(k, n3))  # p4
+        for s, i in zip(signs, im):
+            np.multiply(spare, s, out=i)
+        np.matmul(d2, q, out=f)                                      # q3
+        for i in im:
+            i -= f
+        np.matmul(q.reshape(k, n3), d3.T, out=spare.reshape(k, n3))  # q4
+        for s, r in zip(signs, re):
+            r += np.multiply(spare, s, out=f)
+
+    _slab_pass(grid, data, p, None, finish, order=1)
     return outs
 
 

@@ -9,7 +9,8 @@ residual, the sup of the mixed norm, and what the enabled checks need of
 the state (the speed-consistency error, sup|u_zw|, the det W residual).
 It takes no transform: one grid_field.mixed_derivatives call gives u_zw,
 and u_zwb with it when a W check runs on a constant-coefficient
-background, by per-axis derivative matrices.  It builds the mixed-norm
+background, by per-axis derivative matrices in one slab pass, on the slab
+threads for fields of 1 MiB or more.  It builds the mixed-norm
 field, W and Phi once each.  The centred time differences of
 legendre_subsolution and phi_subsolution need only the last three
 states, so the stream keeps a 3-state window of traces, W quads and Phi

@@ -215,6 +215,16 @@ class TestMixedDerivatives:
         with pytest.raises(ConfigurationError):
             mixed_derivatives(grid, np.zeros(grid.shape), "z zb")
 
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_holds_the_outputs_and_one_field(self, n, traced_peak):
+        """Two complex outputs (four fields) and the x1 derivative p (one
+        field); every chunk works in the slab pass's scratch buffers."""
+        g = make_grid((n,) * 4, (1,) * 4)
+        u = np.random.default_rng(59).normal(size=g.shape)
+        mixed_derivatives(g, u, "z w", "z wb")  # build matrices and scratch
+        peak = traced_peak(lambda: mixed_derivatives(g, u, "z w", "z wb"))
+        assert peak <= 5.6 * u.nbytes, peak / u.nbytes
+
 
 class TestPoisson:
     def test_cosine(self, grid):
@@ -378,7 +388,8 @@ os.sched_setaffinity(0, cpus)
 import numpy as np
 from splitma import FlowParams, kahler_product_background, make_grid, run
 from splitma import random_test_field
-from splitma.grid_field import RealField, _slab_threads, factor_laplacians
+from splitma.grid_field import (RealField, _slab_threads, factor_laplacians,
+                                mixed_derivatives)
 h = hashlib.sha256()
 for dims, periods in (((16,) * 4, (1,) * 4), ((32,) * 4, (1,) * 4),
                       ((8, 16, 32, 8), (1, 2, 0.5, 1.5))):
@@ -387,6 +398,9 @@ for dims, periods in (((16,) * 4, (1,) * 4), ((32,) * 4, (1,) * 4),
     for out in factor_laplacians(grid, u):
         h.update(out.tobytes())
 grid = make_grid((32,) * 4, (1,) * 4)
+u = np.random.default_rng(13).normal(size=grid.shape)
+for out in mixed_derivatives(grid, u, "z w", "z wb"):
+    h.update(out.tobytes())
 prof = (1.0 + 0.2 * np.cos(2 * np.pi * np.arange(32) / 32))[:, None]
 bg = kahler_product_background(grid, prof * np.ones(32), prof * np.ones(32))
 x1, _, x3, _ = grid.mesh()
@@ -403,8 +417,9 @@ print(_slab_threads(grid), h.hexdigest())
 """
 
     def test_laplacians_do_not_depend_on_blas_threads(self):
-        """factor_laplacians at three grids and a short forced 32^4 run's
-        final u, lambda, eta and speed, on one and two CPUs (one and two
+        """factor_laplacians at three grids, u_zw and u_zwb at 32^4, and a
+        short forced 32^4 run's final u, lambda, eta and speed, on one and
+        two CPUs (one and two
         slab threads at 32^4) and one and two BLAS threads: the same
         bits."""
         import os
@@ -437,9 +452,10 @@ class TestSlabCallers:
     def test_concurrent_callers_get_the_same_bits(self):
         """The slab pool and its chunk buffers are shared by the process:
         four threads (more than this machine's CPUs) that take factor
-        Laplacians and trace factors at once, with the interpreter
-        switching threads every microsecond, each get the bits of a lone
-        call."""
+        Laplacians, trace factors and mixed derivatives at once, with the
+        interpreter switching threads every microsecond, each get the bits
+        of a lone call."""
+        import hashlib
         import sys
         import threading
 
@@ -450,17 +466,21 @@ class TestSlabCallers:
         g32 = make_grid((32, 32, 32, 32), (1, 1, 1, 1))
         bg = flat_background(g32)
         fields = [random_test_field(g32, s, 0.01, 1).data for s in range(4)]
-        want = [(*factor_laplacians(g32, u),
-                 *(f.data for f in lambda_eta(RealField(g32, u), bg)))
-                for u in fields]
+
+        def digest(u):
+            h = hashlib.sha256()
+            for out in (*factor_laplacians(g32, u),
+                        *(f.data for f in lambda_eta(RealField(g32, u), bg)),
+                        *mixed_derivatives(g32, u, "z w", "z wb")):
+                h.update(out.tobytes())
+            return h.digest()
+
+        want = [digest(u) for u in fields]
         bad = []
 
         def caller(k):
             for _ in range(3):
-                got = (*factor_laplacians(g32, fields[k]),
-                       *(f.data for f in lambda_eta(RealField(g32, fields[k]),
-                                                    bg)))
-                if not all(np.array_equal(a, b) for a, b in zip(got, want[k])):
+                if digest(fields[k]) != want[k]:
                     bad.append(k)
 
         interval = sys.getswitchinterval()
