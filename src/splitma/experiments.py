@@ -98,6 +98,12 @@ def _checkpoint_states(bg, u0, params: FlowParams, cps):
     return states
 
 
+def _free_flow(cfg: ExperimentConfig, recipe: str) -> None:
+    if cfg.f_plus != "zero" or cfg.f_minus != "zero":  # not dropped silently
+        raise ConfigurationError(f"{recipe} runs the free flow only: "
+                                 "[forcing] f_plus and f_minus must be zero")
+
+
 def _enabled_checks(cfg: ExperimentConfig):
     sel = cfg.monitors_enabled.strip()
     if sel == "default":
@@ -369,6 +375,7 @@ def cmd_beta_sweep(cfg: ExperimentConfig, beta_list, out_dir, seed=None,
                    n_checkpoints: int = 8):
     """Integrate the same problem for several exponent ratios and compare
     against the unit-ratio reference at matched times."""
+    _free_flow(cfg, "beta-sweep")
     out = Path(out_dir)
     try:
         betas = sorted(set(float(b) for b in beta_list))
@@ -434,6 +441,7 @@ def cmd_oracle_2d(cfg: ExperimentConfig, out_dir, seed=None,
                   n_checkpoints: int = 5, tol: float = 1e-6):
     """Cross-check the 4D integrator against the two decoupled factor
     flows on split data."""
+    _free_flow(cfg, "oracle-2d")
     out = Path(out_dir)
     grid = build_grid(cfg)
     bg = build_background(cfg, grid)

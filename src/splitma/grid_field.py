@@ -124,19 +124,14 @@ class TorusGrid:
             out.append(c.reshape(shp))
         return tuple(out)
 
-    def wavenumbers(self, axis: int, zero_nyquist: bool = True) -> np.ndarray:
-        """Angular wavenumbers along one axis.
-
-        zero_nyquist drops the unpaired highest mode, the convention used
-        by every first-derivative multiplier.
-        """
-        key = ("k", axis, zero_nyquist)
+    def wavenumbers(self, axis: int) -> np.ndarray:
+        """Angular wavenumbers along one axis, with the unpaired highest
+        mode zeroed: the convention of every multiplier."""
+        key = ("k", axis)
         if key not in self._cache:
             n, L = self.shape[axis], self.periods[axis]
             k = 2.0 * np.pi * np.fft.fftfreq(n, d=L / n)
-            if zero_nyquist:
-                k = k.copy()
-                k[n // 2] = 0.0
+            k[n // 2] = 0.0
             self._cache[key] = k
         return self._cache[key]
 

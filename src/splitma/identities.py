@@ -48,6 +48,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -204,6 +206,20 @@ class LocalSlice(_SliceBase):
         return 1.0
 
 
+class StateSlice(ManifoldSlice):
+    """A kept flow state, or a block of its points: the stored traces, g and
+    h there and derivs = {("u" or "spd", op): array} from the derivative
+    kernels, so it takes no transform.  L needs the whole grid."""
+
+    def __init__(self, grid: TorusGrid, g, h, lam, eta, beta: float,
+                 derivs: dict):
+        self.grid, self.beta, self.g, self.h = grid, beta, g, h
+        self.lam, self.eta, self._derivs = lam, eta, derivs
+        self._bases = {"g": g, "h": h}
+        self.coef_z = beta / (g * lam)
+        self.coef_w = 1.0 / (h * eta)
+
+
 # ---------------------------------------------------------------------------
 # expression nodes
 
@@ -255,6 +271,16 @@ class Num(Expr):
         return self.c, 0.0
 
 
+class Known(Expr):
+    """A node paired already, so trees that share it pair it once."""
+
+    def __init__(self, value, dt):
+        self.value, self.dt = value, dt
+
+    def pair(self, ws):
+        return self.value, self.dt
+
+
 class Add(Expr):
     def __init__(self, *terms):
         self.terms = terms
@@ -278,11 +304,13 @@ class Mul(Expr):
             val = val * v
         dt = None
         for i, term in enumerate(dts):
+            if not isinstance(term, np.ndarray) and term == 0:
+                continue  # a factor constant in time adds no term
             for j, v in enumerate(vals):
                 if j != i:
                     term = term * v
             dt = term if dt is None else dt + term
-        return val, dt
+        return val, 0.0 if dt is None else dt
 
 
 @dataclass
@@ -320,7 +348,8 @@ class Abs2(Expr):
 
     def pair(self, ws):
         v, d = self.arg.pair(ws)
-        return (v * np.conj(v)).real, 2.0 * (np.conj(v) * d).real
+        cv = np.conj(v)
+        return (v * cv).real, 2.0 * (cv * d).real
 
 
 @dataclass
@@ -351,6 +380,21 @@ def material_derivative(expr: Expr, u: RealField, bg: Background, beta: float):
     """Time derivative of a slice functional along the flow, evaluated by
     the chain-rule substitution; returns the raw array."""
     return expr.pair(ManifoldSlice(u, bg, beta))[1]
+
+
+# direction vectors (v_z, v_w) of the quadratic forms W(v, vbar) tested
+W_VECTORS = ((1.0, 0.0), (0.0, 1.0), (1 / math.sqrt(2), 1 / math.sqrt(2)))
+
+
+def w_quads(ws, entries):
+    """Yield (W(v, vbar), d/dt W(v, vbar)) for each v in W_VECTORS, from
+    one pairing on the slice ws of the trees entries = (W11, W12, W22)."""
+    (w11, d11), (w12, d12), (w22, d22) = (w.pair(ws) for w in entries)
+    for va, vb in W_VECTORS:  # no term of zero weight, no product by 1
+        wts = (abs(va) ** 2, 2.0 * va * np.conj(vb), abs(vb) ** 2)
+        yield tuple(reduce(add, [x if w == 1 else w * x
+                                 for w, x in zip(wts, xs) if w])
+                    for xs in ((w11, w12.real, w22), (d11, d12.real, d22)))
 
 
 # ---------------------------------------------------------------------------
@@ -792,17 +836,12 @@ def verify_C(phi: RealField, a: float, b: float, beta: float,
 
     # quadratic form: direct heat residual equals the block expansion and
     # the expansion is pointwise nonpositive
-    w11 = Add(Lam(), Div(Abs2(UDeriv("z wb")), Eta()))
-    w12 = Div(UDeriv("z wb"), Eta())
-    w22 = Inv(Eta())
-    for va, vb in ((1.0, 0.0), (0.0, 1.0),
-                   (1 / math.sqrt(2), 1 / math.sqrt(2))):
-        node = Add(
-            Mul(Num(abs(va) ** 2), w11),
-            Mul(Num(2.0), ReP(Mul(Num(va * np.conj(vb)), w12))),
-            Mul(Num(abs(vb) ** 2), w22),
-        )
-        lhs = heat_residual(node, ws)
+    quads = w_quads(ws, (Add(Lam(), Div(Abs2(UDeriv("z wb")), Eta())),
+                         Div(UDeriv("z wb"), Eta()), Inv(Eta())))
+    for va, vb in W_VECTORS:
+        quad, quad_t = next(quads)
+        lhs = quad_t - ws.L(quad)
+        del quad, quad_t
         expansion = (
             abs(va) ** 2 * rhs35
             + 2.0 * (va * np.conj(vb) * t37).real

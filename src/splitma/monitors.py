@@ -6,16 +6,13 @@ moment flow.run keeps them (its keep callback).  The stream does each
 state's field work at once and keeps one scalar record per state
 (SnapshotRecord): the extrema, c0 = sup(1/lambda + 1/eta), the steady
 residual, the sup of the mixed norm, and what the enabled checks need of
-the state (the speed-consistency error, sup|u_zw|, the det W residual).
-It takes no transform: one grid_field.mixed_derivatives call gives u_zw,
-and u_zwb with it when a W check runs on a constant-coefficient
-background, by per-axis derivative matrices in one slab pass, on the slab
-threads for fields of 1 MiB or more.  It builds the mixed-norm
-field, W and Phi once each.  The centred time differences of
-legendre_subsolution and phi_subsolution need only the last three
-states, so the stream keeps a 3-state window of traces, W quads and Phi
-and emits scalars.  No field outlives the window, so the memory of a
-monitored run does not grow with its length.
+the state (the speed-consistency error, sup|u_zw|, the det W residual,
+the heat residuals H f = f_t - L f of the W quads and of Phi).  It takes
+no transform: u_zw and u_zwb come from grid_field.mixed_derivatives, and
+f_t from the flow equation at the state itself, by the identity suite's
+chain rule (Expr.pair) on an identities.StateSlice of the stored lambda,
+eta and speed s.  The memory of a monitored run does not grow with its
+length.
 
 Each check takes the stream alone: check_<name>(stream) reads the
 trajectory's header (beta, params, meta) from stream.traj, the background
@@ -27,8 +24,8 @@ last state, and on a stored trajectory replayed through a stream
 the final running c0 (trace_lower_bound, mixed_growth, trace_growth) are
 evaluated from the records at the end.  phi_subsolution, whose Phi
 weight a_phi and source c14 depend on c0 off Kahler products, takes each
-window's constants at the running c0 up to the window's last state
-unless a constants report is supplied.
+state's constants at the running c0 up to that state unless a constants
+report is supplied.
 
 The registry CHECKS is the one list of checks: for each it holds whether
 it runs by default and the negative-control corruption that makes it
@@ -42,14 +39,15 @@ check on the same trajectory gives identical results.
 
 Bound tolerances absorb time discretisation: monotonicity comparisons use
 a fixed relative slack, pointwise comparisons scale with the square of
-the local step or snapshot spacing.
+the local step; the heat subsolutions, exact in time, use the relative
+HEAT_TOL.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from collections import deque, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import iadd, imul
@@ -61,11 +59,12 @@ from .geometry import (BETA_MIN, KAHLER_PRODUCT, Background, ConstantsReport,
                        CurvatureReport, constants, curvature, torsion)
 from .grid_field import RealField, factor_laplacians, mixed_derivatives
 from .flow import FlowState, Trajectory, steady_residual
+from .identities import (W_VECTORS, Abs2, Add, BGField, Eta, Inv, Known, Lam,
+                         Log, Mul, Num, ReP, StateSlice, UDeriv, w_quads)
 
 MONO_SLACK = 1e-8           # relative slack for monotone scalar series
-FD_FLOOR = 1e-6             # floor of the finite-difference tolerances
-# direction vectors (v_z, v_w) whose W quads legendre_subsolution tests
-W_VECTORS = ((1.0, 0.0), (0.0, 1.0), (1 / math.sqrt(2), 1 / math.sqrt(2)))
+HEAT_TOL = 1e-6             # relative tolerance of the heat subsolutions
+BLOCK = 8192                # points per block of the trees, cache-sized
 
 
 @dataclass
@@ -130,13 +129,6 @@ class LegendreW:
     w12: np.ndarray
     w22: np.ndarray
 
-    def quad(self, va: complex, vb: complex) -> np.ndarray:
-        return (
-            abs(va) ** 2 * self.w11
-            + 2.0 * (va * np.conj(vb) * self.w12).real
-            + abs(vb) ** 2 * self.w22
-        )
-
     def det(self) -> np.ndarray:
         return self.w11 * self.w22 - np.abs(self.w12) ** 2
 
@@ -154,11 +146,8 @@ def legendre_w(state: FlowState, bg: Background,
     eta_loc = h0 * state.eta.data
     if u_zwb is None:
         u_zwb, = mixed_derivatives(state.u.grid, state.u.data, "z wb")
-    return LegendreW(
-        w11=lam_loc + np.abs(u_zwb) ** 2 / eta_loc,
-        w12=u_zwb / eta_loc,
-        w22=1.0 / eta_loc,
-    )
+    w22 = 1.0 / eta_loc  # u_zwb * w22 is numpy's u_zwb / eta_loc, bit for bit
+    return LegendreW(lam_loc + np.abs(u_zwb) ** 2 / eta_loc, u_zwb * w22, w22)
 
 
 def det_w_residual(state: FlowState, bg: Background,
@@ -172,8 +161,9 @@ def det_w_residual(state: FlowState, bg: Background,
     h0 = float(bg.h.data.flat[0])
     u_zzb, u_wwb = factor_laplacians(state.u.grid, state.u.data)
     target = (g0 + u_zzb) / (h0 - u_wwb)
-    scale = max(1.0, float(np.max(np.abs(target))))
-    return float(np.max(np.abs(w.det() - target))) / scale
+    scale = max(1.0, float(target.max()), -float(target.min()))
+    err = w.det() - target  # sup|err| without the array |err|
+    return max(float(err.max()), -float(err.min())) / scale
 
 
 def _background_varies(bg: Background) -> str | None:
@@ -202,12 +192,6 @@ def c0_series(states: list[FlowState]):
     return series, running
 
 
-def _phi_field(lam: np.ndarray, eta: np.ndarray, mixed: np.ndarray,
-               cr: ConstantsReport) -> np.ndarray:
-    """Phi = log lam + a_phi (1/lam + 1/eta) + b_phi |mixed|^2."""
-    return np.log(lam) + cr.a_phi * (1.0 / lam + 1.0 / eta) + cr.b_phi * mixed
-
-
 # ---------------------------------------------------------------------------
 # the monitor stream
 
@@ -233,6 +217,7 @@ class SnapshotRecord:
     speed_err: float | None = None  # sup|cached speed - recomputed speed|
     zw: float | None = None     # sup|u_zw| (on split initial data)
     det_w: float | None = None  # det_w_residual
+    heat: dict | None = None    # check: [(1 + sup|F|, sup(H F - source))]
 
 
 def _record(s: FlowState, dt: float, steady_criterion: str) -> SnapshotRecord:
@@ -246,27 +231,6 @@ def _record(s: FlowState, dt: float, steady_criterion: str) -> SnapshotRecord:
         steady_residual(s.du_dt.data, steady_criterion))
 
 
-@dataclass
-class _Slot:
-    """One state's place in the stream's 3-state window."""
-
-    i: int
-    t: float
-    lam: np.ndarray
-    eta: np.ndarray
-    quads: list | None          # W quad per direction vector
-    mixed: np.ndarray | None    # the mixed-norm field, Phi's b term
-    phi: np.ndarray | None = None
-    weights: tuple | None = None  # (a_phi, b_phi) of phi
-
-
-def _centered_dt(fm, f0, fp, hm, hp):
-    wm = -hp / (hm * (hm + hp))
-    wp = hm / (hp * (hm + hp))
-    w0 = (hp - hm) / (hm * hp)
-    return wm * fm + w0 * f0 + wp * fp
-
-
 class MonitorStream:
     """The one consumer of a run's kept states.
 
@@ -276,14 +240,7 @@ class MonitorStream:
     fixes the constants of every check, otherwise they are taken at the
     records' running c0 (constants_at).  The background's curvature and
     torsion are computed at most once.  results() runs the enabled checks
-    on the records.
-
-    records: one SnapshotRecord per state.
-    legendre: (i, dt_snap, [(scale, worst) per direction vector]) per
-        interior state i.
-    phi: (i, dt_snap, scale, worst) per interior state i.
-    worst is the sup of the finite-difference heat residual (minus the c14
-    source for phi), scale is 1 + sup|field| of the tested field.
+    on the records, one SnapshotRecord per state.
     """
 
     def __init__(self, bg: Background, enabled=None, safety: float = 1.0,
@@ -295,10 +252,8 @@ class MonitorStream:
                 raise ConfigurationError(f"unknown check {name!r}")
         self.traj: Trajectory | None = None   # read for its header only
         self.records: list[SnapshotRecord] = []
-        self.legendre: list = []
-        self.phi: list = []
         self.c0_max = math.nan                # running max of records' c0
-        self._window = deque(maxlen=3)
+        self._fields: list = []               # see _subsolutions
         self._cr: ConstantsReport | None = None
 
     @cached_property
@@ -360,66 +315,72 @@ class MonitorStream:
             forcing = traj.meta.get("forcing")
             if forcing is not None:
                 expect = expect - forcing
-            rec.speed_err = float(np.max(np.abs(s.du_dt.data - expect)))
-            del expect
+            err = np.subtract(s.du_dt.data, expect, out=expect)
+            rec.speed_err = max(float(err.max()), -float(err.min()))
+            del expect, err
         w_on = self._det or self._leg
         mixed_ops = ("z w", "z wb") if w_on else ("z w",)
-        derivs = mixed_derivatives(grid, s.u.data, *mixed_ops)
-        u_zw = derivs.pop(0)
-        mixed = _mixed_field(u_zw, s, bg, beta)
+        derivs = dict(zip(mixed_ops, mixed_derivatives(grid, s.u.data,
+                                                       *mixed_ops)))
+        u_zw = derivs["z w"] if self._phi else derivs.pop("z w")  # Phi too
+        rec.sup = float(np.max(_mixed_field(u_zw, s, bg, beta)))
         if self._zw:
             rec.zw = float(np.max(np.abs(u_zw)))
         del u_zw            # before W: one complex field less at peak
-        rec.sup = float(np.max(mixed))
-        quads = None
-        if w_on:
-            u_zwb = derivs.pop()
-            w = legendre_w(s, bg, u_zwb)
-            del u_zwb
-            if self._det:
-                rec.det_w = det_w_residual(s, bg, w)
-            if self._leg:
-                quads = [w.quad(va, vb) for va, vb in W_VECTORS]
-            del w
-        if self._leg or self._phi:
-            self._window.append(_Slot(i, s.t, s.lam.data, s.eta.data, quads,
-                                      mixed if self._phi else None))
-            if len(self._window) == 3:
-                self._interior()
+        if self._det:
+            rec.det_w = det_w_residual(s, bg, legendre_w(s, bg, derivs["z wb"]))
+        if not self._leg:
+            derivs.pop("z wb", None)
+        if derivs:  # the potential's derivatives that the trees read
+            self._subsolutions(rec, s, derivs)
 
-    def _interior(self) -> None:
-        """The finite-difference scalars of the window's middle state."""
-        sm, s0, sp = self._window
-        hm = s0.t - sm.t
-        hp = sp.t - s0.t
-        dt_snap = max(hm, hp)
-        beta, bg = self.traj.beta, self.bg
-        coef_z = beta / (bg.g.data * s0.lam)
-        coef_w = 1.0 / (bg.h.data * s0.eta)
-
-        def heat(fm, f0, fp):
-            """Centred d/dt minus the linearised operator at the middle
-            state."""
-            d_z, d_w = factor_laplacians(self.traj.grid, f0)
-            return _centered_dt(fm, f0, fp, hm, hp) - (coef_z * d_z
-                                                       + coef_w * d_w)
-
-        if self._leg:
-            self.legendre.append((s0.i, dt_snap, [
-                (1.0 + float(np.max(np.abs(b))), float(np.max(heat(a, b, c))))
-                for a, b, c in zip(sm.quads, s0.quads, sp.quads)]))
-        if self._phi:
-            # the whole window's Phi at the running c0 of its last state
-            cr = self.constants_at(self.c0_max)
-            weights = (cr.a_phi, cr.b_phi)
-            for slot in self._window:
-                if slot.weights != weights:
-                    slot.phi = _phi_field(slot.lam, slot.eta, slot.mixed, cr)
-                    slot.weights = weights
-            h_phi = heat(sm.phi, s0.phi, sp.phi)
-            rhs = cr.c14 * np.maximum(s0.phi, 1.0)
-            self.phi.append((s0.i, dt_snap, 1.0 + float(np.max(np.abs(s0.phi))),
-                             float(np.max(h_phi - rhs))))
+    def _subsolutions(self, rec: SnapshotRecord, s: FlowState,
+                      u_derivs: dict) -> None:
+        """rec.heat of s, given the potential's u_derivs = {op: array}.  Trees
+        pair on cache-sized blocks into fields kept across states, made after
+        the first state's temporaries: later states reuse that memory."""
+        grid, beta, spd = s.u.grid, self.traj.beta, s.du_dt.data
+        d = {("u", op): arr for op, arr in u_derivs.items()}
+        d["spd", "z zb"], d["spd", "w wb"] = factor_laplacians(grid, spd)
+        d.update(zip([("spd", op) for op in u_derivs],
+                     mixed_derivatives(grid, spd, *u_derivs)))
+        whole = (self.bg.g.data, self.bg.h.data, s.lam.data, s.eta.data)
+        ws = StateSlice(grid, *whole, beta, d)
+        cr = self.constants_at(self.c0_max) if self._phi else None
+        f, sups = self._fields or [], []
+        for start in range(0, spd.size, BLOCK):
+            sl = slice(start, start + BLOCK)
+            p = StateSlice(grid, *(a.reshape(-1)[sl] for a in whole), beta,
+                           {k: a.reshape(-1)[sl] for k, a in d.items()})
+            lam = Known(*Lam().pair(p))  # lam, g lam, W22 paired once
+            g_lam = Known(*Mul(BGField("g"), lam).pair(p))
+            w22 = Known(*Inv(Mul(BGField("h"), Eta())).pair(p))
+            vals = []
+            if self._leg:  # W11 = g lam + |u_zwb|^2 W22, W12 = u_zwb W22
+                u = UDeriv("z wb")  # the vectors are real: Re W12 will do
+                vals += [x for q in w_quads(p, (Add(g_lam, Mul(Abs2(u), w22)),
+                                                Mul(ReP(u), w22), w22))
+                         for x in q]
+            if cr is not None:  # Phi, its mixed norm beta |u_zw|^2 W22/(g lam)
+                terms = [Log(lam), Mul(Num(cr.b_phi * beta), Mul(
+                    Abs2(UDeriv("z w")), Mul(w22, Inv(g_lam))))]
+                if cr.a_phi:  # 0 on Kahler products
+                    terms.append(Mul(Num(cr.a_phi),
+                                     Add(Inv(lam), Mul(BGField("h"), w22))))
+                phi, phi_t = Add(*terms).pair(p)
+                vals += [phi, phi_t - cr.c14 * np.maximum(phi, 1.0)]
+            f += [np.empty(grid.shape) for _ in vals[len(f):]]
+            for out, val in zip(f, vals):
+                out.reshape(-1)[sl] = val
+        for k in range(0, len(vals), 2):  # (1 + sup|F|, sup(F_t - L F))
+            h = ws.L(f[k])
+            np.subtract(f[k + 1], h, out=h)
+            sups.append((1.0 + max(float(f[k].max()), -float(f[k].min())),
+                         float(h.max())))
+        self._fields = self._fields or [np.empty(grid.shape) for _ in f]
+        rec.heat = {name: pairs for name, pairs, on in (
+            ("legendre_subsolution", sups[:len(W_VECTORS)], self._leg),
+            ("phi_subsolution", sups[-1:], self._phi)) if on}
 
     def replay(self, traj: Trajectory) -> "MonitorStream":
         """Consume every stored state of traj; returns the stream."""
@@ -624,31 +585,26 @@ def check_split_preserved(stream: MonitorStream) -> CheckResult:
 
 def check_legendre_subsolution(stream: MonitorStream) -> CheckResult:
     """Every direction pairing of the transform matrix is a heat
-    subsolution: the finite-difference heat operator applied to W(v, vbar),
-    for each v in W_VECTORS, is nonpositive up to discretisation
-    tolerance, each vector against its own tolerance (which scales with
-    that quad's size); an entry reports the vector with the least margin.
-    Needs a constant-coefficient background and at least three snapshots.
-
-    The tolerance dt_snap^2 covers the time difference only, not the
-    spatial aliasing of the nonlinear quads, so a clean run on a coarse
-    grid can fail at every snapshot stride."""
+    subsolution on constant-coefficient backgrounds: H W(v, vbar) <= 0 at
+    each kept state for each v in W_VECTORS, against HEAT_TOL (1 +
+    sup|W(v, vbar)|).  d/dt is taken at the state; time consistency is
+    left to speed_consistency, the step-halving test and the oracle.  The
+    aliasing of the nonlinear quads is not covered: coarse grids can fail."""
     reason = _background_varies(stream.bg)
     if reason is not None:
         return CheckResult.skip("legendre_subsolution", reason)
-    recs = stream.records
-    if len(recs) < 3:
-        return CheckResult.skip("legendre_subsolution", "needs >= 3 snapshots")
+    return _heat_check(stream, "legendre_subsolution")
+
+
+def _heat_check(stream: MonitorStream, name: str) -> CheckResult:
+    """Per record, its least-margin (scale, worst) pair vs HEAT_TOL scale."""
     entries = []
-    for i, dt_snap, per_vector in stream.legendre:
-        fd_tol = max(FD_FLOOR, dt_snap * dt_snap)
-        tols = [(fd_tol * scale, worst) for scale, worst in per_vector]
+    for i, r in enumerate(stream.records):
+        tols = [(HEAT_TOL * scale, worst) for scale, worst in r.heat[name]]
         tol, worst = min(tols, key=lambda p: p[0] - p[1])
         passed = all(w <= t for t, w in tols)
-        entries.append(
-            MonitorEntry(recs[i].t, tol, worst, tol - worst, passed, i)
-        )
-    return _finish("legendre_subsolution", entries)
+        entries.append(MonitorEntry(r.t, tol, worst, tol - worst, passed, i))
+    return _finish(name, entries)
 
 
 def check_det_w(stream: MonitorStream) -> CheckResult:
@@ -672,22 +628,14 @@ def check_phi_subsolution(stream: MonitorStream) -> CheckResult:
     The unguarded form H Phi <= c14 Phi is violated by exact solutions
     wherever Phi < 0 (e.g. split data with lam < 1 has H Phi = 0 > c14 Phi),
     so it is not a usable runtime check.  The stream's final constants
-    decide whether the check applies; each window's Phi takes the
-    stream's constants at that window.
-    """
+    decide whether the check applies; each state's Phi and source take the
+    constants at the running c0 up to that state.  d/dt is taken at the
+    state; time consistency is left to speed_consistency, the step-halving
+    test and the oracle."""
     reason = _upper_bound_skip(stream.traj.beta, stream.cr)
     if reason is not None:
         return CheckResult.skip("phi_subsolution", reason)
-    recs = stream.records
-    if len(recs) < 3:
-        return CheckResult.skip("phi_subsolution", "needs >= 3 snapshots")
-    entries = []
-    for i, dt_snap, scale, worst in stream.phi:
-        tol = max(FD_FLOOR, dt_snap * dt_snap) * scale
-        entries.append(
-            MonitorEntry(recs[i].t, tol, worst, tol - worst, worst <= tol, i)
-        )
-    return _finish("phi_subsolution", entries)
+    return _heat_check(stream, "phi_subsolution")
 
 
 # ---------------------------------------------------------------------------
@@ -705,6 +653,15 @@ def _nonsplit(s: FlowState, first: SnapshotRecord) -> None:
 def _stretch(s: FlowState, first: SnapshotRecord) -> None:
     s.u.data *= 3.0
     s.lam.data = 1.0 + 2.0 * (s.lam.data - 1.0)
+
+
+def _speed_bump(s: FlowState, first: SnapshotRecord) -> None:
+    """Speed bumps along x1 and x3: lambda_t, eta_t swing by 100 pi^2/g, /h,
+    above c14 max(Phi, 1) on flat and pluriclosed backgrounds alike."""
+    grid = s.u.grid
+    x1, _, x3, _ = grid.mesh()
+    s.du_dt.data += 100.0 * (np.cos(2 * np.pi * x1 / grid.periods[0])
+                             + np.cos(2 * np.pi * x3 / grid.periods[2]))
 
 
 # The one list of checks, read by MonitorStream, corrupt_trajectory,
@@ -725,7 +682,7 @@ CHECKS: dict[str, Check] = {
     "split_preserved": Check(True, _nonsplit),
     "legendre_subsolution": Check(False, _stretch),
     "det_w": Check(False, lambda s, f: imul(s.lam.data, 1.3)),
-    "phi_subsolution": Check(False, lambda s, f: imul(s.lam.data, 100.0)),
+    "phi_subsolution": Check(False, _speed_bump),
 }
 
 DEFAULT_CHECKS = tuple(n for n, c in CHECKS.items() if c.default_on)

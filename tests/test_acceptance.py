@@ -92,7 +92,7 @@ def nonsplit_run(grid16, flat16):
 
 @pytest.fixture(scope="session")
 def dense_run(grid16, flat16):
-    """Short, snapshot-per-step run for the time-difference checks."""
+    """Short, snapshot-per-step run for the heat subsolution checks."""
     u0 = shift_min_zero(
         random_test_field(grid16, seed=5, amplitude=0.01, band=1, bg=flat16)
     )
@@ -314,7 +314,7 @@ def test_negative_controls(tmp_path):
                      "--out", str(tmp_path / "clean_d")]) == 0
 
     # every registered check: default-on ones on the split fixture, the
-    # optional finite-difference ones on the dense fixture
+    # optional ones (heat subsolutions, det W) on the dense fixture
     failures = []
     for name, check in CHECKS.items():
         cfg = split_cfg if check.default_on else dense_cfg

@@ -70,6 +70,11 @@ b_amp = 0.05
 """
 
 
+# DENSE_ALL at 16^4 with band-1 data and 21 kept states
+DENSE16_ALL = DENSE_ALL.replace("dims = 8 8 8 8", "dims = 16 16 16 16").replace(
+    "dt_max = 5e-4", "dt_max = 5e-5").replace("seed = 2", "seed = 2\nband = 1")
+
+
 # The benchmark's forced run at 16^4: gauged log_cos forcing on a
 # kahler_cos background, initial data read from a field file.
 GAUGED_RUN = """
@@ -406,6 +411,27 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("configuration error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, extra", [
+        ("beta-sweep", ["--betas", "0.9"]), ("oracle-2d", [])],
+        ids=["beta-sweep", "oracle-2d"])
+    @pytest.mark.parametrize("factor", ["f_plus", "f_minus"])
+    def test_free_flow_recipe_refuses_forcing(self, tmp_path, capsys,
+                                              command, extra, factor):
+        """beta-sweep and oracle-2d integrate the free flow, so a forcing
+        in the config exits 2 instead of being dropped, and leaves no
+        output directory."""
+        cfg = write_cfg(tmp_path, SPLIT_RUN + f"""
+[forcing]
+{factor} = log_cos
+{factor}_eps = 0.1
+""")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out),
+                     *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "[forcing]" in err
+        assert not out.exists()
+
     def test_sweep_rejects_threshold_violation(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SPLIT_RUN)
         code = main([
@@ -612,14 +638,14 @@ class TestArtifacts:
         assert code == 1
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "legendre_subsolution's dt_snap^2 tolerance leaves out the spatial "
-        "aliasing of the nonlinear W quads, and SPLIT_RUN's 8^4 grid does "
-        "not resolve them: the check fails at snapshot_stride = 1 too"))
+        "legendre_subsolution's tolerance leaves out the spatial aliasing "
+        "of the nonlinear W quads, and SPLIT_RUN's 8^4 grid does not "
+        "resolve them: H W(v, vbar) reaches +0.548 at every stride"))
     def test_every_check_passes_on_a_strided_clean_run(self, tmp_path):
         """Known failure, kept until the subsolution checks bound the
         spatial error of the quads: SPLIT_RUN (snapshot_stride = 10) with
         every check on exits 1, failing legendre_subsolution only, worst
-        margin -0.098."""
+        margin -0.548, already at the initial state."""
         cfg = write_cfg(tmp_path, SPLIT_RUN + "\n[monitors]\nenabled = all\n")
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")])
         summary = json.loads((tmp_path / "r" / "summary.json").read_text())
@@ -716,13 +742,10 @@ class TestArtifacts:
         on grows by at most two field sizes from 11 to 21 kept states."""
         import tracemalloc
 
-        text = DENSE_ALL.replace("dims = 8 8 8 8", "dims = 16 16 16 16").replace(
-            "dt_max = 5e-4", "dt_max = 5e-5").replace("seed = 2",
-                                                      "seed = 2\nband = 1")
         peaks = []
         for t_end in ("1e-4", "5e-4", "1e-3"):  # the first warms the caches
-            cfg = parse_config(write_cfg(
-                tmp_path, text.replace("t_end = 0.004", f"t_end = {t_end}")))
+            cfg = parse_config(write_cfg(tmp_path, DENSE16_ALL.replace(
+                "t_end = 0.004", f"t_end = {t_end}")))
             tracemalloc.start()
             try:
                 code, rep = cmd_flow_run(cfg, tmp_path / t_end,
@@ -771,6 +794,18 @@ class TestArtifacts:
         cmd_flow_run(cfg, tmp_path / "warm")  # the caches and slab scratch
         peak = traced_peak(lambda: cmd_flow_run(cfg, tmp_path / "o"))
         assert peak <= 12.25 * 16**4 * 8, peak / (16**4 * 8)
+
+    def test_monitored_run_peak(self, tmp_path, traced_peak):
+        """A 16^4 run with every check on peaks at about 40.8 fields, at the
+        end of the first kept state, where the stream makes the fields it
+        keeps across states; each state's heat residuals are taken at the
+        state.  Holding the W quads and Phi of three states for time
+        differences across states took 43.1."""
+        cfg = parse_config(write_cfg(tmp_path, DENSE16_ALL.replace(
+            "t_end = 0.004", "t_end = 5e-4")))
+        cmd_flow_run(cfg, tmp_path / "warm")  # the caches and slab scratch
+        peak = traced_peak(lambda: cmd_flow_run(cfg, tmp_path / "o"))
+        assert peak <= (40.85 + 0.25) * 16**4 * 8, peak / (16**4 * 8)
 
     def test_run_memory_does_not_grow_with_t_end(self, tmp_path):
         """The peak grows by at most two field sizes when t_end doubles

@@ -64,7 +64,7 @@ def split_traj(grid, bg):
 @pytest.fixture(scope="module")
 def dense16():
     """Short, finely snapshotted run at a resolution where the spectral
-    truncation error sits well below the finite-difference tolerance."""
+    truncation error sits well below the heat subsolutions' tolerance."""
     from splitma.flow import shift_min_zero
 
     g16 = make_grid((16, 16, 16, 16), (1, 1, 1, 1))
@@ -131,12 +131,6 @@ class TestLegendreW:
         state = make_state(nonsplit_data(grid), bg, 0.5, 0.0)
         assert det_w_residual(state, bg) < 1e-12
 
-    def test_hermitian_quad_real(self, grid, bg):
-        state = make_state(nonsplit_data(grid), bg, 0.5, 0.0)
-        w = legendre_w(state, bg)
-        q = w.quad(0.3 + 0.4j, 0.5 - 0.2j)
-        assert np.all(np.isreal(q))
-
     def test_positive_definite_on_admissible(self, grid, bg):
         state = make_state(nonsplit_data(grid), bg, 0.5, 0.0)
         w = legendre_w(state, bg)
@@ -144,28 +138,30 @@ class TestLegendreW:
         assert float(w.det().min()) > 0
 
     def test_each_vector_meets_its_own_tolerance(self, grid, bg):
-        """W(e1) = lam rises at 1e-5 per unit time, above its own tolerance
-        FD_FLOOR (1 + lam); W(e2) = 1/eta = 100 is constant and makes the
-        later vectors' tolerances about 50x larger.  The check must fail
-        on the first vector."""
+        """On a state with u = 0, lam = eta = 0.01 and the stored speed
+        -eps cos(2 pi x1), H W(e1) = lambda_t = s_zzb = eps pi^2 cos(2 pi x1)
+        peaks at 1e-5, above its own tolerance HEAT_TOL (1 + lam);
+        W(e2) = 1/eta = 100 is constant and makes the later vectors'
+        tolerances about 50x larger.  The check must fail on the first
+        vector, at the state itself."""
         from splitma.flow import FlowState, Trajectory
 
         zero = RealField.zeros(grid)
+        x1 = grid.mesh()[0] * np.ones(grid.shape)
+        speed = RealField(grid, -1e-5 / np.pi**2 * np.cos(TWO_PI * x1))
         traj = Trajectory(grid=grid, beta=0.5,
                           params=FlowParams(beta=0.5, t_end=1.0))
-        for k in range(3):
-            t = 1e-4 * k
-            lam = RealField(grid, np.full(grid.shape, 0.01 + 1e-5 * t))
-            eta = RealField(grid, np.full(grid.shape, 0.01))
-            traj.snapshots.append(FlowState(zero, t, lam, eta, zero))
-            traj.dts.append(1e-4)
+        lam = RealField(grid, np.full(grid.shape, 0.01))
+        eta = RealField(grid, np.full(grid.shape, 0.01))
+        traj.snapshots.append(FlowState(zero, 0.0, lam, eta, speed))
+        traj.dts.append(1e-4)
         res = evaluate(traj, bg, ["legendre_subsolution"])[
             "legendre_subsolution"]
         assert res.skipped is None and len(res.entries) == 1
         e = res.entries[0]
         assert not res.passed
-        assert e.bound < 1.1 * monitors.FD_FLOOR  # the first vector's scale
-        assert abs(e.observed - 1e-5) < 1e-9
+        assert e.bound < 1.1 * monitors.HEAT_TOL  # the first vector's scale
+        assert abs(e.observed - 1e-5) < 1e-12
         assert e.margin == e.bound - e.observed < 0.0
 
     def test_requires_constant_background(self, grid):
@@ -230,10 +226,40 @@ class TestChecksPassOnCleanRuns:
         assert results["trace_growth"].passed  # beta = 1 > threshold
 
 
+class TestStrideIndependence:
+    def test_subsolution_entries_do_not_depend_on_the_stride(self, grid, bg):
+        """A flat-background run kept at snapshot_stride 1 and at 10 gives
+        each subsolution check one entry per kept state, and identical
+        entries on the states both runs keep: d/dt is taken at the state,
+        not across snapshots."""
+        from splitma.flow import shift_min_zero
+
+        u0 = shift_min_zero(nonsplit_data(grid))
+        names = ["legendre_subsolution", "phi_subsolution"]
+        by_stride = {}
+        for stride in (1, 10):
+            params = FlowParams(beta=0.5, t_end=0.01, cfl=0.9, dt_max=5e-4,
+                                snapshot_stride=stride, steady_tol=1e-30)
+            traj = run(bg, u0, params)
+            res = evaluate(traj, bg, names)
+            for name in names:
+                assert res[name].skipped is None
+                assert len(res[name].entries) == len(traj.snapshots)
+            by_stride[stride] = {name: {e.t: (e.bound, e.observed, e.margin,
+                                              e.passed)
+                                        for e in res[name].entries}
+                                 for name in names}
+        for name in names:
+            fine, coarse = by_stride[1][name], by_stride[10][name]
+            assert len(coarse) == 3 and set(coarse) <= set(fine)
+            for t, entry in coarse.items():
+                assert fine[t] == entry, (name, t)
+
+
 class TestNegativeControls:
     """Driven by the registry: every default-on check must fail on its
-    corruption of the split run, every optional (finite-difference) check
-    on its corruption of the dense run."""
+    corruption of the split run, every optional (heat subsolution or det
+    W) check on its corruption of the dense run."""
 
     @pytest.mark.parametrize("check", DEFAULT_CHECKS)
     def test_default_checks_fail_on_corruption(self, split_traj, bg, check):
@@ -333,8 +359,9 @@ class TestSnapshotPass:
             used.add(split_traj, split_traj.snapshots[0], 0.0)
 
     def test_memory_does_not_grow_with_snapshots(self, dense16):
-        """The pass keeps a 3-snapshot window: doubling the snapshots may
-        not raise the peak of evaluate by more than two field sizes."""
+        """No field outlives a state but the stream's fixed scratch:
+        doubling the snapshots may not raise the peak of evaluate by more
+        than two field sizes."""
         import tracemalloc
 
         traj, b16 = dense16
@@ -357,12 +384,12 @@ class TestSnapshotPass:
 
 
 class TestRunningConstants:
-    def test_phi_takes_the_running_constants_of_each_window(self, grid):
+    def test_phi_takes_the_running_constants_of_each_state(self, grid):
         """Off Kahler products a_phi and c14 depend on c0.  Without a
-        constants report each window's Phi and source use the constants
-        at the running c0 up to the window's last snapshot, so an entry
-        equals the last entry of the trajectory cut at that snapshot with
-        those constants fixed, and differs from the final-c0 entry."""
+        constants report each state's Phi and source use the constants
+        at the running c0 up to that state, so an entry equals the last
+        entry of the trajectory cut at that state with those constants
+        fixed, and differs from the final-c0 entry."""
         from splitma.flow import FlowState, Trajectory
 
         bgp = pluriclosed_background(grid, 1.0, 1.0, [(1, 1, 0.3)])
@@ -380,9 +407,8 @@ class TestRunningConstants:
         assert all(b > a for a, b in zip(running, running[1:]))
         res = evaluate(traj, bgp, enabled=["phi_subsolution"])
         entries = res["phi_subsolution"].entries
-        assert [e.index for e in entries] == [1, 2, 3, 4]
-        for e in entries:
-            j = e.index + 1
+        assert [e.index for e in entries] == list(range(6))
+        for j, e in enumerate(entries):
             cut = copy.copy(traj)
             cut.snapshots, cut.dts = traj.snapshots[:j + 1], traj.dts[:j + 1]
             cr = constants(bgp, 0.5, c0=running[j])
