@@ -121,29 +121,25 @@ def _enabled_checks(cfg: ExperimentConfig):
 
 def _write_timeseries(path, stream: MonitorStream,
                       results: dict[str, CheckResult]) -> None:
-    """One row per record of stream; each check's entry joins the row of
-    its snapshot index."""
-    names = list(results)
-    by_index = [{e.index: e for e in results[n].entries} for n in names]
+    """One row per record of stream; a check's i-th entry is the i-th
+    record's."""
     cols = [
         "t", "dt", "max_du_dt", "min_du_dt", "osc_u", "min_lambda",
         "max_lambda", "min_eta", "max_eta", "c0", "sup_mixed_norm",
         "steady_residual",
     ]
-    for n in names:
+    for n in results:
         cols += [f"{n}_pass", f"{n}_margin"]
     lines = [",".join(cols)]
     for i, r in enumerate(stream.records):
         row = [f"{v:.17g}" for v in (
             r.t, r.dt, r.du_max, r.du_min, r.u_max - r.u_min, r.lam_min,
             r.lam_max, r.eta_min, r.eta_max, r.c0, r.sup, r.steady)]
-        for name, m in zip(names, by_index):
-            e = m.get(i)
-            if results[name].skipped is not None:
+        for res in results.values():
+            if res.skipped is not None:
                 row += ["skip", "nan"]
-            elif e is None:
-                row += ["", "nan"]
             else:
+                e = res.entries[i]
                 row += ["1" if e.passed else "0", f"{e.margin:.17g}"]
         lines.append(",".join(row))
     with atomic_write(path) as fh:
@@ -273,8 +269,8 @@ def cmd_flow_run(cfg: ExperimentConfig, out_dir, seed=None,
             write_field(partial.snapshots[-1].u, out / "failure_u.field")
         _write_json(out / "summary.json", report)
         return EXIT_NUMERICAL, report
-    if negative_control is not None and len(stream.records) < 3:
-        raise ConfigurationError("corruption fixtures need >= 3 snapshots")
+    if negative_control is not None and len(stream.records) < 2:
+        raise ConfigurationError("corruption fixtures need >= 2 snapshots")
     results = stream.results()
     _write_timeseries(out / "timeseries.csv", stream, results)
     report = _summary(traj, stream, results)

@@ -14,11 +14,13 @@ chain rule (Expr.pair) on an identities.StateSlice of the stored lambda,
 eta and speed s.  The memory of a monitored run does not grow with its
 length.
 
-Each check takes the stream alone: check_<name>(stream) reads the
-trajectory's header (beta, params, meta) from stream.traj, the background
-from stream.bg, the constants from stream.cr, the curvature from
-stream.curv, and the stream's records; it never reads a stored state.  So
-it gives the same result on a live run, whose Trajectory holds only its
+Each check is a rule over the stream's records: check_<name>(stream)
+either skips, or turns each record into one entry (bound, observed,
+margin), passed when margin >= 0.  Its rule reads the trajectory's header
+(beta, params, meta) from stream.traj, the background from stream.bg, the
+constants from stream.cr, the curvature from stream.curv, and the records;
+it never reads a stored state, and entry i belongs to record i.  So a
+check gives the same result on a live run, whose Trajectory holds only its
 last state, and on a stored trajectory replayed through a stream
 (MonitorStream.replay, which evaluate uses).  The checks whose bounds need
 the final running c0 (trace_lower_bound, mixed_growth, trace_growth) are
@@ -58,7 +60,7 @@ from .errors import ConfigurationError
 from .geometry import (BETA_MIN, KAHLER_PRODUCT, Background, ConstantsReport,
                        CurvatureReport, constants, curvature, torsion)
 from .grid_field import RealField, factor_laplacians, mixed_derivatives
-from .flow import FlowState, Trajectory, steady_residual
+from .flow import FlowState, Trajectory, flow_speed, steady_residual
 from .identities import (W_VECTORS, Abs2, Add, BGField, Eta, Inv, Known, Lam,
                          Log, Mul, Num, ReP, StateSlice, UDeriv, w_quads)
 
@@ -74,7 +76,6 @@ class MonitorEntry:
     observed: float
     margin: float
     passed: bool
-    index: int              # the snapshot the entry belongs to
 
 
 @dataclass
@@ -91,7 +92,14 @@ class CheckResult:
         return cls(name=name, passed=True, skipped=reason)
 
 
-def _finish(name: str, entries: list[MonitorEntry]) -> CheckResult:
+def _entries(name: str, stream: MonitorStream, rule) -> CheckResult:
+    """Check name with one entry per record of stream: (bound, observed,
+    margin) = rule(i, r) for its i-th record r, passed when margin >= 0."""
+    entries = []
+    for i, r in enumerate(stream.records):
+        bound, observed, margin = rule(i, r)
+        entries.append(MonitorEntry(r.t, bound, observed, margin,
+                                    margin >= 0.0))
     passed = all(e.passed for e in entries)
     worst = min((e.margin for e in entries), default=math.inf)
     first_fail = next((e.t for e in entries if not e.passed), None)
@@ -311,10 +319,8 @@ class MonitorStream:
                                                              rec.c0))
         self.records.append(rec)
         if self._speed:
-            expect = beta * np.log(s.lam.data) - np.log(s.eta.data)
-            forcing = traj.meta.get("forcing")
-            if forcing is not None:
-                expect = expect - forcing
+            expect = flow_speed(s.lam.data, s.eta.data, beta,
+                                traj.meta.get("forcing"))
             err = np.subtract(s.du_dt.data, expect, out=expect)
             rec.speed_err = max(float(err.max()), -float(err.min()))
             del expect, err
@@ -397,18 +403,16 @@ class MonitorStream:
 
 
 # ---------------------------------------------------------------------------
-# checks: each reads the records of stream, a MonitorStream that has
-# consumed a trajectory with the check enabled
+# checks: each is a skip test and a rule over the records of stream, a
+# MonitorStream that has consumed a trajectory with the check enabled
 
 
 def check_speed_consistency(stream: MonitorStream) -> CheckResult:
     """Cached speed equals beta log(lam) - log(eta) at every snapshot."""
-    entries = []
-    for i, r in enumerate(stream.records):
-        err = r.speed_err
+    def rule(i, r):
         tol = 1e-13 * (1.0 + max(abs(r.du_max), abs(r.du_min)))
-        entries.append(MonitorEntry(r.t, tol, err, tol - err, err <= tol, i))
-    return _finish("speed_consistency", entries)
+        return tol, r.speed_err, tol - r.speed_err
+    return _entries("speed_consistency", stream, rule)
 
 
 def check_speed_range(stream: MonitorStream) -> CheckResult:
@@ -419,41 +423,32 @@ def check_speed_range(stream: MonitorStream) -> CheckResult:
     if len(recs) < 2:
         return CheckResult.skip("speed_range", "needs at least two snapshots")
     g_min, g_max = recs[0].du_min, recs[0].du_max
-    entries = []
-    prev_max = prev_min = None
-    for i, r in enumerate(recs):
+
+    def rule(i, r):
         cur_max, cur_min = r.du_max, r.du_min
         scale = 1.0 + max(abs(cur_max), abs(cur_min))
         mono_tol = MONO_SLACK * scale
         pw_tol = max(1e-10, r.dt * r.dt) * (1.0 + max(abs(g_min), abs(g_max)))
-        if prev_max is None:
-            mono_margin = math.inf
-        else:
-            mono_margin = min(
-                prev_max + mono_tol - cur_max, cur_min - (prev_min - mono_tol)
-            )
+        mono_margin = math.inf
+        if i:
+            p = recs[i - 1]
+            mono_margin = min(p.du_max + mono_tol - cur_max,
+                              cur_min - (p.du_min - mono_tol))
         pw_margin = min(g_max + pw_tol - cur_max, cur_min - (g_min - pw_tol))
-        margin = min(mono_margin, pw_margin)
-        entries.append(
-            MonitorEntry(r.t, mono_tol, cur_max, margin, margin >= 0.0, i)
-        )
-        prev_max, prev_min = cur_max, cur_min
-    return _finish("speed_range", entries)
+        return mono_tol, cur_max, min(mono_margin, pw_margin)
+    return _entries("speed_range", stream, rule)
 
 
 def check_potential_bounds(stream: MonitorStream) -> CheckResult:
     """0 <= u <= max u0 along the reduced flow."""
     if not stream.traj.meta.get("reduced", True):
         return CheckResult.skip("potential_bounds", "flow is not in reduced form")
-    recs = stream.records
-    max_u0 = recs[0].u_max
-    entries = []
-    for i, r in enumerate(recs):
+    max_u0 = stream.records[0].u_max
+
+    def rule(i, r):
         tol = max(1e-10, r.dt * r.dt) * (1.0 + max_u0)
-        margin = min(r.u_min + tol, max_u0 + tol - r.u_max)
-        entries.append(MonitorEntry(r.t, max_u0, r.u_max, margin, margin >= 0.0,
-                                    i))
-    return _finish("potential_bounds", entries)
+        return max_u0, r.u_max, min(r.u_min + tol, max_u0 + tol - r.u_max)
+    return _entries("potential_bounds", stream, rule)
 
 
 def trace_lower_bound_value(
@@ -509,12 +504,8 @@ def check_trace_lower_bound(stream: MonitorStream) -> CheckResult:
     bound, _ = trace_lower_bound_value(
         beta, first.du_min, first.du_max, first.u_max, stream.cr.c
     )
-    entries = []
-    for i, r in enumerate(stream.records):
-        margin = r.lam_min - bound + 1e-12
-        entries.append(MonitorEntry(r.t, bound, r.lam_min, margin, margin >= 0.0,
-                                    i))
-    return _finish("trace_lower_bound", entries)
+    return _entries("trace_lower_bound", stream, lambda i, r: (
+        bound, r.lam_min, r.lam_min - bound + 1e-12))
 
 
 def check_trace_floor(stream: MonitorStream) -> CheckResult:
@@ -525,13 +516,11 @@ def check_trace_floor(stream: MonitorStream) -> CheckResult:
             "trace_floor", "background curvature sign condition fails"
         )
     floor0 = stream.records[0].lam_min
-    entries = []
-    for i, r in enumerate(stream.records):
+
+    def rule(i, r):
         tol = max(1e-10, r.dt * r.dt) * (1.0 + floor0)
-        margin = r.lam_min - (floor0 - tol)
-        entries.append(MonitorEntry(r.t, floor0, r.lam_min, margin,
-                                    margin >= 0.0, i))
-    return _finish("trace_floor", entries)
+        return floor0, r.lam_min, r.lam_min - (floor0 - tol)
+    return _entries("trace_floor", stream, rule)
 
 
 def check_mixed_growth(stream: MonitorStream) -> CheckResult:
@@ -540,15 +529,13 @@ def check_mixed_growth(stream: MonitorStream) -> CheckResult:
     cr = stream.cr
     shift = cr.c0 * cr.a_psi
     sup0 = stream.records[0].sup
-    entries = []
-    for i, r in enumerate(stream.records):
+
+    def rule(i, r):
         expo = min(cr.c11 * r.t, 700.0)
         bound = max(1.0 + shift, (sup0 + shift) * math.exp(expo))
         tol = 1e-8 * (1.0 + bound)
-        margin = bound + tol - r.sup
-        entries.append(MonitorEntry(r.t, bound, r.sup, margin, margin >= 0.0,
-                                    i))
-    return _finish("mixed_growth", entries)
+        return bound, r.sup, bound + tol - r.sup
+    return _entries("mixed_growth", stream, rule)
 
 
 def check_trace_growth(stream: MonitorStream) -> CheckResult:
@@ -561,26 +548,22 @@ def check_trace_growth(stream: MonitorStream) -> CheckResult:
     first = stream.records[0]
     log_lam0 = math.log(first.lam_max)
     coef = cr.b_phi * first.sup + cr.a_phi * cr.c0
-    entries = []
-    for i, r in enumerate(stream.records):
+
+    def rule(i, r):
         expo = min(cr.c14 * r.t, 700.0)
         log_bound = log_lam0 + coef * math.exp(expo)
         obs = math.log(r.lam_max)
         tol = 1e-8 * (1.0 + abs(log_bound)) if math.isfinite(log_bound) else 0.0
-        margin = log_bound + tol - obs
-        entries.append(MonitorEntry(r.t, log_bound, obs, margin, margin >= 0.0,
-                                    i))
-    return _finish("trace_growth", entries)
+        return log_bound, obs, log_bound + tol - obs
+    return _entries("trace_growth", stream, rule)
 
 
 def check_split_preserved(stream: MonitorStream) -> CheckResult:
     """Split initial data keeps a vanishing mixed derivative."""
     if not stream.traj.meta.get("split_initial", False):
         return CheckResult.skip("split_preserved", "initial data is not split")
-    tol = 1e-10
-    entries = [MonitorEntry(r.t, tol, r.zw, tol - r.zw, r.zw <= tol, i)
-               for i, r in enumerate(stream.records)]
-    return _finish("split_preserved", entries)
+    return _entries("split_preserved", stream,
+                    lambda i, r: (1e-10, r.zw, 1e-10 - r.zw))
 
 
 def check_legendre_subsolution(stream: MonitorStream) -> CheckResult:
@@ -597,14 +580,13 @@ def check_legendre_subsolution(stream: MonitorStream) -> CheckResult:
 
 
 def _heat_check(stream: MonitorStream, name: str) -> CheckResult:
-    """Per record, its least-margin (scale, worst) pair vs HEAT_TOL scale."""
-    entries = []
-    for i, r in enumerate(stream.records):
-        tols = [(HEAT_TOL * scale, worst) for scale, worst in r.heat[name]]
-        tol, worst = min(tols, key=lambda p: p[0] - p[1])
-        passed = all(w <= t for t, w in tols)
-        entries.append(MonitorEntry(r.t, tol, worst, tol - worst, passed, i))
-    return _finish(name, entries)
+    """Per record, its least-margin (scale, worst) pair vs HEAT_TOL scale;
+    a failing pair, NaN included, ranks below every passing one."""
+    def rule(i, r):
+        tol, worst = min(((HEAT_TOL * scale, w) for scale, w in r.heat[name]),
+                         key=lambda p: (p[1] <= p[0], p[0] - p[1]))
+        return tol, worst, tol - worst
+    return _entries(name, stream, rule)
 
 
 def check_det_w(stream: MonitorStream) -> CheckResult:
@@ -612,10 +594,8 @@ def check_det_w(stream: MonitorStream) -> CheckResult:
     reason = _background_varies(stream.bg)
     if reason is not None:
         return CheckResult.skip("det_w", reason)
-    tol = 1e-12
-    entries = [MonitorEntry(r.t, tol, r.det_w, tol - r.det_w, r.det_w <= tol, i)
-               for i, r in enumerate(stream.records)]
-    return _finish("det_w", entries)
+    return _entries("det_w", stream,
+                    lambda i, r: (1e-12, r.det_w, 1e-12 - r.det_w))
 
 
 def check_phi_subsolution(stream: MonitorStream) -> CheckResult:
@@ -715,8 +695,8 @@ def corrupt_trajectory(traj: Trajectory, check: str) -> Trajectory:
     every state after the first."""
     t = copy.deepcopy(traj)
     snaps = t.snapshots
-    if len(snaps) < 3:
-        raise ConfigurationError("corruption fixtures need >= 3 snapshots")
+    if len(snaps) < 2:
+        raise ConfigurationError("corruption fixtures need >= 2 snapshots")
     if check not in CHECKS:
         raise ConfigurationError(f"no corruption fixture for check {check!r}")
     first = _record(snaps[0], t.dts[0], t.params.steady_criterion)

@@ -10,7 +10,7 @@ from splitma.cli import main
 from splitma.config import (_KEYS, ExperimentConfig, build_background,
                             build_grid, build_initial, parse_config)
 from splitma.experiments import cmd_flow_run, cmd_oracle_2d
-from splitma.monitors import MonitorStream
+from splitma.monitors import CHECKS, MonitorStream
 
 
 MINIMAL = """
@@ -318,10 +318,11 @@ class TestExitCodes:
         assert code == 1
 
     def test_short_negative_control_exits_two(self, tmp_path, capsys):
-        """A negative control needs three kept states; a streamed run that
-        keeps two (the initial state and t_end) is a configuration error."""
-        cfg = write_cfg(tmp_path, SPLIT_RUN.replace("snapshot_stride = 10",
-                                                    "snapshot_stride = 1000"))
+        """A negative control corrupts every kept state after the first, so
+        it needs two; a run that keeps only its initial state (t_end = 0)
+        is a configuration error."""
+        cfg = write_cfg(tmp_path, SPLIT_RUN.replace("t_end = 0.05",
+                                                    "t_end = 0"))
         code = main([
             "run", "--config", str(cfg), "--out", str(tmp_path / "short"),
             "--negative-control", "potential_bounds",
@@ -330,6 +331,25 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("configuration error:")
         assert not (tmp_path / "short" / "summary.json").exists()
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_two_state_negative_control_exits_one(self, tmp_path, capsys,
+                                                  check):
+        """Every check gives an entry per kept state, so a run that keeps
+        two (the initial state and t_end) fails the named check when the
+        second is corrupted.  split_preserved runs on split data, as it
+        skips on any other."""
+        text = SPLIT_RUN if check == "split_preserved" else DENSE_ALL
+        cfg = write_cfg(tmp_path, text.replace(
+            "snapshot_stride = 10", "snapshot_stride = 1000").replace(
+            "snapshot_stride = 1\n", "snapshot_stride = 1000\n"))
+        out = tmp_path / "two"
+        code = main(["run", "--config", str(cfg), "--out", str(out),
+                     "--negative-control", check])
+        summary = json.loads((out / "summary.json").read_text())
+        assert code == 1 and summary["steps_recorded"] == 2
+        assert summary["checks"][check]["skipped"] is None
+        assert not summary["checks"][check]["passed"]
 
     def test_unknown_negative_control_exits_before_the_flow(
             self, tmp_path, capsys, monkeypatch):
@@ -836,6 +856,36 @@ class TestArtifacts:
         rep = json.loads((tmp_path / "or" / "oracle_2d.json").read_text())
         assert rep["max_error"] == 0.0
         assert len(rep["errors"]) == len(rep["checkpoints"])
+
+    def test_streamed_entries_fill_every_row(self, tmp_path, monkeypatch):
+        """A streamed run with every check on gives each check that runs
+        one entry per record, in order, so no pass cell of its timeseries
+        is empty."""
+        import csv
+
+        import splitma.experiments as exp
+
+        seen, write = [], exp._write_timeseries
+
+        def spy(path, stream, results):
+            seen.append((stream, results))
+            write(path, stream, results)
+
+        monkeypatch.setattr(exp, "_write_timeseries", spy)
+        cfg = parse_config(write_cfg(tmp_path, DENSE_ALL))
+        assert cmd_flow_run(cfg, tmp_path / "o")[0] == 0
+        (stream, results), = seen
+        assert len(stream.records) >= 5
+        for res in results.values():
+            if res.skipped is None:
+                assert [e.t for e in res.entries] == [
+                    r.t for r in stream.records], res.name
+        with open(tmp_path / "o" / "timeseries.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(stream.records)
+        for name, res in results.items():
+            want = {"skip"} if res.skipped is not None else {"0", "1"}
+            assert {row[f"{name}_pass"] for row in rows} <= want, name
 
     def test_timeseries_rows_follow_snapshot_index(self, tmp_path):
         """Two snapshots 1e-13 apart in time get their own rows."""

@@ -281,6 +281,17 @@ class TestNegativeControls:
         corrupt_trajectory(split_traj, "potential_bounds")
         assert np.array_equal(split_traj.snapshots[1].u.data, before)
 
+    def test_heat_check_fails_on_a_nan_pair(self, bg):
+        """A state whose heat pairs hold a NaN fails, though another pair
+        of the state has the least finite margin."""
+        from types import SimpleNamespace
+
+        stream = MonitorStream(bg, [])
+        stream.records = [SimpleNamespace(t=0.0, heat={
+            "phi_subsolution": [(1.0, -1.0), (1.0, np.nan)]})]
+        res = monitors._heat_check(stream, "phi_subsolution")
+        assert not res.passed and res.first_failure_t == 0.0
+
     def test_unknown_check_rejected(self, split_traj, bg):
         with pytest.raises(ConfigurationError):
             corrupt_trajectory(split_traj, "no_such_check")
@@ -347,6 +358,17 @@ class TestSnapshotPass:
         for name in everything:
             assert plain[name].entries == live[name].entries
 
+    def test_entry_i_belongs_to_record_i(self, dense16):
+        """Every check that runs gives one entry per record, in order: the
+        timeseries writer reads a check's i-th entry into row i."""
+        traj, b16 = dense16
+        stream = MonitorStream(b16, list(monitors.CHECKS)).replay(traj)
+        ran = [res for res in stream.results().values() if res.skipped is None]
+        assert len(ran) >= 10
+        for res in ran:
+            assert len(res.entries) == len(stream.records), res.name
+            assert [e.t for e in res.entries] == [r.t for r in stream.records]
+
     def test_evaluate_rejects_inputs_of_another_trajectory(self, dense16,
                                                            split_traj):
         """A stream that has consumed one trajectory cannot replay or
@@ -407,7 +429,7 @@ class TestRunningConstants:
         assert all(b > a for a, b in zip(running, running[1:]))
         res = evaluate(traj, bgp, enabled=["phi_subsolution"])
         entries = res["phi_subsolution"].entries
-        assert [e.index for e in entries] == list(range(6))
+        assert len(entries) == len(traj.snapshots) == 6
         for j, e in enumerate(entries):
             cut = copy.copy(traj)
             cut.snapshots, cut.dts = traj.snapshots[:j + 1], traj.dts[:j + 1]
