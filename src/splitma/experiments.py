@@ -176,14 +176,16 @@ def _summary(traj: Trajectory, stream: MonitorStream,
 
 def _field_dump(out: Path, stride: int):
     """A consumer of kept states that writes the potential of every
-    stride-th one (none when stride is 0)."""
+    stride-th one (none when stride is 0), and the paths it has written."""
     count = itertools.count()
+    written = []
 
     def dump(state) -> None:
         i = next(count)
         if stride > 0 and i % stride == 0:
-            write_field(state.u, out / f"u_{i:06d}.field")
-    return dump
+            written.append(out / f"u_{i:06d}.field")
+            write_field(state.u, written[-1])
+    return dump, written
 
 
 def _prepare_problem(cfg: ExperimentConfig, seed=None):
@@ -245,10 +247,11 @@ def cmd_flow_run(cfg: ExperimentConfig, out_dir, seed=None,
         enabled.append(negative_control)
     grid, bg, u0, forcing, info = _prepare_problem(cfg, seed=seed)
     out = Path(out_dir)
+    made = not out.exists()
     out.mkdir(parents=True, exist_ok=True)  # the field dump writes into it
     params = _flow_params(cfg, info["beta"])
     stream = MonitorStream(bg, enabled, cfg.monitors_safety)
-    dump = _field_dump(out, cfg.field_dump_stride)
+    dump, dumped = _field_dump(out, cfg.field_dump_stride)
 
     def keep(tr: Trajectory) -> None:
         s = tr.snapshots[-1]
@@ -270,6 +273,10 @@ def cmd_flow_run(cfg: ExperimentConfig, out_dir, seed=None,
         _write_json(out / "summary.json", report)
         return EXIT_NUMERICAL, report
     if negative_control is not None and len(stream.records) < 2:
+        for path in dumped:  # a refused call leaves no output
+            path.unlink()
+        if made:
+            out.rmdir()
         raise ConfigurationError("corruption fixtures need >= 2 snapshots")
     results = stream.results()
     _write_timeseries(out / "timeseries.csv", stream, results)

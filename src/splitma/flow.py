@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AdmissibilityLost, ConfigurationError, NumericalFailure
-from .geometry import KAHLER_PRODUCT, Background
+from .geometry import KAHLER_PRODUCT, Background, cross_factor_dependence
 from .grid_field import (
     RealField,
     TorusGrid,
@@ -549,7 +549,7 @@ def _compat_shifts(bg: Background, f_plus: RealField, f_minus: RealField,
 
 
 def _require_factor_pure(f: RealField, axes, name: str, tol: float = 1e-10):
-    dep = np.max(np.abs(f.data - f.data.mean(axis=axes, keepdims=True)))
+    dep = cross_factor_dependence(f.data, axes)
     if dep > tol * max(1.0, float(np.max(np.abs(f.data)))):
         raise ConfigurationError(
             f"{name} must depend only on its own factor (residual {dep:.3e})"

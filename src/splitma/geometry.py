@@ -70,6 +70,11 @@ def _check_positive(name: str, data: np.ndarray) -> None:
         raise ConfigurationError(f"{name} must be positive, min = {mn:.6g}")
 
 
+def cross_factor_dependence(data: np.ndarray, axes) -> float:
+    """sup |data - mean over axes|, zero when data is constant along axes."""
+    return float(np.max(np.abs(data - data.mean(axis=axes, keepdims=True))))
+
+
 def make_background(
     grid: TorusGrid, g_data, h_data, kind: str, validate: bool = True, params=None
 ) -> Background:
@@ -87,14 +92,11 @@ def make_background(
                 f"(tolerance {PLURICLOSED_TOL:.1e} * {scale:.3g})"
             )
         if kind == KAHLER_PRODUCT:
-            g_w_dep = np.max(np.abs(g.data - g.data.mean(axis=(2, 3), keepdims=True)))
-            h_z_dep = np.max(np.abs(h.data - h.data.mean(axis=(0, 1), keepdims=True)))
-            if g_w_dep > PRODUCT_TOL * max(1.0, sup_norm(g)) or h_z_dep > (
-                PRODUCT_TOL * max(1.0, sup_norm(h))
-            ):
-                raise ConfigurationError(
-                    "product background has cross-factor dependence"
-                )
+            for f, other in ((g, (2, 3)), (h, (0, 1))):
+                dep = cross_factor_dependence(f.data, other)
+                if dep > PRODUCT_TOL * max(1.0, sup_norm(f)):
+                    raise ConfigurationError(
+                        "product background has cross-factor dependence")
     return bg
 
 

@@ -13,12 +13,14 @@ so that u_{z zb} = (d1^2 + d2^2) u / 4 and u_{w wb} = (d3^2 + d4^2) u / 4.
 
 Differentiation is purely spectral (Fourier multipliers); the Nyquist mode
 of each first-derivative multiplier is zeroed (symmetric convention, keeps
-derivatives of real fields real).  General operators (deriv_data) are
-products of first-order multipliers, so every identity between operator
-compositions holds exactly on the band-limited subspace.  Complex data
-takes the full complex 4D spectrum; real data takes one half spectrum, its
-derivative's real and imaginary parts coming from the Hermitian and
-anti-Hermitian parts of the multiplier, one real inverse each.
+derivatives of real fields real).  One builder, TorusGrid.multiplier_parts,
+makes the multiplier of every operator (deriv_data): a product of
+first-order multipliers, kept as one part per factor, so every identity
+between operator compositions holds exactly on the band-limited subspace.
+Complex data takes the full complex 4D spectrum; real data takes one half
+spectrum, its derivative's real and imaginary parts coming from the
+Hermitian and anti-Hermitian parts of the multiplier, one real inverse
+each.
 
 The factor Laplacians u_{z zb}, u_{w wb} and the mixed derivatives u_{z w},
 u_{z wb} take no transform.  Their multipliers, -(k_a^2 + k_b^2)/4 and
@@ -81,15 +83,20 @@ import numpy as np
 from . import _backend as fft
 from .errors import ConfigurationError, FieldFormatError, PoissonDataError
 
-_Z_TOKENS = ("z", "zb")
-_W_TOKENS = ("w", "wb")
-_ALL_TOKENS = _Z_TOKENS + _W_TOKENS
+_TOKEN_SIGNS = {"z": 1.0, "zb": -1.0, "w": 1.0, "wb": -1.0}
 _FACTOR_AXES = {"z": (0, 1), "w": (2, 3)}
 _ALL_AXES = (0, 1, 2, 3)
 
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def _along(axis: int, values: np.ndarray) -> np.ndarray:
+    """The 1D array values shaped to broadcast along one axis of a field."""
+    shp = [1, 1, 1, 1]
+    shp[axis] = values.size
+    return values.reshape(shp)
 
 
 @dataclass(frozen=True)
@@ -116,13 +123,7 @@ class TorusGrid:
 
     def mesh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Broadcastable coordinate arrays (x1, x2, x3, x4)."""
-        out = []
-        for ax in range(4):
-            c = self.axis_coord(ax)
-            shp = [1, 1, 1, 1]
-            shp[ax] = self.shape[ax]
-            out.append(c.reshape(shp))
-        return tuple(out)
+        return tuple(_along(ax, self.axis_coord(ax)) for ax in _ALL_AXES)
 
     def wavenumbers(self, axis: int) -> np.ndarray:
         """Angular wavenumbers along one axis, with the unpaired highest
@@ -135,27 +136,10 @@ class TorusGrid:
             self._cache[key] = k
         return self._cache[key]
 
-    def _token_multiplier(self, token: str) -> np.ndarray:
-        """Broadcastable multiplier for one first-order complex derivative."""
-        key = ("tok", token)
-        if key not in self._cache:
-            if token not in _ALL_TOKENS:
-                raise ConfigurationError(f"unknown derivative token {token!r}")
-            a, b = _FACTOR_AXES[token[0]]
-            ka = self.wavenumbers(a)
-            kb = self.wavenumbers(b)
-            shp_a = [1, 1, 1, 1]
-            shp_a[a] = self.shape[a]
-            shp_b = [1, 1, 1, 1]
-            shp_b[b] = self.shape[b]
-            ka = ka.reshape(shp_a)
-            kb = kb.reshape(shp_b)
-            sign = +1.0 if token in ("z", "w") else -1.0
-            self._cache[key] = 0.5 * (1j * ka + sign * kb)
-        return self._cache[key]
-
     def multiplier_parts(self, op: str):
-        """Factor-wise multiplier arrays for a composite derivative.
+        """Factor-wise multiplier arrays for a composite derivative: the
+        product, in token order, of each token's 0.5 (i k_a + s k_b) over
+        its factor's axes (a, b), s = +1 for z, w and -1 for zb, wb.
 
         Returns (z_part, w_part); either may be None.  Keeping the factors
         separate avoids materialising a full 4D multiplier array.
@@ -165,31 +149,29 @@ class TorusGrid:
             tokens = op.split()
             if not tokens:
                 raise ConfigurationError("empty derivative op")
-            zpart = None
-            wpart = None
+            parts = {"z": None, "w": None}
             for tok in tokens:
-                if tok not in _ALL_TOKENS:
+                if tok not in _TOKEN_SIGNS:
                     raise ConfigurationError(
-                        f"unknown derivative token {tok!r} in op {op!r}"
-                    )
-                m = self._token_multiplier(tok)
-                if tok in _Z_TOKENS:
-                    zpart = m if zpart is None else zpart * m
-                else:
-                    wpart = m if wpart is None else wpart * m
-            self._cache[key] = (zpart, wpart)
+                        f"unknown derivative token {tok!r} in op {op!r}")
+                a, b = _FACTOR_AXES[tok[0]]
+                m = 0.5 * (1j * _along(a, self.wavenumbers(a))
+                           + _TOKEN_SIGNS[tok] * _along(b, self.wavenumbers(b)))
+                part = parts[tok[0]]
+                parts[tok[0]] = m if part is None else part * m
+            self._cache[key] = (parts["z"], parts["w"])
         return self._cache[key]
 
-    def apply_multiplier(self, hat: np.ndarray, op: str) -> np.ndarray:
-        """A full 4D spectrum times the multiplier of op, as a new array;
-        hat itself is left untouched."""
-        zp, wp = self.multiplier_parts(op)
-        if zp is None:
-            return hat * wp
-        out = hat * zp
-        if wp is not None:
-            out *= wp
-        return out
+
+def _checked(grid: TorusGrid, data, dtype) -> np.ndarray:
+    """data as an array of dtype, checked to be finite and of grid's shape."""
+    arr = np.asarray(data, dtype=dtype)
+    if arr.shape != grid.shape:
+        raise ConfigurationError(
+            f"field shape {arr.shape} does not match grid {grid.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigurationError("field contains non-finite entries")
+    return arr
 
 
 class FieldStats(NamedTuple):
@@ -208,14 +190,7 @@ class RealField:
 
     @classmethod
     def create(cls, grid: TorusGrid, data) -> "RealField":
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.shape != grid.shape:
-            raise ConfigurationError(
-                f"field shape {arr.shape} does not match grid {grid.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ConfigurationError("field contains non-finite entries")
-        return cls(grid, arr)
+        return cls(grid, _checked(grid, data, np.float64))
 
     @classmethod
     def from_function(cls, grid: TorusGrid, fn: Callable) -> "RealField":
@@ -239,14 +214,7 @@ class ComplexField:
 
     @classmethod
     def create(cls, grid: TorusGrid, data) -> "ComplexField":
-        arr = np.asarray(data, dtype=np.complex128)
-        if arr.shape != grid.shape:
-            raise ConfigurationError(
-                f"field shape {arr.shape} does not match grid {grid.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ConfigurationError("field contains non-finite entries")
-        return cls(grid, arr)
+        return cls(grid, _checked(grid, data, np.complex128))
 
     def copy(self) -> "ComplexField":
         return ComplexField(self.grid, self.data.copy())
@@ -277,8 +245,13 @@ def make_grid(dims, periods) -> TorusGrid:
 
 
 def _spectral_deriv(grid: TorusGrid, hat: np.ndarray, op: str) -> np.ndarray:
-    """Derivative op of the data whose full complex spectrum is hat."""
-    return fft.ifftn(grid.apply_multiplier(hat, op))
+    """Derivative op of the data whose full complex spectrum is hat; hat
+    itself is left untouched (an identity slice reuses one spectrum)."""
+    zp, wp = grid.multiplier_parts(op)
+    out = hat * (wp if zp is None else zp)
+    if zp is not None and wp is not None:
+        out *= wp
+    return fft.ifftn(out)
 
 
 def deriv_data(grid: TorusGrid, data: np.ndarray, op: str) -> np.ndarray:
@@ -320,18 +293,6 @@ def deriv_data(grid: TorusGrid, data: np.ndarray, op: str) -> np.ndarray:
 def derivative(f: Field, op: str) -> ComplexField:
     """Spectral derivative of the band-limited interpolant of f."""
     return ComplexField(f.grid, deriv_data(f.grid, f.data, op))
-
-
-def real_part(f: ComplexField, tol: float = 1e-12) -> RealField:
-    """Real part of a field that is mathematically real; raises if the
-    imaginary part exceeds tol relative to the field scale."""
-    scale = float(np.max(np.abs(f.data))) or 1.0
-    imax = float(np.max(np.abs(f.data.imag)))
-    if imax > tol * scale:
-        raise ConfigurationError(
-            f"field is not real: |imag| = {imax:.3e} vs scale {scale:.3e}"
-        )
-    return RealField(f.grid, np.ascontiguousarray(f.data.real))
 
 
 def _factor_axes(factor: str) -> tuple[int, int]:
@@ -595,10 +556,7 @@ def exponential_filter(grid: TorusGrid, data: np.ndarray,
             # the last axis carries the half spectrum of the real transform
             freq = np.fft.rfftfreq(n) if ax == 3 else np.fft.fftfreq(n)
             k = np.abs(freq * n) / (n // 2)
-            s = np.exp(-alpha * k**order)
-            shp = [1, 1, 1, 1]
-            shp[ax] = s.size
-            sig = sig * s.reshape(shp)
+            sig = sig * _along(ax, np.exp(-alpha * k**order))
         grid._cache[key] = sig
     hat = fft.rfftn(data, _ALL_AXES)
     hat *= grid._cache[key]
@@ -620,13 +578,11 @@ def _poisson_multiplier(grid: TorusGrid, factor: str) -> np.ndarray:
         a, b = _factor_axes(factor)
         nb = grid.shape[b] // 2 + 1
         # the first nb zeroed-Nyquist wavenumbers are the rfft half spectrum
-        ka = grid.wavenumbers(a)[:, None]
-        kb = grid.wavenumbers(b)[None, :nb]
+        ka = _along(a, grid.wavenumbers(a))
+        kb = _along(b, grid.wavenumbers(b)[:nb])
         m = -0.25 * (ka**2 + kb**2)
-        m = np.divide(1.0, m, out=np.zeros_like(m), where=m != 0.0)
-        shp = [1, 1, 1, 1]
-        shp[a], shp[b] = grid.shape[a], nb
-        grid._cache[key] = m.reshape(shp)
+        grid._cache[key] = np.divide(1.0, m, out=np.zeros_like(m),
+                                     where=m != 0.0)
     return grid._cache[key]
 
 

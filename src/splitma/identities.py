@@ -55,7 +55,7 @@ import numpy as np
 
 from . import _backend as fft
 from .errors import AdmissibilityLost, ConfigurationError
-from .flow import lambda_eta
+from .flow import flow_speed, lambda_eta
 from .geometry import Background, verify_pluriclosed
 from .grid_field import (RealField, TorusGrid, _spectral_deriv,
                          factor_laplacian, factor_laplacians)
@@ -91,7 +91,7 @@ class _SliceBase:
             raise AdmissibilityLost(f"{type(self).__name__} is not admissible")
         self.lam, self.eta = lam, eta
         self._bases: dict = {"u": u.data, "lam": lam, "eta": eta,
-                             "spd": beta * np.log(lam) - np.log(eta)}
+                             "spd": flow_speed(lam, eta, beta)}
         self.coef_z = beta / (g * lam)
         self.coef_w = 1.0 / (h * eta)
 

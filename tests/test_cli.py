@@ -319,18 +319,30 @@ class TestExitCodes:
 
     def test_short_negative_control_exits_two(self, tmp_path, capsys):
         """A negative control corrupts every kept state after the first, so
-        it needs two; a run that keeps only its initial state (t_end = 0)
-        is a configuration error."""
-        cfg = write_cfg(tmp_path, SPLIT_RUN.replace("t_end = 0.05",
-                                                    "t_end = 0"))
-        code = main([
-            "run", "--config", str(cfg), "--out", str(tmp_path / "short"),
-            "--negative-control", "potential_bounds",
-        ])
-        assert code == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("configuration error:")
-        assert not (tmp_path / "short" / "summary.json").exists()
+        it needs two; a run that keeps only its initial state is a
+        configuration error, and leaves no output, not even the field dump
+        of that state: at t_end = 0, and on zero data, which is steady at
+        its first state, at t_end > 0."""
+        dump = SPLIT_RUN + "\n[output]\nfield_dump_stride = 1\n"
+        steady = dump.replace("t_end = 0.05", "t_end = 0.01").replace(
+            "kind = split_sine", "kind = zero").replace(
+            "a_amp = 0.05", "").replace("b_amp = 0.05", "")
+        for name, text in (("t0", dump.replace("t_end = 0.05", "t_end = 0")),
+                           ("steady", steady)):
+            cfg = write_cfg(tmp_path, text, f"{name}.cfg")
+            out = tmp_path / name
+            argv = ["run", "--config", str(cfg), "--out", str(out),
+                    "--negative-control", "potential_bounds"]
+            for existed in (False, True):
+                assert main(argv) == 2
+                err = capsys.readouterr().err.splitlines()
+                assert len(err) == 1
+                assert err[0].startswith("configuration error:")
+                if existed:
+                    assert not any(out.iterdir())
+                else:
+                    assert not out.exists()
+                    out.mkdir()  # the second call finds it in place
 
     @pytest.mark.parametrize("check", CHECKS)
     def test_two_state_negative_control_exits_one(self, tmp_path, capsys,
