@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import AdmissibilityLost, ConfigurationError
 from .geometry import (
     Background,
     flat_background,
@@ -246,10 +246,16 @@ def _random_initial(cfg, grid, bg, seed) -> RealField:
     from .identities import random_test_field
 
     p = cfg.initial_params
-    return random_test_field(
-        grid, p.get("seed", 0) if seed is None else seed,
-        p.get("amplitude", 0.01), p.get("band", 1),
-        bg=bg, beta=cfg.beta / cfg.alpha)
+    seed = p.get("seed", 0) if seed is None else seed
+    amplitude = p.get("amplitude", 0.01)
+    try:
+        return random_test_field(grid, seed, amplitude, p.get("band", 1),
+                                 bg=bg)
+    except AdmissibilityLost as exc:
+        raise AdmissibilityLost(
+            f"the initial state ([initial] kind = random, seed {seed}, "
+            f"amplitude {amplitude}) is not admissible: {exc}",
+            exc.t, exc.which, exc.value) from exc
 
 
 def _split_sine(cfg, grid, bg, seed) -> RealField:

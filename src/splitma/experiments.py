@@ -247,7 +247,7 @@ def cmd_flow_run(cfg: ExperimentConfig, out_dir, seed=None,
         enabled.append(negative_control)
     grid, bg, u0, forcing, info = _prepare_problem(cfg, seed=seed)
     out = Path(out_dir)
-    made = not out.exists()
+    made = [d for d in (out, *out.parents) if not d.exists()]
     out.mkdir(parents=True, exist_ok=True)  # the field dump writes into it
     params = _flow_params(cfg, info["beta"])
     stream = MonitorStream(bg, enabled, cfg.monitors_safety)
@@ -275,8 +275,8 @@ def cmd_flow_run(cfg: ExperimentConfig, out_dir, seed=None,
     if negative_control is not None and len(stream.records) < 2:
         for path in dumped:  # a refused call leaves no output
             path.unlink()
-        if made:
-            out.rmdir()
+        for d in made:  # deepest first
+            d.rmdir()
         raise ConfigurationError("corruption fixtures need >= 2 snapshots")
     results = stream.results()
     _write_timeseries(out / "timeseries.csv", stream, results)

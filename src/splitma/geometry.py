@@ -237,10 +237,9 @@ def torsion(bg: Background) -> TorsionReport:
         inv_t = 1.0 / (g if t[0] == "z" else h)     # inverse metric factor
         grad_sq = grad_sq + inv_t * np.abs(da) ** 2 / (g * g * h)
         grad_sq = grad_sq + inv_t * np.abs(db) ** 2 / (g * h * h)
-    nsq_real = np.ascontiguousarray(nsq.real)
     return TorsionReport(
-        norm_sq=RealField(grid, nsq_real),
-        max_norm_sq=float(np.max(nsq_real)),
+        norm_sq=RealField(grid, nsq),
+        max_norm_sq=float(np.max(nsq)),
         max_grad=float(np.sqrt(np.max(grad_sq))),
     )
 

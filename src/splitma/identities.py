@@ -10,12 +10,13 @@ equation evaluated spectrally.  Residuals are then limited only by
 spectral truncation of the nonlinear composites, so true identities
 converge geometrically under grid refinement while false ones stall.
 
-The expression grammar is closed: the node types below cover every term
-that appears in the verified identities.  No general symbolic engine is
-built or needed.  Each node has one method, pair(ws), which evaluates its
-children once each and returns its value and its time derivative
-together (the chain, product and quotient rules applied to the children's
-pairs), so one walk of the tree gives both halves of H(expr).
+The chain rule is forward-mode differentiation: a functional is built
+as a Dual, a pair (value, d/dt) whose arithmetic and the functions log,
+abs2 and real apply the sum, product, quotient and chain rules.  The
+slice supplies the Duals of the potential's derivatives (ws.U(op)) and of
+the traces (ws.Lam, ws.Eta); a field constant in time (g, h, a number) is
+a plain array or number.  One evaluation of the expression gives both
+halves of H(expr).
 
 Two spectral paths meet in a slice.  The linearised operator L and the
 factor Laplacians ("z zb", "w wb") of every derived field (the speed,
@@ -39,9 +40,8 @@ real, so their "zb" and "wb" derivatives are conjugates of the cached "z"
 and "w".  Not cached: u_zzb and u_wwb, which give lambda and eta when the
 slice is built; the helper fields an identity differentiates once
 (log(g lambda) and log(h eta) in B12, |u_zwb|^2 and 1/eta in C33), which
-go through one transient spectrum in derivs(); and the constants of an
-expression tree, which are scalars.  Each identity drops its arrays
-before the next one is built.
+go through one transient spectrum in derivs().  Each identity drops its
+arrays before the next one is built.
 """
 
 from __future__ import annotations
@@ -97,6 +97,20 @@ class _SliceBase:
 
     def base(self, key: str) -> np.ndarray:
         return self._bases[key]
+
+    def U(self, op: str = "") -> Dual:
+        """Derivative op of the potential; op '' is the potential itself."""
+        return Dual(self.u(op), self.dt_u(op))
+
+    @property
+    def Lam(self) -> Dual:
+        """lambda = a + u_zzb/g, so d/dt lambda = spd_zzb/g."""
+        return Dual(self.lam, self.d("spd", "z zb") / self.g)
+
+    @property
+    def Eta(self) -> Dual:
+        """eta = b - u_wwb/h, so d/dt eta = -spd_wwb/h."""
+        return Dual(self.eta, -self.d("spd", "w wb") / self.h)
 
     def d(self, key: str, op: str) -> np.ndarray:
         """Cached spectral derivative of a base field.  The factor
@@ -160,9 +174,6 @@ class ManifoldSlice(_SliceBase):
     def dt_u(self, op: str) -> np.ndarray:
         return self.base("spd") if op == "" else self.d("spd", op)
 
-    def bgf(self, name: str) -> np.ndarray:
-        return self.base(name)
-
 
 class LocalSlice(_SliceBase):
     """Slice of the local flow with potential a|z|^2 - b|w|^2 + phi:
@@ -202,9 +213,6 @@ class LocalSlice(_SliceBase):
         self._second_order(op)
         return self.d("spd", op)
 
-    def bgf(self, name: str) -> float:
-        return 1.0
-
 
 class StateSlice(ManifoldSlice):
     """A kept flow state, or a block of its points: the stored traces, g and
@@ -221,180 +229,92 @@ class StateSlice(ManifoldSlice):
 
 
 # ---------------------------------------------------------------------------
-# expression nodes
+# dual numbers: a functional and its time derivative
 
 
-class Expr:
-    def pair(self, ws) -> tuple[np.ndarray, np.ndarray]:
-        """(value, d/dt) of the node on the slice ws; either is a scalar
-        where it is constant in space."""
-        raise NotImplementedError
+class Dual:
+    """A slice functional as (value v, time derivative d); either is a
+    scalar where it is constant in space.  +, -, * and / apply the sum,
+    product and quotient rules; an operand that is not a Dual is constant
+    in time.  A product of two Duals drops a term whose derivative is the
+    scalar 0."""
+
+    __slots__ = ("v", "d")
+    __array_ufunc__ = None  # ndarray op Dual calls the Dual's method
+
+    def __init__(self, v, d=0.0):
+        self.v, self.d = v, d
+
+    def __add__(self, o):
+        if isinstance(o, Dual):
+            return Dual(self.v + o.v, self.d + o.d)
+        return Dual(self.v + o, self.d)
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        if isinstance(o, Dual):
+            return Dual(self.v - o.v, self.d - o.d)
+        return Dual(self.v - o, self.d)
+
+    def __rsub__(self, c):
+        return Dual(c - self.v, -self.d)
+
+    def __mul__(self, o):
+        if not isinstance(o, Dual):
+            return Dual(self.v * o, self.d * o)
+        terms = [d * v for d, v in ((self.d, o.v), (o.d, self.v))
+                 if isinstance(d, np.ndarray) or d != 0]
+        return Dual(self.v * o.v, sum(terms[1:], terms[0]) if terms else 0.0)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        if not isinstance(o, Dual):
+            return Dual(self.v / o, self.d / o)
+        return Dual(self.v / o.v, (self.d * o.v - self.v * o.d) / (o.v * o.v))
+
+    def __rtruediv__(self, c):
+        return Dual(c / self.v, -c * self.d / (self.v * self.v))
 
 
-@dataclass
-class UDeriv(Expr):
-    """Derivative of the potential; op '' is the potential itself."""
-
-    op: str = ""
-
-    def pair(self, ws):
-        return ws.u(self.op), ws.dt_u(self.op)
+def log(f: Dual) -> Dual:
+    return Dual(np.log(f.v), f.d / f.v)
 
 
-class Lam(Expr):
-    """lambda = a + u_zzb/g, so d/dt lambda = spd_zzb/g."""
-
-    def pair(self, ws):
-        return ws.lam, ws.d("spd", "z zb") / ws.g
-
-
-class Eta(Expr):
-    """eta = b - u_wwb/h, so d/dt eta = -spd_wwb/h."""
-
-    def pair(self, ws):
-        return ws.eta, -ws.d("spd", "w wb") / ws.h
+def abs2(f: Dual) -> Dual:
+    """|f|^2, real."""
+    cv = np.conj(f.v)
+    return Dual((f.v * cv).real, 2.0 * (cv * f.d).real)
 
 
-@dataclass
-class BGField(Expr):
-    name: str
-
-    def pair(self, ws):
-        return ws.bgf(self.name), 0.0
+def real(f: Dual) -> Dual:
+    return Dual(f.v.real, f.d.real)
 
 
-@dataclass
-class Num(Expr):
-    c: complex
-
-    def pair(self, ws):
-        return self.c, 0.0
+def heat_residual(f: Dual, ws) -> np.ndarray:
+    """H(f) = df/dt - L(f), fully spatial."""
+    return f.d - ws.L(f.v)
 
 
-class Known(Expr):
-    """A node paired already, so trees that share it pair it once."""
-
-    def __init__(self, value, dt):
-        self.value, self.dt = value, dt
-
-    def pair(self, ws):
-        return self.value, self.dt
-
-
-class Add(Expr):
-    def __init__(self, *terms):
-        self.terms = terms
-
-    def pair(self, ws):
-        val, dt = self.terms[0].pair(ws)
-        for t in self.terms[1:]:
-            v, d = t.pair(ws)
-            val, dt = val + v, dt + d
-        return val, dt
-
-
-class Mul(Expr):
-    def __init__(self, *factors):
-        self.factors = factors
-
-    def pair(self, ws):
-        vals, dts = zip(*(f.pair(ws) for f in self.factors))
-        val = vals[0]
-        for v in vals[1:]:
-            val = val * v
-        dt = None
-        for i, term in enumerate(dts):
-            if not isinstance(term, np.ndarray) and term == 0:
-                continue  # a factor constant in time adds no term
-            for j, v in enumerate(vals):
-                if j != i:
-                    term = term * v
-            dt = term if dt is None else dt + term
-        return val, 0.0 if dt is None else dt
-
-
-@dataclass
-class Div(Expr):
-    num: Expr
-    den: Expr
-
-    def pair(self, ws):
-        n, dn = self.num.pair(ws)
-        d, dd = self.den.pair(ws)
-        return n / d, (dn * d - n * dd) / (d * d)
-
-
-@dataclass
-class Inv(Expr):
-    arg: Expr
-
-    def pair(self, ws):
-        v, d = self.arg.pair(ws)
-        return 1.0 / v, -d / (v * v)
-
-
-@dataclass
-class Log(Expr):
-    arg: Expr
-
-    def pair(self, ws):
-        v, d = self.arg.pair(ws)
-        return np.log(v), d / v
-
-
-@dataclass
-class Abs2(Expr):
-    arg: Expr
-
-    def pair(self, ws):
-        v, d = self.arg.pair(ws)
-        cv = np.conj(v)
-        return (v * cv).real, 2.0 * (cv * d).real
-
-
-@dataclass
-class ReP(Expr):
-    arg: Expr
-
-    def pair(self, ws):
-        v, d = self.arg.pair(ws)
-        return v.real, d.real
-
-
-@dataclass
-class Conj(Expr):
-    arg: Expr
-
-    def pair(self, ws):
-        v, d = self.arg.pair(ws)
-        return np.conj(v), np.conj(d)
-
-
-def heat_residual(expr: Expr, ws) -> np.ndarray:
-    """H(expr) = d(expr)/dt - L(expr), fully spatial, from one walk."""
-    value, dt = expr.pair(ws)
-    return dt - ws.L(value)
-
-
-def material_derivative(expr: Expr, u: RealField, bg: Background, beta: float):
+def material_derivative(expr, u: RealField, bg: Background, beta: float):
     """Time derivative of a slice functional along the flow, evaluated by
-    the chain-rule substitution; returns the raw array."""
-    return expr.pair(ManifoldSlice(u, bg, beta))[1]
+    the chain-rule substitution; expr maps a ManifoldSlice to a Dual (e.g.
+    lambda ws: log(ws.Lam)).  Returns the raw array."""
+    return expr(ManifoldSlice(u, bg, beta)).d
 
 
 # direction vectors (v_z, v_w) of the quadratic forms W(v, vbar) tested
 W_VECTORS = ((1.0, 0.0), (0.0, 1.0), (1 / math.sqrt(2), 1 / math.sqrt(2)))
 
 
-def w_quads(ws, entries):
-    """Yield (W(v, vbar), d/dt W(v, vbar)) for each v in W_VECTORS, from
-    one pairing on the slice ws of the trees entries = (W11, W12, W22)."""
-    (w11, d11), (w12, d12), (w22, d22) = (w.pair(ws) for w in entries)
+def w_quads(w11: Dual, w12: Dual, w22: Dual):
+    """Yield W(v, vbar) as a Dual for each v in W_VECTORS, from the
+    entries of W."""
     for va, vb in W_VECTORS:  # no term of zero weight, no product by 1
         wts = (abs(va) ** 2, 2.0 * va * np.conj(vb), abs(vb) ** 2)
-        yield tuple(reduce(add, [x if w == 1 else w * x
-                                 for w, x in zip(wts, xs) if w])
-                    for xs in ((w11, w12.real, w22), (d11, d12.real, d22)))
+        yield reduce(add, [x if w == 1 else w * x
+                           for w, x in zip(wts, (w11, real(w12), w22)) if w])
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +372,7 @@ def verify_A(u: RealField, bg: Background, beta: float,
     del lhs, rhs
 
     # A2: heat operator on the potential
-    lhs = heat_residual(UDeriv(""), ws)
+    lhs = heat_residual(ws.U(), ws)
     rhs = ws.base("spd") + beta / lam - 1.0 / eta + (1.0 - beta)
     out.append(_result("A2", lhs, rhs, tol, beta, ws.grid))
     del lhs, rhs
@@ -462,7 +382,7 @@ def verify_A(u: RealField, bg: Background, beta: float,
                        beta, ws.grid, note="(g lam)_wwb + (h eta)_zzb = 0"))
 
     # A4: heat operator on lambda
-    lhs = heat_residual(Lam(), ws)
+    lhs = heat_residual(ws.Lam, ws)
     rhs = (
         -(beta / g) * np.abs(lam_z / lam) ** 2
         + (2.0 / (h * eta)) * (g_w * np.conj(lam_w) / g).real
@@ -475,7 +395,7 @@ def verify_A(u: RealField, bg: Background, beta: float,
     del lhs, rhs
 
     # A5: heat operator on eta
-    lhs = heat_residual(Eta(), ws)
+    lhs = heat_residual(ws.Eta, ws)
     rhs = (
         (beta / h) * np.abs(lam_w / lam) ** 2
         + (2.0 * beta / h) * (g_w * np.conj(lam_w) / (g * lam)).real
@@ -490,7 +410,7 @@ def verify_A(u: RealField, bg: Background, beta: float,
     # A6: heat operator on log lambda
     sq_w = np.abs(lam_w / lam + g_w / g) ** 2
     sq_z = np.abs(eta_z / eta + h_z / h) ** 2
-    h_loglam = heat_residual(Log(Lam()), ws)
+    h_loglam = heat_residual(log(ws.Lam), ws)
     rhs = (
         sq_w / (h * eta)
         + sq_z / (g * lam)
@@ -501,7 +421,7 @@ def verify_A(u: RealField, bg: Background, beta: float,
     del rhs
 
     # A7: the two log traces evolve proportionally
-    lhs = heat_residual(Log(Eta()), ws)
+    lhs = heat_residual(log(ws.Eta), ws)
     rhs = beta * h_loglam
     out.append(_result("A7", lhs, rhs, tol, beta, ws.grid))
     del lhs, rhs, h_loglam
@@ -510,7 +430,7 @@ def verify_A(u: RealField, bg: Background, beta: float,
     # half weight relative to a naive completed square; the form below is
     # the one that balances A4 exactly (it coincides with the completed
     # square when the torsion vanishes).
-    lhs = heat_residual(Inv(Lam()), ws)
+    lhs = heat_residual(1.0 / ws.Lam, ws)
     rhs = (
         -(beta / (g * lam**2)) * np.abs(lam_z / lam) ** 2
         - (2.0 / (h * lam * eta))
@@ -524,7 +444,7 @@ def verify_A(u: RealField, bg: Background, beta: float,
 
     # A9: heat operator on 1/eta (same half-weight structure on the
     # z-factor cross term)
-    lhs = heat_residual(Inv(Eta()), ws)
+    lhs = heat_residual(1.0 / ws.Eta, ws)
     rhs = (
         -(beta / (h * eta**2)) * sq_w
         - (beta / (h * eta**2)) * (g_wwb / g - np.abs(g_w / g) ** 2)
@@ -538,8 +458,7 @@ def verify_A(u: RealField, bg: Background, beta: float,
 
     # sanity: the speed itself solves the linearised heat equation, by
     # construction of the substitution
-    spd_node = Add(Mul(Num(beta), Log(Lam())), Mul(Num(-1.0), Log(Eta())))
-    lhs = heat_residual(spd_node, ws)
+    lhs = heat_residual(beta * log(ws.Lam) - log(ws.Eta), ws)
     out.append(_result("L16", lhs, np.zeros_like(lhs), 1e-13, beta, ws.grid,
                        kind="sanity", note="H(du/dt) = 0 by construction"))
     return out
@@ -597,7 +516,7 @@ def verify_B(u: RealField, bg: Background, beta: float, tol: float = 1e-8,
 
     # B11: rough heat flow of the mixed derivative equals the source
     lhs = (
-        heat_residual(UDeriv("z w"), ws)
+        heat_residual(ws.U("z w"), ws)
         + (beta / (g * lam)) * sigma_z * u_zwzb
         + (1.0 / (h * eta)) * sigma_w * u_zwwb
     )
@@ -633,12 +552,8 @@ def verify_B(u: RealField, bg: Background, beta: float, tol: float = 1e-8,
     del rhs
 
     # B18: Bochner identity for the squared norm of the mixed form
-    mixed_node = Mul(
-        Num(beta),
-        Abs2(UDeriv("z w")),
-        Inv(Mul(BGField("g"), Lam(), BGField("h"), Eta())),
-    )
-    h_mixed = heat_residual(mixed_node, ws)
+    h_mixed = heat_residual(
+        beta * abs2(ws.U("z w")) * (1.0 / (g * ws.Lam * h * ws.Eta)), ws)
     grad_z = ws.u("z z w") - sigma_z * u_zw
     grad_w = ws.u("z w w") - sigma_w * u_zw
     grad_sq = V * (
@@ -646,8 +561,8 @@ def verify_B(u: RealField, bg: Background, beta: float, tol: float = 1e-8,
         + (1.0 / (h * eta)) * np.abs(grad_w) ** 2
     )
     del grad_z, grad_w
-    logdet_node = Add(Log(BGField("g")), Log(Lam()), Log(BGField("h")), Log(Eta()))
-    h_logdet = heat_residual(logdet_node, ws)
+    h_logdet = heat_residual(
+        np.log(g) + log(ws.Lam) + np.log(h) + log(ws.Eta), ws)
     mixed_sq = V * np.abs(u_zw) ** 2
     pairing = 2.0 * (V * psi * np.conj(u_zw)).real
     rhs = -dbar_sq - grad_sq - mixed_sq * h_logdet + pairing
@@ -714,7 +629,7 @@ def verify_C(phi: RealField, a: float, b: float, beta: float,
     # C27 family: pure second derivatives obey the same quadratic source
     for i, j in (("z", "zb"), ("z", "w"), ("z", "wb"), ("w", "wb")):
         op = f"{i} {j}"
-        lhs = heat_residual(UDeriv(op), ws)
+        lhs = heat_residual(ws.U(op), ws)
         rhs = (
             -beta * ws.d("lam", i) * ws.d("lam", j) / lam**2
             + ws.d("eta", i) * ws.d("eta", j) / eta**2
@@ -723,12 +638,12 @@ def verify_C(phi: RealField, a: float, b: float, beta: float,
         del lhs, rhs
 
     # C28 / C30: the traces themselves
-    lhs = heat_residual(Lam(), ws)
+    lhs = heat_residual(ws.Lam, ws)
     rhs = -beta * np.abs(lam_z / lam) ** 2 + np.abs(eta_z / eta) ** 2
     out.append(_result("C28", lhs, rhs, tol, beta, grid))
     del lhs, rhs
 
-    lhs = heat_residual(UDeriv("z wb"), ws)
+    lhs = heat_residual(ws.U("z wb"), ws)
     rhs = (
         -beta * lam_z * np.conj(lam_w) / lam**2
         + eta_z * np.conj(eta_w) / eta**2
@@ -736,7 +651,7 @@ def verify_C(phi: RealField, a: float, b: float, beta: float,
     out.append(_result("C29", lhs, rhs, tol, beta, grid))
     del lhs, rhs
 
-    lhs = heat_residual(Eta(), ws)
+    lhs = heat_residual(ws.Eta, ws)
     rhs = beta * np.abs(lam_w / lam) ** 2 - np.abs(eta_w / eta) ** 2
     out.append(_result("C30", lhs, rhs, tol, beta, grid))
     del lhs, rhs
@@ -747,12 +662,12 @@ def verify_C(phi: RealField, a: float, b: float, beta: float,
         - (2.0 * beta / (lam * eta)) * np.abs(eta_z / eta) ** 2
         - (1.0 / eta**2) * np.abs(eta_w / eta) ** 2
     )
-    lhs = heat_residual(Inv(Eta()), ws)
+    lhs = heat_residual(1.0 / ws.Eta, ws)
     out.append(_result("C31", lhs, rhs31, tol, beta, grid))
     del lhs
 
     # C32: squared modulus of the skew second derivative
-    lhs = heat_residual(Abs2(UDeriv("z wb")), ws)
+    lhs = heat_residual(abs2(ws.U("z wb")), ws)
     rhs = (
         -(2.0 * beta / lam**2) * (cbar * lam_z * np.conj(lam_w)).real
         + (2.0 / eta**2) * (cbar * eta_z * np.conj(eta_w)).real
@@ -766,7 +681,7 @@ def verify_C(phi: RealField, a: float, b: float, beta: float,
     absc = (c * cbar).real
     absc_z, absc_w = ws.derivs(absc, "z", "w")
     inveta_z, inveta_w = ws.derivs(1.0 / eta, "z", "w")
-    lhs = heat_residual(Div(Abs2(UDeriv("z wb")), Eta()), ws)
+    lhs = heat_residual(abs2(ws.U("z wb")) / ws.Eta, ws)
     rhs = (
         (2.0 / eta**3) * (cbar * eta_z * np.conj(eta_w)).real
         - (beta / (lam * eta)) * (np.abs(lam_w) ** 2 + np.abs(u_zzwb) ** 2)
@@ -804,12 +719,12 @@ def verify_C(phi: RealField, a: float, b: float, beta: float,
     sq3 = np.abs(u_zzwb / np.sqrt(lam * eta) - c * eta_z / np.sqrt(lam * eta**3)) ** 2
     sq4 = np.abs(u_wwzb / eta - cbar * eta_w / eta**2) ** 2
     rhs35 = -beta * sq1 - beta * sq2 - beta * sq3 - sq4
-    lhs = heat_residual(Add(Lam(), Div(Abs2(UDeriv("z wb")), Eta())), ws)
+    lhs = heat_residual(ws.Lam + abs2(ws.U("z wb")) / ws.Eta, ws)
     out.append(_result("C35", lhs, rhs35, tol, beta, grid))
     del lhs, sq1, sq2, sq3, sq4
 
     # C36: off-diagonal entry, product-rule form
-    lhs36 = heat_residual(Div(UDeriv("z wb"), Eta()), ws)
+    lhs36 = heat_residual(ws.U("z wb") / ws.Eta, ws)
     rhs = (
         -beta * lam_z * np.conj(lam_w) / (lam**2 * eta)
         + eta_z * np.conj(eta_w) / eta**3
@@ -836,12 +751,10 @@ def verify_C(phi: RealField, a: float, b: float, beta: float,
 
     # quadratic form: direct heat residual equals the block expansion and
     # the expansion is pointwise nonpositive
-    quads = w_quads(ws, (Add(Lam(), Div(Abs2(UDeriv("z wb")), Eta())),
-                         Div(UDeriv("z wb"), Eta()), Inv(Eta())))
+    quads = w_quads(ws.Lam + abs2(ws.U("z wb")) / ws.Eta,
+                    ws.U("z wb") / ws.Eta, 1.0 / ws.Eta)
     for va, vb in W_VECTORS:
-        quad, quad_t = next(quads)
-        lhs = quad_t - ws.L(quad)
-        del quad, quad_t
+        lhs = heat_residual(next(quads), ws)
         expansion = (
             abs(va) ** 2 * rhs35
             + 2.0 * (va * np.conj(vb) * t37).real

@@ -10,7 +10,7 @@ the state (the speed-consistency error, sup|u_zw|, the det W residual,
 the heat residuals H f = f_t - L f of the W quads and of Phi).  It takes
 no transform: u_zw and u_zwb come from grid_field.mixed_derivatives, and
 f_t from the flow equation at the state itself, by the identity suite's
-chain rule (Expr.pair) on an identities.StateSlice of the stored lambda,
+chain rule (identities.Dual) on an identities.StateSlice of the stored lambda,
 eta and speed s.  The memory of a monitored run does not grow with its
 length.
 
@@ -61,12 +61,11 @@ from .geometry import (BETA_MIN, KAHLER_PRODUCT, Background, ConstantsReport,
                        CurvatureReport, constants, curvature, torsion)
 from .grid_field import RealField, factor_laplacians, mixed_derivatives
 from .flow import FlowState, Trajectory, flow_speed, steady_residual
-from .identities import (W_VECTORS, Abs2, Add, BGField, Eta, Inv, Known, Lam,
-                         Log, Mul, Num, ReP, StateSlice, UDeriv, w_quads)
+from .identities import W_VECTORS, StateSlice, abs2, log, real, w_quads
 
 MONO_SLACK = 1e-8           # relative slack for monotone scalar series
 HEAT_TOL = 1e-6             # relative tolerance of the heat subsolutions
-BLOCK = 8192                # points per block of the trees, cache-sized
+BLOCK = 8192                # points per block of the Duals, cache-sized
 
 
 @dataclass
@@ -183,12 +182,14 @@ def _background_varies(bg: Background) -> str | None:
     return None
 
 
-def _upper_bound_skip(beta: float, cr: ConstantsReport) -> str | None:
+def _upper_bound_skip(beta: float,
+                      fixed: ConstantsReport | None) -> str | None:
     """Why the upper-bound estimates (trace_growth, phi_subsolution) do
-    not apply, or None when they do."""
+    not apply, or None when they do; fixed is the stream's supplied
+    constants report.  Constants computed above the threshold have them."""
     if beta <= BETA_MIN:
         return "beta at or below the universal threshold"
-    if cr.c14 is None:
+    if fixed is not None and fixed.c14 is None:
         return "upper-bound constants unavailable"
     return None
 
@@ -302,9 +303,8 @@ class MonitorStream:
             traj.meta.get("split_initial"))
         self._det = constant and "det_w" in on
         self._leg = constant and "legendre_subsolution" in on
-        fixed = self.fixed_cr
-        self._phi = ("phi_subsolution" in on and beta > BETA_MIN
-                     and (fixed is None or fixed.c14 is not None))
+        self._phi = ("phi_subsolution" in on
+                     and _upper_bound_skip(beta, self.fixed_cr) is None)
 
     def add(self, traj: Trajectory, s: FlowState, dt: float) -> None:
         """Consume state s of traj, reached by a step of dt."""
@@ -337,14 +337,15 @@ class MonitorStream:
             rec.det_w = det_w_residual(s, bg, legendre_w(s, bg, derivs["z wb"]))
         if not self._leg:
             derivs.pop("z wb", None)
-        if derivs:  # the potential's derivatives that the trees read
+        if derivs:  # the potential's derivatives that the Duals read
             self._subsolutions(rec, s, derivs)
 
     def _subsolutions(self, rec: SnapshotRecord, s: FlowState,
                       u_derivs: dict) -> None:
-        """rec.heat of s, given the potential's u_derivs = {op: array}.  Trees
-        pair on cache-sized blocks into fields kept across states, made after
-        the first state's temporaries: later states reuse that memory."""
+        """rec.heat of s, given the potential's u_derivs = {op: array}.  Duals
+        are evaluated on cache-sized blocks into fields kept across states,
+        made after the first state's temporaries: later states reuse that
+        memory."""
         grid, beta, spd = s.u.grid, self.traj.beta, s.du_dt.data
         d = {("u", op): arr for op, arr in u_derivs.items()}
         d["spd", "z zb"], d["spd", "w wb"] = factor_laplacians(grid, spd)
@@ -358,23 +359,20 @@ class MonitorStream:
             sl = slice(start, start + BLOCK)
             p = StateSlice(grid, *(a.reshape(-1)[sl] for a in whole), beta,
                            {k: a.reshape(-1)[sl] for k, a in d.items()})
-            lam = Known(*Lam().pair(p))  # lam, g lam, W22 paired once
-            g_lam = Known(*Mul(BGField("g"), lam).pair(p))
-            w22 = Known(*Inv(Mul(BGField("h"), Eta())).pair(p))
+            lam = p.Lam
+            g_lam, w22 = p.g * lam, 1.0 / (p.h * p.Eta)
             vals = []
             if self._leg:  # W11 = g lam + |u_zwb|^2 W22, W12 = u_zwb W22
-                u = UDeriv("z wb")  # the vectors are real: Re W12 will do
-                vals += [x for q in w_quads(p, (Add(g_lam, Mul(Abs2(u), w22)),
-                                                Mul(ReP(u), w22), w22))
-                         for x in q]
+                u = p.U("z wb")  # the vectors are real: Re W12 will do
+                vals += [x for q in w_quads(g_lam + abs2(u) * w22,
+                                            real(u) * w22, w22)
+                         for x in (q.v, q.d)]
             if cr is not None:  # Phi, its mixed norm beta |u_zw|^2 W22/(g lam)
-                terms = [Log(lam), Mul(Num(cr.b_phi * beta), Mul(
-                    Abs2(UDeriv("z w")), Mul(w22, Inv(g_lam))))]
+                phi = log(lam) + (cr.b_phi * beta) * (
+                    abs2(p.U("z w")) * (w22 * (1.0 / g_lam)))
                 if cr.a_phi:  # 0 on Kahler products
-                    terms.append(Mul(Num(cr.a_phi),
-                                     Add(Inv(lam), Mul(BGField("h"), w22))))
-                phi, phi_t = Add(*terms).pair(p)
-                vals += [phi, phi_t - cr.c14 * np.maximum(phi, 1.0)]
+                    phi = phi + cr.a_phi * (1.0 / lam + p.h * w22)
+                vals += [phi.v, phi.d - cr.c14 * np.maximum(phi.v, 1.0)]
             f += [np.empty(grid.shape) for _ in vals[len(f):]]
             for out, val in zip(f, vals):
                 out.reshape(-1)[sl] = val
@@ -541,10 +539,10 @@ def check_mixed_growth(stream: MonitorStream) -> CheckResult:
 def check_trace_growth(stream: MonitorStream) -> CheckResult:
     """max lambda grows at most doubly exponentially:
     log max lam(t) <= log max lam(0) + (b sup_0 + a c0) exp(c14 t)."""
-    cr = stream.cr
-    reason = _upper_bound_skip(stream.traj.beta, cr)
+    reason = _upper_bound_skip(stream.traj.beta, stream.fixed_cr)
     if reason is not None:
         return CheckResult.skip("trace_growth", reason)
+    cr = stream.cr
     first = stream.records[0]
     log_lam0 = math.log(first.lam_max)
     coef = cr.b_phi * first.sup + cr.a_phi * cr.c0
@@ -607,12 +605,12 @@ def check_phi_subsolution(stream: MonitorStream) -> CheckResult:
     below level one the absolute constant c14 itself bounds the source.
     The unguarded form H Phi <= c14 Phi is violated by exact solutions
     wherever Phi < 0 (e.g. split data with lam < 1 has H Phi = 0 > c14 Phi),
-    so it is not a usable runtime check.  The stream's final constants
+    so it is not a usable runtime check.  Beta and the supplied report
     decide whether the check applies; each state's Phi and source take the
     constants at the running c0 up to that state.  d/dt is taken at the
     state; time consistency is left to speed_consistency, the step-halving
     test and the oracle."""
-    reason = _upper_bound_skip(stream.traj.beta, stream.cr)
+    reason = _upper_bound_skip(stream.traj.beta, stream.fixed_cr)
     if reason is not None:
         return CheckResult.skip("phi_subsolution", reason)
     return _heat_check(stream, "phi_subsolution")

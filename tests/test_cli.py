@@ -317,12 +317,25 @@ class TestExitCodes:
         ])
         assert code == 1
 
+    def test_inadmissible_initial_data_exits_three(self, tmp_path, capsys):
+        """Random initial data below the admissibility floor is a numerical
+        failure, reported as one of the initial state, with no output."""
+        cfg = write_cfg(tmp_path, DENSE_ALL.replace("amplitude = 0.01",
+                                                    "amplitude = 0.08"))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: the initial state")
+        assert "seed 2, amplitude 0.08" in err and "lambda reached" in err
+        assert not out.exists()
+
     def test_short_negative_control_exits_two(self, tmp_path, capsys):
         """A negative control corrupts every kept state after the first, so
         it needs two; a run that keeps only its initial state is a
         configuration error, and leaves no output, not even the field dump
         of that state: at t_end = 0, and on zero data, which is steady at
-        its first state, at t_end > 0."""
+        its first state, at t_end > 0.  The directories made for --out
+        go too, its parents included."""
         dump = SPLIT_RUN + "\n[output]\nfield_dump_stride = 1\n"
         steady = dump.replace("t_end = 0.05", "t_end = 0.01").replace(
             "kind = split_sine", "kind = zero").replace(
@@ -330,7 +343,7 @@ class TestExitCodes:
         for name, text in (("t0", dump.replace("t_end = 0.05", "t_end = 0")),
                            ("steady", steady)):
             cfg = write_cfg(tmp_path, text, f"{name}.cfg")
-            out = tmp_path / name
+            out = tmp_path / name / "a" / "b"
             argv = ["run", "--config", str(cfg), "--out", str(out),
                     "--negative-control", "potential_bounds"]
             for existed in (False, True):
@@ -341,8 +354,8 @@ class TestExitCodes:
                 if existed:
                     assert not any(out.iterdir())
                 else:
-                    assert not out.exists()
-                    out.mkdir()  # the second call finds it in place
+                    assert not (tmp_path / name).exists()
+                    out.mkdir(parents=True)  # the second call finds it
 
     @pytest.mark.parametrize("check", CHECKS)
     def test_two_state_negative_control_exits_one(self, tmp_path, capsys,

@@ -1,4 +1,4 @@
-"""Tests for the slice identity checker and the expression algebra."""
+"""Tests for the slice identity checker and its dual-number chain rule."""
 
 import tracemalloc
 
@@ -19,19 +19,11 @@ from splitma.geometry import (
 from splitma.grid_field import (RealField, _spectral_deriv, deriv_data,
                                 factor_laplacian)
 from splitma.identities import (
-    Abs2,
-    Add,
-    Conj,
-    Div,
-    Eta,
-    Lam,
+    Dual,
     LocalSlice,
-    Log,
     ManifoldSlice,
-    Mul,
-    Num,
-    UDeriv,
-    heat_residual,
+    abs2,
+    log,
     material_derivative,
     random_test_field,
     verify_A,
@@ -81,54 +73,55 @@ class TestMaterialDerivative:
     def test_lambda_rule(self, grid16, bgp16, u16):
         beta = 0.5
         ws = ManifoldSlice(u16, bgp16, beta)
-        got = Lam().pair(ws)[1]
+        got = ws.Lam.d
         expect = ws.d("spd", "z zb") / bgp16.g.data
         assert np.max(np.abs(got - expect)) == 0.0
 
     def test_log_chain_rule(self, grid16, bgp16, u16):
         ws = ManifoldSlice(u16, bgp16, 0.5)
-        got = Log(Lam()).pair(ws)[1]
-        expect = Lam().pair(ws)[1] / ws.lam
+        got = log(ws.Lam).d
+        expect = ws.Lam.d / ws.lam
         assert np.max(np.abs(got - expect)) < 1e-15
 
     def test_abs2_rule(self, grid16, bgp16, u16):
         ws = ManifoldSlice(u16, bgp16, 0.5)
-        got = Abs2(UDeriv("z wb")).pair(ws)[1]
+        got = abs2(ws.U("z wb")).d
         expect = 2.0 * (np.conj(ws.u("z wb")) * ws.d("spd", "z wb")).real
         assert np.max(np.abs(got - expect)) < 1e-15
 
     def test_public_wrapper(self, grid16, bgp16, u16):
-        out = material_derivative(Eta(), u16, bgp16, 0.7)
+        out = material_derivative(lambda ws: ws.Eta, u16, bgp16, 0.7)
         ws = ManifoldSlice(u16, bgp16, 0.7)
         assert np.max(np.abs(out - (-ws.d("spd", "w wb") / bgp16.h.data))) == 0.0
 
     def test_product_and_quotient_rules(self, grid16, bgp16, u16):
         ws = ManifoldSlice(u16, bgp16, 0.5)
-        node = Div(Mul(Lam(), Eta()), Add(Num(1.0), Lam()))
-        dt = node.pair(ws)[1]
+        dt = (ws.Lam * ws.Eta / (1.0 + ws.Lam)).d
         lam, eta = ws.lam, ws.eta
-        dl, de = Lam().pair(ws)[1], Eta().pair(ws)[1]
+        dl, de = ws.Lam.d, ws.Eta.d
         expect = ((dl * eta + lam * de) * (1 + lam) - lam * eta * dl) / (1 + lam) ** 2
         assert np.max(np.abs(dt - expect)) < 1e-13
 
-    def test_conj_rule(self, grid16, bgp16, u16):
+    def test_array_operand_is_constant_in_time(self, grid16, bgp16, u16):
+        """ndarray op Dual calls the Dual's method, not an elementwise
+        object-array loop: the array is a time-constant factor."""
         ws = ManifoldSlice(u16, bgp16, 0.5)
-        got = Conj(UDeriv("z w")).pair(ws)[1]
-        assert np.max(np.abs(got - np.conj(ws.d("spd", "z w")))) == 0.0
+        g, lam = bgp16.g.data, ws.Lam
+        for got, v, d in ((g * lam, g * lam.v, lam.d * g),
+                          (g + lam, g + lam.v, lam.d),
+                          (g - lam, g - lam.v, -lam.d),
+                          (g / lam, g / lam.v, -g * lam.d / (lam.v * lam.v))):
+            assert isinstance(got, Dual)
+            assert np.array_equal(got.v, v) and np.array_equal(got.d, d)
 
-    def test_each_node_is_evaluated_once(self, grid16, bgp16, u16):
-        class Leaf(UDeriv):
-            calls = 0
-
-            def pair(self, ws):
-                self.calls += 1
-                return super().pair(ws)
-
-        ws = ManifoldSlice(u16, bgp16, 0.5)
-        a, b = Leaf("z w"), Leaf("z zb")
-        node = Div(Mul(Num(2.0), Abs2(a)), Add(Num(1.0), b))
-        heat_residual(node, ws)
-        assert (a.calls, b.calls) == (1, 1)
+    def test_product_drops_a_term_of_zero_derivative(self):
+        """A factor constant in time adds no term, so the product of two
+        such factors keeps the scalar 0 as its derivative."""
+        a = Dual(np.array([2.0, 3.0]), np.array([1.0, -1.0]))
+        c = Dual(np.array([5.0, 7.0]))
+        assert np.array_equal((a * c).d, [5.0, -7.0])
+        cc = (c * c).d
+        assert cc == 0.0 and not isinstance(cc, np.ndarray)
 
 
 class TestFactorKernelSlice:

@@ -1,6 +1,7 @@
 """Tests for the a-priori bound monitors and their negative controls."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -214,6 +215,19 @@ class TestChecksPassOnCleanRuns:
         assert results["trace_floor"].skipped is not None
         assert results["legendre_subsolution"].skipped is not None
         assert results["speed_consistency"].passed
+
+    def test_fixed_report_without_upper_constants_skips_phi(self, split_traj,
+                                                            bg):
+        """Above the threshold, a supplied report without c14 skips the
+        upper-bound checks, and the stream does no Phi work for them."""
+        cr = dataclasses.replace(
+            constants(bg, 0.5, c0=max(c0_series(split_traj.snapshots)[1])),
+            c14=None)
+        stream = MonitorStream(bg, ["phi_subsolution", "trace_growth"],
+                               constants_report=cr).replay(split_traj)
+        for res in stream.results().values():
+            assert res.skipped == "upper-bound constants unavailable"
+        assert all(r.heat is None for r in stream.records)
 
     def test_beta_one_skips_lower_bound(self, grid, bg):
         u0 = split_sine(grid)
