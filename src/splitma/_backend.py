@@ -74,9 +74,10 @@ def fftn(a):
 
 
 def ifftn(a):
+    """The inverse transform of complex a, written over a."""
     import scipy.fft
 
-    return scipy.fft.ifftn(a, workers=get_workers())
+    return scipy.fft.ifftn(a, workers=get_workers(), overwrite_x=True)
 
 
 def rfftn(a, axes):

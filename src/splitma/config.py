@@ -242,20 +242,30 @@ def build_background(cfg: ExperimentConfig, grid: TorusGrid) -> Background:
     return _BACKGROUNDS[cfg.bg_kind](grid, cfg.bg_params)
 
 
+def inadmissible_initial(cfg, seed, exc: AdmissibilityLost):
+    """exc, raised by the configured initial state, as an error naming that
+    state: its kind, and its seed and amplitude or its path."""
+    p, label = cfg.initial_params, f"[initial] kind = {cfg.initial_kind}"
+    if cfg.initial_kind == "random":
+        seed = p.get("seed", 0) if seed is None else seed
+        label += f", seed {seed}, amplitude {p.get('amplitude', 0.01)}"
+    elif cfg.initial_kind == "file":
+        label += f", path {p['path']}"
+    return AdmissibilityLost(
+        f"the initial state ({label}) is not admissible: {exc}",
+        exc.t, exc.which, exc.value)
+
+
 def _random_initial(cfg, grid, bg, seed) -> RealField:
     from .identities import random_test_field
 
     p = cfg.initial_params
-    seed = p.get("seed", 0) if seed is None else seed
-    amplitude = p.get("amplitude", 0.01)
     try:
-        return random_test_field(grid, seed, amplitude, p.get("band", 1),
-                                 bg=bg)
+        return random_test_field(
+            grid, p.get("seed", 0) if seed is None else seed,
+            p.get("amplitude", 0.01), p.get("band", 1), bg=bg)
     except AdmissibilityLost as exc:
-        raise AdmissibilityLost(
-            f"the initial state ([initial] kind = random, seed {seed}, "
-            f"amplitude {amplitude}) is not admissible: {exc}",
-            exc.t, exc.which, exc.value) from exc
+        raise inadmissible_initial(cfg, seed, exc) from exc
 
 
 def _split_sine(cfg, grid, bg, seed) -> RealField:

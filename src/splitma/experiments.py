@@ -19,6 +19,7 @@ from .config import (
     build_forcing,
     build_grid,
     build_initial,
+    inadmissible_initial,
 )
 from .errors import AdmissibilityLost, ConfigurationError, NumericalFailure
 from .flow import (
@@ -248,12 +249,12 @@ def cmd_flow_run(cfg: ExperimentConfig, out_dir, seed=None,
     grid, bg, u0, forcing, info = _prepare_problem(cfg, seed=seed)
     out = Path(out_dir)
     made = [d for d in (out, *out.parents) if not d.exists()]
-    out.mkdir(parents=True, exist_ok=True)  # the field dump writes into it
     params = _flow_params(cfg, info["beta"])
     stream = MonitorStream(bg, enabled, cfg.monitors_safety)
     dump, dumped = _field_dump(out, cfg.field_dump_stride)
 
     def keep(tr: Trajectory) -> None:
+        out.mkdir(parents=True, exist_ok=True)  # the field dump writes into it
         s = tr.snapshots[-1]
         if negative_control is not None and stream.records:
             s = copy.deepcopy(s, {id(s.u.grid): s.u.grid})
@@ -264,12 +265,13 @@ def cmd_flow_run(cfg: ExperimentConfig, out_dir, seed=None,
     try:
         traj = run(bg, u0, params, forcing=forcing, keep=keep)
     except (NumericalFailure, AdmissibilityLost) as exc:
+        partial = exc.trajectory
+        if not partial.snapshots:  # the flow's first evaluation, at t = 0
+            raise inadmissible_initial(cfg, seed, exc) from exc
         report = {"schema_version": SCHEMA_VERSION, "termination": "failed",
-                  "error": str(exc)}
-        partial = getattr(exc, "trajectory", None)
-        if partial is not None and partial.snapshots:
-            report["failed_at"] = partial.meta.get("failed_at")
-            write_field(partial.snapshots[-1].u, out / "failure_u.field")
+                  "error": str(exc), "failed_at": partial.meta["failed_at"]}
+        out.mkdir(parents=True, exist_ok=True)
+        write_field(partial.snapshots[-1].u, out / "failure_u.field")
         _write_json(out / "summary.json", report)
         return EXIT_NUMERICAL, report
     if negative_control is not None and len(stream.records) < 2:

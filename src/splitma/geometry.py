@@ -29,10 +29,12 @@ from .errors import BelowBetaThreshold, ConfigurationError
 from .grid_field import (
     RealField,
     TorusGrid,
+    _part,
     _spectral_deriv,
     atomic_write,
     factor_laplacian,
     factor_laplacians,
+    on_blocks,
     read_field,
     sup_norm,
     write_field,
@@ -219,24 +221,31 @@ def torsion(bg: Background) -> TorsionReport:
     h_z, h_w = d(h_hat, "z"), d(h_hat, "w")
     nsq = (np.abs(g_w / g) ** 2) / h + (np.abs(h_z / h) ** 2) / g
 
-    a = -g_w
-    b = h_z
-    # component a carries indices (z, w, zb); component b carries (z, w, wb).
-    # Their derivatives are composite derivatives of g and h, taken from
-    # the two spectra above.  One direction t is held at a time.
+    # component a = -g_w carries indices (z, w, zb); b = h_z carries
+    # (z, w, wb).  Their derivatives are composite derivatives of g and h,
+    # taken from the two spectra above.  One direction t is held at a
+    # time, and its terms are added onto grad_sq on blocks of points.
     first = {"z": (g_z, h_z), "w": (g_w, h_w)}
     grad_sq = np.zeros(grid.shape)
     for t in ("z", "zb", "w", "wb"):
-        g_t, h_t = first[t[0]]
-        if len(t) == 1:     # holomorphic connection, the same on a and b
-            ca = cb = g_t / g + h_t / h
-        else:               # conjugate connection of each coefficient
-            ca, cb = np.conj(g_t / g), np.conj(h_t / h)
-        da = -d(g_hat, f"w {t}") - ca * a
-        db = d(h_hat, f"z {t}") - cb * b
-        inv_t = 1.0 / (g if t[0] == "z" else h)     # inverse metric factor
-        grad_sq = grad_sq + inv_t * np.abs(da) ** 2 / (g * g * h)
-        grad_sq = grad_sq + inv_t * np.abs(db) ** 2 / (g * h * h)
+        fields = (g, h, g_w, h_z, *first[t[0]], d(g_hat, f"w {t}"),
+                  d(h_hat, f"z {t}"), grad_sq)
+
+        def add(sl):
+            g, h, g_w, h_z, g_t, h_t, g_wt, h_zt, acc = (_part(f, sl)
+                                                         for f in fields)
+            if len(t) == 1:     # holomorphic connection, the same on a and b
+                ca = cb = g_t / g + h_t / h
+            else:               # conjugate connection of each coefficient
+                ca, cb = np.conj(g_t / g), np.conj(h_t / h)
+            da = -g_wt - ca * -g_w
+            db = h_zt - cb * h_z
+            inv_t = 1.0 / (g if t[0] == "z" else h)  # inverse metric factor
+            acc = acc + inv_t * np.abs(da) ** 2 / (g * g * h)
+            return [acc + inv_t * np.abs(db) ** 2 / (g * h * h)]
+
+        on_blocks(add, grid.shape, [grad_sq])
+        del fields  # before the next direction's derivatives are taken
     return TorsionReport(
         norm_sq=RealField(grid, nsq),
         max_norm_sq=float(np.max(nsq)),

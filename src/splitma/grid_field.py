@@ -62,7 +62,9 @@ Which path a caller takes:
   legendre_w, the snapshot pass) and the steady-convergence recipe's split
   residual.
 
-_backend sets out which library serves each transform.
+_backend sets out which library serves each transform.  Pointwise algebra
+on whole fields runs on blocks of BLOCK points (on_blocks), which keeps
+its temporaries in cache.
 
 Storage order is x4-fastest (C order on arrays of shape (n1,n2,n3,n4));
 the field file format fixes this order bit-exactly.
@@ -610,6 +612,35 @@ def poisson_solve_factor(
     hat *= _poisson_multiplier(grid, factor)
     return RealField(grid, fft.irfftn(hat, (grid.shape[a], grid.shape[b]),
                                       (a, b)))
+
+
+# ---------------------------------------------------------------------------
+# pointwise algebra on blocks of points
+
+BLOCK = 8192    # points per block
+
+
+def blocks(shape) -> list[slice]:
+    """Slices of BLOCK consecutive points covering a field of shape."""
+    return [slice(s, s + BLOCK) for s in range(0, int(np.prod(shape)), BLOCK)]
+
+
+def _part(a, sl: slice):
+    """The points sl of a contiguous field, flattened; a scalar is itself."""
+    return a if np.ndim(a) == 0 else a.reshape(-1)[sl]
+
+
+def on_blocks(fn, shape, out: list | None = None) -> list[np.ndarray]:
+    """Fields of shape whose points sl are fn(sl), a list of arrays, for
+    each block sl of blocks(shape): the fields of out, or fields made on
+    the first block with the dtypes of its arrays."""
+    out = [] if out is None else out
+    for sl in blocks(shape):
+        vals = fn(sl)
+        out += [np.empty(shape, np.result_type(v)) for v in vals[len(out):]]
+        for f, v in zip(out, vals):
+            f.reshape(-1)[sl] = v
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -32,20 +32,29 @@ past the 1e-11 convergence floor of the identity recipe).
 
 A slice keeps only what is reused, since at 32^4 each complex field is
 16 MiB and the number of live arrays bounds the grid the suite can reach.
-It caches the derivatives of its base fields (the potential, lambda, eta,
-the speed, and on a manifold slice g and h) and, of the spectra, only the
-potential's.  Another base field's spectrum lives for one request, which
-computes every op the identities take of that field.  Base fields are
-real, so their "zb" and "wb" derivatives are conjugates of the cached "z"
-and "w".  Not cached: u_zzb and u_wwb, which give lambda and eta when the
-slice is built; the helper fields an identity differentiates once
-(log(g lambda) and log(h eta) in B12, |u_zwb|^2 and 1/eta in C33), which
-go through one transient spectrum in derivs().  Each identity drops its
-arrays before the next one is built.
+Of the spectra it keeps only the potential's; another base field's lives
+for one request, which computes every op the identities take of that
+field.  It caches the derivatives of its base fields (the potential,
+lambda, eta, the speed, and on a manifold slice g and h) until the last
+identity that reads each: A drops g_wwb and h_zzb; B drops g_zw and h_zw
+once psi is made, u_zzw, u_zww, u_zwzb and u_zwwb after B18, and the rest
+at its end; C drops u_zzb, u_zw, u_wwb and spd_zw after their C27 rows.
+Base fields are real, so their "zb" and "wb" derivatives are conjugates
+of the cached "z" and "w".  Not cached: u_zzb and u_wwb, which give
+lambda and eta, and the helper fields an identity differentiates once
+(log(g lambda) and log(h eta) in B12, |u_zwb|^2 and 1/eta in C33).
+
+Everything pointwise runs on blocks of grid_field.BLOCK points: a group's
+rows(p) gives each identity's (lhs, rhs) on a block p = ws.at(sl), and
+the residual's maxima are taken block by block, so no whole lhs, rhs or
+lhs - rhs is built.  Whole fields are made only where the grid is needed
+at once: H f = f_t - L f (heat_residual), and a term that several rows or
+a spectrum read (psi, the right-hand sides of C31, C35 and C37, |u_zwb|^2).
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from functools import reduce
@@ -57,8 +66,9 @@ from . import _backend as fft
 from .errors import AdmissibilityLost, ConfigurationError
 from .flow import flow_speed, lambda_eta
 from .geometry import Background, verify_pluriclosed
-from .grid_field import (RealField, TorusGrid, _spectral_deriv,
-                         factor_laplacian, factor_laplacians)
+from .grid_field import (RealField, TorusGrid, _part, _spectral_deriv,
+                         blocks, factor_laplacian, factor_laplacians,
+                         on_blocks)
 
 _FACTOR_LAPLACIANS = {"z zb": "z", "w wb": "w"}
 _CONJUGATES = {"zb": "z", "wb": "w"}
@@ -76,6 +86,7 @@ class _SliceBase:
     outside the group gets a spectrum of its own."""
 
     _GROUPS: dict = {"lam": ("z", "w"), "eta": ("z", "w")}
+    _sl = None      # the block of points a copy made by at() reads
 
     def __init__(self, u: RealField, g, h, a: float, b: float, beta: float,
                  floor: float):
@@ -95,8 +106,27 @@ class _SliceBase:
         self.coef_z = beta / (g * lam)
         self.coef_w = 1.0 / (h * eta)
 
+    def at(self, sl: slice) -> "_SliceBase":
+        """The slice on the block sl of its flattened points: a shallow
+        copy whose fields are those points.  It shares the cache, and a
+        derivative not cached yet is computed on the whole grid."""
+        p = copy.copy(self)
+        p._sl = sl
+        p.g, p.h, p.lam, p.eta = (_part(a, sl) for a in
+                                  (self.g, self.h, self.lam, self.eta))
+        return p
+
+    def part(self, a):
+        """The points of a whole field that this slice reads."""
+        return a if self._sl is None else _part(a, self._sl)
+
+    def drop(self, *keys) -> None:
+        """Drop cached derivatives (key, op) after their last use."""
+        for k in keys:
+            del self._derivs[k]
+
     def base(self, key: str) -> np.ndarray:
-        return self._bases[key]
+        return self.part(self._bases[key])
 
     def U(self, op: str = "") -> Dual:
         """Derivative op of the potential; op '' is the potential itself."""
@@ -133,7 +163,7 @@ class _SliceBase:
                     ops = (op,)
                 outs = self.derivs(self._bases[key], *ops)
                 self._derivs.update(((key, o), out) for o, out in zip(ops, outs))
-        return self._derivs[ck]
+        return self.part(self._derivs[ck])
 
     def derivs(self, arr: np.ndarray, *ops: str) -> list[np.ndarray]:
         """Spectral derivatives of a field, all from one spectrum, which is
@@ -143,13 +173,14 @@ class _SliceBase:
 
     def L(self, arr: np.ndarray) -> np.ndarray:
         """Linearised spatial operator, through the factor Laplacians of
-        a real or complex array (one slab pass per real array)."""
-        if not np.iscomplexobj(arr):
-            lz, lw = factor_laplacians(self.grid, arr)
-        else:
-            lz, lw = (np.empty(arr.shape, dtype=np.complex128) for _ in range(2))
-            lz.real, lw.real = factor_laplacians(self.grid, arr.real)
-            lz.imag, lw.imag = factor_laplacians(self.grid, arr.imag)
+        a real array, or of each part of a complex one (one slab pass
+        each)."""
+        if np.iscomplexobj(arr):
+            out = np.empty(arr.shape, dtype=np.complex128)
+            out.real = self.L(arr.real)
+            out.imag = self.L(arr.imag)
+            return out
+        lz, lw = factor_laplacians(self.grid, arr)
         np.multiply(self.coef_z, lz, out=lz)
         np.multiply(self.coef_w, lw, out=lw)
         lz += lw
@@ -215,9 +246,9 @@ class LocalSlice(_SliceBase):
 
 
 class StateSlice(ManifoldSlice):
-    """A kept flow state, or a block of its points: the stored traces, g and
-    h there and derivs = {("u" or "spd", op): array} from the derivative
-    kernels, so it takes no transform.  L needs the whole grid."""
+    """A kept flow state: the stored traces, g and h and derivs = {("u" or
+    "spd", op): array} from the derivative kernels, so it takes no
+    transform; at(sl) gives a block of its points."""
 
     def __init__(self, grid: TorusGrid, g, h, lam, eta, beta: float,
                  derivs: dict):
@@ -292,9 +323,17 @@ def real(f: Dual) -> Dual:
     return Dual(f.v.real, f.d.real)
 
 
-def heat_residual(f: Dual, ws) -> np.ndarray:
-    """H(f) = df/dt - L(f), fully spatial."""
-    return f.d - ws.L(f.v)
+def heat_residual(ws, f) -> np.ndarray:
+    """H f = df/dt - L f on the whole grid, for a slice functional f: a Dual
+    of whole fields the slice holds, or a function of a slice to a Dual,
+    whose value and d/dt are then evaluated on blocks of points."""
+    if callable(f):
+        def value_and_dt(sl):
+            x = f(ws.at(sl))
+            return [x.v, x.d]
+        f = Dual(*on_blocks(value_and_dt, ws.grid.shape))
+    h = ws.L(f.v)
+    return np.subtract(f.d, h, out=h)
 
 
 def material_derivative(expr, u: RealField, bg: Background, beta: float):
@@ -334,17 +373,35 @@ class IdentityResult:
     inputs: dict = field(default_factory=dict)
 
 
-def _rel_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), 1.0)
-    return float(np.max(np.abs(lhs - rhs))) / scale
+def _maxima(ws, fn) -> np.ndarray:
+    """The max over ws's points of each array of fn(p), a list of arrays
+    of a block p, taken block by block."""
+    return np.max([[np.max(x) for x in fn(ws.at(sl))]
+                   for sl in blocks(ws.grid.shape)], axis=0)
 
 
-def _result(name, lhs, rhs, tol, beta, grid, note="", kind="equality"):
-    r = _rel_residual(lhs, rhs)
-    return IdentityResult(
-        name=name, residual=r, tolerance=tol, passed=r <= tol,
-        kind=kind, beta=beta, grid_shape=grid.shape, note=note,
-    )
+def _whole(ws, rows, name, *fields) -> np.ndarray:
+    """The term rows(p)[name] of the points p of fields, on the whole grid,
+    made block by block."""
+    def term(sl):
+        p = ws.at(sl)
+        return [rows(p)[name](*map(p.part, fields))]
+    return on_blocks(term, ws.grid.shape)[0]
+
+
+def _checker(ws, rows, tol):
+    """check(name, *fields, tol, note, kind): the result of the identity
+    name, whose (lhs, rhs) on a block p is rows(p)[name] of the points p of
+    the whole fields: max|lhs - rhs| / max(max|lhs|, max|rhs|, 1)."""
+    def check(name, *fields, tol=tol, note="", kind="equality"):
+        def absmax(p):
+            lhs, rhs = rows(p)[name](*map(p.part, fields))
+            return [np.abs(lhs), np.abs(rhs), np.abs(lhs - rhs)]
+        top_lhs, top_rhs, top = _maxima(ws, absmax)
+        r = float(top) / max(float(top_lhs), float(top_rhs), 1.0)
+        return IdentityResult(name, r, tol, r <= tol, kind, ws.beta,
+                              ws.grid.shape, note)
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -357,138 +414,100 @@ def verify_A(u: RealField, bg: Background, beta: float,
     """Evolution identities of the traces on a pluriclosed background."""
     if ws is None:
         ws = ManifoldSlice(u, bg, beta)
-    g, h = ws.base("g"), ws.base("h")
-    lam, eta = ws.lam, ws.eta
-    lam_z, lam_w = ws.d("lam", "z"), ws.d("lam", "w")
-    eta_z, eta_w = ws.d("eta", "z"), ws.d("eta", "w")
-    g_w, h_z = ws.d("g", "w"), ws.d("h", "z")
-    g_wwb, h_zzb = ws.d("g", "w wb").real, ws.d("h", "z zb").real
-    out = []
 
-    # A1: action of the linearised operator on the potential itself
-    lhs = ws.L(ws.u())
-    rhs = 1.0 / eta - beta / lam + (beta - 1.0)
-    out.append(_result("A1", lhs, rhs, tol, beta, ws.grid))
-    del lhs, rhs
+    def rows(p):  # each identity's (lhs, rhs) on a block p, from its args
+        g, h, lam, eta = p.g, p.h, p.lam, p.eta
+        lam_z, lam_w = p.d("lam", "z"), p.d("lam", "w")
+        eta_z, eta_w = p.d("eta", "z"), p.d("eta", "w")
+        g_w, h_z = p.d("g", "w"), p.d("h", "z")
+        g_wwb, h_zzb = p.d("g", "w wb").real, p.d("h", "z zb").real
+        return {
+            # A1: action of the linearised operator on the potential itself
+            "A1": lambda lu: (lu, 1.0 / eta - beta / lam + (beta - 1.0)),
+            # A2: heat operator on the potential
+            "A2": lambda H: (
+                H, p.base("spd") + beta / lam - 1.0 / eta + (1.0 - beta)),
+            # A3: the flowed form stays pluriclosed; the sup of the sum
+            # against 0
+            "A3": lambda sup: (sup, 0.0),
+            # A4: heat operator on lambda
+            "A4": lambda H: (H, (
+                -(beta / g) * np.abs(lam_z / lam) ** 2
+                + (2.0 / (h * eta)) * (g_w * np.conj(lam_w) / g).real
+                + (1.0 / g) * np.abs(eta_z / eta) ** 2
+                + (2.0 / g) * (h_z * np.conj(eta_z) / (h * eta)).real
+                + (g_wwb / (g * h)) * (lam / eta)
+                + h_zzb / (g * h)
+            )),
+            # A5: heat operator on eta
+            "A5": lambda H: (H, (
+                (beta / h) * np.abs(lam_w / lam) ** 2
+                + (2.0 * beta / h) * (g_w * np.conj(lam_w) / (g * lam)).real
+                + (2.0 * beta / (g * lam)) * (h_z * np.conj(eta_z) / h).real
+                - (1.0 / h) * np.abs(eta_w / eta) ** 2
+                + beta * (h_zzb / (g * h)) * (eta / lam)
+                + beta * g_wwb / (g * h)
+            )),
+            # A6: heat operator on log lambda
+            "A6": lambda H: (H, (
+                np.abs(lam_w / lam + g_w / g) ** 2 / (h * eta)
+                + np.abs(eta_z / eta + h_z / h) ** 2 / (g * lam)
+                + (h_zzb / h - np.abs(h_z / h) ** 2) / (g * lam)
+                + (g_wwb / g - np.abs(g_w / g) ** 2) / (h * eta)
+            )),
+            # A7: the two log traces evolve proportionally
+            "A7": lambda H, h_loglam: (H, beta * h_loglam),
+            # A8: heat operator on 1/lambda.  The torsion cross term enters
+            # with half weight relative to a naive completed square; the
+            # form below is the one that balances A4 exactly (it coincides
+            # with the completed square when the torsion vanishes).
+            "A8": lambda H: (H, (
+                -(beta / (g * lam**2)) * np.abs(lam_z / lam) ** 2
+                - (2.0 / (h * lam * eta))
+                * (np.abs(lam_w / lam) ** 2
+                   + ((lam_w / lam) * np.conj(g_w) / g).real)
+                - np.abs(eta_z / eta + h_z / h) ** 2 / (g * lam**2)
+                - (h_zzb / h - np.abs(h_z / h) ** 2) / (g * lam**2)
+                - (g_wwb / g) / (h * lam * eta)
+            )),
+            # A9: heat operator on 1/eta (same half-weight structure on the
+            # z-factor cross term)
+            "A9": lambda H: (H, (
+                -(beta / (h * eta**2)) * np.abs(lam_w / lam + g_w / g) ** 2
+                - (beta / (h * eta**2)) * (g_wwb / g - np.abs(g_w / g) ** 2)
+                - (2.0 * beta / (g * lam * eta))
+                * (np.abs(eta_z / eta) ** 2
+                   + ((eta_z / eta) * np.conj(h_z) / h).real)
+                - (beta / (g * lam * eta)) * (h_zzb / h)
+                - (1.0 / (h * eta**2)) * np.abs(eta_w / eta) ** 2
+            )),
+            # sanity: the speed itself solves the linearised heat equation,
+            # by construction of the substitution
+            "L16": lambda H: (H, 0.0),
+        }
 
-    # A2: heat operator on the potential
-    lhs = heat_residual(ws.U(), ws)
-    rhs = ws.base("spd") + beta / lam - 1.0 / eta + (1.0 - beta)
-    out.append(_result("A2", lhs, rhs, tol, beta, ws.grid))
-    del lhs, rhs
-
-    # A3: the flowed form stays pluriclosed; the sup of the sum against 0
-    out.append(_result("A3", verify_pluriclosed(bg, lam, eta), 0.0, tol,
-                       beta, ws.grid, note="(g lam)_wwb + (h eta)_zzb = 0"))
-
-    # A4: heat operator on lambda
-    lhs = heat_residual(ws.Lam, ws)
-    rhs = (
-        -(beta / g) * np.abs(lam_z / lam) ** 2
-        + (2.0 / (h * eta)) * (g_w * np.conj(lam_w) / g).real
-        + (1.0 / g) * np.abs(eta_z / eta) ** 2
-        + (2.0 / g) * (h_z * np.conj(eta_z) / (h * eta)).real
-        + (g_wwb / (g * h)) * (lam / eta)
-        + h_zzb / (g * h)
-    )
-    out.append(_result("A4", lhs, rhs, tol, beta, ws.grid))
-    del lhs, rhs
-
-    # A5: heat operator on eta
-    lhs = heat_residual(ws.Eta, ws)
-    rhs = (
-        (beta / h) * np.abs(lam_w / lam) ** 2
-        + (2.0 * beta / h) * (g_w * np.conj(lam_w) / (g * lam)).real
-        + (2.0 * beta / (g * lam)) * (h_z * np.conj(eta_z) / h).real
-        - (1.0 / h) * np.abs(eta_w / eta) ** 2
-        + beta * (h_zzb / (g * h)) * (eta / lam)
-        + beta * g_wwb / (g * h)
-    )
-    out.append(_result("A5", lhs, rhs, tol, beta, ws.grid))
-    del lhs, rhs
-
-    # A6: heat operator on log lambda
-    sq_w = np.abs(lam_w / lam + g_w / g) ** 2
-    sq_z = np.abs(eta_z / eta + h_z / h) ** 2
-    h_loglam = heat_residual(log(ws.Lam), ws)
-    rhs = (
-        sq_w / (h * eta)
-        + sq_z / (g * lam)
-        + (h_zzb / h - np.abs(h_z / h) ** 2) / (g * lam)
-        + (g_wwb / g - np.abs(g_w / g) ** 2) / (h * eta)
-    )
-    out.append(_result("A6", h_loglam, rhs, tol, beta, ws.grid))
-    del rhs
-
-    # A7: the two log traces evolve proportionally
-    lhs = heat_residual(log(ws.Eta), ws)
-    rhs = beta * h_loglam
-    out.append(_result("A7", lhs, rhs, tol, beta, ws.grid))
-    del lhs, rhs, h_loglam
-
-    # A8: heat operator on 1/lambda.  The torsion cross term enters with
-    # half weight relative to a naive completed square; the form below is
-    # the one that balances A4 exactly (it coincides with the completed
-    # square when the torsion vanishes).
-    lhs = heat_residual(1.0 / ws.Lam, ws)
-    rhs = (
-        -(beta / (g * lam**2)) * np.abs(lam_z / lam) ** 2
-        - (2.0 / (h * lam * eta))
-        * (np.abs(lam_w / lam) ** 2 + ((lam_w / lam) * np.conj(g_w) / g).real)
-        - sq_z / (g * lam**2)
-        - (h_zzb / h - np.abs(h_z / h) ** 2) / (g * lam**2)
-        - (g_wwb / g) / (h * lam * eta)
-    )
-    out.append(_result("A8", lhs, rhs, tol, beta, ws.grid))
-    del lhs, rhs
-
-    # A9: heat operator on 1/eta (same half-weight structure on the
-    # z-factor cross term)
-    lhs = heat_residual(1.0 / ws.Eta, ws)
-    rhs = (
-        -(beta / (h * eta**2)) * sq_w
-        - (beta / (h * eta**2)) * (g_wwb / g - np.abs(g_w / g) ** 2)
-        - (2.0 * beta / (g * lam * eta))
-        * (np.abs(eta_z / eta) ** 2 + ((eta_z / eta) * np.conj(h_z) / h).real)
-        - (beta / (g * lam * eta)) * (h_zzb / h)
-        - (1.0 / (h * eta**2)) * np.abs(eta_w / eta) ** 2
-    )
-    out.append(_result("A9", lhs, rhs, tol, beta, ws.grid))
-    del lhs, rhs
-
-    # sanity: the speed itself solves the linearised heat equation, by
-    # construction of the substitution
-    lhs = heat_residual(beta * log(ws.Lam) - log(ws.Eta), ws)
-    out.append(_result("L16", lhs, np.zeros_like(lhs), 1e-13, beta, ws.grid,
-                       kind="sanity", note="H(du/dt) = 0 by construction"))
+    check = _checker(ws, rows, tol)
+    out = [check("A1", ws.L(ws.u())),
+           check("A2", heat_residual(ws, ws.U())),
+           check("A3", verify_pluriclosed(bg, ws.lam, ws.eta),
+                 note="(g lam)_wwb + (h eta)_zzb = 0"),
+           check("A4", heat_residual(ws, ws.Lam)),
+            check("A5", heat_residual(ws, ws.Eta))]
+    h_loglam = heat_residual(ws, lambda p: log(p.Lam))
+    out += [check("A6", h_loglam),
+            check("A7", heat_residual(ws, lambda p: log(p.Eta)), h_loglam)]
+    del h_loglam
+    out += [check("A8", heat_residual(ws, lambda p: 1.0 / p.Lam)),
+            check("A9", heat_residual(ws, lambda p: 1.0 / p.Eta)),
+            check("L16", heat_residual(
+                ws, lambda p: beta * log(p.Lam) - log(p.Eta)), tol=1e-13,
+                kind="sanity", note="H(du/dt) = 0 by construction")]
+    ws.drop(("g", "w wb"), ("h", "z zb"))  # read by group A alone
     return out
 
 
 # ---------------------------------------------------------------------------
 # second identity group: mixed derivative and its Bochner formula
-
-
-def _psi_component(ws) -> np.ndarray:
-    """Source term of the rough heat flow of the mixed derivative."""
-    g, h = ws.base("g"), ws.base("h")
-    lam, eta = ws.lam, ws.eta
-    beta = ws.beta
-    lam_z, lam_w = ws.d("lam", "z"), ws.d("lam", "w")
-    eta_z, eta_w = ws.d("eta", "z"), ws.d("eta", "w")
-    g_z, g_w = ws.d("g", "z"), ws.d("g", "w")
-    h_z, h_w = ws.d("h", "z"), ws.d("h", "w")
-    g_zw, h_zw = ws.d("g", "z w"), ws.d("h", "z w")
-    return (
-        (h_zw - h_z * h_w / h - h_z * g_w / g) * (eta - 1.0) / (h * eta)
-        + beta * (-g_zw + g_z * g_w / g + h_z * g_w / h) * (lam - 1.0) / (g * lam)
-        + (beta - 1.0) * eta_z * g_w / (g * eta)
-        - beta * eta_z * g_w / (g * lam * eta)
-        + h_z * eta_w / (h * eta**2)
-        + (beta - 1.0) * h_z * lam_w / (h * lam)
-        - beta * lam_z * g_w / (g * lam**2)
-        + h_z * lam_w / (h * lam * eta)
-        + (beta - 1.0) * eta_z * lam_w / (eta * lam)
-    )
 
 
 def verify_B(u: RealField, bg: Background, beta: float, tol: float = 1e-8,
@@ -499,110 +518,137 @@ def verify_B(u: RealField, bg: Background, beta: float, tol: float = 1e-8,
     inequality."""
     if ws is None:
         ws = ManifoldSlice(u, bg, beta)
-    g, h = ws.base("g"), ws.base("h")
-    lam, eta = ws.lam, ws.eta
-    lam_z, lam_w = ws.d("lam", "z"), ws.d("lam", "w")
-    eta_z, eta_w = ws.d("eta", "z"), ws.d("eta", "w")
-    g_z, g_w = ws.d("g", "z"), ws.d("g", "w")
-    h_z, h_w = ws.d("h", "z"), ws.d("h", "w")
-    u_zw = ws.u("z w")
-    u_zwzb = ws.u("z w zb")
-    u_zwwb = ws.u("z w wb")
-    sigma_z = g_z / g + lam_z / lam + h_z / h + eta_z / eta
-    sigma_w = g_w / g + lam_w / lam + h_w / h + eta_w / eta
-    V = (beta / (g * lam)) * (1.0 / (h * eta))
-    psi = _psi_component(ws)
-    out = []
+    cr = constants_report
 
-    # B11: rough heat flow of the mixed derivative equals the source
-    lhs = (
-        heat_residual(ws.U("z w"), ws)
-        + (beta / (g * lam)) * sigma_z * u_zwzb
-        + (1.0 / (h * eta)) * sigma_w * u_zwwb
-    )
-    out.append(_result("B11", lhs, psi, tol, beta, ws.grid))
-    del lhs
+    def rows(p):  # each identity's (lhs, rhs) on a block p, from its args
+        g, h, lam, eta = p.g, p.h, p.lam, p.eta
+        lam_z, lam_w = p.d("lam", "z"), p.d("lam", "w")
+        eta_z, eta_w = p.d("eta", "z"), p.d("eta", "w")
+        g_z, g_w = p.d("g", "z"), p.d("g", "w")
+        h_z, h_w = p.d("h", "z"), p.d("h", "w")
+        u_zw = p.u("z w")
+        V = (beta / (g * lam)) * (1.0 / (h * eta))
+
+        def sigma():
+            return (g_z / g + lam_z / lam + h_z / h + eta_z / eta,
+                    g_w / g + lam_w / lam + h_w / h + eta_w / eta)
+
+        def psi():  # source term of the rough heat flow of the mixed form
+            g_zw, h_zw = p.d("g", "z w"), p.d("h", "z w")
+            return (
+                (h_zw - h_z * h_w / h - h_z * g_w / g) * (eta - 1.0) / (h * eta)
+                + beta * (-g_zw + g_z * g_w / g + h_z * g_w / h) * (lam - 1.0)
+                / (g * lam)
+                + (beta - 1.0) * eta_z * g_w / (g * eta)
+                - beta * eta_z * g_w / (g * lam * eta)
+                + h_z * eta_w / (h * eta**2)
+                + (beta - 1.0) * h_z * lam_w / (h * lam)
+                - beta * lam_z * g_w / (g * lam**2)
+                + h_z * lam_w / (h * lam * eta)
+                + (beta - 1.0) * eta_z * lam_w / (eta * lam)
+            )
+
+        def dbar_sq():  # anti-holomorphic derivative norm of the mixed form
+            return V * (
+                (beta / (g * lam)) * np.abs(p.u("z w zb")) ** 2
+                + (1.0 / (h * eta)) * np.abs(p.u("z w wb")) ** 2
+            )
+
+        def grad_sq():
+            sigma_z, sigma_w = sigma()
+            grad_z = p.u("z z w") - sigma_z * u_zw
+            grad_w = p.u("z w w") - sigma_w * u_zw
+            return V * (
+                (beta / (g * lam)) * np.abs(grad_z) ** 2
+                + (1.0 / (h * eta)) * np.abs(grad_w) ** 2
+            )
+
+        def b11(H, psi):  # the rough heat flow of u_zw equals the source
+            sigma_z, sigma_w = sigma()
+            return (H + (beta / (g * lam)) * sigma_z * p.u("z w zb")
+                    + (1.0 / (h * eta)) * sigma_w * p.u("z w wb"), psi)
+
+        def b23(h_mixed):  # the endpoint growth inequality: (-margin, |rhs|)
+            s = np.sqrt(V * np.abs(u_zw) ** 2)
+            bracket = (
+                -(beta**2) * (1.0 - cr.delta)
+                + math.sqrt(beta) * (1.0 - beta) * s
+                - (1.0 + beta - cr.epsilon) * s**2
+            )
+            third = (1.0 / (h * eta)) * np.abs(lam_w / lam + g_w / g) ** 2 + (
+                1.0 / (g * lam)
+            ) * np.abs(eta_z / eta + h_z / h) ** 2
+            rhs = (
+                cr.c8 * (1.0 / cr.epsilon + 1.0 / cr.delta - beta**2)
+                + cr.c3 * s
+                + cr.c6 * s**2
+                + cr.c7
+                * (
+                    np.abs(eta_w / eta) ** 2 / (h * eta**2)
+                    + np.abs(lam_z / lam) ** 2 / (g * lam**2)
+                )
+                + bracket * third
+            )
+            return [-(rhs - h_mixed.real), np.abs(rhs)]
+
+        return {
+            "psi": psi,
+            "B11": b11,
+            # B25: anti-holomorphic derivative norm in closed form
+            "B25": lambda: (dbar_sq(), (beta**2 / (h * eta)) * np.abs(
+                lam_w / lam + g_w / g - g_w / (g * lam)
+            ) ** 2 + (beta / (g * lam)) * np.abs(
+                eta_z / eta + h_z / h - h_z / (h * eta)
+            ) ** 2),
+            # B18: Bochner identity for the squared norm of the mixed form
+            "B18": lambda H, h_logdet, psi: (
+                H, -dbar_sq() - grad_sq() - V * np.abs(u_zw) ** 2 * h_logdet
+                + 2.0 * (V * psi * np.conj(u_zw)).real),
+            "B23": b23,
+        }
+
+    check = _checker(ws, rows, tol)
+    psi = _whole(ws, rows, "psi")
+    ws.drop(("g", "z w"), ("h", "z w"))  # read by psi alone
+    out = [check("B11", heat_residual(ws, ws.U("z w")), psi)]
 
     # B12: connection coefficients agree with log-derivatives of the
     # adjusted metric coefficients
-    res = 0.0
+    res = []
     for coef, trace in (("g", "lam"), ("h", "eta")):
-        cf, tr = ws.base(coef), ws.base(trace)
-        logs = ws.derivs(np.log(cf * tr), "z", "w")
-        for op, log_d in zip(("z", "w"), logs):
-            r = (ws.d(coef, op) / cf + ws.d(trace, op) / tr) - log_d
-            res = max(res, float(np.max(np.abs(r))))
-        del logs, log_d, r
-    out.append(
-        IdentityResult("B12", res, tol, res <= tol, "equality", beta, ws.grid.shape,
-                       note="connection coefficients vs log-derivatives")
-    )
+        logs = ws.derivs(np.log(ws.base(coef) * ws.base(trace)), "z", "w")
+        res.append(_maxima(ws, lambda p: [
+            np.abs((p.d(coef, op) / p.base(coef) + p.d(trace, op)
+                    / p.base(trace)) - p.part(log_d))
+            for op, log_d in zip(("z", "w"), logs)]))
+        del logs
+    res = float(np.max(res))
+    out += [IdentityResult("B12", res, tol, res <= tol, "equality", beta,
+                           ws.grid.shape, note="connection coefficients vs "
+                           "log-derivatives"),
+            check("B25")]
 
-    # B25: anti-holomorphic derivative norm of the mixed form in closed form
-    dbar_sq = V * (
-        (beta / (g * lam)) * np.abs(u_zwzb) ** 2
-        + (1.0 / (h * eta)) * np.abs(u_zwwb) ** 2
-    )
-    rhs = (beta**2 / (h * eta)) * np.abs(
-        lam_w / lam + g_w / g - g_w / (g * lam)
-    ) ** 2 + (beta / (g * lam)) * np.abs(
-        eta_z / eta + h_z / h - h_z / (h * eta)
-    ) ** 2
-    out.append(_result("B25", dbar_sq, rhs, tol, beta, ws.grid))
-    del rhs
-
-    # B18: Bochner identity for the squared norm of the mixed form
-    h_mixed = heat_residual(
-        beta * abs2(ws.U("z w")) * (1.0 / (g * ws.Lam * h * ws.Eta)), ws)
-    grad_z = ws.u("z z w") - sigma_z * u_zw
-    grad_w = ws.u("z w w") - sigma_w * u_zw
-    grad_sq = V * (
-        (beta / (g * lam)) * np.abs(grad_z) ** 2
-        + (1.0 / (h * eta)) * np.abs(grad_w) ** 2
-    )
-    del grad_z, grad_w
-    h_logdet = heat_residual(
-        np.log(g) + log(ws.Lam) + np.log(h) + log(ws.Eta), ws)
-    mixed_sq = V * np.abs(u_zw) ** 2
-    pairing = 2.0 * (V * psi * np.conj(u_zw)).real
-    rhs = -dbar_sq - grad_sq - mixed_sq * h_logdet + pairing
-    out.append(_result("B18", h_mixed, rhs, tol, beta, ws.grid))
-    del rhs, dbar_sq, grad_sq, h_logdet, pairing, psi
+    h_mixed = heat_residual(ws, lambda p: beta * abs2(p.U("z w")) * (
+        1.0 / (p.g * p.Lam * p.h * p.Eta)))
+    out.append(check("B18", h_mixed, heat_residual(
+        ws, lambda p: np.log(p.g) + log(p.Lam) + np.log(p.h) + log(p.Eta)),
+        psi))
+    del psi
+    ws.drop(("u", "z z w"), ("u", "z w w"), ("u", "z w zb"),
+            ("u", "z w wb"))  # read last by B18
 
     # B23: endpoint growth inequality with conservative constants
-    if constants_report is not None:
-        cr = constants_report
-        s = np.sqrt(mixed_sq)
-        bracket = (
-            -(beta**2) * (1.0 - cr.delta)
-            + math.sqrt(beta) * (1.0 - beta) * s
-            - (1.0 + beta - cr.epsilon) * s**2
-        )
-        third = (1.0 / (h * eta)) * np.abs(lam_w / lam + g_w / g) ** 2 + (
-            1.0 / (g * lam)
-        ) * np.abs(eta_z / eta + h_z / h) ** 2
-        rhs = (
-            cr.c8 * (1.0 / cr.epsilon + 1.0 / cr.delta - beta**2)
-            + cr.c3 * s
-            + cr.c6 * s**2
-            + cr.c7
-            * (
-                np.abs(eta_w / eta) ** 2 / (h * eta**2)
-                + np.abs(lam_z / lam) ** 2 / (g * lam**2)
-            )
-            + bracket * third
-        )
-        lhs_ineq = h_mixed.real
-        margin = float(np.min(rhs - lhs_ineq))
-        scale = max(1.0, float(np.max(np.abs(rhs))))
-        passed = margin >= -tol * scale
+    if cr is not None:
+        neg, top = _maxima(ws, lambda p: rows(p)["B23"](p.part(h_mixed)))
+        margin, scale = -float(neg), max(1.0, float(top))
         out.append(
             IdentityResult(
-                "B23", -margin / scale if margin < 0 else 0.0, tol, passed,
-                "inequality", beta, ws.grid.shape,
+                "B23", -margin / scale if margin < 0 else 0.0, tol,
+                margin >= -tol * scale, "inequality", beta, ws.grid.shape,
                 note=f"min margin {margin:.3e}",
             )
         )
+    ws._derivs.clear()  # group B is the slice's last reader
     return out
 
 
@@ -615,163 +661,169 @@ def verify_C(phi: RealField, a: float, b: float, beta: float,
     """Evolution identities of the local flow and the subsolution property
     of the transform matrix, on the quadratic-plus-periodic slice."""
     ws = LocalSlice(phi, a, b, beta)
-    lam, eta = ws.lam, ws.eta
-    lam_z, lam_w = ws.d("lam", "z"), ws.d("lam", "w")
-    eta_z, eta_w = ws.d("eta", "z"), ws.d("eta", "w")
-    c = ws.u("z wb")
-    cbar = np.conj(c)
-    u_zzwb = ws.u("z z wb")
-    u_wwzb = ws.u("w w zb")
-    u_zwbwb = ws.u("z wb wb")
+    pairs = (("z", "zb"), ("z", "w"), ("z", "wb"), ("w", "wb"))
+
+    def rows(p):  # each identity's (lhs, rhs) on a block p, from its args
+        lam, eta = p.lam, p.eta
+        lam_z, lam_w = p.d("lam", "z"), p.d("lam", "w")
+        eta_z, eta_w = p.d("eta", "z"), p.d("eta", "w")
+        c = p.u("z wb")
+        cbar = np.conj(c)
+        u_zzwb, u_wwzb = p.u("z z wb"), p.u("w w zb")
+
+        def rhs31():  # reciprocal of eta is a subsolution in closed form
+            return (
+                -(beta / eta**2) * np.abs(lam_w / lam) ** 2
+                - (2.0 * beta / (lam * eta)) * np.abs(eta_z / eta) ** 2
+                - (1.0 / eta**2) * np.abs(eta_w / eta) ** 2
+            )
+
+        def rhs35():
+            # completed-square form for the first diagonal transform entry.
+            # All three factor-weighted squares carry beta; the derivation
+            # fixes the weight of the second square, which balances only
+            # with beta.
+            sq1 = np.abs(lam_z / lam + c * lam_w / (lam * eta)) ** 2
+            sq2 = np.abs(lam_w / np.sqrt(lam * eta)
+                         - cbar * eta_z / np.sqrt(lam * eta**3)) ** 2
+            sq3 = np.abs(u_zzwb / np.sqrt(lam * eta)
+                         - c * eta_z / np.sqrt(lam * eta**3)) ** 2
+            sq4 = np.abs(u_wwzb / eta - cbar * eta_w / eta**2) ** 2
+            return -beta * sq1 - beta * sq2 - beta * sq3 - sq4
+
+        def t37():  # off-diagonal entry, regrouped into the pairing blocks
+            return (
+                beta * (np.conj(eta_z) / np.sqrt(lam * eta**3))
+                * (u_zzwb / np.sqrt(lam * eta)
+                   - c * eta_z / np.sqrt(lam * eta**3))
+                + (p.u("z wb wb") / eta - c * np.conj(eta_w) / eta**2)
+                * (eta_w / eta**2)
+                - beta * (lam_z / lam + c * lam_w / (lam * eta))
+                * (np.conj(lam_w) / (lam * eta))
+                + beta * (np.conj(lam_w) / np.sqrt(lam * eta)
+                          - c * np.conj(eta_z) / np.sqrt(lam * eta**3))
+                * (eta_z / np.sqrt(lam * eta**3))
+            )
+
+        return {
+            "rhs31": rhs31, "rhs35": rhs35, "t37": t37,
+            "absc": lambda: (c * cbar).real,
+            # C27 family: pure second derivatives obey the same quadratic
+            # source
+            **{f"C27[{i}{j}]": lambda H, i=i, j=j: (H, (
+                -beta * p.d("lam", i) * p.d("lam", j) / lam**2
+                + p.d("eta", i) * p.d("eta", j) / eta**2
+            )) for i, j in pairs},
+            # C28 / C30: the traces themselves
+            "C28": lambda H: (
+                H, -beta * np.abs(lam_z / lam) ** 2 + np.abs(eta_z / eta) ** 2),
+            "C29": lambda H: (H, (
+                -beta * lam_z * np.conj(lam_w) / lam**2
+                + eta_z * np.conj(eta_w) / eta**2
+            )),
+            "C30": lambda H: (
+                H, beta * np.abs(lam_w / lam) ** 2 - np.abs(eta_w / eta) ** 2),
+            "C31": lambda H, rhs31: (H, rhs31),
+            # C32: squared modulus of the skew second derivative
+            "C32": lambda H: (H, (
+                -(2.0 * beta / lam**2) * (cbar * lam_z * np.conj(lam_w)).real
+                + (2.0 / eta**2) * (cbar * eta_z * np.conj(eta_w)).real
+                - (beta / lam) * (np.abs(lam_w) ** 2 + np.abs(u_zzwb) ** 2)
+                - (1.0 / eta) * (np.abs(u_wwzb) ** 2 + np.abs(eta_z) ** 2)
+            )),
+            # C33: product-rule form for |u_zwb|^2 / eta
+            "C33": lambda H, rhs31, absc_z, absc_w, inveta_z, inveta_w: (H, (
+                (2.0 / eta**3) * (cbar * eta_z * np.conj(eta_w)).real
+                - (beta / (lam * eta)) * (np.abs(lam_w) ** 2 + np.abs(u_zzwb) ** 2)
+                - (1.0 / eta**2) * (np.abs(u_wwzb) ** 2 + np.abs(eta_z) ** 2)
+                + (c * cbar).real * rhs31
+                - (2.0 * beta / (lam**2 * eta)) * (cbar * lam_z * np.conj(lam_w)).real
+                - (2.0 * beta / lam)
+                * (absc_z * np.conj(inveta_z)).real
+                - (2.0 / eta)
+                * (absc_w * np.conj(inveta_w)).real
+            )),
+            # C34: same statement with the product derivatives substituted
+            "C34": lambda H, rhs31: (H, (
+                -(beta / (lam * eta)) * (np.abs(lam_w) ** 2 + np.abs(u_zzwb) ** 2)
+                - (1.0 / eta**2) * (np.abs(u_wwzb) ** 2 + np.abs(eta_z) ** 2)
+                + (c * cbar).real * rhs31
+                - (2.0 * beta / (lam**2 * eta)) * (cbar * lam_z * np.conj(lam_w)).real
+                + (2.0 / eta**3) * (cbar * eta_z * np.conj(eta_w)).real
+                + (2.0 * beta / lam)
+                * ((cbar * u_zzwb + lam_w * c) * np.conj(eta_z) / eta**2).real
+                + (2.0 / eta)
+                * ((c * u_wwzb - cbar * eta_z) * np.conj(eta_w) / eta**2).real
+            )),
+            "C35": lambda H, rhs35: (H, rhs35),
+            # C36: off-diagonal entry, product-rule form
+            "C36": lambda H, rhs31: (H, (
+                -beta * lam_z * np.conj(lam_w) / (lam**2 * eta)
+                + eta_z * np.conj(eta_w) / eta**3
+                + c * rhs31
+                + (beta / lam)
+                * (np.conj(lam_w) * eta_z / eta**2
+                   + np.conj(eta_z) * u_zzwb / eta**2)
+                + (1.0 / eta) * (p.u("z wb wb") * eta_w / eta**2
+                                 - eta_z * np.conj(eta_w) / eta**2)
+            )),
+            # C37: off-diagonal entry, regrouped into the pairing blocks
+            "C37": lambda H, t37: (H, t37),
+            # quadratic form W(v, vbar): its expansion in the blocks
+            "HW": lambda va, vb, rhs35, t37, rhs31: (
+                abs(va) ** 2 * rhs35
+                + 2.0 * (va * np.conj(vb) * t37).real
+                + abs(vb) ** 2 * rhs31
+            ),
+            **{f"HW[{va:.2f},{vb:.2f}]": lambda H, e: (H, e)
+               for va, vb in W_VECTORS},
+        }
+
+    check = _checker(ws, rows, tol)
     out = []
-    grid = ws.grid
-
-    # C27 family: pure second derivatives obey the same quadratic source
-    for i, j in (("z", "zb"), ("z", "w"), ("z", "wb"), ("w", "wb")):
+    # the C27 rows alone read u_zzb, u_zw, u_wwb and spd_zw
+    c27_only = {("u", "z zb"), ("u", "z w"), ("u", "w wb"), ("spd", "z w")}
+    for i, j in pairs:
         op = f"{i} {j}"
-        lhs = heat_residual(ws.U(op), ws)
-        rhs = (
-            -beta * ws.d("lam", i) * ws.d("lam", j) / lam**2
-            + ws.d("eta", i) * ws.d("eta", j) / eta**2
-        )
-        out.append(_result(f"C27[{i}{j}]", lhs, rhs, tol, beta, grid))
-        del lhs, rhs
+        out.append(check(f"C27[{i}{j}]", heat_residual(ws, ws.U(op))))
+        ws.drop(*c27_only & {("u", op), ("spd", op)})
+    out += [check("C28", heat_residual(ws, ws.Lam)),
+            check("C29", heat_residual(ws, ws.U("z wb"))),
+            check("C30", heat_residual(ws, ws.Eta))]
 
-    # C28 / C30: the traces themselves
-    lhs = heat_residual(ws.Lam, ws)
-    rhs = -beta * np.abs(lam_z / lam) ** 2 + np.abs(eta_z / eta) ** 2
-    out.append(_result("C28", lhs, rhs, tol, beta, grid))
-    del lhs, rhs
-
-    lhs = heat_residual(ws.U("z wb"), ws)
-    rhs = (
-        -beta * lam_z * np.conj(lam_w) / lam**2
-        + eta_z * np.conj(eta_w) / eta**2
-    )
-    out.append(_result("C29", lhs, rhs, tol, beta, grid))
-    del lhs, rhs
-
-    lhs = heat_residual(ws.Eta, ws)
-    rhs = beta * np.abs(lam_w / lam) ** 2 - np.abs(eta_w / eta) ** 2
-    out.append(_result("C30", lhs, rhs, tol, beta, grid))
-    del lhs, rhs
-
-    # C31: reciprocal of eta is a subsolution in closed form
-    rhs31 = (
-        -(beta / eta**2) * np.abs(lam_w / lam) ** 2
-        - (2.0 * beta / (lam * eta)) * np.abs(eta_z / eta) ** 2
-        - (1.0 / eta**2) * np.abs(eta_w / eta) ** 2
-    )
-    lhs = heat_residual(1.0 / ws.Eta, ws)
-    out.append(_result("C31", lhs, rhs31, tol, beta, grid))
-    del lhs
-
-    # C32: squared modulus of the skew second derivative
-    lhs = heat_residual(abs2(ws.U("z wb")), ws)
-    rhs = (
-        -(2.0 * beta / lam**2) * (cbar * lam_z * np.conj(lam_w)).real
-        + (2.0 / eta**2) * (cbar * eta_z * np.conj(eta_w)).real
-        - (beta / lam) * (np.abs(lam_w) ** 2 + np.abs(u_zzwb) ** 2)
-        - (1.0 / eta) * (np.abs(u_wwzb) ** 2 + np.abs(eta_z) ** 2)
-    )
-    out.append(_result("C32", lhs, rhs, tol, beta, grid))
-    del lhs, rhs
-
-    # C33: product-rule form for |u_zwb|^2 / eta
-    absc = (c * cbar).real
-    absc_z, absc_w = ws.derivs(absc, "z", "w")
-    inveta_z, inveta_w = ws.derivs(1.0 / eta, "z", "w")
-    lhs = heat_residual(abs2(ws.U("z wb")) / ws.Eta, ws)
-    rhs = (
-        (2.0 / eta**3) * (cbar * eta_z * np.conj(eta_w)).real
-        - (beta / (lam * eta)) * (np.abs(lam_w) ** 2 + np.abs(u_zzwb) ** 2)
-        - (1.0 / eta**2) * (np.abs(u_wwzb) ** 2 + np.abs(eta_z) ** 2)
-        + absc * rhs31
-        - (2.0 * beta / (lam**2 * eta)) * (cbar * lam_z * np.conj(lam_w)).real
-        - (2.0 * beta / lam)
-        * (absc_z * np.conj(inveta_z)).real
-        - (2.0 / eta)
-        * (absc_w * np.conj(inveta_w)).real
-    )
-    out.append(_result("C33", lhs, rhs, tol, beta, grid))
-    del rhs, absc_z, absc_w, inveta_z, inveta_w
-
-    # C34: same statement with the product derivatives substituted
-    rhs = (
-        -(beta / (lam * eta)) * (np.abs(lam_w) ** 2 + np.abs(u_zzwb) ** 2)
-        - (1.0 / eta**2) * (np.abs(u_wwzb) ** 2 + np.abs(eta_z) ** 2)
-        + absc * rhs31
-        - (2.0 * beta / (lam**2 * eta)) * (cbar * lam_z * np.conj(lam_w)).real
-        + (2.0 / eta**3) * (cbar * eta_z * np.conj(eta_w)).real
-        + (2.0 * beta / lam)
-        * ((cbar * u_zzwb + lam_w * c) * np.conj(eta_z) / eta**2).real
-        + (2.0 / eta)
-        * ((c * u_wwzb - cbar * eta_z) * np.conj(eta_w) / eta**2).real
-    )
-    out.append(_result("C34", lhs, rhs, tol, beta, grid))
-    del lhs, rhs, absc
-
-    # C35: completed-square form for the first diagonal transform entry.
-    # All three factor-weighted squares carry beta; the derivation fixes
-    # the weight of the second square, which balances only with beta.
-    sq1 = np.abs(lam_z / lam + c * lam_w / (lam * eta)) ** 2
-    sq2 = np.abs(lam_w / np.sqrt(lam * eta) - cbar * eta_z / np.sqrt(lam * eta**3)) ** 2
-    sq3 = np.abs(u_zzwb / np.sqrt(lam * eta) - c * eta_z / np.sqrt(lam * eta**3)) ** 2
-    sq4 = np.abs(u_wwzb / eta - cbar * eta_w / eta**2) ** 2
-    rhs35 = -beta * sq1 - beta * sq2 - beta * sq3 - sq4
-    lhs = heat_residual(ws.Lam + abs2(ws.U("z wb")) / ws.Eta, ws)
-    out.append(_result("C35", lhs, rhs35, tol, beta, grid))
-    del lhs, sq1, sq2, sq3, sq4
-
-    # C36: off-diagonal entry, product-rule form
-    lhs36 = heat_residual(ws.U("z wb") / ws.Eta, ws)
-    rhs = (
-        -beta * lam_z * np.conj(lam_w) / (lam**2 * eta)
-        + eta_z * np.conj(eta_w) / eta**3
-        + c * rhs31
-        + (beta / lam)
-        * (np.conj(lam_w) * eta_z / eta**2 + np.conj(eta_z) * u_zzwb / eta**2)
-        + (1.0 / eta) * (u_zwbwb * eta_w / eta**2 - eta_z * np.conj(eta_w) / eta**2)
-    )
-    out.append(_result("C36", lhs36, rhs, tol, beta, grid))
-    del rhs
-
-    # C37: off-diagonal entry, regrouped into the pairing blocks
-    t37 = (
-        beta * (np.conj(eta_z) / np.sqrt(lam * eta**3))
-        * (u_zzwb / np.sqrt(lam * eta) - c * eta_z / np.sqrt(lam * eta**3))
-        + (u_zwbwb / eta - c * np.conj(eta_w) / eta**2) * (eta_w / eta**2)
-        - beta * (lam_z / lam + c * lam_w / (lam * eta)) * (np.conj(lam_w) / (lam * eta))
-        + beta * (np.conj(lam_w) / np.sqrt(lam * eta)
-                  - c * np.conj(eta_z) / np.sqrt(lam * eta**3))
-        * (eta_z / np.sqrt(lam * eta**3))
-    )
-    out.append(_result("C37", lhs36, t37, tol, beta, grid))
+    rhs31 = _whole(ws, rows, "rhs31")
+    out += [check("C31", heat_residual(ws, lambda p: 1.0 / p.Eta), rhs31),
+            check("C32", heat_residual(ws, lambda p: abs2(p.U("z wb"))))]
+    h33 = heat_residual(ws, lambda p: abs2(p.U("z wb")) / p.Eta)
+    absc = _whole(ws, rows, "absc")
+    out.append(check("C33", h33, rhs31, *ws.derivs(absc, "z", "w"),
+                     *ws.derivs(1.0 / ws.eta, "z", "w")))
+    del absc
+    out.append(check("C34", h33, rhs31))
+    del h33
+    rhs35, t37 = (_whole(ws, rows, name) for name in ("rhs35", "t37"))
+    out.append(check("C35", heat_residual(
+        ws, lambda p: p.Lam + abs2(p.U("z wb")) / p.Eta), rhs35))
+    lhs36 = heat_residual(ws, lambda p: p.U("z wb") / p.Eta)
+    out += [check("C36", lhs36, rhs31), check("C37", lhs36, t37)]
     del lhs36
 
     # quadratic form: direct heat residual equals the block expansion and
     # the expansion is pointwise nonpositive
-    quads = w_quads(ws.Lam + abs2(ws.U("z wb")) / ws.Eta,
-                    ws.U("z wb") / ws.Eta, 1.0 / ws.Eta)
-    for va, vb in W_VECTORS:
-        lhs = heat_residual(next(quads), ws)
-        expansion = (
-            abs(va) ** 2 * rhs35
-            + 2.0 * (va * np.conj(vb) * t37).real
-            + abs(vb) ** 2 * rhs31
-        )
+    def quads(p):
+        return list(w_quads(p.Lam + abs2(p.U("z wb")) / p.Eta,
+                            p.U("z wb") / p.Eta, 1.0 / p.Eta))
+
+    for k, (va, vb) in enumerate(W_VECTORS):
         tag = f"HW[{va:.2f},{vb:.2f}]"
-        out.append(_result(tag, lhs, expansion, tol, beta, grid))
-        del lhs
-        top = float(np.max(expansion))
-        scale = max(1.0, float(np.max(np.abs(expansion))))
-        out.append(
-            IdentityResult(
-                tag + "<=0", max(top, 0.0) / scale, 1e-10,
-                top <= 1e-10 * scale, "inequality", beta, grid.shape,
-                note=f"max value {top:.3e}",
-            )
-        )
+        e = _whole(ws, rows, "HW", va, vb, rhs35, t37, rhs31)
+        top, scale = float(np.max(e)), max(1.0, float(np.max(np.abs(e))))
+        out += [check(tag, heat_residual(ws, lambda p: quads(p)[k]), e),
+                IdentityResult(
+                    tag + "<=0", max(top, 0.0) / scale, 1e-10,
+                    top <= 1e-10 * scale, "inequality", beta, ws.grid.shape,
+                    note=f"max value {top:.3e}",
+                )]
     return out
 
 

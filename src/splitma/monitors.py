@@ -59,13 +59,13 @@ import numpy as np
 from .errors import ConfigurationError
 from .geometry import (BETA_MIN, KAHLER_PRODUCT, Background, ConstantsReport,
                        CurvatureReport, constants, curvature, torsion)
-from .grid_field import RealField, factor_laplacians, mixed_derivatives
+from .grid_field import (RealField, factor_laplacians, mixed_derivatives,
+                         on_blocks)
 from .flow import FlowState, Trajectory, flow_speed, steady_residual
 from .identities import W_VECTORS, StateSlice, abs2, log, real, w_quads
 
 MONO_SLACK = 1e-8           # relative slack for monotone scalar series
 HEAT_TOL = 1e-6             # relative tolerance of the heat subsolutions
-BLOCK = 8192                # points per block of the Duals, cache-sized
 
 
 @dataclass
@@ -354,11 +354,9 @@ class MonitorStream:
         whole = (self.bg.g.data, self.bg.h.data, s.lam.data, s.eta.data)
         ws = StateSlice(grid, *whole, beta, d)
         cr = self.constants_at(self.c0_max) if self._phi else None
-        f, sups = self._fields or [], []
-        for start in range(0, spd.size, BLOCK):
-            sl = slice(start, start + BLOCK)
-            p = StateSlice(grid, *(a.reshape(-1)[sl] for a in whole), beta,
-                           {k: a.reshape(-1)[sl] for k, a in d.items()})
+
+        def values(sl):
+            p = ws.at(sl)
             lam = p.Lam
             g_lam, w22 = p.g * lam, 1.0 / (p.h * p.Eta)
             vals = []
@@ -373,10 +371,10 @@ class MonitorStream:
                 if cr.a_phi:  # 0 on Kahler products
                     phi = phi + cr.a_phi * (1.0 / lam + p.h * w22)
                 vals += [phi.v, phi.d - cr.c14 * np.maximum(phi.v, 1.0)]
-            f += [np.empty(grid.shape) for _ in vals[len(f):]]
-            for out, val in zip(f, vals):
-                out.reshape(-1)[sl] = val
-        for k in range(0, len(vals), 2):  # (1 + sup|F|, sup(F_t - L F))
+            return vals
+
+        f, sups = on_blocks(values, grid.shape, self._fields or None), []
+        for k in range(0, len(f), 2):  # (1 + sup|F|, sup(F_t - L F))
             h = ws.L(f[k])
             np.subtract(f[k + 1], h, out=h)
             sups.append((1.0 + max(float(f[k].max()), -float(f[k].min())),

@@ -329,6 +329,25 @@ class TestExitCodes:
         assert "seed 2, amplitude 0.08" in err and "lambda reached" in err
         assert not out.exists()
 
+    def test_inadmissible_file_initial_data_exits_three(self, tmp_path,
+                                                        capsys):
+        """The same data read from a field file fails the flow's first
+        evaluation: named by its kind and path, with no output."""
+        from splitma import make_grid, random_test_field, write_field
+
+        path = tmp_path / "u0.field"
+        write_field(random_test_field(make_grid((8,) * 4, (1,) * 4), 2, 0.08,
+                                      1), path)
+        cfg = write_cfg(tmp_path, DENSE_ALL.replace(
+            "kind = random", f"kind = file\npath = {path}"))
+        out = tmp_path / "deep" / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: the initial state "
+                              f"([initial] kind = file, path {path})")
+        assert "lambda reached" in err
+        assert not (tmp_path / "deep").exists()
+
     def test_short_negative_control_exits_two(self, tmp_path, capsys):
         """A negative control corrupts every kept state after the first, so
         it needs two; a run that keeps only its initial state is a
@@ -782,22 +801,16 @@ class TestArtifacts:
                 == (tmp_path / "live" / "timeseries.csv").read_bytes())
 
     @staticmethod
-    def assert_flat_peak(tmp_path, negative_control=None):
+    def assert_flat_peak(tmp_path, traced_peak, negative_control=None):
         """The tracemalloc peak of a monitored 16^4 run with every check
         on grows by at most two field sizes from 11 to 21 kept states."""
-        import tracemalloc
-
-        peaks = []
+        peaks, calls = [], []
         for t_end in ("1e-4", "5e-4", "1e-3"):  # the first warms the caches
             cfg = parse_config(write_cfg(tmp_path, DENSE16_ALL.replace(
                 "t_end = 0.004", f"t_end = {t_end}")))
-            tracemalloc.start()
-            try:
-                code, rep = cmd_flow_run(cfg, tmp_path / t_end,
-                                         negative_control=negative_control)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced_peak(lambda: calls.append(cmd_flow_run(
+                cfg, tmp_path / t_end, negative_control=negative_control))))
+            code, rep = calls[-1]
             assert code == (0 if negative_control is None else 1)
         field_bytes = 16**4 * 8
         assert rep["steps_recorded"] == 21
@@ -852,16 +865,18 @@ class TestArtifacts:
         peak = traced_peak(lambda: cmd_flow_run(cfg, tmp_path / "o"))
         assert peak <= (40.85 + 0.25) * 16**4 * 8, peak / (16**4 * 8)
 
-    def test_run_memory_does_not_grow_with_t_end(self, tmp_path):
+    def test_run_memory_does_not_grow_with_t_end(self, tmp_path,
+                                                 traced_peak):
         """The peak grows by at most two field sizes when t_end doubles
         (from 11 to 21 snapshots); a run that stored its snapshots would
         add four fields per snapshot."""
-        self.assert_flat_peak(tmp_path)
+        self.assert_flat_peak(tmp_path, traced_peak)
 
-    def test_negative_control_memory_does_not_grow_with_t_end(self, tmp_path):
+    def test_negative_control_memory_does_not_grow_with_t_end(self, tmp_path,
+                                                              traced_peak):
         """A negative control streams like a clean run: it corrupts a copy
         of each kept state instead of storing the run."""
-        self.assert_flat_peak(tmp_path, "phi_subsolution")
+        self.assert_flat_peak(tmp_path, traced_peak, "phi_subsolution")
 
     @pytest.mark.parametrize("t_end", ["0.01", "0"])
     def test_checkpoint_recipes_on_steady_data(self, tmp_path, t_end):

@@ -1,12 +1,10 @@
 """Tests for the slice identity checker and its dual-number chain rule."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from splitma import AdmissibilityLost, ConfigurationError, make_grid
-from splitma import _backend, identities
+from splitma import _backend, grid_field, identities
 from splitma.config import ExperimentConfig
 from splitma.experiments import cmd_check_identities
 from splitma.geometry import (
@@ -15,6 +13,7 @@ from splitma.geometry import (
     flat_background,
     make_background,
     pluriclosed_background,
+    torsion,
 )
 from splitma.grid_field import (RealField, _spectral_deriv, deriv_data,
                                 factor_laplacian)
@@ -172,8 +171,9 @@ class TestFactorKernelSlice:
 
 class TestSliceCache:
     """A slice keeps the derivatives of its base fields only, takes the
-    conjugate ops of a real base field without a transform, and the
-    identity recipe stays within its memory budget."""
+    conjugate ops of a real base field without a transform, drops each
+    derivative after the last group that reads it, and the identity
+    recipe stays within its memory budget."""
 
     @pytest.fixture()
     def slices(self, grid16, bgp16, u16):
@@ -199,9 +199,25 @@ class TestSliceCache:
 
     def test_helper_fields_leave_nothing_in_the_slice(self, grid16, bgp16,
                                                       u16, monkeypatch):
+        """No helper field and no derivative past its last use stays in a
+        slice: group A leaves what group B reads, B leaves nothing, and
+        verify_C's slice ends with what its last rows read.  No derivative
+        is taken twice: the groups take as many transforms as when a slice
+        kept every derivative to its end (17 in A, 13 in B and 25 in C)."""
+        cr = constants(bgp16, 0.7, c0=3.0)
+        count = []
+        for name in ("fftn", "ifftn"):
+            monkeypatch.setattr(_backend, name, lambda a, f=getattr(
+                _backend, name): count.append(1) or f(a))
         ws = ManifoldSlice(u16, bgp16, 0.7)
         verify_A(u16, bgp16, 0.7, ws=ws)
-        verify_B(u16, bgp16, 0.7, ws=ws)
+        assert len(count) == 17
+        assert set(ws._derivs) == {
+            ("lam", "z"), ("lam", "w"), ("eta", "z"), ("eta", "w"),
+            ("g", "z"), ("g", "w"), ("g", "z w"), ("h", "z"), ("h", "w"),
+            ("h", "z w"), ("spd", "z zb"), ("spd", "w wb")}
+        verify_B(u16, bgp16, 0.7, constants_report=cr, ws=ws)
+        assert ws._derivs == {} and len(count) == 17 + 13
         local = []
 
         class Recorded(LocalSlice):
@@ -214,26 +230,103 @@ class TestSliceCache:
         phi = RealField(grid16, 0.01 * np.sin(TWO_PI * x1)
                         * np.sin(TWO_PI * x3) * np.ones(grid16.shape))
         verify_C(phi, 1.0, 1.0, 0.7)
-        bases = {"u", "lam", "eta", "spd"}
-        assert set(ws._bases) == bases | {"g", "h"}
-        assert set(local[0]._bases) == bases
-        for s in (ws, local[0]):
-            assert {key for key, _ in s._derivs} <= set(s._bases)
+        assert set(local[0]._derivs) == {
+            ("lam", "z"), ("lam", "w"), ("eta", "z"), ("eta", "w"),
+            ("u", "z wb"), ("u", "z z wb"), ("u", "w w zb"),
+            ("u", "z wb wb"), ("spd", "z zb"), ("spd", "z wb"),
+            ("spd", "w wb")}
+        assert len(count) == 17 + 13 + 25
 
-    def test_identity_recipe_peak_memory(self, tmp_path):
+    def test_identity_recipe_peak_memory(self, tmp_path, traced_peak):
         """The tracemalloc peak of the identity recipe on a 16^4
-        pluriclosed config is at most 40 complex 16^4 fields (1 MiB each).
-        A slice that kept every spectrum and derivative it computed
-        peaked at about 54."""
+        pluriclosed config, after a warm-up call, is at most 23.6 MiB (47
+        real 16^4 fields; it measured 23.58).  Whole-field right-hand sides
+        and a slice that kept every derivative to its end peaked at 32.7,
+        and a slice that kept every spectrum and derivative it computed at
+        about 54."""
         cfg = ExperimentConfig(dims=(16,) * 4, bg_kind="pluriclosed_cos",
                                id_betas=(0.7,), id_seed=3)
-        tracemalloc.start()
-        try:
-            cmd_check_identities(cfg, tmp_path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / 2**20 <= 40
+        cmd_check_identities(cfg, tmp_path)  # imports and caches
+        peak = traced_peak(lambda: cmd_check_identities(cfg, tmp_path))
+        assert peak / 2**20 <= 23.6, peak / 2**20
+
+
+class TestFieldBudget:
+    """tracemalloc gates per group at 16^4, in real fields (0.5 MiB), on
+    the identity recipe's background and potential, each after a warm-up
+    call: the budget is the measured peak plus one field.  The counts do
+    not depend on the grid.  Whole-field right-hand sides and a slice
+    that kept every derivative to its end peaked at 41.1 (slice and A),
+    28.1 (B), 60.1 (C) and 33.3 (constants)."""
+
+    FIELD = 16**4 * 8
+
+    @pytest.fixture(scope="class")
+    def inputs(self, grid16, bgp16):
+        x1, _, x3, _ = grid16.mesh()
+        phi = RealField(grid16, 0.01 * np.sin(TWO_PI * x1)
+                        * np.sin(TWO_PI * x3) * np.ones(grid16.shape))
+        return random_test_field(grid16, 3, 0.01, 1), phi
+
+    def peak(self, traced_peak, fn) -> float:
+        fn()
+        return traced_peak(fn) / self.FIELD
+
+    def test_slice_and_group_A(self, bgp16, inputs, traced_peak):
+        u, _ = inputs
+        peak = self.peak(traced_peak, lambda: verify_A(
+            u, bgp16, 0.7, ws=ManifoldSlice(u, bgp16, 0.7)))
+        assert peak <= 36.3 + 1, peak
+
+    def test_group_B(self, bgp16, inputs, traced_peak):
+        """B starts from the slice that A leaves."""
+        u, _ = inputs
+        cr = constants(bgp16, 0.7, c0=3.0)
+
+        def group_B():
+            ws = ManifoldSlice(u, bgp16, 0.7)
+            verify_A(u, bgp16, 0.7, ws=ws)
+            return lambda: verify_B(u, bgp16, 0.7, constants_report=cr, ws=ws)
+
+        group_B()()
+        peak = traced_peak(group_B()) / self.FIELD
+        assert peak <= 17.9 + 1, peak
+
+    def test_group_C(self, inputs, traced_peak):
+        _, phi = inputs
+        peak = self.peak(traced_peak, lambda: verify_C(phi, 1.0, 1.0, 0.7))
+        assert peak <= 39.4 + 1, peak
+
+    def test_constants(self, bgp16, traced_peak):
+        """The curvature and the torsion of the background."""
+        peak = self.peak(traced_peak, lambda: constants(bgp16, 0.7, c0=3.0))
+        assert peak <= 23.8 + 1, peak
+
+
+class TestBlockSize:
+    """The pointwise passes run on blocks of grid_field.BLOCK points: the
+    residuals, the reports and the torsion are the same to the bit on one
+    block of the whole field and on blocks that do not divide it."""
+
+    @staticmethod
+    def suite(grid16, bgp16, u16):
+        phi = random_test_field(grid16, seed=5, amplitude=0.005, band=2)
+        tors = torsion(bgp16)
+        cr = constants(bgp16, 0.7, c0=3.0, tors=tors)
+        ws = ManifoldSlice(u16, bgp16, 0.7)
+        res = (verify_A(u16, bgp16, 0.7, ws=ws)
+               + verify_B(u16, bgp16, 0.7, constants_report=cr, ws=ws)
+               + verify_C(phi, 1.0, 1.0, 0.7))
+        return res, cr, (tors.max_norm_sq, tors.max_grad,
+                         tors.norm_sq.data.tobytes())
+
+    @pytest.mark.parametrize("block", [16**4, 1000])
+    def test_block_size_changes_no_bit(self, grid16, bgp16, u16, block,
+                                       monkeypatch):
+        ref = self.suite(grid16, bgp16, u16)
+        monkeypatch.setattr(grid_field, "BLOCK", block)
+        assert len(grid_field.blocks(grid16.shape)) == -(-16**4 // block)
+        assert self.suite(grid16, bgp16, u16) == ref
 
 
 class TestGroupA:

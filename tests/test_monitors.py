@@ -394,12 +394,10 @@ class TestSnapshotPass:
         with pytest.raises(ConfigurationError):
             used.add(split_traj, split_traj.snapshots[0], 0.0)
 
-    def test_memory_does_not_grow_with_snapshots(self, dense16):
+    def test_memory_does_not_grow_with_snapshots(self, dense16, traced_peak):
         """No field outlives a state but the stream's fixed scratch:
         doubling the snapshots may not raise the peak of evaluate by more
         than two field sizes."""
-        import tracemalloc
-
         traj, b16 = dense16
         field_bytes = traj.snapshots[0].u.data.nbytes
         n = len(traj.snapshots)
@@ -409,12 +407,8 @@ class TestSnapshotPass:
         peaks = []
         for tr in (half, traj):
             evaluate(tr, b16, enabled=list(monitors.CHECKS))  # warm caches
-            tracemalloc.start()
-            try:
-                evaluate(tr, b16, enabled=list(monitors.CHECKS))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced_peak(
+                lambda: evaluate(tr, b16, enabled=list(monitors.CHECKS))))
         assert peaks[0] > 4 * field_bytes  # the fields are traced
         assert peaks[1] - peaks[0] <= 2 * field_bytes, peaks
 
