@@ -247,25 +247,20 @@ def inadmissible_initial(cfg, seed, exc: AdmissibilityLost):
     state: its kind, and its seed and amplitude or its path."""
     p, label = cfg.initial_params, f"[initial] kind = {cfg.initial_kind}"
     if cfg.initial_kind == "random":
-        seed = p.get("seed", 0) if seed is None else seed
-        label += f", seed {seed}, amplitude {p.get('amplitude', 0.01)}"
+        label += (f", seed {p.get('seed', 0) if seed is None else seed}, "
+                  f"amplitude {p.get('amplitude', 0.01)}")
     elif cfg.initial_kind == "file":
         label += f", path {p['path']}"
-    return AdmissibilityLost(
-        f"the initial state ({label}) is not admissible: {exc}",
-        exc.t, exc.which, exc.value)
+    return AdmissibilityLost(f"the initial state ({label}) is not admissible:"
+                             f" {exc}", exc.t, exc.which, exc.value)
 
 
 def _random_initial(cfg, grid, bg, seed) -> RealField:
     from .identities import random_test_field
 
     p = cfg.initial_params
-    try:
-        return random_test_field(
-            grid, p.get("seed", 0) if seed is None else seed,
-            p.get("amplitude", 0.01), p.get("band", 1), bg=bg)
-    except AdmissibilityLost as exc:
-        raise inadmissible_initial(cfg, seed, exc) from exc
+    return random_test_field(grid, p.get("seed", 0) if seed is None else seed,
+                             p.get("amplitude", 0.01), p.get("band", 1), bg=bg)
 
 
 def _split_sine(cfg, grid, bg, seed) -> RealField:
@@ -299,7 +294,10 @@ _INITIAL = {
 
 def build_initial(cfg: ExperimentConfig, grid: TorusGrid,
                   bg: Background, seed_override: int | None = None) -> RealField:
-    return _INITIAL[cfg.initial_kind](cfg, grid, bg, seed_override)
+    try:  # the random data is checked as it is built
+        return _INITIAL[cfg.initial_kind](cfg, grid, bg, seed_override)
+    except AdmissibilityLost as exc:
+        raise inadmissible_initial(cfg, seed_override, exc) from exc
 
 
 # log_cos: f_plus = beta log(1 + eps cos(2 pi k x1/L1)), f_minus alike in x3

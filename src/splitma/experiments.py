@@ -254,7 +254,8 @@ def cmd_flow_run(cfg: ExperimentConfig, out_dir, seed=None,
     dump, dumped = _field_dump(out, cfg.field_dump_stride)
 
     def keep(tr: Trajectory) -> None:
-        out.mkdir(parents=True, exist_ok=True)  # the field dump writes into it
+        if not stream.records:  # the first kept state: the dump writes to out
+            out.mkdir(parents=True, exist_ok=True)
         s = tr.snapshots[-1]
         if negative_control is not None and stream.records:
             s = copy.deepcopy(s, {id(s.u.grid): s.u.grid})

@@ -33,23 +33,15 @@ past the 1e-11 convergence floor of the identity recipe).
 A slice keeps only what is reused, since at 32^4 each complex field is
 16 MiB and the number of live arrays bounds the grid the suite can reach.
 Of the spectra it keeps only the potential's; another base field's lives
-for one request, which computes every op the identities take of that
-field.  It caches the derivatives of its base fields (the potential,
-lambda, eta, the speed, and on a manifold slice g and h) until the last
-identity that reads each: A drops g_wwb and h_zzb; B drops g_zw and h_zw
-once psi is made, u_zzw, u_zww, u_zwzb and u_zwwb after B18, and the rest
-at its end; C drops u_zzb, u_zw, u_wwb and spd_zw after their C27 rows.
-Base fields are real, so their "zb" and "wb" derivatives are conjugates
-of the cached "z" and "w".  Not cached: u_zzb and u_wwb, which give
-lambda and eta, and the helper fields an identity differentiates once
-(log(g lambda) and log(h eta) in B12, |u_zwb|^2 and 1/eta in C33).
-
-Everything pointwise runs on blocks of grid_field.BLOCK points: a group's
-rows(p) gives each identity's (lhs, rhs) on a block p = ws.at(sl), and
-the residual's maxima are taken block by block, so no whole lhs, rhs or
-lhs - rhs is built.  Whole fields are made only where the grid is needed
-at once: H f = f_t - L f (heat_residual), and a term that several rows or
-a spectrum read (psi, the right-hand sides of C31, C35 and C37, |u_zwb|^2).
+for one request, which computes every op the identities take of it.  The
+derivatives of the base fields (the potential, lambda, eta, the speed, and
+on a manifold slice g and h) live until the last identity that reads them;
+"zb" and "wb" of a real base field are conjugates of the cached "z" and
+"w".  Not cached: u_zzb and u_wwb (lambda and eta), and the fields an
+identity differentiates once (log(g lambda), log(h eta), |u_zwb|^2, 1/eta).
+Pointwise work runs on blocks of grid_field.BLOCK points, as rows(p) on a
+block p = ws.at(sl); only H f = f_t - L f and the terms that several rows
+or a spectrum read are made as whole fields.
 """
 
 from __future__ import annotations
@@ -58,7 +50,8 @@ import copy
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import add
+from itertools import islice
+from operator import add, attrgetter
 
 import numpy as np
 
@@ -107,23 +100,16 @@ class _SliceBase:
         self.coef_w = 1.0 / (h * eta)
 
     def at(self, sl: slice) -> "_SliceBase":
-        """The slice on the block sl of its flattened points: a shallow
-        copy whose fields are those points.  It shares the cache, and a
-        derivative not cached yet is computed on the whole grid."""
+        """The slice on the block sl of its flattened points, sharing the
+        cache; a derivative not cached yet is taken on the whole grid."""
         p = copy.copy(self)
         p._sl = sl
-        p.g, p.h, p.lam, p.eta = (_part(a, sl) for a in
-                                  (self.g, self.h, self.lam, self.eta))
+        p.g, p.h, p.lam, p.eta = map(p.part, (p.g, p.h, p.lam, p.eta))
         return p
 
     def part(self, a):
         """The points of a whole field that this slice reads."""
         return a if self._sl is None else _part(a, self._sl)
-
-    def drop(self, *keys) -> None:
-        """Drop cached derivatives (key, op) after their last use."""
-        for k in keys:
-            del self._derivs[k]
 
     def base(self, key: str) -> np.ndarray:
         return self.part(self._bases[key])
@@ -323,15 +309,16 @@ def real(f: Dual) -> Dual:
     return Dual(f.v.real, f.d.real)
 
 
+def _whole(ws, fn) -> list[np.ndarray]:
+    """Whole fields whose points on each block p = ws.at(sl) are fn(p)."""
+    return on_blocks(lambda sl: fn(ws.at(sl)), ws.grid.shape)
+
+
 def heat_residual(ws, f) -> np.ndarray:
-    """H f = df/dt - L f on the whole grid, for a slice functional f: a Dual
-    of whole fields the slice holds, or a function of a slice to a Dual,
-    whose value and d/dt are then evaluated on blocks of points."""
+    """H f = df/dt - L f on the whole grid, for a Dual f of whole fields, or
+    a function f of a slice to a Dual, then evaluated on blocks of points."""
     if callable(f):
-        def value_and_dt(sl):
-            x = f(ws.at(sl))
-            return [x.v, x.d]
-        f = Dual(*on_blocks(value_and_dt, ws.grid.shape))
+        f = Dual(*_whole(ws, lambda p, fn=f: attrgetter("v", "d")(fn(p))))
     h = ws.L(f.v)
     return np.subtract(f.d, h, out=h)
 
@@ -374,19 +361,9 @@ class IdentityResult:
 
 
 def _maxima(ws, fn) -> np.ndarray:
-    """The max over ws's points of each array of fn(p), a list of arrays
-    of a block p, taken block by block."""
+    """The max over ws's points of each array of fn(p), block by block."""
     return np.max([[np.max(x) for x in fn(ws.at(sl))]
                    for sl in blocks(ws.grid.shape)], axis=0)
-
-
-def _whole(ws, rows, name, *fields) -> np.ndarray:
-    """The term rows(p)[name] of the points p of fields, on the whole grid,
-    made block by block."""
-    def term(sl):
-        p = ws.at(sl)
-        return [rows(p)[name](*map(p.part, fields))]
-    return on_blocks(term, ws.grid.shape)[0]
 
 
 def _checker(ws, rows, tol):
@@ -437,8 +414,7 @@ def verify_A(u: RealField, bg: Background, beta: float,
                 + (1.0 / g) * np.abs(eta_z / eta) ** 2
                 + (2.0 / g) * (h_z * np.conj(eta_z) / (h * eta)).real
                 + (g_wwb / (g * h)) * (lam / eta)
-                + h_zzb / (g * h)
-            )),
+                + h_zzb / (g * h))),
             # A5: heat operator on eta
             "A5": lambda H: (H, (
                 (beta / h) * np.abs(lam_w / lam) ** 2
@@ -446,15 +422,13 @@ def verify_A(u: RealField, bg: Background, beta: float,
                 + (2.0 * beta / (g * lam)) * (h_z * np.conj(eta_z) / h).real
                 - (1.0 / h) * np.abs(eta_w / eta) ** 2
                 + beta * (h_zzb / (g * h)) * (eta / lam)
-                + beta * g_wwb / (g * h)
-            )),
+                + beta * g_wwb / (g * h))),
             # A6: heat operator on log lambda
             "A6": lambda H: (H, (
                 np.abs(lam_w / lam + g_w / g) ** 2 / (h * eta)
                 + np.abs(eta_z / eta + h_z / h) ** 2 / (g * lam)
                 + (h_zzb / h - np.abs(h_z / h) ** 2) / (g * lam)
-                + (g_wwb / g - np.abs(g_w / g) ** 2) / (h * eta)
-            )),
+                + (g_wwb / g - np.abs(g_w / g) ** 2) / (h * eta))),
             # A7: the two log traces evolve proportionally
             "A7": lambda H, h_loglam: (H, beta * h_loglam),
             # A8: heat operator on 1/lambda.  The torsion cross term enters
@@ -468,8 +442,7 @@ def verify_A(u: RealField, bg: Background, beta: float,
                    + ((lam_w / lam) * np.conj(g_w) / g).real)
                 - np.abs(eta_z / eta + h_z / h) ** 2 / (g * lam**2)
                 - (h_zzb / h - np.abs(h_z / h) ** 2) / (g * lam**2)
-                - (g_wwb / g) / (h * lam * eta)
-            )),
+                - (g_wwb / g) / (h * lam * eta))),
             # A9: heat operator on 1/eta (same half-weight structure on the
             # z-factor cross term)
             "A9": lambda H: (H, (
@@ -479,8 +452,7 @@ def verify_A(u: RealField, bg: Background, beta: float,
                 * (np.abs(eta_z / eta) ** 2
                    + ((eta_z / eta) * np.conj(h_z) / h).real)
                 - (beta / (g * lam * eta)) * (h_zzb / h)
-                - (1.0 / (h * eta**2)) * np.abs(eta_w / eta) ** 2
-            )),
+                - (1.0 / (h * eta**2)) * np.abs(eta_w / eta) ** 2)),
             # sanity: the speed itself solves the linearised heat equation,
             # by construction of the substitution
             "L16": lambda H: (H, 0.0),
@@ -492,7 +464,7 @@ def verify_A(u: RealField, bg: Background, beta: float,
            check("A3", verify_pluriclosed(bg, ws.lam, ws.eta),
                  note="(g lam)_wwb + (h eta)_zzb = 0"),
            check("A4", heat_residual(ws, ws.Lam)),
-            check("A5", heat_residual(ws, ws.Eta))]
+           check("A5", heat_residual(ws, ws.Eta))]
     h_loglam = heat_residual(ws, lambda p: log(p.Lam))
     out += [check("A6", h_loglam),
             check("A7", heat_residual(ws, lambda p: log(p.Eta)), h_loglam)]
@@ -502,7 +474,7 @@ def verify_A(u: RealField, bg: Background, beta: float,
             check("L16", heat_residual(
                 ws, lambda p: beta * log(p.Lam) - log(p.Eta)), tol=1e-13,
                 kind="sanity", note="H(du/dt) = 0 by construction")]
-    ws.drop(("g", "w wb"), ("h", "z zb"))  # read by group A alone
+    del ws._derivs["g", "w wb"], ws._derivs["h", "z zb"]  # read by A alone
     return out
 
 
@@ -545,23 +517,18 @@ def verify_B(u: RealField, bg: Background, beta: float, tol: float = 1e-8,
                 + (beta - 1.0) * h_z * lam_w / (h * lam)
                 - beta * lam_z * g_w / (g * lam**2)
                 + h_z * lam_w / (h * lam * eta)
-                + (beta - 1.0) * eta_z * lam_w / (eta * lam)
-            )
+                + (beta - 1.0) * eta_z * lam_w / (eta * lam))
 
         def dbar_sq():  # anti-holomorphic derivative norm of the mixed form
-            return V * (
-                (beta / (g * lam)) * np.abs(p.u("z w zb")) ** 2
-                + (1.0 / (h * eta)) * np.abs(p.u("z w wb")) ** 2
-            )
+            return V * ((beta / (g * lam)) * np.abs(p.u("z w zb")) ** 2
+                        + (1.0 / (h * eta)) * np.abs(p.u("z w wb")) ** 2)
 
         def grad_sq():
             sigma_z, sigma_w = sigma()
             grad_z = p.u("z z w") - sigma_z * u_zw
             grad_w = p.u("z w w") - sigma_w * u_zw
-            return V * (
-                (beta / (g * lam)) * np.abs(grad_z) ** 2
-                + (1.0 / (h * eta)) * np.abs(grad_w) ** 2
-            )
+            return V * ((beta / (g * lam)) * np.abs(grad_z) ** 2
+                        + (1.0 / (h * eta)) * np.abs(grad_w) ** 2)
 
         def b11(H, psi):  # the rough heat flow of u_zw equals the source
             sigma_z, sigma_w = sigma()
@@ -570,25 +537,16 @@ def verify_B(u: RealField, bg: Background, beta: float, tol: float = 1e-8,
 
         def b23(h_mixed):  # the endpoint growth inequality: (-margin, |rhs|)
             s = np.sqrt(V * np.abs(u_zw) ** 2)
-            bracket = (
-                -(beta**2) * (1.0 - cr.delta)
-                + math.sqrt(beta) * (1.0 - beta) * s
-                - (1.0 + beta - cr.epsilon) * s**2
-            )
-            third = (1.0 / (h * eta)) * np.abs(lam_w / lam + g_w / g) ** 2 + (
-                1.0 / (g * lam)
-            ) * np.abs(eta_z / eta + h_z / h) ** 2
-            rhs = (
-                cr.c8 * (1.0 / cr.epsilon + 1.0 / cr.delta - beta**2)
-                + cr.c3 * s
-                + cr.c6 * s**2
-                + cr.c7
-                * (
-                    np.abs(eta_w / eta) ** 2 / (h * eta**2)
-                    + np.abs(lam_z / lam) ** 2 / (g * lam**2)
-                )
-                + bracket * third
-            )
+            bracket = (-(beta**2) * (1.0 - cr.delta)
+                       + math.sqrt(beta) * (1.0 - beta) * s
+                       - (1.0 + beta - cr.epsilon) * s**2)
+            third = ((1.0 / (h * eta)) * np.abs(lam_w / lam + g_w / g) ** 2
+                     + (1.0 / (g * lam)) * np.abs(eta_z / eta + h_z / h) ** 2)
+            rhs = (cr.c8 * (1.0 / cr.epsilon + 1.0 / cr.delta - beta**2)
+                   + cr.c3 * s + cr.c6 * s**2
+                   + cr.c7 * (np.abs(eta_w / eta) ** 2 / (h * eta**2)
+                              + np.abs(lam_z / lam) ** 2 / (g * lam**2))
+                   + bracket * third)
             return [-(rhs - h_mixed.real), np.abs(rhs)]
 
         return {
@@ -596,10 +554,9 @@ def verify_B(u: RealField, bg: Background, beta: float, tol: float = 1e-8,
             "B11": b11,
             # B25: anti-holomorphic derivative norm in closed form
             "B25": lambda: (dbar_sq(), (beta**2 / (h * eta)) * np.abs(
-                lam_w / lam + g_w / g - g_w / (g * lam)
-            ) ** 2 + (beta / (g * lam)) * np.abs(
-                eta_z / eta + h_z / h - h_z / (h * eta)
-            ) ** 2),
+                lam_w / lam + g_w / g - g_w / (g * lam)) ** 2
+                + (beta / (g * lam)) * np.abs(
+                    eta_z / eta + h_z / h - h_z / (h * eta)) ** 2),
             # B18: Bochner identity for the squared norm of the mixed form
             "B18": lambda H, h_logdet, psi: (
                 H, -dbar_sq() - grad_sq() - V * np.abs(u_zw) ** 2 * h_logdet
@@ -608,8 +565,8 @@ def verify_B(u: RealField, bg: Background, beta: float, tol: float = 1e-8,
         }
 
     check = _checker(ws, rows, tol)
-    psi = _whole(ws, rows, "psi")
-    ws.drop(("g", "z w"), ("h", "z w"))  # read by psi alone
+    psi, = _whole(ws, lambda p: [rows(p)["psi"]()])
+    del ws._derivs["g", "z w"], ws._derivs["h", "z w"]  # read by psi alone
     out = [check("B11", heat_residual(ws, ws.U("z w")), psi)]
 
     # B12: connection coefficients agree with log-derivatives of the
@@ -634,20 +591,17 @@ def verify_B(u: RealField, bg: Background, beta: float, tol: float = 1e-8,
         ws, lambda p: np.log(p.g) + log(p.Lam) + np.log(p.h) + log(p.Eta)),
         psi))
     del psi
-    ws.drop(("u", "z z w"), ("u", "z w w"), ("u", "z w zb"),
-            ("u", "z w wb"))  # read last by B18
+    for op in ("z z w", "z w w", "z w zb", "z w wb"):  # read last by B18
+        del ws._derivs["u", op]
 
     # B23: endpoint growth inequality with conservative constants
     if cr is not None:
         neg, top = _maxima(ws, lambda p: rows(p)["B23"](p.part(h_mixed)))
         margin, scale = -float(neg), max(1.0, float(top))
-        out.append(
-            IdentityResult(
-                "B23", -margin / scale if margin < 0 else 0.0, tol,
-                margin >= -tol * scale, "inequality", beta, ws.grid.shape,
-                note=f"min margin {margin:.3e}",
-            )
-        )
+        out.append(IdentityResult(
+            "B23", -margin / scale if margin < 0 else 0.0, tol,
+            margin >= -tol * scale, "inequality", beta, ws.grid.shape,
+            note=f"min margin {margin:.3e}"))
     ws._derivs.clear()  # group B is the slice's last reader
     return out
 
@@ -675,8 +629,7 @@ def verify_C(phi: RealField, a: float, b: float, beta: float,
             return (
                 -(beta / eta**2) * np.abs(lam_w / lam) ** 2
                 - (2.0 * beta / (lam * eta)) * np.abs(eta_z / eta) ** 2
-                - (1.0 / eta**2) * np.abs(eta_w / eta) ** 2
-            )
+                - (1.0 / eta**2) * np.abs(eta_w / eta) ** 2)
 
         def rhs35():
             # completed-square form for the first diagonal transform entry.
@@ -702,8 +655,7 @@ def verify_C(phi: RealField, a: float, b: float, beta: float,
                 * (np.conj(lam_w) / (lam * eta))
                 + beta * (np.conj(lam_w) / np.sqrt(lam * eta)
                           - c * np.conj(eta_z) / np.sqrt(lam * eta**3))
-                * (eta_z / np.sqrt(lam * eta**3))
-            )
+                * (eta_z / np.sqrt(lam * eta**3)))
 
         return {
             "rhs31": rhs31, "rhs35": rhs35, "t37": t37,
@@ -712,15 +664,13 @@ def verify_C(phi: RealField, a: float, b: float, beta: float,
             # source
             **{f"C27[{i}{j}]": lambda H, i=i, j=j: (H, (
                 -beta * p.d("lam", i) * p.d("lam", j) / lam**2
-                + p.d("eta", i) * p.d("eta", j) / eta**2
-            )) for i, j in pairs},
+                + p.d("eta", i) * p.d("eta", j) / eta**2)) for i, j in pairs},
             # C28 / C30: the traces themselves
             "C28": lambda H: (
                 H, -beta * np.abs(lam_z / lam) ** 2 + np.abs(eta_z / eta) ** 2),
             "C29": lambda H: (H, (
                 -beta * lam_z * np.conj(lam_w) / lam**2
-                + eta_z * np.conj(eta_w) / eta**2
-            )),
+                + eta_z * np.conj(eta_w) / eta**2)),
             "C30": lambda H: (
                 H, beta * np.abs(lam_w / lam) ** 2 - np.abs(eta_w / eta) ** 2),
             "C31": lambda H, rhs31: (H, rhs31),
@@ -729,8 +679,7 @@ def verify_C(phi: RealField, a: float, b: float, beta: float,
                 -(2.0 * beta / lam**2) * (cbar * lam_z * np.conj(lam_w)).real
                 + (2.0 / eta**2) * (cbar * eta_z * np.conj(eta_w)).real
                 - (beta / lam) * (np.abs(lam_w) ** 2 + np.abs(u_zzwb) ** 2)
-                - (1.0 / eta) * (np.abs(u_wwzb) ** 2 + np.abs(eta_z) ** 2)
-            )),
+                - (1.0 / eta) * (np.abs(u_wwzb) ** 2 + np.abs(eta_z) ** 2))),
             # C33: product-rule form for |u_zwb|^2 / eta
             "C33": lambda H, rhs31, absc_z, absc_w, inveta_z, inveta_w: (H, (
                 (2.0 / eta**3) * (cbar * eta_z * np.conj(eta_w)).real
@@ -741,8 +690,7 @@ def verify_C(phi: RealField, a: float, b: float, beta: float,
                 - (2.0 * beta / lam)
                 * (absc_z * np.conj(inveta_z)).real
                 - (2.0 / eta)
-                * (absc_w * np.conj(inveta_w)).real
-            )),
+                * (absc_w * np.conj(inveta_w)).real)),
             # C34: same statement with the product derivatives substituted
             "C34": lambda H, rhs31: (H, (
                 -(beta / (lam * eta)) * (np.abs(lam_w) ** 2 + np.abs(u_zzwb) ** 2)
@@ -765,8 +713,7 @@ def verify_C(phi: RealField, a: float, b: float, beta: float,
                 * (np.conj(lam_w) * eta_z / eta**2
                    + np.conj(eta_z) * u_zzwb / eta**2)
                 + (1.0 / eta) * (p.u("z wb wb") * eta_w / eta**2
-                                 - eta_z * np.conj(eta_w) / eta**2)
-            )),
+                                 - eta_z * np.conj(eta_w) / eta**2))),
             # C37: off-diagonal entry, regrouped into the pairing blocks
             "C37": lambda H, t37: (H, t37),
             # quadratic form W(v, vbar): its expansion in the blocks
@@ -786,22 +733,23 @@ def verify_C(phi: RealField, a: float, b: float, beta: float,
     for i, j in pairs:
         op = f"{i} {j}"
         out.append(check(f"C27[{i}{j}]", heat_residual(ws, ws.U(op))))
-        ws.drop(*c27_only & {("u", op), ("spd", op)})
+        for k in c27_only & {("u", op), ("spd", op)}:
+            del ws._derivs[k]
     out += [check("C28", heat_residual(ws, ws.Lam)),
             check("C29", heat_residual(ws, ws.U("z wb"))),
             check("C30", heat_residual(ws, ws.Eta))]
 
-    rhs31 = _whole(ws, rows, "rhs31")
+    rhs31, = _whole(ws, lambda p: [rows(p)["rhs31"]()])
     out += [check("C31", heat_residual(ws, lambda p: 1.0 / p.Eta), rhs31),
             check("C32", heat_residual(ws, lambda p: abs2(p.U("z wb"))))]
     h33 = heat_residual(ws, lambda p: abs2(p.U("z wb")) / p.Eta)
-    absc = _whole(ws, rows, "absc")
+    absc, = _whole(ws, lambda p: [rows(p)["absc"]()])
     out.append(check("C33", h33, rhs31, *ws.derivs(absc, "z", "w"),
                      *ws.derivs(1.0 / ws.eta, "z", "w")))
     del absc
     out.append(check("C34", h33, rhs31))
     del h33
-    rhs35, t37 = (_whole(ws, rows, name) for name in ("rhs35", "t37"))
+    rhs35, t37 = _whole(ws, lambda p: [rows(p)[k]() for k in ("rhs35", "t37")])
     out.append(check("C35", heat_residual(
         ws, lambda p: p.Lam + abs2(p.U("z wb")) / p.Eta), rhs35))
     lhs36 = heat_residual(ws, lambda p: p.U("z wb") / p.Eta)
@@ -810,20 +758,19 @@ def verify_C(phi: RealField, a: float, b: float, beta: float,
 
     # quadratic form: direct heat residual equals the block expansion and
     # the expansion is pointwise nonpositive
-    def quads(p):
-        return list(w_quads(p.Lam + abs2(p.U("z wb")) / p.Eta,
-                            p.U("z wb") / p.Eta, 1.0 / p.Eta))
+    def quad(p, k):  # the k-th form; the ones before it are single entries
+        return next(islice(w_quads(p.Lam + abs2(p.U("z wb")) / p.Eta,
+                                   p.U("z wb") / p.Eta, 1.0 / p.Eta), k, None))
 
     for k, (va, vb) in enumerate(W_VECTORS):
         tag = f"HW[{va:.2f},{vb:.2f}]"
-        e = _whole(ws, rows, "HW", va, vb, rhs35, t37, rhs31)
+        e, = _whole(ws, lambda p: [rows(p)["HW"](va, vb, *map(
+            p.part, (rhs35, t37, rhs31)))])
         top, scale = float(np.max(e)), max(1.0, float(np.max(np.abs(e))))
-        out += [check(tag, heat_residual(ws, lambda p: quads(p)[k]), e),
-                IdentityResult(
-                    tag + "<=0", max(top, 0.0) / scale, 1e-10,
-                    top <= 1e-10 * scale, "inequality", beta, ws.grid.shape,
-                    note=f"max value {top:.3e}",
-                )]
+        out += [check(tag, heat_residual(ws, lambda p: quad(p, k)), e),
+                IdentityResult(tag + "<=0", max(top, 0.0) / scale, 1e-10,
+                               top <= 1e-10 * scale, "inequality", beta,
+                               ws.grid.shape, note=f"max value {top:.3e}")]
     return out
 
 

@@ -218,6 +218,8 @@ class TestSliceCache:
             ("h", "z w"), ("spd", "z zb"), ("spd", "w wb")}
         verify_B(u16, bgp16, 0.7, constants_report=cr, ws=ws)
         assert ws._derivs == {} and len(count) == 17 + 13
+        bases = {"u", "lam", "eta", "spd"}
+        assert set(ws._bases) == bases | {"g", "h"}
         local = []
 
         class Recorded(LocalSlice):
@@ -230,6 +232,7 @@ class TestSliceCache:
         phi = RealField(grid16, 0.01 * np.sin(TWO_PI * x1)
                         * np.sin(TWO_PI * x3) * np.ones(grid16.shape))
         verify_C(phi, 1.0, 1.0, 0.7)
+        assert set(local[0]._bases) == bases
         assert set(local[0]._derivs) == {
             ("lam", "z"), ("lam", "w"), ("eta", "z"), ("eta", "w"),
             ("u", "z wb"), ("u", "z z wb"), ("u", "w w zb"),
