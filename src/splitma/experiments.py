@@ -89,11 +89,18 @@ def _at_checkpoint(times, items, t):
     return items[i]
 
 
-def _checkpoint_states(bg, u0, params: FlowParams, cps):
+def _checkpoint_states(cfg: ExperimentConfig, seed, bg, u0,
+                       params: FlowParams, cps):
     """The initial state and the state at each checkpoint time of a run
-    that never stops early; the last checkpoint is t_end."""
-    states = [s for i, (s, _, at_stop) in enumerate(
-        integrate(bg, u0, params, stops=cps)) if i == 0 or at_stop]
+    that never stops early; the last checkpoint is t_end.  A failure of
+    the first evaluation, at t = 0, names the configured initial state
+    (config.inadmissible_initial)."""
+    flow = integrate(bg, u0, params, stops=cps)
+    try:
+        states = [next(flow)[0]]
+    except AdmissibilityLost as exc:
+        raise inadmissible_initial(cfg, seed, exc) from exc
+    states += [s for s, _, at_stop in flow if at_stop]
     if len(states) == 1:  # t_end within 1e-12 of 0: no step was taken
         states *= len(cps) + 1
     return states
@@ -356,7 +363,12 @@ def cmd_kahler_converge(cfg: ExperimentConfig, out_dir, seed=None):
         u_zw, = mixed_derivatives(grid, s.u.data, "z w")
         split_res.append(float(np.max(np.abs(u_zw))))
 
-    traj = run(bg, u0, params, forcing=forcing, keep=keep)
+    try:
+        traj = run(bg, u0, params, forcing=forcing, keep=keep)
+    except AdmissibilityLost as exc:
+        if not exc.trajectory.snapshots:  # the first evaluation, at t = 0
+            raise inadmissible_initial(cfg, seed, exc) from exc
+        raise
     rate, r2 = _fit_log_decay(times, residuals)
     final = residuals[-1]
     ok = final <= 1e-6 and r2 >= 0.99
@@ -402,8 +414,8 @@ def cmd_beta_sweep(cfg: ExperimentConfig, beta_list, out_dir, seed=None,
     u0 = shift_min_zero(build_initial(cfg, grid, bg, seed_override=seed))
     t_end = cfg.t_end
     cps = [t_end * (i + 1) / n_checkpoints for i in range(n_checkpoints)]
-    runs = {b: _checkpoint_states(bg, u0, _flow_params(cfg, b, t_end=t_end),
-                                  cps)
+    runs = {b: _checkpoint_states(cfg, seed, bg, u0,
+                                  _flow_params(cfg, b, t_end=t_end), cps)
             for b in betas}
 
     ref = runs[1.0]
@@ -461,7 +473,7 @@ def cmd_oracle_2d(cfg: ExperimentConfig, out_dir, seed=None,
     cps = [t_end * (i + 1) / n_checkpoints for i in range(n_checkpoints)]
     # oracle2d has no spectral filter
     params = _flow_params(cfg, beta, t_end=t_end, spectral_filter=False)
-    states = _checkpoint_states(bg, u0, params, cps)
+    states = _checkpoint_states(cfg, seed, bg, u0, params, cps)
 
     a0 = u0.data.mean(axis=(2, 3))
     b0 = u0.data.mean(axis=(0, 1)) - float(u0.data.mean())

@@ -339,7 +339,9 @@ def step_with_rejection(
             out = _step_rk4_full(u_data, bg, beta, trial, floor, forcing, t, k1)
             return out, trial
         except AdmissibilityLost as exc:
-            last = exc
+            # the message only: the exception's traceback would hold the
+            # failed attempt's stage arrays through the retry
+            last = str(exc)
             trial *= 0.5
     raise NumericalFailure(
         f"step rejected {MAX_STEP_RETRIES} times at t = {t:.6g}: {last}"
@@ -506,20 +508,30 @@ def gauge_out_f(
     _require_factor_pure(f_minus, axes=(0, 1), name="f_minus")
     g, h = bg.g.data, bg.h.data
     b_plus, b_minus = _compat_shifts(bg, f_plus, f_minus, beta)
-    e = np.exp((f_plus.data + b_plus) / beta)
-    u_plus = poisson_solve_factor(RealField(grid, g * (e - 1.0)), "z")
-    g_new = g * e
-    e = np.exp(-(f_minus.data + b_minus))
-    u_minus = poisson_solve_factor(RealField(grid, h * (1.0 - e)), "w")
-    h_new = h * e
-    del e
-    return GaugeResult(
-        u_inf=RealField(grid, u_plus.data + u_minus.data),
-        b_plus=b_plus,
-        b_minus=b_minus,
-        g_new=g_new,
-        h_new=h_new,
-    )
+
+    def exp(f, b, scale):  # exp((f + b) / scale) in one new field
+        e = f.data + b
+        e /= scale
+        return np.exp(e, out=e)
+
+    # A Poisson solve holds its right-hand side and u_inf, no coefficient,
+    # so each exponential is taken twice.  exp(-x) is exp(x / -1), bitwise.
+    rhs = exp(f_plus, b_plus, beta)
+    rhs -= 1.0
+    rhs *= g                                            # g (e - 1)
+    u_inf = poisson_solve_factor(RealField(grid, rhs), "z").data
+    del rhs
+    rhs = exp(f_minus, b_minus, -1.0)
+    np.subtract(1.0, rhs, out=rhs)
+    rhs *= h                                            # h (1 - e)
+    u_inf += poisson_solve_factor(RealField(grid, rhs), "w").data
+    del rhs
+    g_new = exp(f_plus, b_plus, beta)
+    g_new *= g
+    h_new = exp(f_minus, b_minus, -1.0)
+    h_new *= h
+    return GaugeResult(u_inf=RealField(grid, u_inf), b_plus=b_plus,
+                       b_minus=b_minus, g_new=g_new, h_new=h_new)
 
 
 def normalize_compat(

@@ -32,6 +32,7 @@ from .grid_field import (
     _part,
     _spectral_deriv,
     atomic_write,
+    block_max,
     factor_laplacian,
     factor_laplacians,
     on_blocks,
@@ -277,18 +278,19 @@ def curvature(bg: Background, tol: float = 1e-10) -> CurvatureReport:
         # one log field at a time: it is dropped before the next is taken
         zz, ww = factor_laplacians(grid, np.log(coef.data))
         fields[zzb], fields[wwb] = RealField(grid, zz), RealField(grid, ww)
-    scale = 1.0 + max(sup_norm(fields["log_h_zzb"]), sup_norm(fields["log_g_wwb"]))
-    ok = (
-        float(fields["log_h_zzb"].data.min()) >= -tol * scale
-        and float(fields["log_g_wwb"].data.min()) >= -tol * scale
-    )
+    lh, lg = fields["log_h_zzb"], fields["log_g_wwb"]
     return CurvatureReport(
-        log_g_zzb=fields["log_g_zzb"],
-        log_g_wwb=fields["log_g_wwb"],
-        log_h_zzb=fields["log_h_zzb"],
-        log_h_wwb=fields["log_h_wwb"],
-        mixed_curvature_nonneg=ok,
-    )
+        mixed_curvature_nonneg=_mixed_nonneg(
+            float(lh.data.min()), sup_norm(lh), float(lg.data.min()),
+            sup_norm(lg), tol),
+        **fields)
+
+
+def _mixed_nonneg(lh_min, lh_sup, lg_min, lg_sup, tol) -> bool:
+    """(log h)_zzb >= 0 and (log g)_wwb >= 0 from their minima and sups,
+    each to tol (1 + the larger sup)."""
+    scale = 1.0 + max(lh_sup, lg_sup)
+    return lh_min >= -tol * scale and lg_min >= -tol * scale
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +389,73 @@ def select_epsilon_delta(beta: float, gridsize: int = 200) -> tuple[float, float
     )
 
 
+@dataclass(frozen=True)
+class BoundMaxima:
+    """The grid maxima that the bound constants read and that do not
+    depend on c0, for one background and beta, before the safety factor.
+    Kahler products read only the curvature sign: the others are None."""
+
+    kahler: bool
+    mixed_curvature_nonneg: bool    # as curvature() reports it
+    c: float | None = None          # sup|(log h)_zzb / g|, sup|(log g)_wwb / h|
+    c4: float | None = None         # sup|((log h)_zzb - beta (log g)_zzb) / g|,
+                                    # sup|(beta (log g)_wwb - (log h)_wwb) / h|
+    inv_coeff: float | None = None  # sup 1/g, sup 1/h
+    t_max_sq: float | None = None   # the torsion's max_norm_sq
+    t_grad: float | None = None     # and max_grad
+
+
+def bound_maxima(bg: Background, beta: float,
+                 curv: CurvatureReport | None = None,
+                 tors: TorsionReport | None = None,
+                 tol: float = 1e-10) -> BoundMaxima:
+    """The c0-independent maxima of constants(bg, beta, ...), each the max
+    over its pair of sups.  The curvature comes from curv's fields or,
+    without curv, one factor at a time: each log coefficient's factor
+    Laplacian is taken, reduced on blocks of points and dropped, so no
+    curvature field is kept (a Kahler product takes only (log h)_zzb and
+    (log g)_wwb, one coefficient at a time).  The torsion maxima come from
+    tors, computed here off Kahler products if omitted.  tol is
+    curvature()'s."""
+    g, h = bg.g.data, bg.h.data
+    kahler = bg.kind == KAHLER_PRODUCT
+
+    def lap(name, factor):  # (log g) or (log h) _zzb or _wwb
+        if curv is not None:
+            return getattr(curv, f"log_{name}_{factor}{factor}b").data
+        return factor_laplacian(bg.grid, np.log(g if name == "g" else h),
+                                factor)
+
+    # factor z: (log h)_zzb, and (log g)_zzb off Kahler products
+    lh = lap("h", "z")
+    lh_min, lh_sup = float(lh.min()), max(float(lh.max()), -float(lh.min()))
+    if not kahler:
+        lg = lap("g", "z")
+        c_z = block_max(lambda lh, g: np.abs(lh / g).max(), lh, g)
+        c4_z = block_max(lambda lh, lg, g: np.abs((lh - beta * lg) / g).max(),
+                         lh, lg, g)
+        del lg
+    del lh
+    # factor w: (log g)_wwb, and (log h)_wwb off Kahler products
+    lg = lap("g", "w")
+    lg_min, lg_sup = float(lg.min()), max(float(lg.max()), -float(lg.min()))
+    nonneg = _mixed_nonneg(lh_min, lh_sup, lg_min, lg_sup, tol)
+    if kahler:
+        return BoundMaxima(True, nonneg)
+    lh = lap("h", "w")
+    c_w = block_max(lambda lg, h: np.abs(lg / h).max(), lg, h)
+    c4_w = block_max(lambda lg, lh, h: np.abs((beta * lg - lh) / h).max(),
+                     lg, lh, h)
+    del lg, lh
+    if tors is None:
+        tors = torsion(bg)
+    return BoundMaxima(
+        False, nonneg, max(c_z, c_w), max(c4_z, c4_w),
+        max(block_max(lambda g: (1.0 / g).max(), g),
+            block_max(lambda h: (1.0 / h).max(), h)),
+        tors.max_norm_sq, tors.max_grad)
+
+
 def constants(
     bg: Background,
     beta: float,
@@ -403,28 +472,34 @@ def constants(
     c12..c14, epsilon, delta) exist only for beta above the universal
     threshold; pass require_upper=True to make their absence an error.
     curv is the background's curvature report and tors its torsion report
-    (read off Kahler products only), each computed here if omitted.
+    (read off Kahler products only); bound_maxima takes their maxima, from
+    the fields it computes when either is omitted, and constants_from the
+    constants from those.
 
     On Kahler products the torsion vanishes identically and the constants
     collapse to their exact product values (c3 = c7 = c8 = 0, c6 = 2,
     a_psi = 0, c11 = 2, a_phi = 0, c14 = 2 b_phi).
     """
+    _check_ratios(beta, c0)
+    return constants_from(bound_maxima(bg, beta, curv, tors), beta, c0,
+                          safety, require_upper)
+
+
+def _check_ratios(beta: float, c0: float) -> None:
     if not (0.0 < beta <= 1.0):
         raise ConfigurationError(f"beta must lie in (0, 1], got {beta}")
     if not (c0 > 0.0):
         raise ConfigurationError(f"c0 must be positive, got {c0}")
-    grid = bg.grid
-    g, h = bg.g.data, bg.h.data
-    kahler = bg.kind == KAHLER_PRODUCT
+
+
+def constants_from(m: BoundMaxima, beta: float, c0: float,
+                   safety: float = 1.0,
+                   require_upper: bool = False) -> ConstantsReport:
+    """The constants of constants() from the background's maxima m
+    (bound_maxima(bg, beta)): scalar arithmetic only."""
+    _check_ratios(beta, c0)
     notes = {"safety": f"grid maxima scaled by {safety}"}
-
-    cur = curv if curv is not None else curvature(bg)
-    lg_zzb = cur.log_g_zzb.data
-    lg_wwb = cur.log_g_wwb.data
-    lh_zzb = cur.log_h_zzb.data
-    lh_wwb = cur.log_h_wwb.data
-
-    if kahler:
+    if m.kahler:
         t_max_sq = 0.0
         t_grad = 0.0
         c = 0.0
@@ -432,18 +507,12 @@ def constants(
         c9 = 0.0
         notes["kind"] = "kahler product: torsion and mixed curvature vanish"
     else:
-        if tors is None:
-            tors = torsion(bg)
-        t_max_sq = safety * tors.max_norm_sq
-        t_grad = safety * tors.max_grad
+        t_max_sq = safety * m.t_max_sq
+        t_grad = safety * m.t_grad
         # metric-normalised mixed curvature components
-        c = safety * max(
-            float(np.max(np.abs(lh_zzb / g))), float(np.max(np.abs(lg_wwb / h)))
-        )
+        c = safety * m.c
         # curvature combinations entering the mixed-norm growth inequality
-        comb_z = np.abs((lh_zzb - beta * lg_zzb) / g)
-        comb_w = np.abs((beta * lg_wwb - lh_wwb) / h)
-        c4 = safety * max(float(np.max(comb_z)), float(np.max(comb_w)))
+        c4 = safety * m.c4
         c9 = c0**2 * c
         notes["kind"] = "general pluriclosed: conservative grid maxima"
 
@@ -452,12 +521,11 @@ def constants(
     c3 = c2 + beta * c0**3 * t_max_sq
     c5 = c0 * c4
     c6 = c5 + 2.0
-    if kahler:
+    if m.kahler:
         c7 = 0.0
         c8 = 0.0
     else:
-        inv_coeff = max(float(np.max(1.0 / g)), float(np.max(1.0 / h)))
-        c7 = safety * inv_coeff * c0**2 * t_max_sq
+        c7 = safety * m.inv_coeff * c0**2 * t_max_sq
         c8 = c0**3 * t_max_sq
     c10 = c8 * (1.0 / beta + 2.0 - beta**2)
     a_psi = c7 / beta

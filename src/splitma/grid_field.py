@@ -497,7 +497,8 @@ def factor_laplacians(grid: TorusGrid, data: np.ndarray):
 _MIXED = {"z w": -1.0, "z wb": 1.0}
 
 
-def mixed_derivatives(grid: TorusGrid, data: np.ndarray, *ops: str):
+def mixed_derivatives(grid: TorusGrid, data: np.ndarray, *ops: str,
+                      reduce=None):
     """u_zw ("z w") and u_zwb ("z wb") of real data, one complex array per
     op in the order given; equal to deriv_data(..., op) to rounding.
 
@@ -510,14 +511,20 @@ def mixed_derivatives(grid: TorusGrid, data: np.ndarray, *ops: str):
     each chunk of x1 rows with the x3 and x4 products of its p and q rows,
     each shifted first by its value at the w factor's origin; so data
     constant over either factor gives exactly zero.  No transform is
-    taken."""
+    taken.
+
+    With reduce, no derivative field is made: each chunk's derivatives go
+    to arrays of the chunk's shape and reduce(rows, *derivs), rows being
+    the chunk's slice of x1, reduces them while they are in cache.  It runs
+    on the pool threads, so it may call numpy only.  The results are
+    returned in row order."""
     for op in ops:
         if op not in _MIXED:
             raise ConfigurationError(f"no mixed-derivative kernel for {op!r}")
     _, n1, n2, n3 = grid.shape
     d2, d3 = _axis_matrix(grid, 2, 1), _axis_matrix(grid, 3, 1)
     signs = [_MIXED[op] for op in ops]
-    outs = [np.empty(grid.shape, dtype=np.complex128) for _ in ops]
+    outs = [] if reduce else [np.empty(grid.shape, np.complex128) for _ in ops]
     p = np.empty(grid.shape)
 
     def finish(rows, q, spare):
@@ -525,7 +532,9 @@ def mixed_derivatives(grid: TorusGrid, data: np.ndarray, *ops: str):
         f = p[rows]
         for a in (f, q):  # the copy spares numpy's copy of the whole chunk
             a -= a[..., :1, :1].copy()
-        re, im = [o[rows].real for o in outs], [o[rows].imag for o in outs]
+        chunk = ([np.empty(f.shape, np.complex128) for _ in ops] if reduce
+                 else [o[rows] for o in outs])
+        re, im = [o.real for o in chunk], [o.imag for o in chunk]
         np.matmul(d2, f, out=spare)                                  # p3
         for r in re:
             r[...] = spare
@@ -538,9 +547,10 @@ def mixed_derivatives(grid: TorusGrid, data: np.ndarray, *ops: str):
         np.matmul(q.reshape(k, n3), d3.T, out=spare.reshape(k, n3))  # q4
         for s, r in zip(signs, re):
             r += np.multiply(spare, s, out=f)
+        return reduce(rows, *chunk) if reduce else None
 
-    _slab_pass(grid, data, p, None, finish, order=1)
-    return outs
+    done = _slab_pass(grid, data, p, None, finish, order=1)
+    return done if reduce else outs
 
 
 def exponential_filter(grid: TorusGrid, data: np.ndarray,
@@ -599,7 +609,7 @@ def poisson_solve_factor(
     exactly on its range, so composing with the matching derivative is the
     identity on zero-slice-mean band-limited fields.
     """
-    sup = float(np.max(np.abs(rhs.data)))
+    sup = max(float(rhs.data.max()), -float(rhs.data.min()))
     worst = float(np.max(np.abs(rhs.data.mean(axis=_factor_axes(factor)))))
     if worst > mean_tol * sup:
         raise PoissonDataError(
@@ -628,6 +638,15 @@ def blocks(shape) -> list[slice]:
 def _part(a, sl: slice):
     """The points sl of a contiguous field, flattened; a scalar is itself."""
     return a if np.ndim(a) == 0 else a.reshape(-1)[sl]
+
+
+def block_max(fn, *fields) -> float:
+    """The max over the blocks of points of fn(*parts), a number per block,
+    parts being the block's points of each of fields (C-ordered fields of
+    one shape, or scalars, passed whole).  A NaN of any block is the
+    result, as np.max of the whole field would give."""
+    return float(np.max([fn(*(_part(f, sl) for f in fields))
+                         for sl in blocks(np.shape(fields[0]))]))
 
 
 def on_blocks(fn, shape, out: list | None = None) -> list[np.ndarray]:

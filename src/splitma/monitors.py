@@ -10,24 +10,27 @@ the state (the speed-consistency error, sup|u_zw|, the det W residual,
 the heat residuals H f = f_t - L f of the W quads and of Phi).  It takes
 no transform: u_zw and u_zwb come from grid_field.mixed_derivatives, and
 f_t from the flow equation at the state itself, by the identity suite's
-chain rule (identities.Dual) on an identities.StateSlice of the stored lambda,
-eta and speed s.  The memory of a monitored run does not grow with its
-length.
+chain rule (identities.Dual) on an identities.StateSlice of the stored
+lambda, eta and speed s.  Each scalar is reduced chunk by chunk, inside
+the mixed_derivatives pass (the mixed norm) or on blocks of points, so a
+record makes no field that is only reduced, unless a check needs u_zw
+whole; the mixed norm is then reduced from it.  The memory of a monitored
+run does not grow with its length.
 
 Each check is a rule over the stream's records: check_<name>(stream)
 either skips, or turns each record into one entry (bound, observed,
 margin), passed when margin >= 0.  Its rule reads the trajectory's header
 (beta, params, meta) from stream.traj, the background from stream.bg, the
-constants from stream.cr, the curvature from stream.curv, and the records;
-it never reads a stored state, and entry i belongs to record i.  So a
-check gives the same result on a live run, whose Trajectory holds only its
-last state, and on a stored trajectory replayed through a stream
-(MonitorStream.replay, which evaluate uses).  The checks whose bounds need
-the final running c0 (trace_lower_bound, mixed_growth, trace_growth) are
-evaluated from the records at the end.  phi_subsolution, whose Phi
-weight a_phi and source c14 depend on c0 off Kahler products, takes each
-state's constants at the running c0 up to that state unless a constants
-report is supplied.
+constants from stream.cr, the curvature sign from stream.maxima, and the
+records; it never reads a stored state, and entry i belongs to record
+i.  So a check gives the same result on a live run, whose Trajectory
+holds only its last state, and on a stored trajectory replayed through a
+stream (MonitorStream.replay, which evaluate uses).  The checks whose
+bounds need the final running c0 (trace_lower_bound, mixed_growth,
+trace_growth) are evaluated from the records at the end.
+phi_subsolution, whose Phi weight a_phi and source c14 depend on c0 off
+Kahler products, takes each state's constants at the running c0 up to
+that state unless a constants report is supplied.
 
 The registry CHECKS is the one list of checks: for each it holds whether
 it runs by default and the negative-control corruption that makes it
@@ -51,16 +54,15 @@ import copy
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import iadd, imul
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import (BETA_MIN, KAHLER_PRODUCT, Background, ConstantsReport,
-                       CurvatureReport, constants, curvature, torsion)
-from .grid_field import (RealField, factor_laplacians, mixed_derivatives,
-                         on_blocks)
+from .geometry import (BETA_MIN, Background, BoundMaxima, ConstantsReport,
+                       bound_maxima, constants_from)
+from .grid_field import (RealField, block_max, factor_laplacians,
+                         mixed_derivatives, on_blocks)
 from .flow import FlowState, Trajectory, flow_speed, steady_residual
 from .identities import W_VECTORS, StateSlice, abs2, log, real, w_quads
 
@@ -109,18 +111,38 @@ def _entries(name: str, stream: MonitorStream, rule) -> CheckResult:
 # pointwise helper quantities
 
 
-def _mixed_field(u_zw: np.ndarray, state: FlowState, bg: Background,
-                 beta: float) -> np.ndarray:
-    return beta * np.abs(u_zw) ** 2 / (
-        bg.g.data * state.lam.data * bg.h.data * state.eta.data
-    )
+def _mixed_field(abs_u_zw, g, lam, h, eta, beta: float) -> np.ndarray:
+    """beta |u_zw|^2 / (g lam h eta) of arrays (whole fields or parts)."""
+    return beta * abs_u_zw ** 2 / (g * lam * h * eta)
 
 
 def mixed_norm(state: FlowState, bg: Background, beta: float) -> RealField:
     """Squared norm of the mixed second derivative in the adjusted metric:
     beta |u_zw|^2 / (g lam h eta)."""
     u_zw, = mixed_derivatives(state.u.grid, state.u.data, "z w")
-    return RealField(state.u.grid, _mixed_field(u_zw, state, bg, beta))
+    return RealField(state.u.grid, _mixed_field(
+        np.abs(u_zw), bg.g.data, state.lam.data, bg.h.data, state.eta.data,
+        beta))
+
+
+def mixed_sups(state: FlowState, bg: Background,
+               beta: float) -> tuple[float, float]:
+    """(sup of mixed_norm, sup|u_zw|) of state, with no derivative field:
+    u_zw is reduced inside mixed_derivatives' pass, each chunk of rows
+    while it is in cache, one x1 row at a time."""
+    coefs = (bg.g.data, state.lam.data, bg.h.data, state.eta.data)
+
+    def sups(rows, u_zw):  # on the slab threads: _mixed_field is numpy only
+        out = []
+        for k, i in enumerate(range(rows.start, rows.stop)):
+            a = np.abs(u_zw[k])
+            out.append((_mixed_field(a, *(f[i] for f in coefs), beta).max(),
+                        a.max()))
+        return out
+    per = [r for rs in mixed_derivatives(state.u.grid, state.u.data, "z w",
+                                         reduce=sups) for r in rs]
+    sup, zw = np.max(per, axis=0)  # a NaN of any row, as np.max gives
+    return float(sup), float(zw)
 
 
 @dataclass
@@ -194,9 +216,15 @@ def _upper_bound_skip(beta: float,
     return None
 
 
+def _c0(s: FlowState) -> float:
+    """sup(1/lambda + 1/eta) of state s."""
+    return block_max(lambda lam, eta: (1.0 / lam + 1.0 / eta).max(),
+                     s.lam.data, s.eta.data)
+
+
 def c0_series(states: list[FlowState]):
     """Per-state sup(1/lambda + 1/eta) and its running max."""
-    series = [float(np.max(1.0 / s.lam.data + 1.0 / s.eta.data)) for s in states]
+    series = [_c0(s) for s in states]
     running = list(np.maximum.accumulate(series))
     return series, running
 
@@ -235,8 +263,7 @@ def _record(s: FlowState, dt: float, steady_criterion: str) -> SnapshotRecord:
         s.t, dt, float(s.u.data.min()), float(s.u.data.max()),
         float(s.lam.data.min()), float(s.lam.data.max()),
         float(s.eta.data.min()), float(s.eta.data.max()),
-        float(s.du_dt.data.min()), float(s.du_dt.data.max()),
-        float(np.max(1.0 / s.lam.data + 1.0 / s.eta.data)),
+        float(s.du_dt.data.min()), float(s.du_dt.data.max()), _c0(s),
         steady_residual(s.du_dt.data, steady_criterion))
 
 
@@ -247,9 +274,15 @@ class MonitorStream:
     one state of traj, and replay(traj) every stored state.  enabled names
     the checks whose field work is done; constants_report, when given,
     fixes the constants of every check, otherwise they are taken at the
-    records' running c0 (constants_at).  The background's curvature and
-    torsion are computed at most once.  results() runs the enabled checks
+    records' running c0 (constants_at).  results() runs the enabled checks
     on the records, one SnapshotRecord per state.
+
+    The stream keeps no field of its own but the subsolution checks'
+    buffers (_subsolutions).  It reduces each state to its record chunk by
+    chunk, and takes the background's curvature and torsion maxima
+    (geometry.bound_maxima: the c0-independent part of the constants, and
+    trace_floor's curvature sign) once, at the first state, keeping only
+    the scalars; the constants at any c0 are then scalar arithmetic.
     """
 
     def __init__(self, bg: Background, enabled=None, safety: float = 1.0,
@@ -264,25 +297,15 @@ class MonitorStream:
         self.c0_max = math.nan                # running max of records' c0
         self._fields: list = []               # see _subsolutions
         self._cr: ConstantsReport | None = None
-
-    @cached_property
-    def curv(self) -> CurvatureReport:
-        return curvature(self.bg)
-
-    @cached_property
-    def tors(self):
-        """The background's torsion; None on Kahler products, where it
-        vanishes."""
-        return None if self.bg.kind == KAHLER_PRODUCT else torsion(self.bg)
+        self.maxima: BoundMaxima | None = None  # taken by _start
 
     def constants_at(self, c0: float) -> ConstantsReport:
         """The supplied constants report, or the constants at c0."""
         if self.fixed_cr is not None:
             return self.fixed_cr
         if self._cr is None or self._cr.c0 != c0:
-            self._cr = constants(self.bg, self.traj.beta, c0=c0,
-                                 safety=self.safety, require_upper=False,
-                                 curv=self.curv, tors=self.tors)
+            self._cr = constants_from(self.maxima, self.traj.beta, c0,
+                                      self.safety)
         return self._cr
 
     @property
@@ -305,6 +328,8 @@ class MonitorStream:
         self._leg = constant and "legendre_subsolution" in on
         self._phi = ("phi_subsolution" in on
                      and _upper_bound_skip(beta, self.fixed_cr) is None)
+        if self.fixed_cr is None or "trace_floor" in on:
+            self.maxima = bound_maxima(self.bg, beta)
 
     def add(self, traj: Trajectory, s: FlowState, dt: float) -> None:
         """Consume state s of traj, reached by a step of dt."""
@@ -319,20 +344,27 @@ class MonitorStream:
                                                              rec.c0))
         self.records.append(rec)
         if self._speed:
-            expect = flow_speed(s.lam.data, s.eta.data, beta,
-                                traj.meta.get("forcing"))
-            err = np.subtract(s.du_dt.data, expect, out=expect)
-            rec.speed_err = max(float(err.max()), -float(err.min()))
-            del expect, err
+            def err(lam, eta, du, f):  # sup|cached - recomputed| of a block
+                e = du - flow_speed(lam, eta, beta, f)
+                return max(float(e.max()), -float(e.min()))
+            rec.speed_err = block_max(err, s.lam.data, s.eta.data,
+                                      s.du_dt.data, traj.meta.get("forcing"))
         w_on = self._det or self._leg
+        if not (w_on or self._phi):  # no check needs a derivative field
+            rec.sup, zw = mixed_sups(s, bg, beta)
+            if self._zw:
+                rec.zw = zw
+            return
         mixed_ops = ("z w", "z wb") if w_on else ("z w",)
         derivs = dict(zip(mixed_ops, mixed_derivatives(grid, s.u.data,
                                                        *mixed_ops)))
         u_zw = derivs["z w"] if self._phi else derivs.pop("z w")  # Phi too
-        rec.sup = float(np.max(_mixed_field(u_zw, s, bg, beta)))
+        abs_u_zw = np.abs(u_zw)
+        rec.sup = float(np.max(_mixed_field(
+            abs_u_zw, bg.g.data, s.lam.data, bg.h.data, s.eta.data, beta)))
         if self._zw:
-            rec.zw = float(np.max(np.abs(u_zw)))
-        del u_zw            # before W: one complex field less at peak
+            rec.zw = float(np.max(abs_u_zw))
+        del u_zw, abs_u_zw  # before W: one complex field less at peak
         if self._det:
             rec.det_w = det_w_residual(s, bg, legendre_w(s, bg, derivs["z wb"]))
         if not self._leg:
@@ -507,7 +539,7 @@ def check_trace_lower_bound(stream: MonitorStream) -> CheckResult:
 def check_trace_floor(stream: MonitorStream) -> CheckResult:
     """min lambda never drops below its initial value, valid when the
     cross-factor curvature components are nonnegative."""
-    if not stream.curv.mixed_curvature_nonneg:
+    if not stream.maxima.mixed_curvature_nonneg:
         return CheckResult.skip(
             "trace_floor", "background curvature sign condition fails"
         )

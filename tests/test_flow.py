@@ -380,6 +380,24 @@ class TestMemory:
         step()  # warm the transform plans and the multiplier cache
         assert traced_peak(step) <= 6 * self.FIELD
 
+    def test_rejected_step_holds_at_most_six_fields(self, kahler16,
+                                                    traced_peak):
+        # a step rejected five times holds no more than an accepted one,
+        # about 4.1 fields; keeping the last rejection's traceback held
+        # the failed attempt's arrays through each retry, 7.2
+        kbg, u0, f = kahler16
+        state = make_state(u0, kbg, 0.5, 0.0, forcing=RealField(u0.grid, f))
+        dt = 4096 * dt_adaptive(state, kbg, 0.5, cfl=1.0, dt_max=1.0)
+
+        def step():
+            _, dt_used = step_with_rejection(
+                u0.data, kbg, 0.5, dt, 1e-10, f, 0.0, k1=state.du_dt.data)
+            assert dt_used <= dt / 4
+
+        step()
+        peak = traced_peak(step)
+        assert peak <= 6 * self.FIELD, peak / self.FIELD
+
     @pytest.mark.parametrize("t_end, kept, bound", [
         (1e-5, 2, 10),      # one step
         (2.5e-4, 4, 11),    # keeps at steps 0, 10, 20 and 25
@@ -401,8 +419,10 @@ class TestMemory:
 
     def test_gauge_holds_at_most_six_and_a_half_fields(self, kahler16,
                                                        traced_peak):
-        # each factor's exponential taken once: about 6.1 fields, returned
-        # u_inf, g_new and h_new included; taking each twice peaks at 7.0
+        # a Poisson solve holds its right-hand side and u_inf but no new
+        # coefficient: about 4.1 fields, returned u_inf, g_new and h_new
+        # included; holding each new coefficient beside its right-hand
+        # side took 6.1, and whole temporaries for both exponentials 7.0
         kbg, _, _ = kahler16
         grid = kbg.grid
         x1, _, x3, _ = grid.mesh()

@@ -449,3 +449,81 @@ class TestRunningConstants:
             "phi_subsolution"]
         assert final.entries[-1] == entries[-1]
         assert final.entries[0].margin != entries[0].margin
+
+
+class TestMixedSups:
+    """The sup of the mixed norm and sup|u_zw| of a kept state, reduced
+    inside mixed_derivatives' pass without a u_zw field."""
+
+    @pytest.mark.parametrize("thread_bytes", [None, 1 << 16])
+    def test_fused_sup_is_the_whole_field_max(self, thread_bytes,
+                                              monkeypatch):
+        """Bit for bit np.max of the whole fields at 16^4 on random data,
+        on one slab thread and on several (the rows are then split between
+        threads)."""
+        from splitma import grid_field
+        from splitma.grid_field import mixed_derivatives
+        from splitma.identities import random_test_field
+
+        if thread_bytes is not None:
+            monkeypatch.setattr(grid_field, "_THREAD_BYTES", thread_bytes)
+        g16 = make_grid((16,) * 4, (1,) * 4)
+        bgp = pluriclosed_background(g16, 1.0, 1.0, [(1, 1, 0.3)])
+        state = make_state(random_test_field(g16, 3, 0.01, 1), bgp, 0.5, 0.0)
+        u_zw, = mixed_derivatives(g16, state.u.data, "z w")
+        whole = monitors._mixed_field(np.abs(u_zw), bgp.g.data,
+                                      state.lam.data, bgp.h.data,
+                                      state.eta.data, 0.5)
+        expect = (float(np.max(whole)), float(np.max(np.abs(u_zw))))
+        assert expect[0] > 0.0
+        assert expect[0] == float(np.max(mixed_norm(state, bgp, 0.5).data))
+        assert monitors.mixed_sups(state, bgp, 0.5) == expect
+
+    def test_fused_sup_of_split_data_is_zero(self):
+        """Exactly 0 on split data a(z) + b(w) whose sum rounds nothing
+        (dyadic values), as on data of one factor."""
+        g16 = make_grid((16,) * 4, (1,) * 4)
+        b16 = flat_background(g16)
+
+        def dyadic(x):
+            return np.round(x * 2**20) / 2**20
+        for fn in (lambda a, b, c, d: dyadic(0.05 * np.sin(TWO_PI * a))
+                   + dyadic(0.05 * np.sin(TWO_PI * c)),
+                   lambda a, b, c, d: 0.05 * np.sin(TWO_PI * a) + 0.0 * c):
+            state = make_state(RealField.from_function(g16, fn), b16, 0.5, 0.0)
+            assert monitors.mixed_sups(state, b16, 0.5) == (0.0, 0.0)
+
+
+class TestStreamConstants:
+    """A stream takes the background's maxima once and builds its
+    constants from those scalars alone."""
+
+    @pytest.mark.parametrize("kind", ["pluriclosed_cos", "kahler_product"])
+    def test_stream_constants_equal_constants(self, grid, kind):
+        """Attribute by attribute equal to geometry.constants, with the
+        curvature computed by it or supplied, at three values of c0."""
+        import splitma.geometry as geometry
+        from splitma.flow import Trajectory
+
+        if kind == "pluriclosed_cos":
+            bg = pluriclosed_background(grid, 1.0, 1.5, [(1, 1, 0.3)])
+        else:  # g varies along x1, h along x3
+            x = grid.axis_coord(0)[:, None] * np.ones((1, grid.shape[1]))
+            bg = geometry.kahler_product_background(
+                grid, 1.0 + 0.2 * np.cos(TWO_PI * x),
+                1.5 + 0.1 * np.sin(TWO_PI * x))
+        beta = 0.7
+        traj = Trajectory(grid=grid, beta=beta,
+                          params=FlowParams(beta=beta, t_end=0.0))
+        stream = MonitorStream(bg, safety=1.5)
+        stream.add(traj, make_state(RealField.zeros(grid), bg, beta, 0.0), 0.0)
+        curv = geometry.curvature(bg)
+        assert (stream.maxima.mixed_curvature_nonneg
+                == curv.mixed_curvature_nonneg)
+        for c0 in (1.25, 2.0, 3.7):
+            got = stream.constants_at(c0)
+            for ref in (constants(bg, beta, c0=c0, safety=1.5),
+                        constants(bg, beta, c0=c0, safety=1.5, curv=curv)):
+                for f in dataclasses.fields(ref):
+                    assert getattr(got, f.name) == getattr(ref, f.name), f.name
+            assert got.c0 == c0
