@@ -254,6 +254,10 @@ def cmd_flow_run(cfg: ExperimentConfig, out_dir, seed=None,
     if negative_control is not None and negative_control not in enabled:
         enabled.append(negative_control)
     grid, bg, u0, forcing, info = _prepare_problem(cfg, seed=seed)
+    # run takes u0 from this list, so nothing here holds it once a later
+    # state is kept: the steps after that hold one field less
+    initial = [u0]
+    del u0
     out = Path(out_dir)
     made = [d for d in (out, *out.parents) if not d.exists()]
     params = _flow_params(cfg, info["beta"])
@@ -271,7 +275,7 @@ def cmd_flow_run(cfg: ExperimentConfig, out_dir, seed=None,
         dump(s)
 
     try:
-        traj = run(bg, u0, params, forcing=forcing, keep=keep)
+        traj = run(bg, initial.pop(), params, forcing=forcing, keep=keep)
     except (NumericalFailure, AdmissibilityLost) as exc:
         partial = exc.trajectory
         if not partial.snapshots:  # the flow's first evaluation, at t = 0

@@ -378,13 +378,15 @@ def integrate(
     true at each stop hit and at t_end.  The yielded arrays are the inputs
     of the next step and the first state holds u0 itself: do not modify
     them.  A step holds the current state's u and speed and about four
-    fields more; it drops its own reference to the state's lam and eta.
+    fields more; it drops its own reference to the state's lam and eta,
+    and to u0 once the first state is yielded.
     """
     beta, floor, eps = params.beta, params.admissibility_floor, 1e-12
     grid = u0.grid
     f = None if forcing is None else forcing.data
     stops = sorted(t for t in stops if 0.0 < t <= params.t_end)
     state = make_state(u0, bg, beta, 0.0, floor, forcing)
+    del u0  # the first state holds it
     yield state, 0.0, state.t >= params.t_end - eps
     t, k = 0.0, 0
     while t < params.t_end - eps:
@@ -430,19 +432,22 @@ def run(
     state; the trajectory then holds that state (and its dt) only.  Until
     the next keep it holds just that state's potential and time (lam, eta
     and du_dt None), all a failure dump reads; the returned trajectory
-    holds the final state whole.
+    holds the final state whole.  Neither run nor integrate holds u0
+    once a later state is kept, so a caller that hands u0 over without
+    keeping it steps with one field less from then on.
     """
     traj = Trajectory(grid=u0.grid, beta=params.beta, params=params,
                       termination="t_end")
     traj.meta["forcing"] = None if forcing is None else forcing.data
     traj.meta["reduced"] = forcing is None and abs(float(u0.data.min())) < 1e-12
     traj.meta["split_initial"] = is_split(u0)
+    states = integrate(bg, u0, params, forcing, checkpoint_times or ())
+    del u0  # the first state holds it
     t, i = None, 0
     try:
         # no enumerate: its cached result tuple would hold the previous
         # state through the next step
-        for state, dt_used, at_stop in integrate(bg, u0, params, forcing,
-                                                 checkpoint_times or ()):
+        for state, dt_used, at_stop in states:
             t = state.t
             if i % params.snapshot_stride == 0 or at_stop:
                 if keep is None:

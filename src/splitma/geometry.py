@@ -50,6 +50,8 @@ BETA_MIN = (2.0 * math.sqrt(3.0) - 3.0) / 3.0
 
 PLURICLOSED_TOL = 1e-10
 PRODUCT_TOL = 1e-12
+#: relative tolerance of the mixed curvature sign test
+CURVATURE_TOL = 1e-10
 
 
 @dataclass
@@ -263,7 +265,7 @@ class CurvatureReport:
     mixed_curvature_nonneg: bool    # (log h)_zzb >= 0 and (log g)_wwb >= 0
 
 
-def curvature(bg: Background, tol: float = 1e-10) -> CurvatureReport:
+def curvature(bg: Background, tol: float = CURVATURE_TOL) -> CurvatureReport:
     """Second log-derivatives of the metric coefficients.
 
     The cross-factor components (log h)_zzb and (log g)_wwb are (minus)
@@ -407,16 +409,15 @@ class BoundMaxima:
 
 def bound_maxima(bg: Background, beta: float,
                  curv: CurvatureReport | None = None,
-                 tors: TorsionReport | None = None,
-                 tol: float = 1e-10) -> BoundMaxima:
+                 tors: TorsionReport | None = None) -> BoundMaxima:
     """The c0-independent maxima of constants(bg, beta, ...), each the max
     over its pair of sups.  The curvature comes from curv's fields or,
     without curv, one factor at a time: each log coefficient's factor
     Laplacian is taken, reduced on blocks of points and dropped, so no
     curvature field is kept (a Kahler product takes only (log h)_zzb and
     (log g)_wwb, one coefficient at a time).  The torsion maxima come from
-    tors, computed here off Kahler products if omitted.  tol is
-    curvature()'s."""
+    tors, computed here off Kahler products if omitted.  The curvature
+    sign is curvature()'s at its default tolerance."""
     g, h = bg.g.data, bg.h.data
     kahler = bg.kind == KAHLER_PRODUCT
 
@@ -439,7 +440,7 @@ def bound_maxima(bg: Background, beta: float,
     # factor w: (log g)_wwb, and (log h)_wwb off Kahler products
     lg = lap("g", "w")
     lg_min, lg_sup = float(lg.min()), max(float(lg.max()), -float(lg.min()))
-    nonneg = _mixed_nonneg(lh_min, lh_sup, lg_min, lg_sup, tol)
+    nonneg = _mixed_nonneg(lh_min, lh_sup, lg_min, lg_sup, CURVATURE_TOL)
     if kahler:
         return BoundMaxima(True, nonneg)
     lh = lap("h", "w")

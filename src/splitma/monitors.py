@@ -54,6 +54,7 @@ import copy
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import iadd, imul
 
 import numpy as np
@@ -279,10 +280,11 @@ class MonitorStream:
 
     The stream keeps no field of its own but the subsolution checks'
     buffers (_subsolutions).  It reduces each state to its record chunk by
-    chunk, and takes the background's curvature and torsion maxima
-    (geometry.bound_maxima: the c0-independent part of the constants, and
-    trace_floor's curvature sign) once, at the first state, keeping only
-    the scalars; the constants at any c0 are then scalar arithmetic.
+    chunk.  It takes the background's curvature and torsion maxima
+    (maxima, geometry.bound_maxima: the c0-independent part of the
+    constants, and trace_floor's curvature sign) at most once, when the
+    constants or trace_floor first read them, keeping only the scalars;
+    the constants at any c0 are then scalar arithmetic.
     """
 
     def __init__(self, bg: Background, enabled=None, safety: float = 1.0,
@@ -297,7 +299,11 @@ class MonitorStream:
         self.c0_max = math.nan                # running max of records' c0
         self._fields: list = []               # see _subsolutions
         self._cr: ConstantsReport | None = None
-        self.maxima: BoundMaxima | None = None  # taken by _start
+
+    @cached_property
+    def maxima(self) -> BoundMaxima:
+        """The background's c0-independent curvature and torsion maxima."""
+        return bound_maxima(self.bg, self.traj.beta)
 
     def constants_at(self, c0: float) -> ConstantsReport:
         """The supplied constants report, or the constants at c0."""
@@ -328,8 +334,6 @@ class MonitorStream:
         self._leg = constant and "legendre_subsolution" in on
         self._phi = ("phi_subsolution" in on
                      and _upper_bound_skip(beta, self.fixed_cr) is None)
-        if self.fixed_cr is None or "trace_floor" in on:
-            self.maxima = bound_maxima(self.bg, beta)
 
     def add(self, traj: Trajectory, s: FlowState, dt: float) -> None:
         """Consume state s of traj, reached by a step of dt."""

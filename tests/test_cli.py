@@ -839,6 +839,30 @@ class TestArtifacts:
         assert peaks[1] > 4 * field_bytes  # the fields are traced
         assert peaks[2] - peaks[1] <= 2 * field_bytes, peaks
 
+    def test_run_drops_u0_once_a_later_state_is_kept(self, tmp_path,
+                                                     monkeypatch):
+        """The recipe holds its initial potential only while the first
+        kept state does: the steps after the next kept state do not hold
+        it."""
+        import weakref
+
+        import splitma.experiments as exp
+
+        initial, alive = [], []
+
+        class Stream(MonitorStream):
+            def add(self, traj, s, dt):
+                if not initial:
+                    initial.append(weakref.ref(s.u.data))
+                else:
+                    alive.append(initial[0]() is not None)
+                super().add(traj, s, dt)
+
+        monkeypatch.setattr(exp, "MonitorStream", Stream)
+        cfg = parse_config(write_cfg(tmp_path, SPLIT_RUN))
+        assert cmd_flow_run(cfg, tmp_path / "o")[0] == 0
+        assert alive and not any(alive), alive
+
     def test_gauged_prepare_peak(self, tmp_path, traced_peak):
         """Preparing a gauged forced run (32^4 benchmark recipe at 16^4)
         reads u0 only after the gauge and holds only the reduced problem's

@@ -1,5 +1,7 @@
 """Tests for the reductions, the integrator, and the gauge step."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -346,6 +348,22 @@ class TestIntegrate:
         steady = run(b8, RealField.zeros(g8), FlowParams(beta=0.5, t_end=1.0),
                      keep=keep)
         assert steady.termination == "steady" and len(steady.snapshots) == 1
+
+    def test_run_drops_u0_once_a_later_state_is_kept(self, small):
+        """Handed u0 without a reference of its caller's, run and integrate
+        free it when the next kept state replaces the first."""
+        g8, b8 = small
+        params = FlowParams(beta=0.5, t_end=0.01, cfl=0.9, snapshot_stride=3)
+        initial, alive = [], []
+
+        def keep(traj):
+            if not initial:
+                initial.append(weakref.ref(traj.snapshots[0].u.data))
+            else:
+                alive.append(initial[0]() is not None)
+
+        run(b8, split_sine(g8), params, keep=keep)
+        assert alive and not any(alive), alive
 
     def test_t_end_zero_yields_once(self, small):
         g8, b8 = small

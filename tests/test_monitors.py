@@ -527,3 +527,34 @@ class TestStreamConstants:
                 for f in dataclasses.fields(ref):
                     assert getattr(got, f.name) == getattr(ref, f.name), f.name
             assert got.c0 == c0
+
+    def test_stream_maxima_equal_whole_field_maxima(self):
+        """The maxima a stream takes one factor at a time, on blocks of
+        points (eight at 16^4), equal the whole-field maxima of the
+        curvature report's fields and the torsion report, bit for bit."""
+        import splitma.geometry as geometry
+        from splitma.flow import Trajectory
+
+        grid = make_grid((16,) * 4, (1.0,) * 4)
+        bg = pluriclosed_background(grid, 1.0, 1.5, [(1, 1, 0.3)])
+        beta = 0.7
+        traj = Trajectory(grid=grid, beta=beta,
+                          params=FlowParams(beta=beta, t_end=0.0))
+        stream = MonitorStream(bg)
+        stream.add(traj, make_state(RealField.zeros(grid), bg, beta, 0.0), 0.0)
+        cur, tors = geometry.curvature(bg), geometry.torsion(bg)
+        g, h = bg.g.data, bg.h.data
+        lg_zzb, lg_wwb = cur.log_g_zzb.data, cur.log_g_wwb.data
+        lh_zzb, lh_wwb = cur.log_h_zzb.data, cur.log_h_wwb.data
+        m = stream.maxima
+        assert not m.kahler
+        assert m.mixed_curvature_nonneg == cur.mixed_curvature_nonneg
+        assert m.c == max(float(np.max(np.abs(lh_zzb / g))),
+                          float(np.max(np.abs(lg_wwb / h))))
+        assert m.c4 == max(
+            float(np.max(np.abs((lh_zzb - beta * lg_zzb) / g))),
+            float(np.max(np.abs((beta * lg_wwb - lh_wwb) / h))))
+        assert m.inv_coeff == max(float(np.max(1.0 / g)),
+                                  float(np.max(1.0 / h)))
+        assert (m.t_max_sq, m.t_grad) == (tors.max_norm_sq, tors.max_grad)
+        assert m.c > 0.0 and m.c4 > 0.0 and m.t_max_sq > 0.0
