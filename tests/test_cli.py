@@ -888,8 +888,9 @@ class TestArtifacts:
     def test_gauged_run_peak(self, tmp_path, traced_peak):
         """A gauged forced run at 16^4 (the benchmark's step-32 recipe)
         peaks at about 9.43 fields, in flow.is_split before the first
-        step; its steps peak at about 9.22, the monitors' record of a kept
-        state at 9.35 and the preparation at 8.16.  The run peaked at
+        step; its steps peak at about 9.21, the monitors' record of a kept
+        state at 8.34, their curvature maxima, taken on the final state,
+        at 8.22 and the preparation at 8.16.  The run peaked at
         12.21 when MonitorStream.results took the background's curvature
         fields on the final state, at 11.08 when each record made whole
         fields to reduce, and at 12.27 when a step held the previous
