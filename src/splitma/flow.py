@@ -247,19 +247,16 @@ def spectral_radius_bounds(grid: TorusGrid) -> tuple[float, float]:
     return kz, kw
 
 
-def dt_adaptive(
-    state: FlowState, bg: Background, beta: float, cfl: float, dt_max: float
-) -> float:
+def dt_adaptive(state: FlowState, beta: float, cfl: float,
+                dt_max: float) -> float:
     """Stability-limited step cfl / rho: rho is the sup of the linearised
     operator's coefficients, each times its factor Laplacian spectral
     radius (spectral_radius_bounds).  The minima of g lam and h eta come
-    from the state's own trace pass (metric_min) when it has them."""
+    from the state's own trace pass (metric_min)."""
     kz, kw = spectral_radius_bounds(state.u.grid)
     # beta / min(g lam) equals max(beta / (g lam)) bitwise: rounded
     # division by a positive number is monotone
-    gl_min, he_min = state.metric_min or (
-        float(np.min(bg.g.data * state.lam.data)),
-        float(np.min(bg.h.data * state.eta.data)))
+    gl_min, he_min = state.metric_min
     rho = (beta / gl_min) * kz + (1.0 / he_min) * kw
     return min(dt_max, cfl / rho)
 
@@ -390,7 +387,7 @@ def integrate(
     yield state, 0.0, state.t >= params.t_end - eps
     t, k = 0.0, 0
     while t < params.t_end - eps:
-        dt = min(dt_adaptive(state, bg, beta, params.cfl, params.dt_max),
+        dt = min(dt_adaptive(state, beta, params.cfl, params.dt_max),
                  params.t_end - t)
         hit = k < len(stops) and stops[k] - t <= dt + eps
         if hit:
@@ -565,9 +562,9 @@ def _compat_shifts(bg: Background, f_plus: RealField, f_minus: RealField,
     return b_plus, b_minus
 
 
-def _require_factor_pure(f: RealField, axes, name: str, tol: float = 1e-10):
+def _require_factor_pure(f: RealField, axes, name: str):
     dep = cross_factor_dependence(f.data, axes)
-    if dep > tol * max(1.0, float(np.max(np.abs(f.data)))):
+    if dep > 1e-10 * max(1.0, float(np.max(np.abs(f.data)))):
         raise ConfigurationError(
             f"{name} must depend only on its own factor (residual {dep:.3e})"
         )

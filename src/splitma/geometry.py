@@ -81,27 +81,28 @@ def cross_factor_dependence(data: np.ndarray, axes) -> float:
 
 
 def make_background(
-    grid: TorusGrid, g_data, h_data, kind: str, validate: bool = True, params=None
+    grid: TorusGrid, g_data, h_data, kind: str, params=None
 ) -> Background:
+    """The validated Background of the coefficients g_data and h_data:
+    positive, pluriclosed, and factor-pure on a Kahler product."""
     g = RealField.create(grid, np.broadcast_to(g_data, grid.shape).copy())
     h = RealField.create(grid, np.broadcast_to(h_data, grid.shape).copy())
     bg = Background(grid, g, h, kind, params or {})
-    if validate:
-        _check_positive("g", g.data)
-        _check_positive("h", h.data)
-        res = verify_pluriclosed(bg)
-        scale = sup_norm(g) + sup_norm(h)
-        if res > PLURICLOSED_TOL * scale:
-            raise ConfigurationError(
-                f"background is not pluriclosed: residual {res:.3e} "
-                f"(tolerance {PLURICLOSED_TOL:.1e} * {scale:.3g})"
-            )
-        if kind == KAHLER_PRODUCT:
-            for f, other in ((g, (2, 3)), (h, (0, 1))):
-                dep = cross_factor_dependence(f.data, other)
-                if dep > PRODUCT_TOL * max(1.0, sup_norm(f)):
-                    raise ConfigurationError(
-                        "product background has cross-factor dependence")
+    _check_positive("g", g.data)
+    _check_positive("h", h.data)
+    res = verify_pluriclosed(bg)
+    scale = sup_norm(g) + sup_norm(h)
+    if res > PLURICLOSED_TOL * scale:
+        raise ConfigurationError(
+            f"background is not pluriclosed: residual {res:.3e} "
+            f"(tolerance {PLURICLOSED_TOL:.1e} * {scale:.3g})"
+        )
+    if kind == KAHLER_PRODUCT:
+        for f, other in ((g, (2, 3)), (h, (0, 1))):
+            dep = cross_factor_dependence(f.data, other)
+            if dep > PRODUCT_TOL * max(1.0, sup_norm(f)):
+                raise ConfigurationError(
+                    "product background has cross-factor dependence")
     return bg
 
 
@@ -360,21 +361,22 @@ def _p_level(beta: float, eps: float, delta: float) -> float:
     )
 
 
-def select_epsilon_delta(beta: float, gridsize: int = 200) -> tuple[float, float]:
+def select_epsilon_delta(beta: float) -> tuple[float, float]:
     """Deterministic selection of (epsilon, delta) in (0,1)^2 so that the
     third-order coefficient maximum sits at the required negative level
     beta(1 - 6 beta - 3 beta^2) / (8 (1+beta)) within 1%.
 
-    Grid search, first hit wins; if the lattice straddles the level set
-    (possible very close to the threshold), fall back to the exact
-    delta-solve for each epsilon on the same lattice.
+    Grid search on the lattice of the 200 ticks k / 201, first hit wins;
+    if the lattice straddles the level set (possible very close to the
+    threshold), fall back to the exact delta-solve for each epsilon on the
+    same lattice.
     """
     if beta <= BETA_MIN:
         raise BelowBetaThreshold(
             f"beta = {beta} is below the universal threshold {BETA_MIN:.7f}"
         )
     target = beta * (1.0 - 6.0 * beta - 3.0 * beta**2) / (8.0 * (1.0 + beta))
-    ticks = [(i + 1) / (gridsize + 1) for i in range(gridsize)]
+    ticks = [(i + 1) / 201 for i in range(200)]
     tol = 0.01 * abs(target)
     for eps in ticks:
         for delta in ticks:
@@ -395,61 +397,56 @@ def select_epsilon_delta(beta: float, gridsize: int = 200) -> tuple[float, float
 class BoundMaxima:
     """The grid maxima that the bound constants read and that do not
     depend on c0, for one background and beta, before the safety factor.
-    Kahler products read only the curvature sign: the others are None."""
+    On Kahler products the torsion and the mixed curvature vanish, so all
+    but the curvature sign are exact zeros (inv_coeff too: it multiplies
+    only the torsion)."""
 
     kahler: bool
     mixed_curvature_nonneg: bool    # as curvature() reports it
-    c: float | None = None          # sup|(log h)_zzb / g|, sup|(log g)_wwb / h|
-    c4: float | None = None         # sup|((log h)_zzb - beta (log g)_zzb) / g|,
-                                    # sup|(beta (log g)_wwb - (log h)_wwb) / h|
-    inv_coeff: float | None = None  # sup 1/g, sup 1/h
-    t_max_sq: float | None = None   # the torsion's max_norm_sq
-    t_grad: float | None = None     # and max_grad
+    c: float            # sup|(log h)_zzb / g|, sup|(log g)_wwb / h|
+    c4: float           # sup|((log h)_zzb - beta (log g)_zzb) / g|,
+                        # sup|(beta (log g)_wwb - (log h)_wwb) / h|
+    inv_coeff: float    # sup 1/g, sup 1/h
+    t_max_sq: float     # the torsion's max_norm_sq
+    t_grad: float       # and max_grad
 
 
-def bound_maxima(bg: Background, beta: float,
-                 curv: CurvatureReport | None = None,
-                 tors: TorsionReport | None = None) -> BoundMaxima:
+def bound_maxima(bg: Background, beta: float) -> BoundMaxima:
     """The c0-independent maxima of constants(bg, beta, ...), each the max
-    over its pair of sups.  The curvature comes from curv's fields or,
-    without curv, one factor at a time: each log coefficient's factor
-    Laplacian is taken, reduced on blocks of points and dropped, so no
-    curvature field is kept (a Kahler product takes only (log h)_zzb and
-    (log g)_wwb, one coefficient at a time).  The torsion maxima come from
-    tors, computed here off Kahler products if omitted.  The curvature
-    sign is curvature()'s at its default tolerance."""
+    over its pair of sups.  The curvature is taken one factor at a time:
+    each log coefficient's factor Laplacian is taken, reduced on blocks of
+    points and dropped, so no curvature field is kept (a Kahler product
+    takes only (log h)_zzb and (log g)_wwb, for the curvature sign, which
+    is curvature()'s at its default tolerance).  Off Kahler products the
+    torsion maxima come from torsion()."""
     g, h = bg.g.data, bg.h.data
     kahler = bg.kind == KAHLER_PRODUCT
 
-    def lap(name, factor):  # (log g) or (log h) _zzb or _wwb
-        if curv is not None:
-            return getattr(curv, f"log_{name}_{factor}{factor}b").data
-        return factor_laplacian(bg.grid, np.log(g if name == "g" else h),
-                                factor)
+    def lap(coef, factor):  # (log g) or (log h) _zzb or _wwb
+        return factor_laplacian(bg.grid, np.log(coef), factor)
 
     # factor z: (log h)_zzb, and (log g)_zzb off Kahler products
-    lh = lap("h", "z")
+    lh = lap(h, "z")
     lh_min, lh_sup = float(lh.min()), max(float(lh.max()), -float(lh.min()))
     if not kahler:
-        lg = lap("g", "z")
+        lg = lap(g, "z")
         c_z = block_max(lambda lh, g: np.abs(lh / g).max(), lh, g)
         c4_z = block_max(lambda lh, lg, g: np.abs((lh - beta * lg) / g).max(),
                          lh, lg, g)
         del lg
     del lh
     # factor w: (log g)_wwb, and (log h)_wwb off Kahler products
-    lg = lap("g", "w")
+    lg = lap(g, "w")
     lg_min, lg_sup = float(lg.min()), max(float(lg.max()), -float(lg.min()))
     nonneg = _mixed_nonneg(lh_min, lh_sup, lg_min, lg_sup, CURVATURE_TOL)
     if kahler:
-        return BoundMaxima(True, nonneg)
-    lh = lap("h", "w")
+        return BoundMaxima(True, nonneg, 0.0, 0.0, 0.0, 0.0, 0.0)
+    lh = lap(h, "w")
     c_w = block_max(lambda lg, h: np.abs(lg / h).max(), lg, h)
     c4_w = block_max(lambda lg, lh, h: np.abs((beta * lg - lh) / h).max(),
                      lg, lh, h)
     del lg, lh
-    if tors is None:
-        tors = torsion(bg)
+    tors = torsion(bg)
     return BoundMaxima(
         False, nonneg, max(c_z, c_w), max(c4_z, c4_w),
         max(block_max(lambda g: (1.0 / g).max(), g),
@@ -463,71 +460,50 @@ def constants(
     c0: float,
     safety: float = 1.0,
     require_upper: bool = False,
-    curv: CurvatureReport | None = None,
-    tors: TorsionReport | None = None,
 ) -> ConstantsReport:
-    """Assemble the named bound constants for one background and beta.
+    """Assemble the named bound constants for one background and beta:
+    constants_from of bound_maxima(bg, beta).
 
     c0 is the trace bound sup(1/lambda + 1/eta) observed (or assumed) for
     the run being monitored.  The upper-bound constants (b_phi, a_phi,
     c12..c14, epsilon, delta) exist only for beta above the universal
     threshold; pass require_upper=True to make their absence an error.
-    curv is the background's curvature report and tors its torsion report
-    (read off Kahler products only); bound_maxima takes their maxima, from
-    the fields it computes when either is omitted, and constants_from the
-    constants from those.
-
-    On Kahler products the torsion vanishes identically and the constants
-    collapse to their exact product values (c3 = c7 = c8 = 0, c6 = 2,
-    a_psi = 0, c11 = 2, a_phi = 0, c14 = 2 b_phi).
     """
-    _check_ratios(beta, c0)
-    return constants_from(bound_maxima(bg, beta, curv, tors), beta, c0,
-                          safety, require_upper)
-
-
-def _check_ratios(beta: float, c0: float) -> None:
-    if not (0.0 < beta <= 1.0):
-        raise ConfigurationError(f"beta must lie in (0, 1], got {beta}")
-    if not (c0 > 0.0):
-        raise ConfigurationError(f"c0 must be positive, got {c0}")
+    return constants_from(bound_maxima(bg, beta), beta, c0, safety,
+                          require_upper)
 
 
 def constants_from(m: BoundMaxima, beta: float, c0: float,
                    safety: float = 1.0,
                    require_upper: bool = False) -> ConstantsReport:
     """The constants of constants() from the background's maxima m
-    (bound_maxima(bg, beta)): scalar arithmetic only."""
-    _check_ratios(beta, c0)
-    notes = {"safety": f"grid maxima scaled by {safety}"}
-    if m.kahler:
-        t_max_sq = 0.0
-        t_grad = 0.0
-        c = 0.0
-        c4 = 0.0
-        c9 = 0.0
-        notes["kind"] = "kahler product: torsion and mixed curvature vanish"
-    else:
-        t_max_sq = safety * m.t_max_sq
-        t_grad = safety * m.t_grad
-        # metric-normalised mixed curvature components
-        c = safety * m.c
-        # curvature combinations entering the mixed-norm growth inequality
-        c4 = safety * m.c4
-        c9 = c0**2 * c
-        notes["kind"] = "general pluriclosed: conservative grid maxima"
+    (bound_maxima(bg, beta)): scalar arithmetic only, one formula on every
+    background.  On Kahler products m's maxima are exact zeros, so the
+    constants take their exact product values (c3 = c7 = c8 = 0, c6 = 2,
+    a_psi = 0, c11 = 2, a_phi = 0, c14 = 2 b_phi)."""
+    if not (0.0 < beta <= 1.0):
+        raise ConfigurationError(f"beta must lie in (0, 1], got {beta}")
+    if not (c0 > 0.0):
+        raise ConfigurationError(f"c0 must be positive, got {c0}")
+    notes = {"safety": f"grid maxima scaled by {safety}",
+             "kind": ("kahler product: torsion and mixed curvature vanish"
+                      if m.kahler else
+                      "general pluriclosed: conservative grid maxima")}
+    t_max_sq = safety * m.t_max_sq
+    t_grad = safety * m.t_grad
+    # metric-normalised mixed curvature components
+    c = safety * m.c
+    # curvature combinations entering the mixed-norm growth inequality
+    c4 = safety * m.c4
 
     c1 = c0 * t_grad
     c2 = c1 + beta * (1.0 - beta) * c0 * t_max_sq
     c3 = c2 + beta * c0**3 * t_max_sq
     c5 = c0 * c4
     c6 = c5 + 2.0
-    if m.kahler:
-        c7 = 0.0
-        c8 = 0.0
-    else:
-        c7 = safety * m.inv_coeff * c0**2 * t_max_sq
-        c8 = c0**3 * t_max_sq
+    c7 = safety * m.inv_coeff * c0**2 * t_max_sq
+    c8 = c0**3 * t_max_sq
+    c9 = c0**2 * c
     c10 = c8 * (1.0 / beta + 2.0 - beta**2)
     a_psi = c7 / beta
     c11 = c10 + c9 * a_psi + c3 + c6

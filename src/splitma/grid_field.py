@@ -553,14 +553,13 @@ def mixed_derivatives(grid: TorusGrid, data: np.ndarray, *ops: str,
     return done if reduce else outs
 
 
-def exponential_filter(grid: TorusGrid, data: np.ndarray,
-                       alpha: float = 36.0, order: int = 16) -> np.ndarray:
+def exponential_filter(grid: TorusGrid, data: np.ndarray) -> np.ndarray:
     """Optional high-order exponential damping of the top of the spectrum,
     for long runs where slow spectral blocking would otherwise accumulate.
-    sigma(k) = exp(-alpha (|k|/k_nyq)^order) per direction; the lower half
-    of the spectrum is untouched to near rounding, the Nyquist mode is
-    damped by exp(-alpha)."""
-    key = ("expfilt", alpha, order)
+    sigma(k) = exp(-36 (|k|/k_nyq)^16) per direction; the lower half of
+    the spectrum is untouched to near rounding, the Nyquist mode is damped
+    by exp(-36)."""
+    key = ("expfilt",)
     if key not in grid._cache:
         sig = 1.0
         for ax in range(4):
@@ -568,7 +567,7 @@ def exponential_filter(grid: TorusGrid, data: np.ndarray,
             # the last axis carries the half spectrum of the real transform
             freq = np.fft.rfftfreq(n) if ax == 3 else np.fft.fftfreq(n)
             k = np.abs(freq * n) / (n // 2)
-            sig = sig * _along(ax, np.exp(-alpha * k**order))
+            sig = sig * _along(ax, np.exp(-36.0 * k**16))
         grid._cache[key] = sig
     hat = fft.rfftn(data, _ALL_AXES)
     hat *= grid._cache[key]

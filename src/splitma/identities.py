@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
 from operator import add, attrgetter
@@ -357,7 +357,6 @@ class IdentityResult:
     beta: float = 0.0
     grid_shape: tuple = ()
     note: str = ""
-    inputs: dict = field(default_factory=dict)
 
 
 def _maxima(ws, fn) -> np.ndarray:
@@ -784,7 +783,6 @@ def random_test_field(
     amplitude: float,
     band,
     bg: Background | None = None,
-    beta: float = 0.5,
 ) -> RealField:
     """Reproducible zero-mean band-limited random field with sup-norm
     equal to amplitude.  band is an int (max integer wavenumber per
@@ -792,7 +790,7 @@ def random_test_field(
 
     When a background is supplied, admissibility of the field as a
     potential is checked and a violation raises; the check takes the
-    factor Laplacians, no transform, and does not depend on beta.
+    factor Laplacians and no transform.
     """
     if amplitude < 0:
         raise ConfigurationError("amplitude must be nonnegative")

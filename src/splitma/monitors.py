@@ -180,13 +180,10 @@ def legendre_w(state: FlowState, bg: Background,
     return LegendreW(lam_loc + np.abs(u_zwb) ** 2 / eta_loc, u_zwb * w22, w22)
 
 
-def det_w_residual(state: FlowState, bg: Background,
-                   w: LegendreW | None = None) -> float:
-    """det W against the trace ratio recomputed from the potential, so the
-    check also validates the coherence of the cached traces.  w is the
-    snapshot's W when the caller already has it."""
-    if w is None:
-        w = legendre_w(state, bg)
+def det_w_residual(state: FlowState, bg: Background, w: LegendreW) -> float:
+    """det W of w, the snapshot's W, against the trace ratio recomputed
+    from the potential, so the check also validates the coherence of the
+    cached traces."""
     g0 = float(bg.g.data.flat[0])
     h0 = float(bg.h.data.flat[0])
     u_zzb, u_wwb = factor_laplacians(state.u.grid, state.u.data)
@@ -489,10 +486,9 @@ def trace_lower_bound_value(
     g_max: float,
     max_u0: float,
     c: float,
-    delta_grid=None,
 ) -> tuple[float, float]:
     """A-priori lower bound for the first trace factor, maximised over the
-    free parameter delta in (0, beta).
+    free parameter delta on the grid beta k / 10, k = 1..9.
 
     For each delta, with A = (1 + (1+delta) c)/(beta - delta), the bound is
 
@@ -503,15 +499,9 @@ def trace_lower_bound_value(
     """
     if not (0.0 < beta < 1.0):
         raise ConfigurationError("the lower-bound formula needs beta in (0, 1)")
-    if delta_grid is None:
-        delta_grid = [beta * k / 10.0 for k in range(1, 10)]
-    if not delta_grid:
-        raise ConfigurationError("empty delta grid")
     best = -math.inf
     best_delta = None
-    for delta in delta_grid:
-        if not (0.0 < delta < beta):
-            raise ConfigurationError(f"delta {delta} outside (0, beta)")
+    for delta in [beta * k / 10.0 for k in range(1, 10)]:
         a_coef = (1.0 + (1.0 + delta) * c) / (beta - delta)
         branch1 = (delta * math.exp(-g_max)) ** (1.0 / (1.0 - beta))
         if abs(g_min) > (1.0 - beta):

@@ -58,6 +58,41 @@ PUBLIC_NAMES = [
     "write_field",
 ]
 
+# public function -> its parameter names: a parameter is added or removed
+# on purpose only, so a setting that no caller passes does not come back
+# unnoticed
+PARAMETERS = {
+    "constants": ["bg", "beta", "c0", "safety", "require_upper"],
+    "corrupt_trajectory": ["traj", "check"],
+    "curvature": ["bg", "tol"],
+    "derivative": ["f", "op"],
+    "evaluate": ["traj", "bg", "enabled", "constants_report", "safety"],
+    "flat_background": ["grid", "c_g", "c_h"],
+    "gauge_out_f": ["bg", "f_plus", "f_minus", "beta"],
+    "kahler_product_background": ["grid", "g_profile", "h_profile"],
+    "lambda_eta": ["u", "bg", "floor", "t"],
+    "legendre_w": ["state", "bg", "u_zwb"],
+    "make_grid": ["dims", "periods"],
+    "material_derivative": ["expr", "u", "bg", "beta"],
+    "mixed_norm": ["state", "bg", "beta"],
+    "normalize_exponents": ["alpha", "beta", "f"],
+    "pluriclosed_background": ["grid", "c_g", "c_h", "modes"],
+    "poisson_solve_factor": ["rhs", "factor", "mean_tol"],
+    "random_test_field": ["grid", "seed", "amplitude", "band", "bg"],
+    "read_field": ["path", "grid"],
+    "run": ["bg", "u0", "params", "forcing", "checkpoint_times", "keep"],
+    "shift_min_zero": ["u"],
+    "stats": ["f"],
+    "step_rk4": ["u_data", "bg", "beta", "dt", "floor", "forcing", "t"],
+    "sup_norm": ["f"],
+    "torsion": ["bg"],
+    "verify_A": ["u", "bg", "beta", "tol", "ws"],
+    "verify_B": ["u", "bg", "beta", "tol", "constants_report", "ws"],
+    "verify_C": ["phi", "a", "b", "beta", "tol"],
+    "verify_pluriclosed": ["bg", "lam", "eta"],
+    "write_field": ["f", "path"],
+}
+
 COMMANDS = ["run", "kahler-converge", "beta-sweep", "oracle-2d",
             "check-identities"]
 
@@ -97,6 +132,13 @@ def test_public_names():
     assert splitma.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(splitma, name), name
+
+
+def test_public_parameters():
+    functions = {name: getattr(splitma, name) for name in PUBLIC_NAMES
+                 if inspect.isfunction(getattr(splitma, name))}
+    assert {name: list(inspect.signature(fn).parameters)
+            for name, fn in functions.items()} == PARAMETERS
 
 
 def test_cli_commands():

@@ -7,20 +7,21 @@ from splitma import ConfigurationError, make_grid
 from splitma.errors import BelowBetaThreshold
 from splitma.geometry import (
     BETA_MIN,
+    Background,
+    ConstantsReport,
     b_phi_coefficient,
     constants,
     curvature,
     flat_background,
     kahler_product_background,
     load_background,
-    make_background,
     pluriclosed_background,
     save_background,
     select_epsilon_delta,
     torsion,
     verify_pluriclosed,
 )
-from splitma.grid_field import deriv_data
+from splitma.grid_field import RealField, deriv_data
 from splitma.identities import random_test_field
 TWO_PI = 2.0 * np.pi
 
@@ -77,8 +78,9 @@ class TestVerifyPluriclosed:
     def test_violation_magnitude(self, grid):
         x3 = grid.mesh()[2]
         g = 1.0 + 0.1 * np.cos(TWO_PI * x3) * np.ones(grid.shape)
-        bg = make_background(grid, g, np.ones(grid.shape), "pluriclosed_general",
-                             validate=False)
+        bg = Background(grid, RealField(grid, g),
+                        RealField(grid, np.ones(grid.shape)),
+                        "pluriclosed_general")
         res = verify_pluriclosed(bg)
         assert abs(res - 0.1 * np.pi**2) < 1e-10
 
@@ -120,7 +122,8 @@ class TestTorsion:
         # can hide a swapped or dropped derivative op
         g = 1.0 + random_test_field(gr, seed=5, amplitude=0.3, band=1).data
         h = 1.0 + random_test_field(gr, seed=6, amplitude=0.3, band=1).data
-        bg = make_background(gr, g, h, "pluriclosed_general", validate=False)
+        bg = Background(gr, RealField(gr, g), RealField(gr, h),
+                        "pluriclosed_general")
         g_w, h_z = deriv_data(gr, g, "w"), deriv_data(gr, h, "z")
         g_z, h_w = deriv_data(gr, g, "z"), deriv_data(gr, h, "w")
         nsq = (np.abs(g_w / g) ** 2) / h + (np.abs(h_z / h) ** 2) / g
@@ -153,8 +156,9 @@ class TestCurvature:
     def test_cross_factor_dependence_flips_flag(self, grid):
         x3 = grid.mesh()[2]
         g = np.exp(0.1 * np.cos(TWO_PI * x3)) * np.ones(grid.shape)
-        bg = make_background(grid, g, np.ones(grid.shape), "pluriclosed_general",
-                             validate=False)
+        bg = Background(grid, RealField(grid, g),
+                        RealField(grid, np.ones(grid.shape)),
+                        "pluriclosed_general")
         rep = curvature(bg)
         expect = -0.1 * np.pi**2 * np.cos(TWO_PI * x3) * np.ones(grid.shape)
         assert np.max(np.abs(rep.log_g_wwb.data - expect)) < 1e-10
@@ -225,6 +229,112 @@ class TestConstants:
         assert rep.c > 0 and rep.c3 > 0 and rep.c7 > 0 and rep.c8 > 0
         assert rep.c6 >= 2.0
         assert rep.c14 is not None and rep.c14 > 0
+
+
+class TestConstantsGolden:
+    """Every field of constants() on flat, varying Kahler product and
+    pluriclosed_cos backgrounds at 8^4, pinned as float.hex literals of
+    the values the kind-branching constants formulas gave.  On both
+    product backgrounds the constants do not depend on the metric, so
+    they share one row."""
+
+    CASES = [(0.12, 2.0, 1.0), (0.5, 3.0, 1.5), (0.7, 1.25, 2.0),
+             (1.0, 2.5, 1.0)]
+    # (row, beta, c0, safety): the fields of ConstantsReport but notes,
+    # in declaration order
+    GOLDEN = {
+    ("product", 0.12, 2.0, 1.0): (
+        "0x1.eb851eb851eb8p-4 0x1.3cd3a2c8198e0p-3 0x0.0p+0 "
+        "0x1.0000000000000p+1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+        "0x1.0000000000000p+1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+        "0x1.0000000000000p+1 0x0.0p+0 None None None None None None None"),
+    ("product", 0.5, 3.0, 1.5): (
+        "0x1.0000000000000p-1 0x1.3cd3a2c8198e0p-3 0x0.0p+0 "
+        "0x1.8000000000000p+1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+        "0x1.0000000000000p+1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+        "0x1.0000000000000p+1 0x0.0p+0 0x1.1745d1745d174p+3 0x0.0p+0 "
+        "0x0.0p+0 0x0.0p+0 0x1.1745d1745d174p+4 0x1.460cbc7f5cf9ap-8 "
+        "0x1.d4b24ef715a6ep-2"),
+    ("product", 0.7, 1.25, 2.0): (
+        "0x1.6666666666666p-1 0x1.3cd3a2c8198e0p-3 0x0.0p+0 "
+        "0x1.4000000000000p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+        "0x1.0000000000000p+1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+        "0x1.0000000000000p+1 0x0.0p+0 0x1.0a42405f3a077p+2 0x0.0p+0 "
+        "0x0.0p+0 0x0.0p+0 0x1.0a42405f3a077p+3 0x1.460cbc7f5cf9ap-8 "
+        "0x1.f34380a3065e4p-2"),
+    ("product", 1.0, 2.5, 1.0): (
+        "0x1.0000000000000p+0 0x1.3cd3a2c8198e0p-3 0x0.0p+0 "
+        "0x1.4000000000000p+1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+        "0x1.0000000000000p+1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+        "0x1.0000000000000p+1 0x0.0p+0 0x1.0000000000000p+1 0x0.0p+0 "
+        "0x0.0p+0 0x0.0p+0 0x1.0000000000000p+2 0x1.460cbc7f5cf9ap-8 "
+        "0x1.fd73e68701461p-2"),
+    ("pluriclosed_cos", 0.12, 2.0, 1.0): (
+        "0x1.eb851eb851eb8p-4 0x1.3cd3a2c8198e0p-3 0x1.9e0d4f1bf2feep-3 "
+        "0x1.0000000000000p+1 0x1.aa5340171f338p-1 0x1.aafb8a0941ff6p-1 "
+        "0x1.adf87d100eb54p-1 0x1.ec79581ac5e2cp-3 0x1.ec79581ac5e2cp-2 "
+        "0x1.3d8f2b0358bc6p+1 0x1.9ae6a7d009a6fp-6 0x1.8e693e3549615p-5 "
+        "0x1.9e0d4f1bf2feep-1 0x1.00f2d7997dddcp-1 0x1.feec3aa3af861p+1 "
+        "0x1.ac059978b4b89p-3 None None None None None None None"),
+    ("pluriclosed_cos", 0.5, 3.0, 1.5): (
+        "0x1.0000000000000p-1 0x1.3cd3a2c8198e0p-3 0x1.3689fb54f63f2p-2 "
+        "0x1.8000000000000p+1 0x1.df9da81a0319fp+0 0x1.e15dde7fff0c8p+0 "
+        "0x1.0070d8d5db0d4p+1 0x1.15cdcbb8a4a3cp-1 0x1.a0b4b194f6f5ap+0 "
+        "0x1.d05a58ca7b7adp+1 0x1.0405f631a61bbp-3 0x1.f83d32bb70df3p-3 "
+        "0x1.5d5b3abf95070p+1 0x1.d8b95f8fb9d14p-1 0x1.cfd7de0fa7148p+2 "
+        "0x1.0405f631a61bbp-2 0x1.1745d1745d174p+3 0x1.1ba969aa86a9dp+1 "
+        "0x1.8fb7a4a110b6ep+5 0x1.5d5b3abf95070p+1 0x1.eb3fb49c7bab1p+8 "
+        "0x1.460cbc7f5cf9ap-8 0x1.d4b24ef715a6ep-2"),
+    ("pluriclosed_cos", 0.7, 1.25, 2.0): (
+        "0x1.6666666666666p-1 0x1.3cd3a2c8198e0p-3 0x1.9e0d4f1bf2feep-2 "
+        "0x1.4000000000000p+0 0x1.0a74080e73803p+0 0x1.0b4532824f79fp+0 "
+        "0x1.0f869a48692e9p+0 0x1.b3c1c1ca8b42ep-1 0x1.1059191e9709dp+0 "
+        "0x1.882c8c8f4b84ep+1 0x1.4104331a878a7p-5 0x1.8512c6c009a91p-6 "
+        "0x1.437a65cdd5d72p-1 0x1.1dd477dc9f3c0p-4 0x1.0eb2b82040d26p+2 "
+        "0x1.ca98490153ea6p-5 0x1.0a42405f3a077p+2 0x1.dcf8ea6edc407p-3 "
+        "0x1.33db18043bfaep+2 0x1.437a65cdd5d72p-1 0x1.2a8bf8adbb47fp+5 "
+        "0x1.460cbc7f5cf9ap-8 0x1.f34380a3065e4p-2"),
+    ("pluriclosed_cos", 1.0, 2.5, 1.0): (
+        "0x1.0000000000000p+0 0x1.3cd3a2c8198e0p-3 0x1.9e0d4f1bf2feep-3 "
+        "0x1.4000000000000p+1 0x1.0a74080e73803p+0 0x1.0a74080e73803p+0 "
+        "0x1.22c5347a741acp+0 0x1.0ae46684896fep-1 0x1.4d9d8025abcbep+0 "
+        "0x1.a6cec012d5e5fp+1 0x1.4104331a878a7p-5 0x1.8512c6c009a91p-4 "
+        "0x1.437a65cdd5d72p+0 0x1.8512c6c009a91p-3 0x1.2b6c86ee4f77ap+2 "
+        "0x1.4104331a878a7p-5 0x1.0000000000000p+1 0x1.4104331a878a7p-4 "
+        "0x1.3304b4daa324ap+4 0x1.437a65cdd5d72p+0 0x1.7ad5b108b6ef3p+5 "
+        "0x1.460cbc7f5cf9ap-8 0x1.fd73e68701461p-2"),
+    }
+    NOTES = {"product": "kahler product: torsion and mixed curvature vanish",
+             "pluriclosed_cos": "general pluriclosed: conservative grid maxima"}
+
+    @staticmethod
+    def background(kind):
+        grid = make_grid((8,) * 4, (1,) * 4)
+        if kind == "flat":
+            return flat_background(grid)
+        if kind == "pluriclosed_cos":
+            return pluriclosed_background(grid, 1.0, 1.5, [(1, 1, 0.3)])
+        x = grid.axis_coord(0)[:, None] * np.ones((1, grid.shape[1]))
+        return kahler_product_background(
+            grid, 1.0 + 0.2 * np.cos(TWO_PI * x), 1.5 + 0.1 * np.sin(TWO_PI * x))
+
+    @pytest.mark.parametrize("kind", ["flat", "kahler_product",
+                                      "pluriclosed_cos"])
+    def test_constants_reproduce_the_golden_values(self, kind):
+        import dataclasses
+
+        bg = self.background(kind)
+        row = "pluriclosed_cos" if kind == "pluriclosed_cos" else "product"
+        names = [f.name for f in dataclasses.fields(ConstantsReport)
+                 if f.name != "notes"]
+        for beta, c0, safety in self.CASES:
+            rep = constants(bg, beta, c0=c0, safety=safety)
+            got = ["None" if getattr(rep, n) is None
+                   else float.hex(getattr(rep, n)) for n in names]
+            want = self.GOLDEN[(row, beta, c0, safety)].split()
+            assert dict(zip(names, got)) == dict(zip(names, want))
+            assert rep.notes == {"safety": f"grid maxima scaled by {safety}",
+                                 "kind": self.NOTES[row]}
 
 
 class TestSerialization:

@@ -315,7 +315,7 @@ class TestBlockSize:
     def suite(grid16, bgp16, u16):
         phi = random_test_field(grid16, seed=5, amplitude=0.005, band=2)
         tors = torsion(bgp16)
-        cr = constants(bgp16, 0.7, c0=3.0, tors=tors)
+        cr = constants(bgp16, 0.7, c0=3.0)
         ws = ManifoldSlice(u16, bgp16, 0.7)
         res = (verify_A(u16, bgp16, 0.7, ws=ws)
                + verify_B(u16, bgp16, 0.7, constants_report=cr, ws=ws)
