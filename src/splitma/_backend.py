@@ -26,6 +26,15 @@ BLAS pinned to one thread by OpenBLAS's openblas_set_num_threads_local
 again.  Where numpy's BLAS has no such call, they run on the calling
 thread alone, unpinned.  A product's sums do not depend on the thread
 that runs it, so the result does not depend on the count.
+
+The same threads, as many, run the pointwise work of the identity suite
+and of the monitors' subsolution checks on blocks of points
+(grid_field.on_blocks; the first block on the calling thread), the
+multiplier products of the complex derivatives before their inverse
+transform, and the identity slices' operator L inside its slab pass.
+They run numpy alone: every transform here is called from the calling
+thread.  Each block and chunk is computed as on one thread, so no result
+depends on the count.
 """
 
 import ctypes

@@ -164,6 +164,9 @@ def parse_config(path: str | Path) -> ExperimentConfig:
                         setattr(cfg, name, value)
     except (ValueError, TypeError, configparser.InterpolationError) as exc:
         raise ConfigurationError(f"invalid config value: {exc}") from exc
+    for params in (cfg.bg_params, cfg.initial_params):
+        if "path" in params:  # relative to the config file; absolute kept
+            params["path"] = str(path.parent / params["path"])
 
     _validate(cfg)
     return cfg

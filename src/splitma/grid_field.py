@@ -64,7 +64,10 @@ Which path a caller takes:
 
 _backend sets out which library serves each transform.  Pointwise algebra
 on whole fields runs on blocks of BLOCK points (on_blocks), which keeps
-its temporaries in cache.
+its temporaries in cache; past the first block, which runs on the calling
+thread, the blocks are split between the slab threads (_map_blocks), as
+are the x1 chunks of a complex derivative's multiplier product.  No
+result depends on the thread count.
 
 Storage order is x4-fastest (C order on arrays of shape (n1,n2,n3,n4));
 the field file format fixes this order bit-exactly.
@@ -74,6 +77,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import threading
 from contextlib import contextmanager
@@ -248,11 +252,22 @@ def make_grid(dims, periods) -> TorusGrid:
 
 def _spectral_deriv(grid: TorusGrid, hat: np.ndarray, op: str) -> np.ndarray:
     """Derivative op of the data whose full complex spectrum is hat; hat
-    itself is left untouched (an identity slice reuses one spectrum)."""
+    itself is left untouched (an identity slice reuses one spectrum).  The
+    multiplier is applied on chunks of x1 rows on the slab threads
+    (_over_rows), each chunk's product by the z part then by the w part
+    while it is in cache."""
     zp, wp = grid.multiplier_parts(op)
-    out = hat * (wp if zp is None else zp)
-    if zp is not None and wp is not None:
-        out *= wp
+    out = np.empty(hat.shape, np.complex128)
+
+    def chunk(k, rows):
+        o = out[rows]
+        np.multiply(hat[rows], wp if zp is None else zp[rows], out=o)
+        if zp is not None and wp is not None:
+            o *= wp
+
+    threads = _slab_threads(grid.shape)
+    with _SLAB_LOCK:
+        _over_rows(grid, threads, _chunk_rows(grid, threads), chunk)
     return fft.ifftn(out)
 
 
@@ -330,19 +345,36 @@ _CHUNK_BYTES = 256 * 1024
 _THREAD_BYTES = 1 << 20
 
 # The pools and the scratch are shared by every caller in the process: a
-# slab pass holds _SLAB_LOCK throughout.
+# pass on the pool threads holds _SLAB_LOCK throughout.
 _POOLS: dict = {}       # (pid, thread count) -> ThreadPoolExecutor
 _SCRATCH: list = []     # per thread: (block, term) flat buffers
 _SLAB_LOCK = threading.Lock()
+_POOL_THREAD = threading.local()    # .on is set on the pool's threads
 
 
-def _slab_threads(grid: TorusGrid) -> int:
-    """Threads of a slab pass on grid: one per _THREAD_BYTES of field, at
-    most get_workers(); one where BLAS cannot be pinned to one thread per
-    caller (threads that each run a multi-threaded BLAS gain nothing)."""
+def _slab_threads(shape) -> int:
+    """Threads of a pass over a field of shape: one per _THREAD_BYTES of
+    field, at most get_workers(); one where BLAS cannot be pinned to one
+    thread per caller (threads that each run a multi-threaded BLAS gain
+    nothing)."""
     if fft.blas_thread_pin() is None:
         return 1
-    return max(1, min(fft.get_workers(), 8 * grid.npoints // _THREAD_BYTES))
+    return max(1, min(fft.get_workers(),
+                      8 * math.prod(shape) // _THREAD_BYTES))
+
+
+def _pool_thread_init(pin) -> None:
+    """Marks a new pool thread (_on_pool_thread) and pins its BLAS to one
+    thread; pin is looked up on the calling thread, which alone may enter
+    a function of this package."""
+    _POOL_THREAD.on = True
+    if pin is not None:
+        pin(1)
+
+
+def _on_pool_thread() -> bool:
+    """Whether the calling thread is one of the slab pool's."""
+    return getattr(_POOL_THREAD, "on", False)
 
 
 def _run_parts(parts):
@@ -369,7 +401,7 @@ def _run_parts(parts):
     if pool is None:
         pool = _POOLS[key] = concurrent.futures.ThreadPoolExecutor(
             len(parts), thread_name_prefix="splitma-slab",
-            initializer=fft.blas_thread_pin(), initargs=(1,))
+            initializer=_pool_thread_init, initargs=(fft.blas_thread_pin(),))
     futures = [pool.submit(part) for part in parts]
     concurrent.futures.wait(futures)
     return [f.result() for f in futures]
@@ -388,6 +420,19 @@ def _chunk_rows(grid: TorusGrid, threads: int) -> int:
     return max(1, min(_CHUNK_BYTES // row, -(-n0 // threads)))
 
 
+def _over_rows(grid: TorusGrid, threads: int, step: int, fn) -> list:
+    """fn(k, rows) for each chunk rows of at most step x1 rows, the rows
+    split between threads pool threads, thread k running the chunks of its
+    share in order; returns the results in row order.  The caller holds
+    _SLAB_LOCK."""
+    def part(k):
+        span = _spans(grid.shape[0], threads)[k]
+        return [fn(k, slice(i, min(i + step, span.stop)))
+                for i in range(span.start, span.stop, step)]
+    return [r for rs in _run_parts([functools.partial(part, k)
+                                    for k in range(threads)]) for r in rs]
+
+
 def _scratch(threads: int, size: int):
     """threads (block, term) pairs of flat buffers of at least size
     doubles: allocated once, from the calling thread, and grown when a
@@ -403,8 +448,8 @@ def _slab_pass(grid: TorusGrid, data: np.ndarray, zz, ww, finish=None,
                order: int = 2):
     """The products of data with each axis's order-th derivative matrix
     (_axis_matrix), factor z's into zz and factor w's into ww (either may
-    be None, skipping that factor), over x1-slabs on _slab_threads(grid)
-    threads, in two phases:
+    be None, skipping that factor), over x1-slabs on the _slab_threads
+    of grid's shape, in two phases:
 
     A. along x1 (factor z only): one (x1, x3 x4) block per x2 index, the
        x2 indices split between the threads;
@@ -427,7 +472,7 @@ def _slab_pass(grid: TorusGrid, data: np.ndarray, zz, ww, finish=None,
     a function of this package.  zz and ww are C-ordered fields."""
     n0, n1, n2, n3 = grid.shape
     m = n2 * n3
-    threads = _slab_threads(grid)
+    threads = _slab_threads(grid.shape)
     step = _chunk_rows(grid, threads)
     d0, d1, d2, d3 = (_axis_matrix(grid, ax, order) for ax in _ALL_AXES)
     if zz is not None:
@@ -464,12 +509,7 @@ def _slab_pass(grid: TorusGrid, data: np.ndarray, zz, ww, finish=None,
             if finish is not None:
                 return finish(rows, term, blk)
 
-        def part(k):  # thread k: the chunks of its share of the rows
-            span = _spans(n0, threads)[k]
-            return [phase_b(k, slice(i, min(i + step, span.stop)))
-                    for i in range(span.start, span.stop, step)]
-        return [r for rs in _run_parts([functools.partial(part, k)
-                                        for k in range(threads)]) for r in rs]
+        return _over_rows(grid, threads, step, phase_b)
 
 
 def factor_laplacian(grid: TorusGrid, data: np.ndarray, factor: str) -> np.ndarray:
@@ -486,10 +526,14 @@ def factor_laplacian(grid: TorusGrid, data: np.ndarray, factor: str) -> np.ndarr
     return out
 
 
-def factor_laplacians(grid: TorusGrid, data: np.ndarray):
-    """(u_zzb, u_wwb) for real data, in one slab pass."""
+def factor_laplacians(grid: TorusGrid, data: np.ndarray, finish=None):
+    """(u_zzb, u_wwb) for real data, in one slab pass.  With finish,
+    finish(rows, zz, ww) runs on each chunk of x1 rows once the chunk's
+    rows of both are done, while they are in cache; it runs on the pool
+    threads, so it may call numpy only."""
     zz, ww = np.empty(grid.shape), np.empty(grid.shape)
-    _slab_pass(grid, data, zz, ww)
+    _slab_pass(grid, data, zz, ww, finish and (
+        lambda rows, term, blk: finish(rows, zz, ww)))
     return zz, ww
 
 
@@ -627,6 +671,7 @@ def poisson_solve_factor(
 # pointwise algebra on blocks of points
 
 BLOCK = 8192    # points per block
+POOL_BLOCKS = 4     # blocks per call of _map_blocks's fn on a pool thread
 
 
 def blocks(shape) -> list[slice]:
@@ -648,16 +693,49 @@ def block_max(fn, *fields) -> float:
                          for sl in blocks(np.shape(fields[0]))]))
 
 
+def _map_blocks(fn, shape) -> list:
+    """fn(sl) over the blocks of blocks(shape), in point order.  The first
+    block runs on the calling thread, so whatever fn computes once and
+    caches is computed there; the others are split between
+    _slab_threads(shape) pool threads, one contiguous run of blocks each
+    (a field of less than 2 MiB, such as 16^4, stays on the calling
+    thread).  fn then runs on pool threads: it may call numpy only, never
+    a function of this package.  A pool thread's sl spans POOL_BLOCKS
+    blocks, the last of its run fewer: the threads contend for the GIL
+    between numpy calls, and longer calls contend less.  fn is pointwise
+    work on the points sl, the same on any thread and any span of them,
+    so the results do not depend on the thread count."""
+    sls = blocks(shape)
+    first, rest = fn(sls[0]), sls[1:]
+    threads = min(_slab_threads(shape), len(rest))
+    if threads <= 1:
+        return [first] + [fn(sl) for sl in rest]
+
+    def part(span):
+        return [fn(slice(rest[i].start,
+                         rest[min(i + POOL_BLOCKS, span.stop) - 1].stop))
+                for i in range(span.start, span.stop, POOL_BLOCKS)]
+    with _SLAB_LOCK:
+        done = _run_parts([functools.partial(part, span)
+                           for span in _spans(len(rest), threads)])
+    return [first] + [r for rs in done for r in rs]
+
+
 def on_blocks(fn, shape, out: list | None = None) -> list[np.ndarray]:
     """Fields of shape whose points sl are fn(sl), a list of arrays, for
-    each block sl of blocks(shape): the fields of out, or fields made on
-    the first block with the dtypes of its arrays."""
+    the blocks sl of blocks(shape): the fields of out, or fields made on
+    the first block with the dtypes of its arrays.  The blocks run through
+    _map_blocks, on the slab threads from 2 MiB of field (32^4 on two
+    CPUs), so past the first block fn may call numpy only, and sl may span
+    several blocks; no result depends on the thread count."""
     out = [] if out is None else out
-    for sl in blocks(shape):
+
+    def put(sl):
         vals = fn(sl)
-        out += [np.empty(shape, np.result_type(v)) for v in vals[len(out):]]
+        out.extend(np.empty(shape, np.result_type(v)) for v in vals[len(out):])
         for f, v in zip(out, vals):
             f.reshape(-1)[sl] = v
+    _map_blocks(put, shape)
     return out
 
 

@@ -11,8 +11,8 @@ spectral truncation of the nonlinear composites, so true identities
 converge geometrically under grid refinement while false ones stall.
 
 The chain rule is forward-mode differentiation: a functional is built
-as a Dual, a pair (value, d/dt) whose arithmetic and the functions log,
-abs2 and real apply the sum, product, quotient and chain rules.  The
+as a Dual, a pair (value, d/dt) whose arithmetic and methods log, abs2
+and real apply the sum, product, quotient and chain rules.  The
 slice supplies the Duals of the potential's derivatives (ws.U(op)) and of
 the traces (ws.Lam, ws.Eta); a field constant in time (g, h, a number) is
 a plain array or number.  One evaluation of the expression gives both
@@ -42,6 +42,15 @@ identity differentiates once (log(g lambda), log(h eta), |u_zwb|^2, 1/eta).
 Pointwise work runs on blocks of grid_field.BLOCK points, as rows(p) on a
 block p = ws.at(sl); only H f = f_t - L f and the terms that several rows
 or a spectrum read are made as whole fields.
+
+The blocks, the multiplier products of the cached derivatives and L run
+on grid_field's slab threads, and no result depends on their count.  The
+first block of a pass runs on the calling thread and fills the cache;
+the rest run on pool threads, which enter no function of the package
+(the span tracer keeps one stack for the process): a block copy made
+there raises on a derivative that is not cached, and L forms each chunk
+of coef_z u_zzb + coef_w u_wwb, and of a heat residual's f_t - L f,
+inside its slab pass.
 """
 
 from __future__ import annotations
@@ -59,9 +68,9 @@ from . import _backend as fft
 from .errors import AdmissibilityLost, ConfigurationError
 from .flow import flow_speed, lambda_eta
 from .geometry import Background, verify_pluriclosed
-from .grid_field import (RealField, TorusGrid, _part, _spectral_deriv,
-                         blocks, factor_laplacian, factor_laplacians,
-                         on_blocks)
+from .grid_field import (RealField, TorusGrid, _map_blocks, _on_pool_thread,
+                         _part, _spectral_deriv, factor_laplacian,
+                         factor_laplacians, on_blocks)
 
 _FACTOR_LAPLACIANS = {"z zb": "z", "w wb": "w"}
 _CONJUGATES = {"zb": "z", "wb": "w"}
@@ -80,6 +89,7 @@ class _SliceBase:
 
     _GROUPS: dict = {"lam": ("z", "w"), "eta": ("z", "w")}
     _sl = None      # the block of points a copy made by at() reads
+    _pool = False   # whether at() made the copy on a slab pool thread
 
     def __init__(self, u: RealField, g, h, a: float, b: float, beta: float,
                  floor: float):
@@ -101,9 +111,11 @@ class _SliceBase:
 
     def at(self, sl: slice) -> "_SliceBase":
         """The slice on the block sl of its flattened points, sharing the
-        cache; a derivative not cached yet is taken on the whole grid."""
+        cache; a derivative not cached yet is taken on the whole grid, but
+        on a pool thread, which may enter no function of the package and
+        takes no transform, it raises."""
         p = copy.copy(self)
-        p._sl = sl
+        p._sl, p._pool = sl, _on_pool_thread()
         p.g, p.h, p.lam, p.eta = map(p.part, (p.g, p.h, p.lam, p.eta))
         return p
 
@@ -138,6 +150,10 @@ class _SliceBase:
             return np.conj(self.d(key, _CONJUGATES[op]))
         ck = (key, op)
         if ck not in self._derivs:
+            if self._pool:
+                raise RuntimeError(
+                    f"derivative {op!r} of {key!r} is not cached: a block on "
+                    "a pool thread takes no transform")
             if key == "u":
                 self._derivs[ck] = _spectral_deriv(self.grid, self._u_hat, op)
             elif op in _FACTOR_LAPLACIANS:
@@ -157,20 +173,35 @@ class _SliceBase:
         hat = fft.fftn(arr)
         return [_spectral_deriv(self.grid, hat, op) for op in ops]
 
-    def L(self, arr: np.ndarray) -> np.ndarray:
-        """Linearised spatial operator, through the factor Laplacians of
-        a real array, or of each part of a complex one (one slab pass
-        each)."""
-        if np.iscomplexobj(arr):
-            out = np.empty(arr.shape, dtype=np.complex128)
-            out.real = self.L(arr.real)
-            out.imag = self.L(arr.imag)
-            return out
-        lz, lw = factor_laplacians(self.grid, arr)
-        np.multiply(self.coef_z, lz, out=lz)
-        np.multiply(self.coef_w, lw, out=lw)
-        lz += lw
-        return lz
+    def L(self, arr: np.ndarray, d=None) -> np.ndarray:
+        """Linearised spatial operator coef_z u_zzb + coef_w u_wwb of a real
+        array, or of each part of a complex one; with d, the heat residual
+        d - L arr.  One factor_laplacians pass per part, whose finish forms
+        each chunk of x1 rows while its factor Laplacians are in cache."""
+        if not np.iscomplexobj(arr):
+            return self._L(arr, d)
+        out = np.empty(arr.shape, np.complex128)
+        for part in ("real", "imag"):
+            self._L(getattr(arr, part), getattr(d, part, None),
+                    getattr(out, part))
+        return out
+
+    def _L(self, arr, d, out=None) -> np.ndarray:
+        """L arr, or d - L arr, into out, or into u_zzb's field where out
+        is None."""
+        cz, cw = self.coef_z, self.coef_w
+
+        def finish(rows, zz, ww):  # on the pool threads: numpy only
+            z, w = zz[rows], ww[rows]
+            o = z if out is None else out[rows]
+            np.multiply(cz[rows], z, out=z)
+            np.multiply(cw[rows], w, out=w)
+            np.add(z, w, out=o)
+            if d is not None:
+                np.subtract(d[rows] if np.ndim(d) else d, o, out=o)
+
+        zz, _ = factor_laplacians(self.grid, arr, finish)
+        return zz if out is None else out
 
 
 class ManifoldSlice(_SliceBase):
@@ -254,7 +285,8 @@ class Dual:
     scalar where it is constant in space.  +, -, * and / apply the sum,
     product and quotient rules; an operand that is not a Dual is constant
     in time.  A product of two Duals drops a term whose derivative is the
-    scalar 0."""
+    scalar 0.  log, abs2 and real are methods, not module functions, so a
+    block evaluated on a pool thread enters no traced function."""
 
     __slots__ = ("v", "d")
     __array_ufunc__ = None  # ndarray op Dual calls the Dual's method
@@ -294,19 +326,16 @@ class Dual:
     def __rtruediv__(self, c):
         return Dual(c / self.v, -c * self.d / (self.v * self.v))
 
+    def log(self) -> "Dual":
+        return Dual(np.log(self.v), self.d / self.v)
 
-def log(f: Dual) -> Dual:
-    return Dual(np.log(f.v), f.d / f.v)
+    def abs2(self) -> "Dual":
+        """|f|^2, real."""
+        cv = np.conj(self.v)
+        return Dual((self.v * cv).real, 2.0 * (cv * self.d).real)
 
-
-def abs2(f: Dual) -> Dual:
-    """|f|^2, real."""
-    cv = np.conj(f.v)
-    return Dual((f.v * cv).real, 2.0 * (cv * f.d).real)
-
-
-def real(f: Dual) -> Dual:
-    return Dual(f.v.real, f.d.real)
+    def real(self) -> "Dual":
+        return Dual(self.v.real, self.d.real)
 
 
 def _whole(ws, fn) -> list[np.ndarray]:
@@ -319,14 +348,13 @@ def heat_residual(ws, f) -> np.ndarray:
     a function f of a slice to a Dual, then evaluated on blocks of points."""
     if callable(f):
         f = Dual(*_whole(ws, lambda p, fn=f: attrgetter("v", "d")(fn(p))))
-    h = ws.L(f.v)
-    return np.subtract(f.d, h, out=h)
+    return ws.L(f.v, f.d)
 
 
 def material_derivative(expr, u: RealField, bg: Background, beta: float):
     """Time derivative of a slice functional along the flow, evaluated by
     the chain-rule substitution; expr maps a ManifoldSlice to a Dual (e.g.
-    lambda ws: log(ws.Lam)).  Returns the raw array."""
+    lambda ws: ws.Lam.log()).  Returns the raw array."""
     return expr(ManifoldSlice(u, bg, beta)).d
 
 
@@ -334,13 +362,13 @@ def material_derivative(expr, u: RealField, bg: Background, beta: float):
 W_VECTORS = ((1.0, 0.0), (0.0, 1.0), (1 / math.sqrt(2), 1 / math.sqrt(2)))
 
 
-def w_quads(w11: Dual, w12: Dual, w22: Dual):
+def _w_quads(w11: Dual, w12: Dual, w22: Dual):
     """Yield W(v, vbar) as a Dual for each v in W_VECTORS, from the
     entries of W."""
     for va, vb in W_VECTORS:  # no term of zero weight, no product by 1
         wts = (abs(va) ** 2, 2.0 * va * np.conj(vb), abs(vb) ** 2)
         yield reduce(add, [x if w == 1 else w * x
-                           for w, x in zip(wts, (w11, real(w12), w22)) if w])
+                           for w, x in zip(wts, (w11, w12.real(), w22)) if w])
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +389,8 @@ class IdentityResult:
 
 def _maxima(ws, fn) -> np.ndarray:
     """The max over ws's points of each array of fn(p), block by block."""
-    return np.max([[np.max(x) for x in fn(ws.at(sl))]
-                   for sl in blocks(ws.grid.shape)], axis=0)
+    return np.max(_map_blocks(lambda sl: [np.max(x) for x in fn(ws.at(sl))],
+                              ws.grid.shape), axis=0)
 
 
 def _checker(ws, rows, tol):
@@ -464,14 +492,14 @@ def verify_A(u: RealField, bg: Background, beta: float,
                  note="(g lam)_wwb + (h eta)_zzb = 0"),
            check("A4", heat_residual(ws, ws.Lam)),
            check("A5", heat_residual(ws, ws.Eta))]
-    h_loglam = heat_residual(ws, lambda p: log(p.Lam))
+    h_loglam = heat_residual(ws, lambda p: p.Lam.log())
     out += [check("A6", h_loglam),
-            check("A7", heat_residual(ws, lambda p: log(p.Eta)), h_loglam)]
+            check("A7", heat_residual(ws, lambda p: p.Eta.log()), h_loglam)]
     del h_loglam
     out += [check("A8", heat_residual(ws, lambda p: 1.0 / p.Lam)),
             check("A9", heat_residual(ws, lambda p: 1.0 / p.Eta)),
             check("L16", heat_residual(
-                ws, lambda p: beta * log(p.Lam) - log(p.Eta)), tol=1e-13,
+                ws, lambda p: beta * p.Lam.log() - p.Eta.log()), tol=1e-13,
                 kind="sanity", note="H(du/dt) = 0 by construction")]
     del ws._derivs["g", "w wb"], ws._derivs["h", "z zb"]  # read by A alone
     return out
@@ -584,10 +612,10 @@ def verify_B(u: RealField, bg: Background, beta: float, tol: float = 1e-8,
                            "log-derivatives"),
             check("B25")]
 
-    h_mixed = heat_residual(ws, lambda p: beta * abs2(p.U("z w")) * (
+    h_mixed = heat_residual(ws, lambda p: beta * p.U("z w").abs2() * (
         1.0 / (p.g * p.Lam * p.h * p.Eta)))
     out.append(check("B18", h_mixed, heat_residual(
-        ws, lambda p: np.log(p.g) + log(p.Lam) + np.log(p.h) + log(p.Eta)),
+        ws, lambda p: np.log(p.g) + p.Lam.log() + np.log(p.h) + p.Eta.log()),
         psi))
     del psi
     for op in ("z z w", "z w w", "z w zb", "z w wb"):  # read last by B18
@@ -740,8 +768,8 @@ def verify_C(phi: RealField, a: float, b: float, beta: float,
 
     rhs31, = _whole(ws, lambda p: [rows(p)["rhs31"]()])
     out += [check("C31", heat_residual(ws, lambda p: 1.0 / p.Eta), rhs31),
-            check("C32", heat_residual(ws, lambda p: abs2(p.U("z wb"))))]
-    h33 = heat_residual(ws, lambda p: abs2(p.U("z wb")) / p.Eta)
+            check("C32", heat_residual(ws, lambda p: p.U("z wb").abs2()))]
+    h33 = heat_residual(ws, lambda p: p.U("z wb").abs2() / p.Eta)
     absc, = _whole(ws, lambda p: [rows(p)["absc"]()])
     out.append(check("C33", h33, rhs31, *ws.derivs(absc, "z", "w"),
                      *ws.derivs(1.0 / ws.eta, "z", "w")))
@@ -750,7 +778,7 @@ def verify_C(phi: RealField, a: float, b: float, beta: float,
     del h33
     rhs35, t37 = _whole(ws, lambda p: [rows(p)[k]() for k in ("rhs35", "t37")])
     out.append(check("C35", heat_residual(
-        ws, lambda p: p.Lam + abs2(p.U("z wb")) / p.Eta), rhs35))
+        ws, lambda p: p.Lam + p.U("z wb").abs2() / p.Eta), rhs35))
     lhs36 = heat_residual(ws, lambda p: p.U("z wb") / p.Eta)
     out += [check("C36", lhs36, rhs31), check("C37", lhs36, t37)]
     del lhs36
@@ -758,7 +786,7 @@ def verify_C(phi: RealField, a: float, b: float, beta: float,
     # quadratic form: direct heat residual equals the block expansion and
     # the expansion is pointwise nonpositive
     def quad(p, k):  # the k-th form; the ones before it are single entries
-        return next(islice(w_quads(p.Lam + abs2(p.U("z wb")) / p.Eta,
+        return next(islice(_w_quads(p.Lam + p.U("z wb").abs2() / p.Eta,
                                    p.U("z wb") / p.Eta, 1.0 / p.Eta), k, None))
 
     for k, (va, vb) in enumerate(W_VECTORS):
@@ -801,9 +829,14 @@ def random_test_field(
     if not shells or min(shells) < 1:
         raise ConfigurationError("band must contain positive shell indices")
     rng = np.random.default_rng(seed)
-    hat = np.zeros(grid.shape, dtype=complex)
     kmax = max(shells)
     n1, n2, n3, n4 = grid.shape
+    # the spectrum on the lines that can hold a mode: along axes 0-2 only
+    # the indices k % n, |k| <= kmax, at position pos of idx
+    idx = [sorted({k % n for k in range(-kmax, kmax + 1)})
+           for n in grid.shape[:3]]
+    pos = [{i: j for j, i in enumerate(ix)} for ix in idx]
+    spec = np.zeros((*map(len, idx), n4), dtype=complex)
     for k1 in range(-kmax, kmax + 1):
         for k2 in range(-kmax, kmax + 1):
             for k3 in range(-kmax, kmax + 1):
@@ -811,11 +844,28 @@ def random_test_field(
                     shell = max(abs(k1), abs(k2), abs(k3), abs(k4))
                     if shell not in shells:
                         continue
-                    idx = (k1 % n1, k2 % n2, k3 % n3, k4 % n4)
-                    hat[idx] = rng.standard_normal() + 1j * rng.standard_normal()
-    u = np.fft.ifftn(hat).real
+                    at = (pos[0][k1 % n1], pos[1][k2 % n2], pos[2][k3 % n3],
+                          k4 % n4)
+                    spec[at] = rng.standard_normal() + 1j * rng.standard_normal()
+    # np.fft.ifftn of the dense spectrum, .real: the same inverses along
+    # axes 3, 2, 1 and 0 in turn, each in place and only on the lines that
+    # can hold a mode (every other line is zero and stays zero), the last
+    # one x2 index at a time into one buffer, so no dense complex field is
+    # made
+    np.fft.ifft(spec, axis=3, out=spec)
+    for ax in (2, 1):
+        full = np.zeros(spec.shape[:ax] + (grid.shape[ax],)
+                        + spec.shape[ax + 1:], dtype=complex)
+        full[(slice(None),) * ax + (idx[ax],)] = spec
+        spec = np.fft.ifft(full, axis=ax, out=full)
+    u = np.empty(grid.shape)
+    line = np.zeros((n1, n3, n4), dtype=complex)
+    buf = np.empty_like(line)
+    for j in range(n2):
+        line[idx[0]] = spec[:, j]
+        u[:, j] = np.fft.ifft(line, axis=0, out=buf).real
     u -= u.mean()
-    sup = np.max(np.abs(u))
+    sup = max(float(u.max()), -float(u.min()))  # max |u|, with no |u| field
     if amplitude == 0.0 or sup == 0.0:
         return RealField.zeros(grid)
     u *= amplitude / sup

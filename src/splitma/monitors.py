@@ -65,7 +65,7 @@ from .geometry import (BETA_MIN, Background, BoundMaxima, ConstantsReport,
 from .grid_field import (RealField, block_max, factor_laplacians,
                          mixed_derivatives, on_blocks)
 from .flow import FlowState, Trajectory, flow_speed, steady_residual
-from .identities import W_VECTORS, StateSlice, abs2, log, real, w_quads
+from .identities import W_VECTORS, StateSlice, _w_quads
 
 MONO_SLACK = 1e-8           # relative slack for monotone scalar series
 HEAT_TOL = 1e-6             # relative tolerance of the heat subsolutions
@@ -395,12 +395,12 @@ class MonitorStream:
             vals = []
             if self._leg:  # W11 = g lam + |u_zwb|^2 W22, W12 = u_zwb W22
                 u = p.U("z wb")  # the vectors are real: Re W12 will do
-                vals += [x for q in w_quads(g_lam + abs2(u) * w22,
-                                            real(u) * w22, w22)
+                vals += [x for q in _w_quads(g_lam + u.abs2() * w22,
+                                             u.real() * w22, w22)
                          for x in (q.v, q.d)]
             if cr is not None:  # Phi, its mixed norm beta |u_zw|^2 W22/(g lam)
-                phi = log(lam) + (cr.b_phi * beta) * (
-                    abs2(p.U("z w")) * (w22 * (1.0 / g_lam)))
+                phi = lam.log() + (cr.b_phi * beta) * (
+                    p.U("z w").abs2() * (w22 * (1.0 / g_lam)))
                 if cr.a_phi:  # 0 on Kahler products
                     phi = phi + cr.a_phi * (1.0 / lam + p.h * w22)
                 vals += [phi.v, phi.d - cr.c14 * np.maximum(phi.v, 1.0)]
@@ -408,8 +408,7 @@ class MonitorStream:
 
         f, sups = on_blocks(values, grid.shape, self._fields or None), []
         for k in range(0, len(f), 2):  # (1 + sup|F|, sup(F_t - L F))
-            h = ws.L(f[k])
-            np.subtract(f[k + 1], h, out=h)
+            h = ws.L(f[k], f[k + 1])
             sups.append((1.0 + max(float(f[k].max()), -float(f[k].min())),
                          float(h.max())))
         self._fields = self._fields or [np.empty(grid.shape) for _ in f]

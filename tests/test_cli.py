@@ -214,20 +214,22 @@ class TestParseConfig:
         assert {s: set(cp[s]) for s in cp.sections()} == {
             s: set(keys) for s, keys in _KEYS.items()}
         assert sum(map(len, _KEYS.values())) == 47
+        # a relative path is read relative to the config file
         assert parse_config(write_cfg(tmp_path, ALL_KEYS)) == ExperimentConfig(
             dims=(16, 8, 16, 8),
             periods=(1.5, 1.0, 2.0, 1.0),
             bg_kind="kahler_cos",
             bg_params={"c_g": 1.5, "c_h": 0.5, "g_eps": 0.1, "h_eps": 0.3,
                        "g_k": 2, "h_m": 3,
-                       "modes": [(1, 1, 0.3), (2, 1, 0.1)], "path": "bg.d"},
+                       "modes": [(1, 1, 0.3), (2, 1, 0.1)],
+                       "path": str(tmp_path / "bg.d")},
             beta=0.4, alpha=0.8, cfl=0.7, dt_max=0.01, t_end=0.2,
             steady_tol=1e-7, snapshot_stride=3, admissibility_floor=1e-8,
             steady_criterion="norm", spectral_filter=True,
             initial_kind="split_sine",
             initial_params={"amplitude": 0.02, "seed": 7, "band": 2,
                             "a_amp": 0.03, "a_k": 2, "b_amp": 0.04,
-                            "b_m": 3, "path": "u0.field"},
+                            "b_m": 3, "path": str(tmp_path / "u0.field")},
             f_plus="log_cos", f_minus="log_cos",
             forcing_params={"f_plus_eps": 0.2, "f_plus_k": 2,
                             "f_minus_eps": 0.3, "f_minus_m": 3},
@@ -286,6 +288,27 @@ class TestExitCodes:
         assert out["termination"] == "steady"
         csv_lines = (tmp_path / "o" / "timeseries.csv").read_text().splitlines()
         assert len(csv_lines) == 2  # header + single initial snapshot
+
+    def test_relative_paths_are_read_beside_the_config(self, tmp_path,
+                                                       monkeypatch):
+        """A relative [background] or [initial] path names a file beside the
+        config, wherever the run starts: from the config's parent
+        directory, the run exits 0."""
+        from splitma import (flat_background, make_grid, random_test_field,
+                             write_field)
+        from splitma.geometry import save_background
+
+        grid = make_grid((8,) * 4, (1,) * 4)
+        (tmp_path / "in").mkdir()
+        save_background(flat_background(grid), tmp_path / "in" / "bg")
+        write_field(random_test_field(grid, 2, 0.01, 1),
+                    tmp_path / "in" / "u0.field")
+        write_cfg(tmp_path / "in", MINIMAL + "\n[background]\nkind = files\n"
+                  "path = bg\n\n[initial]\nkind = file\npath = u0.field\n",
+                  name="config.ini")
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", "in/config.ini", "--out", "o"]) == 0
+        assert (tmp_path / "o" / "summary.json").exists()
 
     def test_config_error_exits_two(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, MINIMAL.replace("beta = 0.5", "beta = 1.5"))

@@ -250,4 +250,56 @@ def test_pool_threads_enter_no_traced_function():
     assert names.count("flow._lambda_eta_data") == 1 + 4 * steps
     if (_backend.get_workers() >= 2
             and _backend.blas_thread_pin() is not None):
-        assert grid_field._slab_threads(grid) >= 2  # the pool did run
+        assert grid_field._slab_threads(grid.shape) >= 2  # the pool did run
+
+
+def test_identity_pool_threads_enter_no_traced_function():
+    """The identity suite's blocks, multiplier products and L run on the
+    slab threads too: a traced verify_A, verify_B, verify_C and constants
+    on a 16 x 16 x 32 x 32 grid (two slab threads where two CPUs are free)
+    enter each traced function from the main thread alone."""
+    import functools
+    import threading
+
+    import numpy as np
+
+    from splitma import geometry, grid_field, identities
+
+    spans = _span_tracer_module()
+    callers = set()
+
+    class ThreadTracer(spans.Tracer):
+        def wrap(self, name, fn):
+            traced = super().wrap(name, fn)
+
+            @functools.wraps(fn)
+            def checked(*args, **kwargs):
+                callers.add(threading.get_ident())
+                return traced(*args, **kwargs)
+            return checked
+
+    grid = grid_field.make_grid((16, 16, 32, 32), (1,) * 4)
+    bg = geometry.pluriclosed_background(grid, 1.0, 1.0, [(1, 1, 1.0)])
+    tracer = ThreadTracer("identities")
+    tracer.install()
+    try:
+        u = identities.random_test_field(grid, 3, 0.01, 1, bg=bg)
+        cr = geometry.constants(bg, 0.7, c0=3.0)
+        ws = identities.ManifoldSlice(u, bg, 0.7)
+        identities.verify_A(u, bg, 0.7, ws=ws)
+        identities.verify_B(u, bg, 0.7, constants_report=cr, ws=ws)
+        x1, _, x3, _ = grid.mesh()
+        phi = grid_field.RealField(grid, 0.01 * np.sin(2 * np.pi * x1)
+                                   * np.sin(2 * np.pi * x3)
+                                   * np.ones(grid.shape))
+        identities.verify_C(phi, 1.0, 1.0, 0.7)
+    finally:
+        tracer.uninstall()
+    names = {s[0] for s in tracer.spans}
+    assert {"identities.verify_A", "identities.verify_B",
+            "identities.verify_C", "geometry.constants",
+            "identities.heat_residual", "grid_field.on_blocks"} <= names
+    assert callers == {threading.main_thread().ident}
+    if (_backend.get_workers() >= 2
+            and _backend.blas_thread_pin() is not None):
+        assert grid_field._slab_threads(grid.shape) >= 2  # the pool did run

@@ -20,7 +20,7 @@ from splitma import (
 )
 from splitma.grid_field import (_spectral_deriv, deriv_data,
                                 factor_laplacian, factor_laplacians,
-                                mixed_derivatives)
+                                mixed_derivatives, on_blocks)
 
 TWO_PI = 2.0 * np.pi
 
@@ -390,9 +390,10 @@ class TestComplexTransforms:
 
 
 class TestBlasThreads:
-    """The factor Laplacians and the flow's trace passes run on one slab
-    thread per available CPU; neither that count nor BLAS's own thread
-    count may change a bit of their output."""
+    """The factor Laplacians, the flow's trace passes and the identity
+    suite's blocks, multiplier products and L run on one slab thread per
+    available CPU; neither that count nor BLAS's own thread count may
+    change a bit of their output."""
 
     SCRIPT = """
 import hashlib
@@ -404,8 +405,10 @@ os.sched_setaffinity(0, cpus)
 import numpy as np
 from splitma import FlowParams, kahler_product_background, make_grid, run
 from splitma import random_test_field
-from splitma.grid_field import (RealField, _slab_threads, factor_laplacians,
-                                mixed_derivatives)
+from splitma.geometry import pluriclosed_background
+from splitma.grid_field import (RealField, _slab_threads, _spectral_deriv,
+                                factor_laplacians, mixed_derivatives)
+from splitma.identities import ManifoldSlice, _maxima, heat_residual
 h = hashlib.sha256()
 for dims, periods in (((16,) * 4, (1,) * 4), ((32,) * 4, (1,) * 4),
                       ((8, 16, 32, 8), (1, 2, 0.5, 1.5))):
@@ -429,15 +432,24 @@ final = traj.snapshots[-1]
 assert abs(final.t - 1e-4) < 1e-12 and len(traj.snapshots) == 2
 for f in (final.u, final.lam, final.eta, final.du_dt):
     h.update(f.data.tobytes())
-print(_slab_threads(grid), h.hexdigest())
+# the identity suite's work on the slab threads
+bgp = pluriclosed_background(grid, 1.0, 1.0, [(1, 1, 1.0)])
+ws = ManifoldSlice(random_test_field(grid, 3, 0.01, 1, bg=bgp), bgp, 0.7)
+heat = heat_residual(ws, lambda p: p.Lam.log())  # on_blocks, then L in-pass
+for out in (_spectral_deriv(grid, ws._u_hat, "z w wb"), ws.L(ws.u()), heat,
+            _maxima(ws, lambda p: [np.abs(p.d("lam", "z") / p.lam),
+                                   p.part(heat)])):
+    h.update(out.tobytes())
+print(_slab_threads(grid.shape), h.hexdigest())
 """
 
     def test_laplacians_do_not_depend_on_blas_threads(self):
-        """factor_laplacians at three grids, u_zw and u_zwb at 32^4, and a
-        short forced 32^4 run's final u, lambda, eta and speed, on one and
-        two CPUs (one and two
-        slab threads at 32^4) and one and two BLAS threads: the same
-        bits."""
+        """factor_laplacians at three grids, u_zw and u_zwb at 32^4, a
+        short forced 32^4 run's final u, lambda, eta and speed, and on a
+        32^4 identity slice a spectral derivative, L, an on_blocks heat
+        residual and the blockwise maxima of a check, on one and two CPUs
+        (one and two slab threads at 32^4) and one and two BLAS threads:
+        the same bits."""
         import os
         import subprocess
         import sys
@@ -468,7 +480,8 @@ class TestSlabCallers:
     def test_concurrent_callers_get_the_same_bits(self):
         """The slab pool and its chunk buffers are shared by the process:
         four threads (more than this machine's CPUs) that take factor
-        Laplacians, trace factors and mixed derivatives at once, with the
+        Laplacians, trace factors, mixed derivatives, a block map and a
+        complex derivative's multiplier product at once, with the
         interpreter switching threads every microsecond, each get the bits
         of a lone call."""
         import hashlib
@@ -482,21 +495,25 @@ class TestSlabCallers:
         g32 = make_grid((32, 32, 32, 32), (1, 1, 1, 1))
         bg = flat_background(g32)
         fields = [random_test_field(g32, s, 0.01, 1).data for s in range(4)]
+        hats = [np.fft.fftn(u) for u in fields]
 
-        def digest(u):
-            h = hashlib.sha256()
+        def digest(k):
+            u, h = fields[k], hashlib.sha256()
             for out in (*factor_laplacians(g32, u),
                         *(f.data for f in lambda_eta(RealField(g32, u), bg)),
-                        *mixed_derivatives(g32, u, "z w", "z wb")):
+                        *mixed_derivatives(g32, u, "z w", "z wb"),
+                        *on_blocks(lambda sl: [np.exp(u.reshape(-1)[sl])],
+                                   g32.shape),
+                        _spectral_deriv(g32, hats[k], "z w")):
                 h.update(out.tobytes())
             return h.digest()
 
-        want = [digest(u) for u in fields]
+        want = [digest(k) for k in range(4)]
         bad = []
 
         def caller(k):
             for _ in range(3):
-                if digest(fields[k]) != want[k]:
+                if digest(k) != want[k]:
                     bad.append(k)
 
         interval = sys.getswitchinterval()
@@ -512,6 +529,56 @@ class TestSlabCallers:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert bad == []
+
+
+class TestMapBlocks:
+    """The block map on pool threads: the first block on the calling
+    thread, then runs of up to POOL_BLOCKS blocks on each pool thread."""
+
+    @pytest.mark.parametrize("npoints", [16**4, 16**4 - 5])
+    def test_spans_tile_the_points_in_order(self, npoints, monkeypatch):
+        """With two threads forced, the spans that fn sees cover every point
+        once, in point order: the first block alone on the calling thread,
+        every other span at most POOL_BLOCKS blocks on a pool thread, each
+        starting on a block boundary."""
+        import threading
+
+        from splitma import grid_field
+
+        monkeypatch.setattr(grid_field, "_slab_threads", lambda shape: 2)
+        seen = []
+
+        def fn(sl):
+            seen.append((sl, threading.current_thread()))
+            return sl
+
+        got = grid_field._map_blocks(fn, (npoints,))
+        blocks = grid_field.blocks((npoints,))
+        assert got[0] == blocks[0] and seen[0][1] is threading.current_thread()
+        assert [sl.start for sl in got] == sorted(sl.start for sl, _ in seen)
+        assert all(t is not threading.current_thread() for _, t in seen[1:])
+        for prev, sl in zip(got, got[1:]):
+            assert sl.start == prev.stop and sl.start % grid_field.BLOCK == 0
+            assert sl.stop - sl.start <= grid_field.POOL_BLOCKS * grid_field.BLOCK
+        assert got[-1].stop >= npoints > got[-1].start
+        assert len(got) > 2  # the rest was cut into runs
+
+    def test_on_blocks_on_pool_threads_changes_no_bit(self, monkeypatch):
+        """on_blocks of a pointwise numpy expression with two threads forced
+        equals the whole-field expression to the bit."""
+        from splitma import grid_field
+
+        rng = np.random.default_rng(4)
+        a, b = rng.normal(size=(2, 16, 16, 8, 8))
+        want = [np.exp(a) * b + np.log1p(a * a), np.abs(a + 1j * b)]
+        monkeypatch.setattr(grid_field, "_slab_threads", lambda shape: 2)
+
+        def fn(sl):
+            x, y = a.reshape(-1)[sl], b.reshape(-1)[sl]
+            return [np.exp(x) * y + np.log1p(x * x), np.abs(x + 1j * y)]
+
+        got = on_blocks(fn, a.shape)
+        assert [f.tobytes() for f in got] == [f.tobytes() for f in want]
 
 
 class TestFieldIO:

@@ -1,5 +1,7 @@
 """Tests for the slice identity checker and its dual-number chain rule."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,6 @@ from splitma.identities import (
     Dual,
     LocalSlice,
     ManifoldSlice,
-    abs2,
-    log,
     material_derivative,
     random_test_field,
     verify_A,
@@ -78,13 +78,13 @@ class TestMaterialDerivative:
 
     def test_log_chain_rule(self, grid16, bgp16, u16):
         ws = ManifoldSlice(u16, bgp16, 0.5)
-        got = log(ws.Lam).d
+        got = ws.Lam.log().d
         expect = ws.Lam.d / ws.lam
         assert np.max(np.abs(got - expect)) < 1e-15
 
     def test_abs2_rule(self, grid16, bgp16, u16):
         ws = ManifoldSlice(u16, bgp16, 0.5)
-        got = abs2(ws.U("z wb")).d
+        got = ws.U("z wb").abs2().d
         expect = 2.0 * (np.conj(ws.u("z wb")) * ws.d("spd", "z wb")).real
         assert np.max(np.abs(got - expect)) < 1e-15
 
@@ -239,6 +239,25 @@ class TestSliceCache:
             ("u", "z wb wb"), ("spd", "z zb"), ("spd", "z wb"),
             ("spd", "w wb")}
         assert len(count) == 17 + 13 + 25
+
+    def test_pool_thread_block_raises_on_a_cache_miss(self, grid16, bgp16,
+                                                      u16):
+        """A block copy made on a slab pool thread reads the cache but
+        takes no transform: a derivative not cached yet raises there and
+        is not cached, while the calling thread's copy computes it."""
+        ws = ManifoldSlice(u16, bgp16, 0.7)
+        sl = grid_field.blocks(grid16.shape)[1]
+        lam_z = ws.d("lam", "z")
+        got = grid_field._run_parts([lambda: ws.at(sl).d("lam", "zb"),
+                                     lambda: ws.at(sl).d("lam", "z")])
+        assert np.array_equal(got[0], np.conj(lam_z.reshape(-1)[sl]))
+        assert np.array_equal(got[1], lam_z.reshape(-1)[sl])
+        with pytest.raises(RuntimeError, match="not cached"):
+            grid_field._run_parts([lambda: ws.at(sl).d("eta", "z"),
+                                   lambda: None])
+        assert ("eta", "z") not in ws._derivs
+        assert np.array_equal(ws.at(sl).d("eta", "z"),
+                              ws.d("eta", "z").reshape(-1)[sl])
 
     def test_identity_recipe_peak_memory(self, tmp_path, traced_peak):
         """The tracemalloc peak of the identity recipe on a 16^4
@@ -440,6 +459,35 @@ class TestGroupC:
 
 
 class TestRandomTestField:
+    @staticmethod
+    def dense(grid, seed, amplitude, band):
+        """The field from the dense spectrum: every mode in one complex 4D
+        array, np.fft.ifftn, its real part, then mean and sup fixed."""
+        shells = set(range(1, band + 1)) if isinstance(band, int) else set(band)
+        rng, kmax = np.random.default_rng(seed), max(shells)
+        hat = np.zeros(grid.shape, dtype=complex)
+        for k in itertools.product(range(-kmax, kmax + 1), repeat=4):
+            if max(map(abs, k)) in shells:
+                hat[tuple(ki % n for ki, n in zip(k, grid.shape))] = (
+                    rng.standard_normal() + 1j * rng.standard_normal())
+        u = np.fft.ifftn(hat).real
+        u -= u.mean()
+        u *= amplitude / np.max(np.abs(u))
+        return u
+
+    @pytest.mark.parametrize("band", [1, 2, (1, 3)],
+                             ids=["band1", "band2", "shells1,3"])
+    @pytest.mark.parametrize("dims", [(16,) * 4, (32,) * 4, (8, 16, 32, 8)],
+                             ids=["16^4", "32^4", "8x16x32x8"])
+    def test_equals_the_dense_inverse(self, dims, band):
+        """Inverting only the lines that can hold a mode gives the dense
+        pipeline's field to the bit, for seeds 0-4."""
+        grid = make_grid(dims, (1.0, 2.0, 0.5, 1.5))
+        for seed in range(5):
+            got = random_test_field(grid, seed, 0.03, band).data
+            assert got.tobytes() == self.dense(grid, seed, 0.03,
+                                               band).tobytes()
+
     def test_deterministic(self, grid16):
         a = random_test_field(grid16, seed=9, amplitude=0.05, band=2)
         b = random_test_field(grid16, seed=9, amplitude=0.05, band=2)
