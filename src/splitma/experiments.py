@@ -35,8 +35,7 @@ from .flow import (
 )
 from .geometry import (BETA_MIN, KAHLER_PRODUCT, constants, curvature,
                        make_background, pluriclosed_background)
-from .grid_field import (RealField, atomic_write, make_grid,
-                         mixed_derivatives, write_field)
+from .grid_field import RealField, atomic_write, make_grid, write_field
 from .identities import random_test_field, verify_A, verify_B, verify_C, ManifoldSlice
 from .monitors import (
     CHECKS,
@@ -44,6 +43,7 @@ from .monitors import (
     CheckResult,
     MonitorStream,
     c0_series,
+    mixed_sups,
 )
 from .oracle2d import run_factor_flow
 
@@ -367,9 +367,7 @@ def cmd_kahler_converge(cfg: ExperimentConfig, out_dir, seed=None):
         rw = float(np.max(np.abs(bg.h.data * s.eta.data - mu_minus)))
         times.append(s.t)
         residuals.append(max(rz, rw))
-        # sup|u_zw| of each chunk while it is in cache: no u_zw field
-        split_res.append(float(np.max(mixed_derivatives(
-            grid, s.u.data, "z w", reduce=lambda rows, zw: np.abs(zw).max()))))
+        split_res.append(mixed_sups(s, bg, beta)[1])  # sup|u_zw|
 
     try:
         traj = run(bg, u0, params, forcing=forcing, keep=keep)

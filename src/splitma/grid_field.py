@@ -58,9 +58,10 @@ Which path a caller takes:
   slices' linearised operator L together with the factor Laplacians of
   their derived fields;
 * the first-derivative matrices (no transform, an order-1 slab pass):
-  mixed_derivatives, which gives the monitors' u_zw and u_zwb (mixed_norm,
-  legendre_w, the snapshot pass) and the steady-convergence recipe's split
-  residual.
+  mixed_derivatives, which gives u_zw and u_zwb to the monitors' one pass
+  per kept state (monitors.mixed_sups, also the steady-convergence
+  recipe's split residual) and to the whole-field references mixed_norm
+  and legendre_w.
 
 _backend sets out which library serves each transform.  Pointwise algebra
 on whole fields runs on blocks of BLOCK points (on_blocks), which keeps

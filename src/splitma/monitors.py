@@ -5,17 +5,17 @@ A run's kept states stream through one consumer, MonitorStream, at the
 moment flow.run keeps them (its keep callback).  The stream does each
 state's field work at once and keeps one scalar record per state
 (SnapshotRecord): the extrema, c0 = sup(1/lambda + 1/eta), the steady
-residual, the sup of the mixed norm, and what the enabled checks need of
-the state (the speed-consistency error, sup|u_zw|, the det W residual,
-the heat residuals H f = f_t - L f of the W quads and of Phi).  It takes
-no transform: u_zw and u_zwb come from grid_field.mixed_derivatives, and
-f_t from the flow equation at the state itself, by the identity suite's
-chain rule (identities.Dual) on an identities.StateSlice of the stored
-lambda, eta and speed s.  Each scalar is reduced chunk by chunk, inside
-the mixed_derivatives pass (the mixed norm) or on blocks of points, so a
-record makes no field that is only reduced, unless a check needs u_zw
-whole; the mixed norm is then reduced from it.  The memory of a monitored
-run does not grow with its length.
+residual, the sup of the mixed norm, sup|u_zw|, and what the enabled
+checks need of the state (the speed-consistency error, the det W
+residual, the heat residuals H f = f_t - L f of the W quads and of Phi).
+It takes no transform.  One grid_field.mixed_derivatives pass per state
+(mixed_sups) reduces the mixed norm and |u_zw| chunk by chunk, whatever
+checks are enabled, and copies out whole u_zw and u_zwb only for the
+checks that read them.  Those checks evaluate W (once per state), det W
+and Phi on blocks of points, with f_t from the flow equation at the state
+itself, by the identity suite's chain rule (identities.Dual) on an
+identities.StateSlice of the stored lambda, eta and speed s.  The memory
+of a monitored run does not grow with its length.
 
 Each check is a rule over the stream's records: check_<name>(stream)
 either skips, or turns each record into one entry (bound, observed,
@@ -65,7 +65,7 @@ from .geometry import (BETA_MIN, Background, BoundMaxima, ConstantsReport,
 from .grid_field import (RealField, block_max, factor_laplacians,
                          mixed_derivatives, on_blocks)
 from .flow import FlowState, Trajectory, flow_speed, steady_residual
-from .identities import W_VECTORS, StateSlice, _w_quads
+from .identities import W_VECTORS, Dual, StateSlice, _w_quads
 
 MONO_SLACK = 1e-8           # relative slack for monotone scalar series
 HEAT_TOL = 1e-6             # relative tolerance of the heat subsolutions
@@ -113,8 +113,11 @@ def _entries(name: str, stream: MonitorStream, rule) -> CheckResult:
 
 
 def _mixed_field(abs_u_zw, g, lam, h, eta, beta: float) -> np.ndarray:
-    """beta |u_zw|^2 / (g lam h eta) of arrays (whole fields or parts)."""
-    return beta * abs_u_zw ** 2 / (g * lam * h * eta)
+    """beta |u_zw|^2 / (g lam h eta) of arrays, formed in abs_u_zw's."""
+    abs_u_zw **= 2
+    abs_u_zw *= beta
+    abs_u_zw /= g * lam * h * eta
+    return abs_u_zw
 
 
 def mixed_norm(state: FlowState, bg: Background, beta: float) -> RealField:
@@ -126,24 +129,29 @@ def mixed_norm(state: FlowState, bg: Background, beta: float) -> RealField:
         beta))
 
 
-def mixed_sups(state: FlowState, bg: Background,
-               beta: float) -> tuple[float, float]:
-    """(sup of mixed_norm, sup|u_zw|) of state, with no derivative field:
-    u_zw is reduced inside mixed_derivatives' pass, each chunk of rows
-    while it is in cache, one x1 row at a time."""
+def mixed_sups(state: FlowState, bg: Background, beta: float,
+               keep=()) -> tuple:
+    """(sup of mixed_norm, sup|u_zw|, *fields) of state from one
+    mixed_derivatives pass, which reduces u_zw chunk by chunk while it is
+    in cache.  fields are the derivatives that keep names ("z w", "z wb"),
+    in its order, copied whole from the same pass; no other derivative
+    field is made."""
+    grid = state.u.grid
+    ops = ("z w",) + tuple(op for op in keep if op != "z w")
+    fields = {op: np.empty(grid.shape, np.complex128) for op in keep}
     coefs = (bg.g.data, state.lam.data, bg.h.data, state.eta.data)
 
-    def sups(rows, u_zw):  # on the slab threads: _mixed_field is numpy only
-        out = []
-        for k, i in enumerate(range(rows.start, rows.stop)):
-            a = np.abs(u_zw[k])
-            out.append((_mixed_field(a, *(f[i] for f in coefs), beta).max(),
-                        a.max()))
-        return out
-    per = [r for rs in mixed_derivatives(state.u.grid, state.u.data, "z w",
-                                         reduce=sups) for r in rs]
-    sup, zw = np.max(per, axis=0)  # a NaN of any row, as np.max gives
-    return float(sup), float(zw)
+    def sups(rows, *derivs):  # on the slab threads: numpy only
+        for op, chunk in zip(ops, derivs):
+            if op in fields:
+                fields[op][rows] = chunk
+        a = np.abs(derivs[0])
+        zw = a.max()
+        return _mixed_field(a, *(f[rows] for f in coefs), beta).max(), zw
+    # a NaN of any chunk is the result, as np.max of the whole field gives
+    sup, zw = np.max(mixed_derivatives(grid, state.u.data, *ops, reduce=sups),
+                     axis=0)
+    return (float(sup), float(zw), *(fields[op] for op in keep))
 
 
 @dataclass
@@ -178,19 +186,6 @@ def legendre_w(state: FlowState, bg: Background,
         u_zwb, = mixed_derivatives(state.u.grid, state.u.data, "z wb")
     w22 = 1.0 / eta_loc  # u_zwb * w22 is numpy's u_zwb / eta_loc, bit for bit
     return LegendreW(lam_loc + np.abs(u_zwb) ** 2 / eta_loc, u_zwb * w22, w22)
-
-
-def det_w_residual(state: FlowState, bg: Background, w: LegendreW) -> float:
-    """det W of w, the snapshot's W, against the trace ratio recomputed
-    from the potential, so the check also validates the coherence of the
-    cached traces."""
-    g0 = float(bg.g.data.flat[0])
-    h0 = float(bg.h.data.flat[0])
-    u_zzb, u_wwb = factor_laplacians(state.u.grid, state.u.data)
-    target = (g0 + u_zzb) / (h0 - u_wwb)
-    scale = max(1.0, float(target.max()), -float(target.min()))
-    err = w.det() - target  # sup|err| without the array |err|
-    return max(float(err.max()), -float(err.min())) / scale
 
 
 def _background_varies(bg: Background) -> str | None:
@@ -249,9 +244,9 @@ class SnapshotRecord:
     c0: float                   # sup(1/lambda + 1/eta)
     steady: float               # flow.steady_residual of the speed
     sup: float = math.nan       # sup of the mixed norm
+    zw: float = math.nan        # sup|u_zw|
     speed_err: float | None = None  # sup|cached speed - recomputed speed|
-    zw: float | None = None     # sup|u_zw| (on split initial data)
-    det_w: float | None = None  # det_w_residual
+    det_w: float | None = None  # rel. sup|det W - (g + u_zzb)/(h - u_wwb)|
     heat: dict | None = None    # check: [(1 + sup|F|, sup(H F - source))]
 
 
@@ -275,13 +270,17 @@ class MonitorStream:
     records' running c0 (constants_at).  results() runs the enabled checks
     on the records, one SnapshotRecord per state.
 
-    The stream keeps no field of its own but the subsolution checks'
-    buffers (_subsolutions).  It reduces each state to its record chunk by
-    chunk.  It takes the background's curvature and torsion maxima
-    (maxima, geometry.bound_maxima: the c0-independent part of the
-    constants, and trace_floor's curvature sign) at most once, when the
-    constants or trace_floor first read them, keeping only the scalars;
-    the constants at any c0 are then scalar arithmetic.
+    Each state takes one mixed_derivatives pass of the potential
+    (mixed_sups), whatever checks are enabled: it gives the record's sup
+    of the mixed norm and sup|u_zw|, and the whole u_zw and u_zwb of the
+    W, det W and Phi checks when they run.  Those checks evaluate W (once
+    per state) and Phi on blocks of points (_subsolutions), into the only
+    fields the stream keeps across states.  It takes the background's
+    curvature and torsion maxima (maxima, geometry.bound_maxima: the
+    c0-independent part of the constants, and trace_floor's curvature
+    sign) at most once, when the constants or trace_floor first read them,
+    keeping only the scalars; the constants at any c0 are then scalar
+    arithmetic.
     """
 
     def __init__(self, bg: Background, enabled=None, safety: float = 1.0,
@@ -325,12 +324,13 @@ class MonitorStream:
         on, beta = self.enabled, traj.beta
         constant = _background_varies(self.bg) is None
         self._speed = "speed_consistency" in on
-        self._zw = "split_preserved" in on and bool(
-            traj.meta.get("split_initial"))
         self._det = constant and "det_w" in on
         self._leg = constant and "legendre_subsolution" in on
         self._phi = ("phi_subsolution" in on
                      and _upper_bound_skip(beta, self.fixed_cr) is None)
+        # the potential's derivatives that _subsolutions reads
+        self._keep = (("z w",) * self._phi
+                      + ("z wb",) * (self._det or self._leg))
 
     def add(self, traj: Trajectory, s: FlowState, dt: float) -> None:
         """Consume state s of traj, reached by a step of dt."""
@@ -338,7 +338,7 @@ class MonitorStream:
             self._start(traj)
         elif traj is not self.traj:
             raise ConfigurationError("the stream belongs to another trajectory")
-        bg, beta, grid = self.bg, traj.beta, s.u.grid
+        beta = traj.beta
         i = len(self.records)
         rec = _record(s, dt, traj.params.steady_criterion)
         self.c0_max = rec.c0 if i == 0 else float(np.maximum(self.c0_max,
@@ -350,54 +350,51 @@ class MonitorStream:
                 return max(float(e.max()), -float(e.min()))
             rec.speed_err = block_max(err, s.lam.data, s.eta.data,
                                       s.du_dt.data, traj.meta.get("forcing"))
-        w_on = self._det or self._leg
-        if not (w_on or self._phi):  # no check needs a derivative field
-            rec.sup, zw = mixed_sups(s, bg, beta)
-            if self._zw:
-                rec.zw = zw
-            return
-        mixed_ops = ("z w", "z wb") if w_on else ("z w",)
-        derivs = dict(zip(mixed_ops, mixed_derivatives(grid, s.u.data,
-                                                       *mixed_ops)))
-        u_zw = derivs["z w"] if self._phi else derivs.pop("z w")  # Phi too
-        abs_u_zw = np.abs(u_zw)
-        rec.sup = float(np.max(_mixed_field(
-            abs_u_zw, bg.g.data, s.lam.data, bg.h.data, s.eta.data, beta)))
-        if self._zw:
-            rec.zw = float(np.max(abs_u_zw))
-        del u_zw, abs_u_zw  # before W: one complex field less at peak
-        if self._det:
-            rec.det_w = det_w_residual(s, bg, legendre_w(s, bg, derivs["z wb"]))
-        if not self._leg:
-            derivs.pop("z wb", None)
-        if derivs:  # the potential's derivatives that the Duals read
-            self._subsolutions(rec, s, derivs)
+        rec.sup, rec.zw, *fields = mixed_sups(s, self.bg, beta, self._keep)
+        if fields:
+            self._subsolutions(rec, s, dict(zip(self._keep, fields)))
 
     def _subsolutions(self, rec: SnapshotRecord, s: FlowState,
                       u_derivs: dict) -> None:
-        """rec.heat of s, given the potential's u_derivs = {op: array}.  Duals
-        are evaluated on cache-sized blocks into fields kept across states,
-        made after the first state's temporaries: later states reuse that
-        memory."""
+        """rec.heat and rec.det_w of s, given the potential's u_derivs =
+        {op: array} that W and Phi read.  W, det W and Phi are evaluated
+        on cache-sized blocks, as Duals (whose time derivatives are 0 when
+        no heat check runs), into fields kept across states, made after the
+        first state's temporaries: later states reuse that memory."""
         grid, beta, spd = s.u.grid, self.traj.beta, s.du_dt.data
+        g, h = self.bg.g.data, self.bg.h.data
+        heat = ("z wb",) * self._leg + ("z w",) * self._phi  # what H reads
         d = {("u", op): arr for op, arr in u_derivs.items()}
-        d["spd", "z zb"], d["spd", "w wb"] = factor_laplacians(grid, spd)
-        d.update(zip([("spd", op) for op in u_derivs],
-                     mixed_derivatives(grid, spd, *u_derivs)))
-        whole = (self.bg.g.data, self.bg.h.data, s.lam.data, s.eta.data)
-        ws = StateSlice(grid, *whole, beta, d)
+        if heat:
+            d["spd", "z zb"], d["spd", "w wb"] = factor_laplacians(grid, spd)
+            d.update(zip([("spd", op) for op in heat],
+                         mixed_derivatives(grid, spd, *heat)))
+        ws = StateSlice(grid, g, h, s.lam.data, s.eta.data, beta, d)
         cr = self.constants_at(self.c0_max) if self._phi else None
+        out = []  # the fields that the blocks fill, made when missing
+        if self._det:  # (g + u_zzb)/(h - u_wwb), formed in u_zzb's field
+            def form(rows, zz, ww):  # on the pool threads: numpy only
+                r = zz[rows]
+                np.divide(g[rows] + r, h[rows] - ww[rows], out=r)
+            target = factor_laplacians(grid, s.u.data, form)[0]
+            scale = max(1.0, float(target.max()), -float(target.min()))
+            out = [target]
 
         def values(sl):
             p = ws.at(sl)
-            lam = p.Lam
-            g_lam, w22 = p.g * lam, 1.0 / (p.h * p.Eta)
+            lam, eta = (p.Lam, p.Eta) if heat else (Dual(p.lam), Dual(p.eta))
+            g_lam, w22 = p.g * lam, 1.0 / (p.h * eta)
             vals = []
-            if self._leg:  # W11 = g lam + |u_zwb|^2 W22, W12 = u_zwb W22
-                u = p.U("z wb")  # the vectors are real: Re W12 will do
-                vals += [x for q in _w_quads(g_lam + u.abs2() * w22,
-                                             u.real() * w22, w22)
-                         for x in (q.v, q.d)]
+            if self._leg or self._det:
+                # W11 = g lam + |u_zwb|^2 W22, W12 = u_zwb W22
+                u = p.U("z wb") if self._leg else Dual(p.u("z wb"))
+                w11 = g_lam + u.abs2() * w22
+                if self._det:  # first: det W - target, into target's field
+                    vals.append(w11.v * w22.v - np.abs(u.v * w22.v) ** 2
+                                - p.part(target))
+                if self._leg:  # the vectors are real: Re W12 will do
+                    vals += [x for q in _w_quads(w11, u.real() * w22, w22)
+                             for x in (q.v, q.d)]
             if cr is not None:  # Phi, its mixed norm beta |u_zw|^2 W22/(g lam)
                 phi = lam.log() + (cr.b_phi * beta) * (
                     p.U("z w").abs2() * (w22 * (1.0 / g_lam)))
@@ -406,15 +403,18 @@ class MonitorStream:
                 vals += [phi.v, phi.d - cr.c14 * np.maximum(phi.v, 1.0)]
             return vals
 
-        f, sups = on_blocks(values, grid.shape, self._fields or None), []
+        f, sups = on_blocks(values, grid.shape, out + self._fields), []
+        if self._det:
+            rec.det_w = max(float(target.max()), -float(target.min())) / scale
+            del f[0], out, target  # values reads target no more
         for k in range(0, len(f), 2):  # (1 + sup|F|, sup(F_t - L F))
-            h = ws.L(f[k], f[k + 1])
+            res = ws.L(f[k], f[k + 1])
             sups.append((1.0 + max(float(f[k].max()), -float(f[k].min())),
-                         float(h.max())))
+                         float(res.max())))
         self._fields = self._fields or [np.empty(grid.shape) for _ in f]
         rec.heat = {name: pairs for name, pairs, on in (
             ("legendre_subsolution", sups[:len(W_VECTORS)], self._leg),
-            ("phi_subsolution", sups[-1:], self._phi)) if on}
+            ("phi_subsolution", sups[-1:], self._phi)) if on} or None
 
     def replay(self, traj: Trajectory) -> "MonitorStream":
         """Consume every stored state of traj; returns the stream."""

@@ -930,7 +930,7 @@ class TestArtifacts:
         assert peak <= (9.43 + 0.25) * 16**4 * 8, peak / (16**4 * 8)
 
     def test_monitored_run_peak(self, tmp_path, traced_peak):
-        """A 16^4 run with every check on peaks at about 40.8 fields, at the
+        """A 16^4 run with every check on peaks at about 35.1 fields, at the
         end of the first kept state, where the stream makes the fields it
         keeps across states; each state's heat residuals are taken at the
         state.  Holding the W quads and Phi of three states for time
@@ -939,7 +939,7 @@ class TestArtifacts:
             "t_end = 0.004", "t_end = 5e-4")))
         cmd_flow_run(cfg, tmp_path / "warm")  # the caches and slab scratch
         peak = traced_peak(lambda: cmd_flow_run(cfg, tmp_path / "o"))
-        assert peak <= (40.85 + 0.25) * 16**4 * 8, peak / (16**4 * 8)
+        assert peak <= (35.08 + 0.25) * 16**4 * 8, peak / (16**4 * 8)
 
     def test_run_memory_does_not_grow_with_t_end(self, tmp_path,
                                                  traced_peak):

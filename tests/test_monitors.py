@@ -17,7 +17,6 @@ from splitma.monitors import (
     MonitorStream,
     c0_series,
     corrupt_trajectory,
-    det_w_residual,
     evaluate,
     legendre_w,
     mixed_norm,
@@ -127,10 +126,22 @@ class TestScalarHelpers:
         assert np.max(mixed_norm(state, bg, 0.5).data) < 1e-20
 
 
+def det_w_reference(state, bg):
+    """The det_w record of state from the whole-field W of legendre_w:
+    sup|det W - (g + u_zzb)/(h - u_wwb)| / max(1, sup|ratio|)."""
+    from splitma.grid_field import factor_laplacians
+
+    g0, h0 = float(bg.g.data.flat[0]), float(bg.h.data.flat[0])
+    u_zzb, u_wwb = factor_laplacians(state.u.grid, state.u.data)
+    target = (g0 + u_zzb) / (h0 - u_wwb)
+    scale = max(1.0, float(target.max()), -float(target.min()))
+    return float(np.max(np.abs(legendre_w(state, bg).det() - target))) / scale
+
+
 class TestLegendreW:
     def test_det_identity(self, grid, bg):
         state = make_state(nonsplit_data(grid), bg, 0.5, 0.0)
-        assert det_w_residual(state, bg, legendre_w(state, bg)) < 1e-12
+        assert det_w_reference(state, bg) < 1e-12
 
     def test_positive_definite_on_admissible(self, grid, bg):
         state = make_state(nonsplit_data(grid), bg, 0.5, 0.0)
@@ -478,6 +489,13 @@ class TestMixedSups:
         assert expect[0] > 0.0
         assert expect[0] == float(np.max(mixed_norm(state, bgp, 0.5).data))
         assert monitors.mixed_sups(state, bgp, 0.5) == expect
+        # the fields it keeps are those of a pass without reduce, bit for bit
+        keep = ("z wb", "z w")
+        *sups, u_zwb, u_zw2 = monitors.mixed_sups(state, bgp, 0.5, keep)
+        assert tuple(sups) == expect
+        assert np.array_equal(u_zw2, u_zw)
+        assert np.array_equal(u_zwb, *mixed_derivatives(g16, state.u.data,
+                                                        "z wb"))
 
     def test_fused_sup_of_split_data_is_zero(self):
         """Exactly 0 on split data a(z) + b(w) whose sum rounds nothing
@@ -492,6 +510,61 @@ class TestMixedSups:
                    lambda a, b, c, d: 0.05 * np.sin(TWO_PI * a) + 0.0 * c):
             state = make_state(RealField.from_function(g16, fn), b16, 0.5, 0.0)
             assert monitors.mixed_sups(state, b16, 0.5) == (0.0, 0.0)
+
+
+class TestOnePass:
+    """A stream's record of a state does not depend on its enabled
+    checks: one mixed_derivatives pass of the potential gives the mixed
+    sups, and det W comes from the W entries of the subsolution blocks."""
+
+    SETS = {"default": None, "all": list(monitors.CHECKS),
+            "det": ["det_w"], "phi": ["phi_subsolution"]}
+
+    @pytest.mark.parametrize("thread_bytes", [None, 1 << 16])
+    def test_record_does_not_depend_on_the_enabled_set(self, dense16,
+                                                       thread_bytes,
+                                                       monkeypatch):
+        """On one dense 16^4 state, on one slab thread and on several:
+        sup and zw are bit-identical for every set, det_w equals the
+        whole-field reference of legendre_w bit for bit, and each set
+        takes exactly one order-1 pass of the potential; the phi-only
+        stream never asks for u_zwb, and the det-only one takes no
+        derivative of the speed."""
+        from splitma import grid_field
+
+        if thread_bytes is not None:
+            monkeypatch.setattr(grid_field, "_THREAD_BYTES", thread_bytes)
+        traj, b16 = dense16
+        s, dt = traj.snapshots[-1], traj.dts[-1]
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(grid, data, *args, **kw):
+                calls.append((name, "u" if data is s.u.data else "spd",
+                              args))
+                return fn(grid, data, *args, **kw)
+            monkeypatch.setattr(monitors, name, wrapped)
+        spy("mixed_derivatives", monitors.mixed_derivatives)
+        spy("factor_laplacians", monitors.factor_laplacians)
+        recs, passes = {}, {}
+        for label, enabled in self.SETS.items():
+            calls.clear()
+            stream = MonitorStream(b16, enabled)
+            stream.add(traj, s, dt)
+            recs[label], passes[label] = stream.records[0], list(calls)
+        reference = det_w_reference(s, b16)
+        assert 0.0 < reference < 1e-12
+        for label, rec in recs.items():
+            assert (rec.sup, rec.zw) == (recs["all"].sup, recs["all"].zw)
+            assert [c for c in passes[label] if c[:2] == (
+                "mixed_derivatives", "u")] == [passes[label][0]], label
+        assert recs["all"].det_w == recs["det"].det_w == reference
+        assert recs["default"].det_w is recs["phi"].det_w is None
+        assert recs["phi"].heat["phi_subsolution"] == recs["all"].heat[
+            "phi_subsolution"]
+        assert not any("z wb" in c[2] for c in passes["phi"])
+        assert [c[:2] for c in passes["det"]] == [
+            ("mixed_derivatives", "u"), ("factor_laplacians", "u")]
 
 
 class TestStreamConstants:
