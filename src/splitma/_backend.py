@@ -31,10 +31,10 @@ The same threads, as many, run the pointwise work of the identity suite
 and of the monitors' subsolution checks on blocks of points
 (grid_field.on_blocks; the first block on the calling thread), the
 multiplier products of the complex derivatives before their inverse
-transform, and the identity slices' operator L inside its slab pass.
-They run numpy alone: every transform here is called from the calling
-thread.  Each block and chunk is computed as on one thread, so no result
-depends on the count.
+transform, and the flow's linearised operator (flow.Linearised) inside
+its slab pass.  They run numpy alone: every transform here is called
+from the calling thread.  Each block and chunk is computed as on one
+thread, so no result depends on the count.
 """
 
 import ctypes

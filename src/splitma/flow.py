@@ -51,6 +51,7 @@ from .grid_field import (
     _slab_pass,
     deriv_data,
     exponential_filter,
+    factor_laplacians,
     poisson_solve_factor,
 )
 
@@ -234,6 +235,39 @@ def make_state(
     return _state(u, t, _lambda_eta_data(u.data, bg, floor, t, beta, f))
 
 
+class Linearised:
+    """J v = a v_zzb + b v_wwb, a = beta/(g lam) and b = 1/(h eta): the
+    flow's linearisation at the traces lam and eta (H = d/dt - J).  The
+    identity slices and the monitors' subsolution checks apply it, and
+    dt_adaptive bounds its spectral radius.  A class, not a public
+    function, so that applying it adds no span of its own to a trace."""
+
+    def __init__(self, grid: TorusGrid, g, h, lam, eta, beta: float):
+        self.grid, self.a, self.b = grid, beta / (g * lam), 1.0 / (h * eta)
+
+    def __call__(self, v: np.ndarray, d=None, out=None) -> np.ndarray:
+        """J v of a real v, or of each part of a complex v; with d, the
+        heat residual d - J v.  One factor_laplacians pass per part, whose
+        finish forms each chunk in cache, into out or else a new array."""
+        if np.iscomplexobj(v):
+            out = np.empty(v.shape, np.complex128) if out is None else out
+            for p in ("real", "imag"):
+                self(getattr(v, p), getattr(d, p, None), getattr(out, p))
+            return out
+
+        def finish(rows, zz, ww):  # on the pool threads: numpy only
+            z, w = zz[rows], ww[rows]
+            o = z if out is None else out[rows]
+            np.multiply(self.a[rows], z, out=z)
+            np.multiply(self.b[rows], w, out=w)
+            np.add(z, w, out=o)
+            if d is not None:
+                np.subtract(d[rows] if np.ndim(d) else d, o, out=o)
+
+        zz, _ = factor_laplacians(self.grid, v, finish)
+        return zz if out is None else out
+
+
 # ---------------------------------------------------------------------------
 # stepping
 
@@ -249,13 +283,13 @@ def spectral_radius_bounds(grid: TorusGrid) -> tuple[float, float]:
 
 def dt_adaptive(state: FlowState, beta: float, cfl: float,
                 dt_max: float) -> float:
-    """Stability-limited step cfl / rho: rho is the sup of the linearised
-    operator's coefficients, each times its factor Laplacian spectral
-    radius (spectral_radius_bounds).  The minima of g lam and h eta come
-    from the state's own trace pass (metric_min)."""
+    """Stability-limited step cfl / rho, with rho = sup a kz + sup b kw
+    the bound on the spectral radius of Linearised's J v = a v_zzb +
+    b v_wwb, kz and kw from spectral_radius_bounds.  sup a = beta /
+    min(g lam) and sup b = 1 / min(h eta) bit for bit (rounded division
+    by a positive number is monotone), the minima from the state's own
+    trace pass (metric_min), so no coefficient field is made."""
     kz, kw = spectral_radius_bounds(state.u.grid)
-    # beta / min(g lam) equals max(beta / (g lam)) bitwise: rounded
-    # division by a positive number is monotone
     gl_min, he_min = state.metric_min
     rho = (beta / gl_min) * kz + (1.0 / he_min) * kw
     return min(dt_max, cfl / rho)

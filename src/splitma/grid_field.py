@@ -53,10 +53,10 @@ Which path a caller takes:
 * a real transform over one factor's two axes: the gauge and Poisson
   solves;
 * the factor Laplacian matrices (no transform, an order-2 slab pass): the
-  flow's lambda, eta and speed, the monitors' traces, curvature and
-  pluriclosedness checks (identity A3's among them), and the identity
-  slices' linearised operator L together with the factor Laplacians of
-  their derived fields;
+  flow's lambda, eta, speed and linearised operator (flow.Linearised),
+  the monitors' traces, curvature and pluriclosedness checks (identity
+  A3's among them), and the factor Laplacians of the identity slices'
+  derived fields;
 * the first-derivative matrices (no transform, an order-1 slab pass):
   mixed_derivatives, which gives u_zw and u_zwb to the monitors' one pass
   per kept state (monitors.mixed_sups, also the steady-convergence

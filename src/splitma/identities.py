@@ -18,17 +18,17 @@ the traces (ws.Lam, ws.Eta); a field constant in time (g, h, a number) is
 a plain array or number.  One evaluation of the expression gives both
 halves of H(expr).
 
-Two spectral paths meet in a slice.  The linearised operator L and the
-factor Laplacians ("z zb", "w wb") of every derived field (the speed,
-lambda, eta, the background coefficients) use the factor Laplacian
-matrices of grid_field, so d/dt and L of one array apply the same
-kernel and the sanity identity H(du/dt) = 0 holds to rounding.  The
-potential instead keeps one full complex spectrum, from which all its
-derivatives come, u_zzb and u_wwb (hence lambda and eta) included: it
-needs that spectrum anyway for the mixed derivatives, and sending its
-Laplacians through the kernel instead raises most fine-grid residuals
-about tenfold (A3 at 32^4, beta = 0.7, seed 3, from 9.6e-13 to 1.5e-11,
-past the 1e-11 convergence floor of the identity recipe).
+Two spectral paths meet in a slice.  Its linearised operator L
+(flow.Linearised) and the factor Laplacians ("z zb", "w wb") of every
+derived field (the speed, lambda, eta, the background coefficients) use
+the factor Laplacian matrices of grid_field, so d/dt and L of one array
+apply the same kernel and the sanity identity H(du/dt) = 0 holds to
+rounding.  The potential instead keeps one full complex spectrum, from
+which all its derivatives come, u_zzb and u_wwb (hence lambda and eta)
+included: it needs that spectrum anyway for the mixed derivatives, and
+sending its Laplacians through the kernel instead raises most fine-grid
+residuals about tenfold (A3 at 32^4, beta = 0.7, seed 3, from 9.6e-13 to
+1.5e-11, past the 1e-11 convergence floor of the identity recipe).
 
 A slice keeps only what is reused, since at 32^4 each complex field is
 16 MiB and the number of live arrays bounds the grid the suite can reach.
@@ -49,8 +49,7 @@ first block of a pass runs on the calling thread and fills the cache;
 the rest run on pool threads, which enter no function of the package
 (the span tracer keeps one stack for the process): a block copy made
 there raises on a derivative that is not cached, and L forms each chunk
-of coef_z u_zzb + coef_w u_wwb, and of a heat residual's f_t - L f,
-inside its slab pass.
+of a heat residual f_t - L f inside its slab pass.
 """
 
 from __future__ import annotations
@@ -66,11 +65,10 @@ import numpy as np
 
 from . import _backend as fft
 from .errors import AdmissibilityLost, ConfigurationError
-from .flow import flow_speed, lambda_eta
+from .flow import Linearised, flow_speed, lambda_eta
 from .geometry import Background, verify_pluriclosed
 from .grid_field import (RealField, TorusGrid, _map_blocks, _on_pool_thread,
-                         _part, _spectral_deriv, factor_laplacian,
-                         factor_laplacians, on_blocks)
+                         _part, _spectral_deriv, factor_laplacian, on_blocks)
 
 _FACTOR_LAPLACIANS = {"z zb": "z", "w wb": "w"}
 _CONJUGATES = {"zb": "z", "wb": "w"}
@@ -81,11 +79,11 @@ _CONJUGATES = {"zb": "z", "wb": "w"}
 
 class _SliceBase:
     """Spectral evaluation of one admissible time slice with the traces
-    lambda = a + u_zzb/g and eta = b - u_wwb/h.  The base fields are "u",
-    "lam", "eta" and the flow speed "spd"; the module docstring sets out
-    what is cached.  _GROUPS lists, for a base field other than the
-    potential, the ops computed together from its one spectrum; an op
-    outside the group gets a spectrum of its own."""
+    lambda = a + u_zzb/g and eta = b - u_wwb/h, and L = flow.Linearised at
+    them.  The base fields are "u", "lam", "eta" and the speed "spd"; the
+    module docstring sets out what is cached.  _GROUPS lists, for a base
+    field other than the potential, the ops computed together from its
+    one spectrum; an op outside the group gets a spectrum of its own."""
 
     _GROUPS: dict = {"lam": ("z", "w"), "eta": ("z", "w")}
     _sl = None      # the block of points a copy made by at() reads
@@ -106,8 +104,7 @@ class _SliceBase:
         self.lam, self.eta = lam, eta
         self._bases: dict = {"u": u.data, "lam": lam, "eta": eta,
                              "spd": flow_speed(lam, eta, beta)}
-        self.coef_z = beta / (g * lam)
-        self.coef_w = 1.0 / (h * eta)
+        self.L = Linearised(self.grid, g, h, lam, eta, beta)
 
     def at(self, sl: slice) -> "_SliceBase":
         """The slice on the block sl of its flattened points, sharing the
@@ -172,37 +169,6 @@ class _SliceBase:
         then dropped; nothing is cached."""
         hat = fft.fftn(arr)
         return [_spectral_deriv(self.grid, hat, op) for op in ops]
-
-    def L(self, arr: np.ndarray, d=None) -> np.ndarray:
-        """Linearised spatial operator coef_z u_zzb + coef_w u_wwb of a real
-        array, or of each part of a complex one; with d, the heat residual
-        d - L arr.  One factor_laplacians pass per part, whose finish forms
-        each chunk of x1 rows while its factor Laplacians are in cache."""
-        if not np.iscomplexobj(arr):
-            return self._L(arr, d)
-        out = np.empty(arr.shape, np.complex128)
-        for part in ("real", "imag"):
-            self._L(getattr(arr, part), getattr(d, part, None),
-                    getattr(out, part))
-        return out
-
-    def _L(self, arr, d, out=None) -> np.ndarray:
-        """L arr, or d - L arr, into out, or into u_zzb's field where out
-        is None."""
-        cz, cw = self.coef_z, self.coef_w
-
-        def finish(rows, zz, ww):  # on the pool threads: numpy only
-            z, w = zz[rows], ww[rows]
-            o = z if out is None else out[rows]
-            np.multiply(cz[rows], z, out=z)
-            np.multiply(cw[rows], w, out=w)
-            np.add(z, w, out=o)
-            if d is not None:
-                np.subtract(d[rows] if np.ndim(d) else d, o, out=o)
-
-        zz, _ = factor_laplacians(self.grid, arr, finish)
-        return zz if out is None else out
-
 
 class ManifoldSlice(_SliceBase):
     """Slice of the flow on a pluriclosed background:
@@ -272,8 +238,7 @@ class StateSlice(ManifoldSlice):
         self.grid, self.beta, self.g, self.h = grid, beta, g, h
         self.lam, self.eta, self._derivs = lam, eta, derivs
         self._bases = {"g": g, "h": h}
-        self.coef_z = beta / (g * lam)
-        self.coef_w = 1.0 / (h * eta)
+        self.L = Linearised(grid, g, h, lam, eta, beta)
 
 
 # ---------------------------------------------------------------------------

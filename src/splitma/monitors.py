@@ -171,10 +171,8 @@ class LegendreW:
         return self.w11 * self.w22 - np.abs(self.w12) ** 2
 
 
-def legendre_w(state: FlowState, bg: Background,
-               u_zwb: np.ndarray | None = None) -> LegendreW:
-    """W of one snapshot; u_zwb is the potential's u_zwb when the caller
-    already has it."""
+def legendre_w(state: FlowState, bg: Background) -> LegendreW:
+    """W of one snapshot, from one mixed_derivatives pass for u_zwb."""
     reason = _background_varies(bg)
     if reason is not None:
         raise ConfigurationError(reason)
@@ -182,8 +180,7 @@ def legendre_w(state: FlowState, bg: Background,
     h0 = float(bg.h.data.flat[0])
     lam_loc = g0 * state.lam.data
     eta_loc = h0 * state.eta.data
-    if u_zwb is None:
-        u_zwb, = mixed_derivatives(state.u.grid, state.u.data, "z wb")
+    u_zwb, = mixed_derivatives(state.u.grid, state.u.data, "z wb")
     w22 = 1.0 / eta_loc  # u_zwb * w22 is numpy's u_zwb / eta_loc, bit for bit
     return LegendreW(lam_loc + np.abs(u_zwb) ** 2 / eta_loc, u_zwb * w22, w22)
 

@@ -71,7 +71,7 @@ PARAMETERS = {
     "gauge_out_f": ["bg", "f_plus", "f_minus", "beta"],
     "kahler_product_background": ["grid", "g_profile", "h_profile"],
     "lambda_eta": ["u", "bg", "floor", "t"],
-    "legendre_w": ["state", "bg", "u_zwb"],
+    "legendre_w": ["state", "bg"],
     "make_grid": ["dims", "periods"],
     "material_derivative": ["expr", "u", "bg", "beta"],
     "mixed_norm": ["state", "bg", "beta"],

@@ -12,6 +12,7 @@ from splitma.errors import NumericalFailure
 from splitma.flow import (
     FlowParams,
     FlowState,
+    Linearised,
     dt_adaptive,
     flow_speed,
     gauge_out_f,
@@ -26,7 +27,8 @@ from splitma.flow import (
     step_rk4,
     step_with_rejection,
 )
-from splitma.geometry import flat_background, kahler_product_background
+from splitma.geometry import (flat_background, kahler_product_background,
+                              pluriclosed_background)
 from splitma.grid_field import RealField, derivative, factor_laplacians, sup_norm
 from splitma.identities import random_test_field
 from splitma.oracle2d import run_factor_flow
@@ -189,6 +191,43 @@ class TestDtAdaptive:
         assert state.metric_min == (
             float(np.min(kbg.g.data * state.lam.data)),
             float(np.min(kbg.h.data * state.eta.data)))
+
+
+class TestLinearised:
+    """J v = a v_zzb + b v_wwb, a = beta/(g lam) and b = 1/(h eta), at the
+    traces of a make_state state, on two varying backgrounds."""
+
+    @pytest.fixture(scope="class", params=["kahler_cos", "pluriclosed"])
+    def at_state(self, request, grid, kahler16):
+        if request.param == "kahler_cos":
+            bg, u, _ = kahler16
+        else:
+            bg = pluriclosed_background(grid, 1.0, 1.0, [(1, 1, 0.5)])
+            u = random_test_field(grid, 7, 0.01, 1, bg)
+        beta = 0.7
+        s = make_state(u, bg, beta, 0.0)
+        return Linearised(grid, bg.g.data, bg.h.data, s.lam.data, s.eta.data,
+                          beta), s, beta
+
+    def test_of_the_potential_is_identity_A1(self, at_state):
+        """u_zzb = g (lam - 1) and u_wwb = h (1 - eta), so J u is
+        1/eta - beta/lam + (beta - 1) from the stored traces."""
+        J, s, beta = at_state
+        ref = 1.0 / s.eta.data - beta / s.lam.data + (beta - 1.0)
+        err = np.max(np.abs(J(s.u.data) - ref))
+        assert err <= 1e-12 * (1.0 + np.max(np.abs(ref)))
+
+    def test_residual_is_d_minus_J_v_bit_for_bit(self, at_state):
+        """J(v, d) is d - J(v) to the last bit, for real v and d and, part
+        by part, for complex ones."""
+        J, s, _ = at_state
+        rng = np.random.default_rng(41)
+        v, d, vi, di = (rng.normal(size=s.u.grid.shape) for _ in range(4))
+        assert np.array_equal(J(v, d), d - J(v))
+        vc, dc = v + 1j * vi, d + 1j * di
+        got = J(vc, dc)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, dc - J(vc))
 
 
 class TestStepping:

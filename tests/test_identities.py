@@ -124,9 +124,9 @@ class TestMaterialDerivative:
 
 
 class TestFactorKernelSlice:
-    """The slice's L and its factor Laplacians of derived fields go
-    through the factor-local real kernel.  The grid has distinct sizes and
-    periods per axis, so a swapped axis shows."""
+    """The slice's L (flow.Linearised) and its factor Laplacians of
+    derived fields go through the factor-local real kernel.  The grid has
+    distinct sizes and periods per axis, so a swapped axis shows."""
 
     @pytest.fixture(scope="class")
     def ws(self):
@@ -135,8 +135,8 @@ class TestFactorKernelSlice:
         return LocalSlice(phi, 1.0, 1.0, 0.7)
 
     def _composite(self, ws, arr):
-        return (ws.coef_z * deriv_data(ws.grid, arr, "z zb")
-                + ws.coef_w * deriv_data(ws.grid, arr, "w wb"))
+        return (ws.L.a * deriv_data(ws.grid, arr, "z zb")
+                + ws.L.b * deriv_data(ws.grid, arr, "w wb"))
 
     def test_L_of_real_input(self, ws):
         arr = np.random.default_rng(31).normal(size=ws.grid.shape)
