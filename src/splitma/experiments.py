@@ -15,6 +15,7 @@ import numpy as np
 from . import _backend
 from .config import (
     ExperimentConfig,
+    _flow_params,
     build_background,
     build_forcing,
     build_grid,
@@ -55,23 +56,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 ORACLE_TOL = 1e-6  # sup distance of the 4D flow from the factor flows
-
-
-def _flow_params(cfg: ExperimentConfig, beta: float, **overrides) -> FlowParams:
-    """The one builder of FlowParams: the config's [flow] values with
-    t_end scaled by alpha, then overrides; validated once, on the result."""
-    fields = dict(
-        beta=beta,
-        t_end=cfg.t_end * cfg.alpha,
-        cfl=cfg.cfl,
-        dt_max=cfg.dt_max,
-        steady_tol=cfg.steady_tol,
-        admissibility_floor=cfg.admissibility_floor,
-        snapshot_stride=cfg.snapshot_stride,
-        steady_criterion=cfg.steady_criterion,
-        spectral_filter=cfg.spectral_filter,
-    )
-    return FlowParams(**{**fields, **overrides})
 
 
 def _write_json(path, report: dict) -> None:
@@ -417,7 +401,7 @@ def cmd_beta_sweep(cfg: ExperimentConfig, beta_list, out_dir, seed=None):
     grid = build_grid(cfg)
     bg = build_background(cfg, grid)
     u0 = shift_min_zero(build_initial(cfg, grid, bg, seed_override=seed))
-    t_end = cfg.t_end
+    t_end = cfg.t_end  # the ratios are given normalised: no alpha scaling
     cps = [t_end * (i + 1) / 8 for i in range(8)]
     runs = {b: _checkpoint_states(cfg, seed, bg, u0,
                                   _flow_params(cfg, b, t_end=t_end), cps)
@@ -473,10 +457,10 @@ def cmd_oracle_2d(cfg: ExperimentConfig, out_dir, seed=None):
     if not is_split(u0):
         raise ConfigurationError("factor-oracle run needs split initial data")
     beta = cfg.beta / cfg.alpha
-    t_end = cfg.t_end
-    cps = [t_end * (i + 1) / 5 for i in range(5)]
     # oracle2d has no spectral filter
-    params = _flow_params(cfg, beta, t_end=t_end, spectral_filter=False)
+    params = _flow_params(cfg, beta, spectral_filter=False)
+    t_end = params.t_end
+    cps = [t_end * (i + 1) / 5 for i in range(5)]
     states = _checkpoint_states(cfg, seed, bg, u0, params, cps)
 
     a0 = u0.data.mean(axis=(2, 3))

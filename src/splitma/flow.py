@@ -8,32 +8,11 @@ limit.  The admissibility cone (lambda > 0, eta > 0) is enforced at every
 stage; a violated stage rejects the step, halves dt and retries, so that
 persistent failure is loud rather than silently degenerate.
 
-All stepping lives in one generator, integrate, which yields the initial
-state and the state after every accepted step.  run keeps every
-snapshot_stride-th state and stops on steadiness.  Given a keep callback,
-run hands each kept state to it as it is produced and its Trajectory holds
-only the last one, so a streamed run's memory does not grow with its
-length (the run recipe streams into monitors.MonitorStream, the
-steady-convergence recipe into its residual series); without one the
-Trajectory stores every kept state.  The exponent sweep and the factor
-oracle (experiments) keep the initial state and the checkpoint states.
-
-Every evaluation of the right-hand side is one slab pass of grid_field
-(_lambda_eta_data): the factor Laplacians, lambda, eta, their minima and
-the speed, each chunk of x1 rows finished while it is in cache, on one
-thread per available CPU for fields of 1 MiB or more.  An RK4 stage keeps
-no full lambda or eta (lambda is formed in the speed buffer, eta in the
-stage buffer it consumes) and runs its stage combinations on each chunk
-inside the pass; the first stage input, u + (dt/2) k1, is a slab pass of
-its own with no Laplacian.  The accepted state's pass also yields
-min(g lambda) and min(h eta), so the step limit takes no pass of its own.
-
-Working set: a step holds u, k1 and about four fields more (the stage
-buffer, k2's buffer as the accumulator and one more k; then the accepted
-state's lambda, eta and speed), plus the slab threads' chunk buffers,
-allocated once per process.  Neither integrate nor run holds the
-previous state's lambda and eta through a step.  Between keeps a streamed
-run holds the current state and the kept potential only.
+Map: FlowParams and FlowState; the reductions (normalize_exponents,
+gauge_out_f, normalize_compat, shift_min_zero); the trace pass
+_lambda_eta_data, every evaluation of the right-hand side; Linearised,
+the linearisation at a state; the stepping, up to integrate, the one
+generator of states; and run, which keeps them.
 """
 
 from __future__ import annotations
@@ -75,9 +54,9 @@ class FlowParams:
             raise ConfigurationError(f"beta must lie in (0, 1], got {self.beta}")
         if not (0.0 < self.cfl <= 1.0):
             raise ConfigurationError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.t_end < 0.0 or self.dt_max <= 0.0 or self.steady_tol <= 0.0:
+        if not (self.t_end >= 0.0 and self.dt_max > 0.0 and self.steady_tol > 0.0):
             raise ConfigurationError("t_end, dt_max, steady_tol must be positive")
-        if self.admissibility_floor <= 0.0:
+        if not (self.admissibility_floor > 0.0):
             raise ConfigurationError("admissibility_floor must be positive")
         if self.snapshot_stride < 1:
             raise ConfigurationError("snapshot_stride must be >= 1")
@@ -237,10 +216,9 @@ def make_state(
 
 class Linearised:
     """J v = a v_zzb + b v_wwb, a = beta/(g lam) and b = 1/(h eta): the
-    flow's linearisation at the traces lam and eta (H = d/dt - J).  The
-    identity slices and the monitors' subsolution checks apply it, and
-    dt_adaptive bounds its spectral radius.  A class, not a public
-    function, so that applying it adds no span of its own to a trace."""
+    flow's linearisation at the traces lam and eta (H = d/dt - J).  A
+    class, not a public function, so that applying it adds no span of its
+    own to a trace."""
 
     def __init__(self, grid: TorusGrid, g, h, lam, eta, beta: float):
         self.grid, self.a, self.b = grid, beta / (g * lam), 1.0 / (h * eta)

@@ -1,6 +1,8 @@
-"""Uniform periodic 4D grid, spectral complex derivatives, factor
-Laplacians and their Poisson inversion, field statistics, and field file
-I/O.
+"""Uniform periodic 4D grid (TorusGrid) and its fields; spectral complex
+derivatives (deriv_data, on _backend's transforms); the transform-free
+factor Laplacians and mixed derivatives (_slab_pass); the factor Poisson
+solve; pointwise algebra on blocks of points (on_blocks); field
+statistics; field file I/O.
 
 The grid carries two complex coordinates built from the four real
 directions, z = x1 + i*x2 on the first factor and w = x3 + i*x4 on the
@@ -10,65 +12,15 @@ second.  Complex derivatives follow the convention
     dw  = (d/dx3 - i d/dx4)/2        dwb = (d/dx3 + i d/dx4)/2
 
 so that u_{z zb} = (d1^2 + d2^2) u / 4 and u_{w wb} = (d3^2 + d4^2) u / 4.
+Every derivative is a product of first-order Fourier multipliers, the
+Nyquist mode of each zeroed (symmetric convention, keeps derivatives of
+real fields real), so every identity between operator compositions holds
+exactly on the band-limited subspace, whichever path computes it.
 
-Differentiation is purely spectral (Fourier multipliers); the Nyquist mode
-of each first-derivative multiplier is zeroed (symmetric convention, keeps
-derivatives of real fields real).  One builder, TorusGrid.multiplier_parts,
-makes the multiplier of every operator (deriv_data): a product of
-first-order multipliers, kept as one part per factor, so every identity
-between operator compositions holds exactly on the band-limited subspace.
-Complex data takes the full complex 4D spectrum; real data takes one half
-spectrum, its derivative's real and imaginary parts coming from the
-Hermitian and anti-Hermitian parts of the multiplier, one real inverse
-each.
-
-The factor Laplacians u_{z zb}, u_{w wb} and the mixed derivatives u_{z w},
-u_{z wb} take no transform.  Their multipliers, -(k_a^2 + k_b^2)/4 and
-products of one first-derivative multiplier per factor (same Nyquist
-convention), are sums of products of per-axis terms, so each axis is
-differentiated by an n x n circulant matrix, the axis's multiplier written
-in physical space (_axis_matrix), applied by BLAS matmul over cache-sized
-blocks.  Each block is shifted by its value at the factor's origin before
-the product, so a field constant over the factor gives exactly zero, as
-the multiplier does.  Every such product comes from one kernel,
-_slab_pass, given the matrices' order (2 for the factor Laplacians, 1 for
-the mixed derivatives).  It works over slabs of x1 rows split between a
-module pool's threads (one per available CPU, one per MiB of field at
-most, each with BLAS pinned to one thread) and can finish each chunk of
-rows with a caller's function while it is in cache: the flow's trace
-factors, speed and RK4 stage combinations (flow._lambda_eta_data), and
-the x3 and x4 products of the mixed derivatives.  Its output does not
-depend on the thread count.  The factor Poisson solve inverts
-1/(k_a^2 + k_b^2), which is not a sum of per-axis terms, so it keeps a
-real transform over just that factor's two axes, (x1, x2) or (x3, x4),
-and one half-spectrum multiplier.
-
-Which path a caller takes:
-
-* full complex 4D transforms: the geometry's torsion (two spectra, g and
-  h), the identity slices' cached spectra, including every derivative of
-  the slice potential, and deriv_data of complex data;
-* a real transform over all four axes: deriv_data of real data (the
-  flow's is_split) and exponential_filter;
-* a real transform over one factor's two axes: the gauge and Poisson
-  solves;
-* the factor Laplacian matrices (no transform, an order-2 slab pass): the
-  flow's lambda, eta, speed and linearised operator (flow.Linearised),
-  the monitors' traces, curvature and pluriclosedness checks (identity
-  A3's among them), and the factor Laplacians of the identity slices'
-  derived fields;
-* the first-derivative matrices (no transform, an order-1 slab pass):
-  mixed_derivatives, which gives u_zw and u_zwb to the monitors' one pass
-  per kept state (monitors.mixed_sups, also the steady-convergence
-  recipe's split residual) and to the whole-field references mixed_norm
-  and legendre_w.
-
-_backend sets out which library serves each transform.  Pointwise algebra
-on whole fields runs on blocks of BLOCK points (on_blocks), which keeps
-its temporaries in cache; past the first block, which runs on the calling
-thread, the blocks are split between the slab threads (_map_blocks), as
-are the x1 chunks of a complex derivative's multiplier product.  No
-result depends on the thread count.
+Work on whole fields is split between the threads of a module pool
+(_over).  A pool thread runs numpy only, never a function of this
+package, and each chunk or block is computed as on one thread, so no
+result depends on the thread count (bit for bit).
 
 Storage order is x4-fastest (C order on arrays of shape (n1,n2,n3,n4));
 the field file format fixes this order bit-exactly.
@@ -255,8 +207,8 @@ def _spectral_deriv(grid: TorusGrid, hat: np.ndarray, op: str) -> np.ndarray:
     """Derivative op of the data whose full complex spectrum is hat; hat
     itself is left untouched (an identity slice reuses one spectrum).  The
     multiplier is applied on chunks of x1 rows on the slab threads
-    (_over_rows), each chunk's product by the z part then by the w part
-    while it is in cache."""
+    (_over), each chunk's product by the z part then by the w part while
+    it is in cache."""
     zp, wp = grid.multiplier_parts(op)
     out = np.empty(hat.shape, np.complex128)
 
@@ -266,9 +218,8 @@ def _spectral_deriv(grid: TorusGrid, hat: np.ndarray, op: str) -> np.ndarray:
         if zp is not None and wp is not None:
             o *= wp
 
-    threads = _slab_threads(grid.shape)
     with _SLAB_LOCK:
-        _over_rows(grid, threads, _chunk_rows(grid, threads), chunk)
+        _over(grid.shape[0], *_row_chunks(grid), chunk)
     return fft.ifftn(out)
 
 
@@ -338,11 +289,8 @@ def _axis_matrix(grid: TorusGrid, axis: int, order: int) -> np.ndarray:
 # Bytes of one chunk of x1 rows in the slab pass: a chunk's blocks and
 # their products stay in L2 (2 MiB a core) while its rows are finished.
 _CHUNK_BYTES = 256 * 1024
-# Field bytes per slab thread.  Handing a pass to a pool thread and waiting
-# for it takes 0.07-0.2 ms on a 2-vCPU Xeon (more once the thread sleeps),
-# twice a pass; a pass over 1 MiB of field takes about 2 ms on one thread.
-# A 16^4 field (0.5 MiB) loses by a second thread: the benchmark's
-# monitors-dense-16 run took 1.0 s with one and 1.4 s with two.
+# Field bytes per slab thread: below it, handing work to a second thread
+# costs more than the thread saves.
 _THREAD_BYTES = 1 << 20
 
 # The pools and the scratch are shared by every caller in the process: a
@@ -382,9 +330,8 @@ def _run_parts(parts):
     """Results of the callables in parts, each run on its own pool thread
     (every pool thread has its BLAS pinned to one thread); a single part
     runs in the calling thread, with its BLAS pinned to one thread for the
-    call (on a 2-vCPU Xeon, the (2048 x 16) x (16 x 16) product of a 16^4
-    chunk took about 8 ms split between two BLAS threads and 0.05 ms on
-    one).  Waits for all before raising."""
+    call, as a split BLAS is far slower on products this small.  Waits
+    for all before raising."""
     if len(parts) == 1:
         pin = fft.blas_thread_pin()
         if pin is None:
@@ -394,7 +341,7 @@ def _run_parts(parts):
             return [parts[0]()]
         finally:
             pin(before)
-    # imported with the first pool: 10 ms that one-thread runs never pay
+    # imported with the first pool, which one-thread runs never start
     import concurrent.futures
 
     key = (os.getpid(), len(parts))  # a forked child has no pool threads
@@ -408,28 +355,24 @@ def _run_parts(parts):
     return [f.result() for f in futures]
 
 
-def _spans(n: int, parts: int):
-    """n indices cut into parts contiguous ranges of near-equal length."""
-    return [range(n * k // parts, n * (k + 1) // parts) for k in range(parts)]
-
-
-def _chunk_rows(grid: TorusGrid, threads: int) -> int:
-    """x1 rows in a chunk: about _CHUNK_BYTES, at least one row and at
-    most one thread's share."""
-    n0 = grid.shape[0]
+def _row_chunks(grid: TorusGrid) -> tuple[int, int]:
+    """(threads, step) of a pass over the x1 rows of grid: its
+    _slab_threads, and step rows a chunk, about _CHUNK_BYTES, at least one
+    row and at most one thread's share."""
+    threads, n0 = _slab_threads(grid.shape), grid.shape[0]
     row = 8 * grid.npoints // n0
-    return max(1, min(_CHUNK_BYTES // row, -(-n0 // threads)))
+    return threads, max(1, min(_CHUNK_BYTES // row, -(-n0 // threads)))
 
 
-def _over_rows(grid: TorusGrid, threads: int, step: int, fn) -> list:
-    """fn(k, rows) for each chunk rows of at most step x1 rows, the rows
-    split between threads pool threads, thread k running the chunks of its
-    share in order; returns the results in row order.  The caller holds
-    _SLAB_LOCK."""
+def _over(n: int, threads: int, step: int, fn) -> list:
+    """fn(k, sl) for chunks sl of at most step indices of range(n), the
+    indices cut into threads contiguous shares of near-equal length, thread
+    k running the chunks of its share in order (_run_parts); returns the
+    results in index order.  The caller holds _SLAB_LOCK."""
     def part(k):
-        span = _spans(grid.shape[0], threads)[k]
-        return [fn(k, slice(i, min(i + step, span.stop)))
-                for i in range(span.start, span.stop, step)]
+        stop = n * (k + 1) // threads
+        return [fn(k, slice(i, min(i + step, stop)))
+                for i in range(n * k // threads, stop, step)]
     return [r for rs in _run_parts([functools.partial(part, k)
                                     for k in range(threads)]) for r in rs]
 
@@ -454,7 +397,7 @@ def _slab_pass(grid: TorusGrid, data: np.ndarray, zz, ww, finish=None,
 
     A. along x1 (factor z only): one (x1, x3 x4) block per x2 index, the
        x2 indices split between the threads;
-    B. per chunk of x1 rows (_chunk_rows), the rows split between the
+    B. per chunk of x1 rows (_row_chunks), the rows split between the
        threads: the x2 product, one (x2, x3 x4) block per row, into the
        scratch buffer term and, in order 2, added onto zz; the x3 product
        of each row's (x2, x3, x4) block into ww and its x4 product added
@@ -473,8 +416,7 @@ def _slab_pass(grid: TorusGrid, data: np.ndarray, zz, ww, finish=None,
     a function of this package.  zz and ww are C-ordered fields."""
     n0, n1, n2, n3 = grid.shape
     m = n2 * n3
-    threads = _slab_threads(grid.shape)
-    step = _chunk_rows(grid, threads)
+    threads, step = _row_chunks(grid)
     d0, d1, d2, d3 = (_axis_matrix(grid, ax, order) for ax in _ALL_AXES)
     if zz is not None:
         src = data.reshape(n0, n1, m)
@@ -484,12 +426,12 @@ def _slab_pass(grid: TorusGrid, data: np.ndarray, zz, ww, finish=None,
         if zz is not None:
             dst = zz.reshape(n0, n1, m)
 
-            def phase_a(k):
+            def phase_a(k, cols):
                 blk = bufs[k][0][:n0 * m].reshape(n0, m)
-                for j in _spans(n1, threads)[k]:
+                for j in range(cols.start, cols.stop):
                     np.subtract(src[:, j], origin, out=blk)
                     np.matmul(d0, blk, out=dst[:, j])
-            _run_parts([functools.partial(phase_a, k) for k in range(threads)])
+            _over(n1, threads, n1, phase_a)
 
         def phase_b(k, rows):
             c = rows.stop - rows.start
@@ -510,17 +452,13 @@ def _slab_pass(grid: TorusGrid, data: np.ndarray, zz, ww, finish=None,
             if finish is not None:
                 return finish(rows, term, blk)
 
-        return _over_rows(grid, threads, step, phase_b)
+        return _over(n0, threads, step, phase_b)
 
 
 def factor_laplacian(grid: TorusGrid, data: np.ndarray, factor: str) -> np.ndarray:
-    """u_zzb (factor "z") or u_wwb (factor "w") of real data; equals
-    deriv_data(..., "z zb" / "w wb") to rounding.
-
-    Each axis of the factor is differentiated by its cached n x n
-    second-difference matrix (_axis_matrix), applied with matmul block by
-    block over x1-slabs on the slab threads (_slab_pass).  No transform is
-    taken."""
+    """u_zzb (factor "z") or u_wwb (factor "w") of real data, from one
+    order-2 _slab_pass with no transform; equals deriv_data(..., "z zb" /
+    "w wb") to rounding."""
     _factor_axes(factor)  # rejects an unknown factor
     out = np.empty(grid.shape)
     _slab_pass(grid, data, *((out, None) if factor == "z" else (None, out)))
@@ -697,38 +635,31 @@ def block_max(fn, *fields) -> float:
 def _map_blocks(fn, shape) -> list:
     """fn(sl) over the blocks of blocks(shape), in point order.  The first
     block runs on the calling thread, so whatever fn computes once and
-    caches is computed there; the others are split between
-    _slab_threads(shape) pool threads, one contiguous run of blocks each
-    (a field of less than 2 MiB, such as 16^4, stays on the calling
-    thread).  fn then runs on pool threads: it may call numpy only, never
-    a function of this package.  A pool thread's sl spans POOL_BLOCKS
-    blocks, the last of its run fewer: the threads contend for the GIL
-    between numpy calls, and longer calls contend less.  fn is pointwise
-    work on the points sl, the same on any thread and any span of them,
-    so the results do not depend on the thread count."""
+    caches is computed there.  On one slab thread (_slab_threads) the
+    others follow there, one block a call, so fn's temporaries stay one
+    block's; on more they are split between the pool threads (_over), sl
+    spanning POOL_BLOCKS blocks, the last of a thread's share fewer: the
+    threads contend for the GIL between numpy calls, and longer calls
+    contend less.  fn then runs on pool threads: it may call numpy only.
+    fn is pointwise, so no result depends on the thread count."""
     sls = blocks(shape)
     first, rest = fn(sls[0]), sls[1:]
     threads = min(_slab_threads(shape), len(rest))
     if threads <= 1:
         return [first] + [fn(sl) for sl in rest]
 
-    def part(span):
-        return [fn(slice(rest[i].start,
-                         rest[min(i + POOL_BLOCKS, span.stop) - 1].stop))
-                for i in range(span.start, span.stop, POOL_BLOCKS)]
+    def run(k, span):
+        return fn(slice(rest[span.start].start, rest[span.stop - 1].stop))
     with _SLAB_LOCK:
-        done = _run_parts([functools.partial(part, span)
-                           for span in _spans(len(rest), threads)])
-    return [first] + [r for rs in done for r in rs]
+        return [first] + _over(len(rest), threads, POOL_BLOCKS, run)
 
 
 def on_blocks(fn, shape, out: list | None = None) -> list[np.ndarray]:
     """Fields of shape whose points sl are fn(sl), a list of arrays, for
     the blocks sl of blocks(shape): the fields of out, or fields made on
     the first block with the dtypes of its arrays.  The blocks run through
-    _map_blocks, on the slab threads from 2 MiB of field (32^4 on two
-    CPUs), so past the first block fn may call numpy only, and sl may span
-    several blocks; no result depends on the thread count."""
+    _map_blocks, so past the first block fn may call numpy only, and sl
+    may span several blocks."""
     out = [] if out is None else out
 
     def put(sl):

@@ -10,46 +10,19 @@ equation evaluated spectrally.  Residuals are then limited only by
 spectral truncation of the nonlinear composites, so true identities
 converge geometrically under grid refinement while false ones stall.
 
-The chain rule is forward-mode differentiation: a functional is built
-as a Dual, a pair (value, d/dt) whose arithmetic and methods log, abs2
-and real apply the sum, product, quotient and chain rules.  The
-slice supplies the Duals of the potential's derivatives (ws.U(op)) and of
-the traces (ws.Lam, ws.Eta); a field constant in time (g, h, a number) is
-a plain array or number.  One evaluation of the expression gives both
-halves of H(expr).
+The chain rule is forward-mode differentiation: each functional is built
+as a Dual, so one evaluation of the expression gives both halves of
+H(expr).  The fields derived from the potential take their factor
+Laplacians from L's matrices (_SliceBase.d), but the potential takes
+all its derivatives from its one complex spectrum: it needs that spectrum
+for its mixed derivatives anyway, and taking its Laplacians from the
+matrices raises most fine-grid residuals about tenfold, past the
+identity recipe's 1e-11 convergence floor.
 
-Two spectral paths meet in a slice.  Its linearised operator L
-(flow.Linearised) and the factor Laplacians ("z zb", "w wb") of every
-derived field (the speed, lambda, eta, the background coefficients) use
-the factor Laplacian matrices of grid_field, so d/dt and L of one array
-apply the same kernel and the sanity identity H(du/dt) = 0 holds to
-rounding.  The potential instead keeps one full complex spectrum, from
-which all its derivatives come, u_zzb and u_wwb (hence lambda and eta)
-included: it needs that spectrum anyway for the mixed derivatives, and
-sending its Laplacians through the kernel instead raises most fine-grid
-residuals about tenfold (A3 at 32^4, beta = 0.7, seed 3, from 9.6e-13 to
-1.5e-11, past the 1e-11 convergence floor of the identity recipe).
-
-A slice keeps only what is reused, since at 32^4 each complex field is
-16 MiB and the number of live arrays bounds the grid the suite can reach.
-Of the spectra it keeps only the potential's; another base field's lives
-for one request, which computes every op the identities take of it.  The
-derivatives of the base fields (the potential, lambda, eta, the speed, and
-on a manifold slice g and h) live until the last identity that reads them;
-"zb" and "wb" of a real base field are conjugates of the cached "z" and
-"w".  Not cached: u_zzb and u_wwb (lambda and eta), and the fields an
-identity differentiates once (log(g lambda), log(h eta), |u_zwb|^2, 1/eta).
-Pointwise work runs on blocks of grid_field.BLOCK points, as rows(p) on a
-block p = ws.at(sl); only H f = f_t - L f and the terms that several rows
-or a spectrum read are made as whole fields.
-
-The blocks, the multiplier products of the cached derivatives and L run
-on grid_field's slab threads, and no result depends on their count.  The
-first block of a pass runs on the calling thread and fills the cache;
-the rest run on pool threads, which enter no function of the package
-(the span tracer keeps one stack for the process): a block copy made
-there raises on a derivative that is not cached, and L forms each chunk
-of a heat residual f_t - L f inside its slab pass.
+Map: the slices (_SliceBase; ManifoldSlice, LocalSlice, StateSlice);
+Dual; the identity groups verify_A, verify_B and verify_C, whose
+pointwise work runs on blocks of grid_field.BLOCK points (_checker,
+heat_residual); random_test_field.
 """
 
 from __future__ import annotations
@@ -80,10 +53,16 @@ _CONJUGATES = {"zb": "z", "wb": "w"}
 class _SliceBase:
     """Spectral evaluation of one admissible time slice with the traces
     lambda = a + u_zzb/g and eta = b - u_wwb/h, and L = flow.Linearised at
-    them.  The base fields are "u", "lam", "eta" and the speed "spd"; the
-    module docstring sets out what is cached.  _GROUPS lists, for a base
-    field other than the potential, the ops computed together from its
-    one spectrum; an op outside the group gets a spectrum of its own."""
+    them.  The base fields are "u", "lam", "eta" and the speed "spd".
+
+    A slice keeps only what is reused: at 32^4 each complex field is 16
+    MiB, and the live arrays bound the grid the suite can reach.  It keeps
+    the potential's spectrum, and the derivatives of the base fields until
+    the last identity that reads them (d); not u_zzb and u_wwb, nor the
+    fields an identity differentiates once (derivs).  _GROUPS lists, for a
+    base field other than the potential, the ops computed together from
+    its one spectrum, which lives for that request; an op outside the
+    group gets a spectrum of its own."""
 
     _GROUPS: dict = {"lam": ("z", "w"), "eta": ("z", "w")}
     _sl = None      # the block of points a copy made by at() reads
@@ -96,7 +75,6 @@ class _SliceBase:
         self.g, self.h = g, h
         self._u_hat = fft.fftn(u.data)
         self._derivs: dict = {}
-        # u_zzb and u_wwb give lambda and eta and are not cached
         lam = a + _spectral_deriv(self.grid, self._u_hat, "z zb").real / g
         eta = b - _spectral_deriv(self.grid, self._u_hat, "w wb").real / h
         if float(lam.min()) <= floor or float(eta.min()) <= floor:

@@ -1,46 +1,20 @@
 """Executable forms of the a-priori estimates, evaluated along
 trajectories.
 
-A run's kept states stream through one consumer, MonitorStream, at the
-moment flow.run keeps them (its keep callback).  The stream does each
-state's field work at once and keeps one scalar record per state
-(SnapshotRecord): the extrema, c0 = sup(1/lambda + 1/eta), the steady
-residual, the sup of the mixed norm, sup|u_zw|, and what the enabled
-checks need of the state (the speed-consistency error, the det W
-residual, the heat residuals H f = f_t - L f of the W quads and of Phi).
-It takes no transform.  One grid_field.mixed_derivatives pass per state
-(mixed_sups) reduces the mixed norm and |u_zw| chunk by chunk, whatever
-checks are enabled, and copies out whole u_zw and u_zwb only for the
-checks that read them.  Those checks evaluate W (once per state), det W
-and Phi on blocks of points, with f_t from the flow equation at the state
-itself, by the identity suite's chain rule (identities.Dual) on an
-identities.StateSlice of the stored lambda, eta and speed s.  The memory
-of a monitored run does not grow with its length.
+A run's kept states stream through one consumer, MonitorStream, as
+flow.run keeps them.  It does each state's field work at once, taking no
+transform, and keeps one scalar record per state (SnapshotRecord), so the
+memory of a monitored run does not grow with its length.
 
-Each check is a rule over the stream's records: check_<name>(stream)
-either skips, or turns each record into one entry (bound, observed,
-margin), passed when margin >= 0.  Its rule reads the trajectory's header
-(beta, params, meta) from stream.traj, the background from stream.bg, the
-constants from stream.cr, the curvature sign from stream.maxima, and the
-records; it never reads a stored state, and entry i belongs to record
-i.  So a check gives the same result on a live run, whose Trajectory
-holds only its last state, and on a stored trajectory replayed through a
-stream (MonitorStream.replay, which evaluate uses).  The checks whose
-bounds need the final running c0 (trace_lower_bound, mixed_growth,
-trace_growth) are evaluated from the records at the end.
-phi_subsolution, whose Phi weight a_phi and source c14 depend on c0 off
-Kahler products, takes each state's constants at the running c0 up to
-that state unless a constants report is supplied.
+Each check is a rule over the stream's records, check_<name>(stream): it
+either skips, or turns record i into entry i (bound, observed, margin),
+passed when margin >= 0.  It never reads a stored state, so it gives the
+same result on a live run and on a stored trajectory replayed through a
+stream (evaluate), and the same result again when re-run.
 
-The registry CHECKS is the one list of checks: for each it holds whether
-it runs by default and the negative-control corruption that makes it
-fail, so a passing suite is evidence the checks can actually bite.  A
-negative control corrupts every kept state after the first,
-corrupt(state, first), where first is the first state's SnapshotRecord:
-corrupt_trajectory does so on a deep copy of a stored trajectory, and
-`splitma run --negative-control` on a deep copy of each state as the run
-keeps it, so the negative control streams like a clean run.  Re-running a
-check on the same trajectory gives identical results.
+CHECKS is the one list of checks.  Each carries the negative-control
+corruption that makes it fail, so a passing suite is evidence the checks
+can actually bite.
 
 Bound tolerances absorb time discretisation: monotonicity comparisons use
 a fixed relative slack, pointwise comparisons scale with the square of
@@ -265,19 +239,7 @@ class MonitorStream:
     the checks whose field work is done; constants_report, when given,
     fixes the constants of every check, otherwise they are taken at the
     records' running c0 (constants_at).  results() runs the enabled checks
-    on the records, one SnapshotRecord per state.
-
-    Each state takes one mixed_derivatives pass of the potential
-    (mixed_sups), whatever checks are enabled: it gives the record's sup
-    of the mixed norm and sup|u_zw|, and the whole u_zw and u_zwb of the
-    W, det W and Phi checks when they run.  Those checks evaluate W (once
-    per state) and Phi on blocks of points (_subsolutions), into the only
-    fields the stream keeps across states.  It takes the background's
-    curvature and torsion maxima (maxima, geometry.bound_maxima: the
-    c0-independent part of the constants, and trace_floor's curvature
-    sign) at most once, when the constants or trace_floor first read them,
-    keeping only the scalars; the constants at any c0 are then scalar
-    arithmetic.
+    on the records.
     """
 
     def __init__(self, bg: Background, enabled=None, safety: float = 1.0,
@@ -428,8 +390,8 @@ class MonitorStream:
 
 
 # ---------------------------------------------------------------------------
-# checks: each is a skip test and a rule over the records of stream, a
-# MonitorStream that has consumed a trajectory with the check enabled
+# checks: each reads a MonitorStream that consumed a trajectory with the
+# check enabled
 
 
 def check_speed_consistency(stream: MonitorStream) -> CheckResult:
@@ -662,8 +624,6 @@ def _speed_bump(s: FlowState, first: SnapshotRecord) -> None:
                              + np.cos(2 * np.pi * x3 / grid.periods[2]))
 
 
-# The one list of checks, read by MonitorStream, corrupt_trajectory,
-# DEFAULT_CHECKS, OPTIONAL_CHECKS and the recipes' monitor selection.
 # corrupt(state, first) injects the negative control's violation into a
 # kept state in place; first is the first kept state's record.
 Check = namedtuple("Check", "default_on corrupt")

@@ -491,6 +491,21 @@ class TestExitCodes:
         assert "betas" in capsys.readouterr().err
         assert not (tmp_path / "o" / "identities.json").exists()
 
+    @pytest.mark.parametrize("line", ["dt_max = 0", "t_end = nan",
+                                      "steady_criterion = nrom"])
+    def test_identity_recipe_refuses_bad_flow_values(self, tmp_path, capsys,
+                                                     line):
+        """[flow] is validated as the config is parsed, so check-identities,
+        which runs no flow, refuses a bad [flow] value too, before it
+        writes anything."""
+        cfg = write_cfg(tmp_path, "[grid]\ndims = 16 16 16 16\n"
+                                  f"[flow]\n{line}\n")
+        out = tmp_path / "o"
+        assert main(["check-identities", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("betas", [",", "1.0", "1,1.0"])
     def test_sweep_without_a_ratio_below_one_exits_two(self, tmp_path,
                                                        capsys, betas):
@@ -639,6 +654,19 @@ class TestArtifacts:
         code, report = cmd_oracle_2d(cfg, tmp_path / "or2d")
         assert code == 0
         assert report["max_error"] <= 1e-6
+
+    def test_oracle_ends_where_run_ends(self, tmp_path):
+        """The normalised flow reaches the original horizon t_end at
+        alpha t_end: oracle-2d's last checkpoint is there, as run's final
+        time is."""
+        text = SPLIT_RUN.replace("beta = 0.5", "beta = 0.4\nalpha = 0.5")
+        cfg = parse_config(write_cfg(tmp_path, text.replace(
+            "t_end = 0.05", "t_end = 0.01")))
+        code, report = cmd_oracle_2d(cfg, tmp_path / "or2d")
+        assert code == 0
+        t_final = cmd_flow_run(cfg, tmp_path / "run")[1]["t_final"]
+        assert t_final == pytest.approx(0.005, abs=1e-12)
+        assert report["checkpoints"][-1] == pytest.approx(t_final, abs=1e-12)
 
     def test_identities_cli(self, tmp_path):
         text = MINIMAL.replace("dims = 8 8 8 8", "dims = 16 16 16 16")

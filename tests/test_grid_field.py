@@ -531,6 +531,40 @@ class TestSlabCallers:
         assert bad == []
 
 
+class TestOver:
+    """_over, the one splitter of work between the slab threads."""
+
+    @pytest.mark.parametrize("n, threads, step", [
+        (1, 2, 1), (3, 4, 2), (10, 3, 2), (7, 2, 16), (32, 2, 5), (5, 1, 2)])
+    def test_chunks_tile_the_indices_in_order(self, n, threads, step):
+        """Every index falls in exactly one chunk and the results come back
+        in index order.  Share k, the k-th of threads contiguous runs of
+        near-equal length, runs on one thread in chunks of at most step
+        indices, in order, each passed with k, the index of the thread's
+        scratch buffers."""
+        import threading
+
+        from splitma import grid_field
+
+        seen = []
+
+        def fn(k, sl):
+            seen.append((k, sl, threading.current_thread()))
+            return sl
+
+        with grid_field._SLAB_LOCK:
+            got = grid_field._over(n, threads, step, fn)
+        assert [i for sl in got for i in range(sl.start, sl.stop)] == \
+            list(range(n))
+        assert len(seen) == len(got)
+        for k in range(threads):
+            calls = [(sl, t) for j, sl, t in seen if j == k]
+            assert [i for sl, _ in calls for i in range(sl.start, sl.stop)] \
+                == list(range(n * k // threads, n * (k + 1) // threads))
+            assert all(0 < sl.stop - sl.start <= step for sl, _ in calls)
+            assert len({t for _, t in calls}) <= 1
+
+
 class TestMapBlocks:
     """The block map on pool threads: the first block on the calling
     thread, then runs of up to POOL_BLOCKS blocks on each pool thread."""
